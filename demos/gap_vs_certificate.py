@@ -1,11 +1,11 @@
 """Certified rate against the numerically computed spectral gap.
 
 The certificate is a lower bound: mu must sit below the true spectral
-gap of every mode.  This script computes the gap by dense
-eigendecomposition over the first few mode moduli and reports the
-margin gap / mu for a few torus lengths, plus a truncation study
-showing how the N = 25 gap is still far from converged while N >= 200
-has settled to six digits.
+gap of every mode.  This script computes the gap from the Hermite-chain
+blocks of each modal generator over the first few mode moduli and
+reports the margin gap / mu for a few torus lengths, plus a truncation
+study showing how the N = 25 gap is still far from converged while
+N >= 200 has settled to six digits.
 """
 
 import math

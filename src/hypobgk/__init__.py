@@ -18,10 +18,12 @@ from .hermite import (
     recurrence_coeffs,
 )
 from .operators import (
+    ChainBlock,
     ModalGenerator,
     OperatorPair,
     build_L1,
     build_L2,
+    chain_blocks,
     modal_generator,
     mode_moduli,
     operator_pair,
@@ -81,6 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnsatzError",
     "BasisSpec",
+    "ChainBlock",
     "ConvergenceStudy",
     "DecayCertificate",
     "EigenvalueFailure",
@@ -101,6 +104,7 @@ __all__ = [
     "build_L1",
     "build_L2",
     "certify",
+    "chain_blocks",
     "check_invariance_conditions",
     "complex_eigenvalues",
     "concentrated_initial_data",

@@ -183,6 +183,98 @@ class ModalGenerator:
     C: np.ndarray = field(repr=False)
 
 
+#: c_m in i**m = c_m i**(m % 2), indexed by m % 4
+_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+#: i * i**(n % 2 - m % 2) for |n - m| = 1: -1 for even m, 1 for odd m;
+#: indexed by m % 4
+_L1_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+@dataclass(frozen=True)
+class ChainBlock:
+    """One diagonal block of T^-1 C_kappa T, T = diag(i**m_1), in the
+    tensor basis.
+
+    ``index`` holds the ascending flat positions of its multi-indices;
+    ``K`` and ``l2`` are the restrictions of T^-1 (i L1) T and
+    T^-1 L2 T, both real.
+    """
+
+    index: np.ndarray
+    K: np.ndarray = field(repr=False)
+    l2: np.ndarray = field(repr=False)
+
+    @property
+    def trivial(self) -> bool:
+        """L2 restricts to the identity: every real part is exactly 1."""
+        return np.array_equal(self.l2, np.eye(len(self.index)))
+
+    def matrix(self, s: float) -> np.ndarray:
+        """The real block l2 + s K of T^-1 C_kappa T, s = kappa ell."""
+        B = s * self.K
+        B += self.l2
+        return B
+
+
+def chain_blocks(pair: OperatorPair) -> tuple:
+    """Diagonal blocks of T^-1 C_kappa T, the same for every kappa.
+
+    Multiplication by v_1 only changes m_1, so L1 links each index to
+    its neighbours in one chain with m_2, ..., m_d fixed; L2 is diagonal
+    except on the degree-two level, where it couples the chains holding
+    (2, 0, 0), (0, 2, 0) and (0, 0, 2).  The blocks are the connected
+    components of the nonzero pattern of L1 and L2, read off the
+    assembled matrices, so a lone chain is tridiagonal.
+
+    Entry (p, q) of T^-1 A T is i**(m_1q - m_1p) A_pq.  L2 only links
+    indices whose m_1 have equal parity, so its entries become
+    c_p c_q L2_pq, with i**m = c_m i**(m % 2) and c_m = +-1; i L1 links
+    unequal parities, so its entries become c_p s_p c_q L1_pq with the
+    sign s_p of :data:`_L1_SIGN`.  Every block is therefore real, and
+    equal to the phased generator to the last bit.
+
+    Parameters
+    ----------
+    pair : OperatorPair
+        Operators in the tensor basis (any basis for d = 1).
+
+    Returns
+    -------
+    tuple of ChainBlock
+        Ordered by their first index.
+    """
+    if pair.d > 1 and pair.variant != "tensor":
+        raise ValueError("the chain split needs the tensor basis")
+    parent = list(range(pair.N))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows, cols = np.nonzero((pair.L1 != 0) | (pair.L2 != 0))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        parent[root(i)] = root(j)
+    members: dict = {}
+    for i in range(pair.N):
+        members.setdefault(root(i), []).append(i)
+    m1 = np.array([m[0] % 4 for m in _index_table(pair.d, pair.N)])
+    blocks = []
+    for group in members.values():
+        index = np.array(group)
+        at = np.ix_(index, index)
+        c = _SIGN[m1[index]]
+        K = pair.L1[at]
+        K *= (c * _L1_SIGN[m1[index]])[:, None]
+        K *= c
+        l2 = pair.L2[at]
+        l2 *= c[:, None]
+        l2 *= c
+        blocks.append(ChainBlock(index=index, K=K, l2=l2))
+    return tuple(blocks)
+
+
 def modal_generator(pair: OperatorPair, kappa: float) -> ModalGenerator:
     """Generator C_kappa = i kappa (2 pi / L) L1 + L2 for modulus kappa."""
     if kappa < 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
@@ -204,26 +205,63 @@ def h_norm(state: ModalState) -> float:
     )
 
 
+@dataclass(frozen=True)
+class L1Grid:
+    """Reconstruction grid of :func:`l1_distance_1d`.
+
+    Holds the spatial phases of the tracked modes on the x grid, the
+    Hermite table at the Gauss nodes and the normalized quadrature
+    weights.  It depends only on the mode keys, the truncation and the
+    grid sizes, so every state along one trajectory shares it.
+    """
+
+    keys: tuple
+    phases: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    @classmethod
+    def build(cls, keys: tuple, N: int, nx: int = 512, nv: int = 160) -> "L1Grid":
+        """Grid for modes ``keys`` and truncation N, with nx points in x
+        and the nv-point Gauss rule in v."""
+        ks = np.array([float(k) for k in keys])
+        xs = (np.arange(nx) + 0.5) / nx
+        nodes, wts = gauss_hermite(nv)
+        grid = cls(
+            keys=keys,
+            phases=np.exp(2j * math.pi * np.outer(xs, ks)),
+            phi=hermite_phi(N - 1, nodes),
+            weights=wts / SQRT2PI,
+        )
+        for a in (grid.phases, grid.phi, grid.weights):
+            a.flags.writeable = False
+        return grid
+
+    def distance(self, state: ModalState) -> float:
+        """:func:`l1_distance_1d` of a state with this grid's modes and
+        truncation."""
+        H = np.array([state.coeffs[k] for k in self.keys])
+        vals = (self.phases @ H) @ self.phi
+        return float(np.mean(np.abs(vals) @ self.weights))
+
+
+#: grids are shared by the samples of a trajectory
+_l1_grid = lru_cache(maxsize=4)(L1Grid.build)
+
+
 def l1_distance_1d(state: ModalState, nx: int = 512, nv: int = 160) -> float:
     """L1 distance of the reconstructed deviation from zero, d = 1.
 
     Reconstructs h(x, v) on a uniform-by-Gauss grid and integrates
     |h| dv dx against the normalized torus measure.  The velocity
     integral uses the quadrature of the Gaussian weight, exact for the
-    polynomial part of the basis.
+    polynomial part of the basis.  The grid is built once per set of
+    modes, truncation and grid sizes, and reused.
     """
     if state.d != 1:
         raise ValueError("reconstruction is implemented for d = 1")
-    keys = sorted(state.coeffs, key=int)
-    H = np.array([state.coeffs[k] for k in keys])
-    ks = np.array([float(k) for k in keys])
-    xs = (np.arange(nx) + 0.5) / nx
-    phases = np.exp(2j * math.pi * np.outer(xs, ks))
-    amp = phases @ H
-    nodes, wts = gauss_hermite(nv)
-    phi = hermite_phi(state.N - 1, nodes)
-    vals = amp @ phi
-    return float(np.mean(np.abs(vals) @ (wts / SQRT2PI)))
+    keys = tuple(sorted(state.coeffs, key=int))
+    return _l1_grid(keys, state.N, nx, nv).distance(state)
 
 
 def _hann_transform(u):

@@ -142,6 +142,14 @@ def test_usage_errors_exit_one():
     assert _run().returncode == 1
 
 
+@pytest.mark.parametrize("L", ["inf", "nan"])
+def test_spectrum_rejects_non_finite_length(L, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--L", L])
+    assert exc.value.code == 1
+    assert "torus length must be finite" in capsys.readouterr().err
+
+
 def test_invalid_certificate_exits_two(monkeypatch, capsys):
     real = cli.certify
 

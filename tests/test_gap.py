@@ -1,19 +1,30 @@
-"""Tests for the dense eigensolver wrapper and spectral-gap reports."""
+"""Tests for the dense eigensolver wrapper, the chain split of the modal
+generators and the spectral-gap reports."""
 
 import math
 
 import numpy as np
 import pytest
 
+import hypobgk.gap as gap
 from hypobgk import (
     EigenvalueFailure,
     certify,
+    chain_blocks,
     complex_eigenvalues,
     convergence_study,
+    modal_generator,
+    mode_moduli,
+    operator_pair,
     spectral_gap,
 )
+from hypobgk.hermite import _index_table
+from hypobgk.operators import _MIN_N
 
 TWO_PI = 2.0 * math.pi
+
+#: i**m indexed by m % 4, exact (1j**m is not)
+PHASES = np.array([1, 1j, -1, -1j])
 
 
 def test_reduces_to_hermitian_solver():
@@ -93,3 +104,160 @@ def test_convergence_study_flags_non_monotone_profiles():
     gaps = [g for _, g in over.rows()]
     # the truncated gap overshoots at N = 50 and comes back down
     assert gaps[1] > gaps[2]
+
+
+# -- the chain split against the dense generator ------------------------------
+
+
+def _gap_cases(n=80, seed=20240603):
+    """Random (d, variant, N, L, kappa), drawn once from a fixed seed."""
+    rng = np.random.default_rng(seed)
+    lengths = np.geomspace(0.1, 50.0, 100)
+    cases = []
+    for _ in range(n):
+        d = int(rng.integers(1, 4))
+        variant = "tensor" if d == 1 else str(rng.choice(["tensor", "energy"]))
+        N = int(rng.integers(_MIN_N[d], 121))
+        L = float(rng.choice(lengths))
+        kappa = float(rng.choice([m for m, _ in mode_moduli(d, 3)]))
+        cases.append(
+            pytest.param(d, variant, N, L, kappa, id=f"d{d}-{variant}-N{N}-L{L:.4g}-k{kappa:.4g}")
+        )
+    return cases
+
+
+@pytest.mark.parametrize("d,variant,N,L,kappa", _gap_cases())
+def test_chain_gap_matches_dense_eigensolve(d, variant, N, L, kappa):
+    C = modal_generator(operator_pair(d, variant, N, L=L), kappa).C
+    dense = complex_eigenvalues(C)[0].real.min()
+    assert abs(spectral_gap(d, L, [kappa], N).gap - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("d,N", [(1, 5), (1, 37), (2, 6), (2, 23), (3, 10), (3, 47)])
+def test_blocks_reproduce_the_phased_generator(d, N):
+    # N = 37, 23 and 47 end inside a degree level
+    pair = operator_pair(d, "tensor", N, L=3.0)
+    kappa = 1.7
+    C = modal_generator(pair, kappa).C
+    t = PHASES[[m[0] % 4 for m in _index_table(d, N)]]
+    phased = t.conj()[:, None] * C * t[None, :]
+    blocks = chain_blocks(pair)
+    assert sorted(np.concatenate([blk.index for blk in blocks])) == list(range(N))
+    full = np.zeros((N, N))
+    for blk in blocks:
+        full[np.ix_(blk.index, blk.index)] = blk.matrix(kappa * pair.ell)
+    assert not phased.imag.any()
+    assert np.array_equal(phased.real, full)
+    # one coupled block in d >= 2; every other block is a lone chain
+    # with m_2, ..., m_d fixed, so it is tridiagonal
+    tails = [{_index_table(d, N)[i][1:] for i in blk.index} for blk in blocks]
+    assert sum(len(t) > 1 for t in tails) == (d > 1)
+    for blk, tail in zip(blocks, tails):
+        if len(tail) == 1:
+            B = blk.matrix(kappa)
+            assert not (np.triu(B, 2).any() or np.tril(B, -2).any())
+
+
+def test_chain_split_needs_the_tensor_basis():
+    with pytest.raises(ValueError, match="tensor"):
+        chain_blocks(operator_pair(2, "energy", 15))
+    # in d = 1 the two variants are the same basis
+    assert len(chain_blocks(operator_pair(1, "energy", 15))) == 1
+
+
+def test_eigenvalues_without_vectors_match_the_dense_solver():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 40):
+        A = rng.standard_normal((n, n))
+        T = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
+        T += np.diag(rng.standard_normal(n - 1), -1)
+        for M in (A, T, A + 1j * rng.standard_normal((n, n))):
+            vals, err = complex_eigenvalues(M, vectors=False)
+            dense = complex_eigenvalues(M)[0]
+            assert 0.0 <= err <= 1e-12
+            assert np.abs(vals[:, None] - dense[None, :]).min(axis=0).max() < 1e-10
+    vals, err = complex_eigenvalues(np.zeros((3, 3)), vectors=False)
+    assert not vals.any() and err == 0.0
+    with pytest.raises(EigenvalueFailure, match="non-finite"):
+        complex_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]), vectors=False)
+    with pytest.raises(ValueError):
+        complex_eigenvalues(np.ones((2, 3)), vectors=False)
+
+
+def test_gap_solves_each_nontrivial_block_once(monkeypatch):
+    # d = 1 is a single chain, solved whole; the dense solver's
+    # eigenvectors are never computed for a gap
+    sizes = []
+    real = gap.complex_eigenvalues
+
+    def recording(M, *args, **kwargs):
+        sizes.append((len(M), kwargs.get("vectors", True)))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(gap, "complex_eigenvalues", recording)
+    spectral_gap(1, TWO_PI, [1.0, 2.0], 10)
+    assert sizes == [(10, False), (10, False)]
+
+
+def test_only_nontrivial_blocks_are_solved(monkeypatch):
+    real = gap.eigvals
+    sizes = []
+
+    def counting(B, **kwargs):
+        sizes.append(len(B))
+        return real(B, **kwargs)
+
+    monkeypatch.setattr(gap, "eigvals", counting)
+    spectral_gap(3, TWO_PI, [1.0], 220)
+    assert len(chain_blocks(operator_pair(3, "tensor", 220))) == 53
+    assert len(sizes) == 3 and max(sizes) == 26
+
+
+@pytest.mark.parametrize("sampled", [True, False])
+@pytest.mark.parametrize("d,N", [(1, 150), (3, 84)])
+def test_shifted_eigenvalue_fails_verification(monkeypatch, d, N, sampled):
+    # moves the gap by 1e-6; a complex pair moves together, so that its
+    # unshifted partner cannot set the gap instead.  In d = 3 the first
+    # block solved is the dense coupled one.  At N = 150 the error is
+    # 5.8e-8 relative to the largest column norm of C_kappa, but would
+    # pass relative to its Frobenius norm.  Without the evenly spaced
+    # sample, only the pair that sets the gap is checked.
+    real = gap.eigvals
+
+    def shifted(B, **kwargs):
+        vals = real(B, **kwargs)
+        vals[vals.real == vals.real.min()] += 1e-6
+        return vals
+
+    monkeypatch.setattr(gap, "eigvals", shifted)
+    if not sampled:
+        monkeypatch.setattr(gap, "_sample", lambda n: np.array([], dtype=int))
+    with pytest.raises(EigenvalueFailure):
+        spectral_gap(d, TWO_PI, [1.0], N)
+
+
+def test_reports_carry_the_worst_backward_error():
+    rep = spectral_gap(3, TWO_PI, [0, 1, 2], 84)
+    assert 0.0 < rep.backward_error <= 1e-8
+    study = convergence_study(1, TWO_PI, 1.0, [25, 50])
+    assert 0.0 < study.backward_error <= 1e-8
+    # the homogeneous mode is analytic: no pair is verified
+    assert spectral_gap(1, TWO_PI, [0], 40).backward_error == 0.0
+
+
+@pytest.mark.parametrize("L", [math.inf, math.nan, 0.0])
+def test_non_finite_or_nonpositive_length_rejected(L):
+    with pytest.raises(ValueError, match="torus length"):
+        spectral_gap(1, L, [1.0], 40)
+    with pytest.raises(ValueError, match="torus length"):
+        convergence_study(1, L, 1.0, [40])
+
+
+def test_non_finite_modulus_and_empty_truncations_rejected():
+    for kappa in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="mode moduli"):
+            spectral_gap(1, TWO_PI, [1.0, kappa], 40)
+        with pytest.raises(ValueError, match="mode moduli"):
+            convergence_study(1, TWO_PI, kappa, [40])
+    with pytest.raises(ValueError, match="truncation"):
+        convergence_study(1, TWO_PI, 1.0, [])

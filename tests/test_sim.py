@@ -20,6 +20,7 @@ from hypobgk import (
     t_init,
 )
 from hypobgk.certificate import THETA
+from hypobgk.sim import L1Grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,6 +135,19 @@ def test_l1_distance_matches_quadrature_oracle():
 
 def test_l1_initial_value_is_deterministic():
     assert abs(l1_distance_1d(_initial()) - 1.966686387350289) < 1e-9
+
+
+def test_trajectory_l1_equals_reconstruction_of_each_state():
+    # the grid is built once and reused; the values must be bit-identical
+    # to a reconstruction on a grid built afresh for every state
+    st = _initial(kmax=16)
+    traj = run_trajectory(st, 1.5, 4, 0.0)
+    keys = tuple(sorted(st.coeffs, key=int))
+    cur, expected = st, []
+    for _ in range(4):
+        expected.append(L1Grid.build(keys, st.N).distance(cur))
+        cur = evolve(cur, 0.5)
+    assert list(traj["l1"]) == expected
 
 
 def test_trajectory_decay_and_envelope():
