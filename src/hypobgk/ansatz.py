@@ -37,7 +37,6 @@ from .index import _check_pair
 DEFAULT_TOL = 1e-10
 DEFECTIVE_COND = 1e8
 
-_BLOCK_SIZE = {1: 4, 2: 7, 3: 11}
 _BGK_COUPLINGS = {
     # (row, col, ratio): entry is -1j * ratio * alpha / kappa
     1: ((0, 1, 1.0), (1, 2, math.sqrt(2.0)), (2, 3, math.sqrt(3.0))),
@@ -559,19 +558,20 @@ def bgk_coupling(d: int, kappa: float, alpha: float, N: int | None = None) -> np
     equal -i * ratio * alpha / kappa; in two and three dimensions the
     positions refer to the energy basis ordering.
     """
-    if d not in _BLOCK_SIZE:
+    if d not in _BGK_COUPLINGS:
         raise ValueError("dimension must be 1, 2 or 3")
     if kappa < 1:
         raise ValueError("mode modulus must be at least 1")
     if alpha < 0:
         raise ValueError("coupling amplitude must be nonnegative")
-    n0 = _BLOCK_SIZE[d]
+    couplings = _BGK_COUPLINGS[d]
+    n0 = 1 + max(j for _, j, _ in couplings)
     if N is None:
         N = n0
     if N < n0:
         raise ValueError(f"need N >= {n0} in dimension {d}")
     A = np.zeros((N, N), dtype=complex)
-    for i, j, ratio in _BGK_COUPLINGS[d]:
+    for i, j, ratio in couplings:
         z = -1j * ratio * alpha / kappa
         A[i, j] = z
         A[j, i] = np.conj(z)

@@ -26,27 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .ansatz import bgk_P
+from .hermite import DIMENSIONS
 from .operators import modal_generator, mode_moduli, operator_pair
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
 R6 = math.sqrt(6.0)
-
-#: energy-norm distortion slope of the transformation per dimension:
-#: the extreme eigenvalues of P at kappa = 1 are 1 +- THETA[d] * alpha
-THETA = {1: math.sqrt(3.0 + R6), 2: R6, 3: 2.0}
-
-#: arithmetic-geometric mean prefactors (n/trace)**n for the lowest
-#: eigenvalue bound lambda_min >= (n / tr D)**n * det D
-AMGM = {2: (10.0 / 14.0) ** 10, 3: (20.0 / 32.0) ** 20}
-
-_BLOCK = {1: 5, 2: 11, 3: 21}
-_ASSEMBLY_N = {1: 8, 2: 15, 3: 35}
-_VARIANT = {1: "tensor", 2: "energy", 3: "energy"}
 
 
 @dataclass(frozen=True)
@@ -124,6 +114,13 @@ def _p11_2d(k, a, l):
     return (p0 + p1 / k**2) / k**2 + p2
 
 
+def _d11_2d(k, a, l):
+    """Last minor of the 2D chain, the one the certified rate uses."""
+    # determinant expansion pins this prefactor at 32 (the chain ratio
+    # d11/d10 must approach 2 as alpha -> 0)
+    return 32.0 * l * a**4 * _p8_2d(k, a, l) * _p11_2d(k, a, l)
+
+
 def minors_2d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Leading principal minors of the 11x11 block for d = 2."""
     _check_params(kappa, alpha, ell)
@@ -144,9 +141,7 @@ def minors_2d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     d9 = 8.0 * l * a**4 * p8 * p9
     d10 = 2.0 * d9
     p11 = _p11_2d(k, a, l)
-    # determinant expansion pins this prefactor at 32 (the chain ratio
-    # d11/d10 must approach 2 as alpha -> 0)
-    d11 = 32.0 * l * a**4 * p8 * p11
+    d11 = _d11_2d(k, a, l)
     return MinorTable(
         2,
         kappa,
@@ -276,6 +271,20 @@ def _p21_3d(k, a, l):
     return (p0 + p1 / k**2) / k**2 + l**2 * p2
 
 
+def _d21_3d(k, a, l):
+    """Last minor of the 3D chain, the one the certified rate uses."""
+    return (
+        256.0
+        * (R3 + 2.0)
+        * (24.0 * R2 + 61.0)
+        / (23121.0 * (R3 + 1.0) ** 2)
+        * l
+        * a**5
+        * _p12_3d(k, a, l) ** 2
+        * _p21_3d(k, a, l)
+    )
+
+
 def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Leading principal minors of the 21x21 block for d = 3."""
     _check_params(kappa, alpha, ell)
@@ -310,16 +319,7 @@ def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     d19 = 8.0 * d16
     d20 = 16.0 * d16
     p21 = _p21_3d(k, a, l)
-    d21 = (
-        256.0
-        * (R3 + 2.0)
-        * (24.0 * R2 + 61.0)
-        / (23121.0 * (R3 + 1.0) ** 2)
-        * l
-        * a**5
-        * p12**2
-        * p21
-    )
+    d21 = _d21_3d(k, a, l)
     return MinorTable(
         3,
         kappa,
@@ -346,11 +346,9 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
     (size 5, 11 or 21).
     """
     _check_params(kappa, alpha, ell)
-    if d not in _BLOCK:
-        raise ValueError("dimension must be 1, 2 or 3")
-    N = _ASSEMBLY_N[d]
-    b = _BLOCK[d]
-    pair = operator_pair(d, _VARIANT[d], N, L=2.0 * math.pi / ell)
+    N = chain_spec(d).assembly_N
+    b = DIMENSIONS[d].block
+    pair = operator_pair(d, DIMENSIONS[d].variant, N, L=2.0 * math.pi / ell)
     C = modal_generator(pair, kappa).C
     P = bgk_P(d, kappa, alpha, N)
     F = C.conj().T @ P + P @ C
@@ -507,30 +505,62 @@ def _mu_1d(a, l):
 
 
 def _mu_2d(a, l):
-    p8 = _p8_2d(1.0, a, l)
-    p11 = _p11_2d(1.0, a, l)
-    d11 = 32.0 * l * a**4 * p8 * p11
-    return AMGM[2] * d11 / (2.0 * (1.0 + R6 * a))
+    return AMGM[2] * _d11_2d(1.0, a, l) / (2.0 * (1.0 + THETA[2] * a))
 
 
 def _mu_3d(a, l):
-    p12 = _p12_3d(1.0, a, l)
-    p21 = _p21_3d(1.0, a, l)
-    d21 = (
-        256.0
-        * (R3 + 2.0)
-        * (24.0 * R2 + 61.0)
-        / (23121.0 * (R3 + 1.0) ** 2)
-        * l
-        * a**5
-        * p12**2
-        * p21
-    )
-    return AMGM[3] * d21 / (2.0 * (1.0 + 2.0 * a))
+    return AMGM[3] * _d21_3d(1.0, a, l) / (2.0 * (1.0 + THETA[3] * a))
 
 
-_MU = {1: _mu_1d, 2: _mu_2d, 3: _mu_3d}
-_ALPHA_PLUS = {1: lambda l: alpha3_1d(2.0 * math.pi / l), 2: alpha_plus_2d, 3: alpha_plus_3d}
+@dataclass(frozen=True)
+class ChainSpec:
+    """What the certificate of velocity dimension d is built from.
+
+    Attributes
+    ----------
+    minors : callable
+        ``minors(kappa, alpha, ell)``, the closed-form minor chain.
+    alpha_plus : callable
+        ``alpha_plus(ell)``, the positivity threshold of the chain.
+    mu : callable
+        ``mu(alpha, ell)``, the certified rate at kappa = 1.
+    theta : float
+        Energy-norm distortion slope of the transformation: the extreme
+        eigenvalues of P at kappa = 1 are 1 +- theta * alpha.
+    amgm : float or None
+        Arithmetic-geometric mean prefactor (n / tr D)**n of the lowest
+        eigenvalue bound lambda_min >= (n / tr D)**n det D, for d >= 2.
+    assembly_N : int
+        Truncation with margin at which D is assembled and verified.
+    """
+
+    minors: Callable
+    alpha_plus: Callable
+    mu: Callable
+    theta: float
+    amgm: float | None
+    assembly_N: int
+
+
+_CHAINS = {
+    1: ChainSpec(
+        minors_1d, lambda l: alpha3_1d(2.0 * math.pi / l), _mu_1d, math.sqrt(3.0 + R6), None, 8
+    ),
+    2: ChainSpec(minors_2d, alpha_plus_2d, _mu_2d, R6, (10.0 / 14.0) ** 10, 15),
+    3: ChainSpec(minors_3d, alpha_plus_3d, _mu_3d, 2.0, (20.0 / 32.0) ** 20, 35),
+}
+
+#: ChainSpec.theta and ChainSpec.amgm by dimension
+THETA = {d: c.theta for d, c in _CHAINS.items()}
+AMGM = {d: c.amgm for d, c in _CHAINS.items() if c.amgm is not None}
+
+
+def chain_spec(d: int) -> ChainSpec:
+    """The :class:`ChainSpec` of dimension d."""
+    if d not in _CHAINS:
+        raise ValueError("dimension must be 1, 2 or 3")
+    return _CHAINS[d]
+
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -556,8 +586,9 @@ def _golden_max(f, lo: float, hi: float, iters: int = 90):
 
 
 def _maximize_mu(d: int, ell: float):
-    f = _MU[d]
-    a_plus = _ALPHA_PLUS[d](ell)
+    spec = chain_spec(d)
+    f = spec.mu
+    a_plus = spec.alpha_plus(ell)
     xs = np.linspace(0.0, a_plus, 402)[1:-1]
     vals = f(xs, ell)
     i = int(np.argmax(vals))
@@ -641,13 +672,7 @@ def _first_moduli(d: int, count: int):
 
 def mu_value(d: int, alpha: float, ell: float = 1.0) -> float:
     """Closed-form certified rate at a given coupling amplitude."""
-    if d == 1:
-        return _mu_1d(alpha, ell)
-    if d == 2:
-        return _mu_2d(alpha, ell)
-    if d == 3:
-        return _mu_3d(alpha, ell)
-    raise ValueError("dimension must be 1, 2 or 3")
+    return chain_spec(d).mu(alpha, ell)
 
 
 def certify(
@@ -668,10 +693,9 @@ def certify(
     -------
     DecayCertificate
     """
-    if d not in _BLOCK:
-        raise ValueError("dimension must be 1, 2 or 3")
-    if L <= 0:
-        raise ValueError("torus length must be positive")
+    spec = chain_spec(d)
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"torus length must be finite and positive, got {L}")
     ell = 2.0 * math.pi / L
     a_plus, a_star, mu = _maximize_mu(d, ell)
     if alpha is not None:
@@ -681,7 +705,7 @@ def certify(
             )
         a_star = float(alpha)
         mu = mu_value(d, a_star, ell)
-    theta = THETA[d] * a_star
+    theta = spec.theta * a_star
     c_d = 1.0 / (1.0 + theta)
     C_d = 1.0 / (1.0 - theta)
     lam = 2.0 * min(1.0, mu)
@@ -690,8 +714,8 @@ def certify(
     valid = True
     failed = None
     if n_verify > 0:
-        N = _ASSEMBLY_N[d]
-        pair = operator_pair(d, _VARIANT[d], N, L=L)
+        N = spec.assembly_N
+        pair = operator_pair(d, DIMENSIONS[d].variant, N, L=L)
     for kappa in _first_moduli(d, n_verify) if n_verify > 0 else []:
         C = modal_generator(pair, kappa).C
         P = bgk_P(d, kappa, a_star, N)

@@ -23,21 +23,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .certificate import (
-    alpha3_1d,
-    alpha_plus_2d,
-    alpha_plus_3d,
-    certify,
-    minors_1d,
-    minors_2d,
-    minors_3d,
-)
+from .certificate import certify, chain_spec
 from .gap import EigenvalueFailure, spectral_gap
-from .hermite import MIN_CERTIFICATE_SIZE
+from .hermite import DIMENSIONS
 from .index import hypocoercivity_index
 from .operators import mode_moduli, operator_pair
 from .sim import concentrated_initial_data, run_trajectory, t_init
@@ -48,27 +42,26 @@ EXIT_VERIFY = 2
 
 TWO_PI = 2.0 * math.pi
 
-#: fixed key order for the configuration echo
-_CONFIG_KEYS = (
-    "subcommand",
-    "dim",
-    "L",
-    "basis",
-    "trunc",
-    "kappa",
-    "kmax",
-    "alpha",
-    "epsilon",
-    "tmax",
-    "dt",
-    "gamma",
-    "tol_rank",
-    "format",
-    "seed",
-    "from",
-    "to",
-    "points",
-)
+#: argparse settings of every flag, by its key in the configuration
+#: echo; the option string is "--" + key with "_" written as "-"
+_FLAGS = {
+    "dim": dict(type=int, choices=(1, 2, 3), default=1),
+    "L": dict(type=float, default=TWO_PI),
+    "basis": dict(choices=("tensor", "energy")),
+    "trunc": dict(type=int),
+    "kappa": dict(type=float, nargs="+"),
+    "kmax": dict(type=int),
+    "alpha": dict(type=float),
+    "epsilon": dict(type=float, default=0.02),
+    "tmax": dict(type=float, default=40.0),
+    "dt": dict(type=float, default=0.5),
+    "gamma": dict(type=float, default=0.0),
+    "tol_rank": dict(type=float, default=1e-10),
+    "format": dict(choices=("csv", "json")),
+    "from": dict(type=float, default=0.1, dest="sweep_from"),
+    "to": dict(type=float, default=50.0, dest="sweep_to"),
+    "points": dict(type=int, default=100),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,12 +72,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_basis(dim: int) -> str:
-    return "tensor" if dim == 1 else "energy"
+@dataclass(frozen=True)
+class _Artifact:
+    """What a handler returns: one table in two renderings.
 
+    The CSV form is ``header`` and ``rows`` after comment lines holding
+    the configuration echo and then ``extra``; the JSON form is the
+    echo under ``"config"`` followed by the keys of ``doc``.
+    """
 
-def _default_trunc(dim: int) -> int:
-    return 4 * MIN_CERTIFICATE_SIZE[dim]
+    header: tuple
+    rows: list
+    doc: dict
+    extra: dict = field(default_factory=dict)
+    code: int = EXIT_OK
 
 
 def _num(x) -> str:
@@ -101,35 +102,23 @@ def _cfg_str(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
-        return repr(v)
+        # float(): numpy 2 scalars repr as np.float64(...)
+        return repr(float(v))
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_cfg_str(x) for x in v) + "]"
     return str(v)
 
 
-def _ordered_config(entries: dict) -> dict:
-    out = {k: entries[k] for k in _CONFIG_KEYS if k in entries}
-    for k in entries:
-        if k not in out:
-            out[k] = entries[k]
-    return out
-
-
-def _csv_text(config: dict, header, rows, extra: dict | None = None) -> str:
-    lines = [f"# {k} = {_cfg_str(v)}" for k, v in config.items()]
-    if extra:
-        for k, v in extra.items():
-            lines.append(f"# {k} = {_cfg_str(v)}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_num(x) for x in row))
+def _render(args, art: _Artifact) -> str:
+    config = {"subcommand": args.subcommand}
+    for key in _SUBCOMMANDS[args.subcommand].echo:
+        config[key] = getattr(args, _FLAGS[key].get("dest", key))
+    if args.format == "json":
+        return json.dumps({"config": config, **art.doc}, indent=2) + "\n"
+    lines = [f"# {k} = {_cfg_str(v)}" for k, v in [*config.items(), *art.extra.items()]]
+    lines.append(",".join(art.header))
+    lines.extend(",".join(_num(x) for x in row) for row in art.rows)
     return "\n".join(lines) + "\n"
-
-
-def _json_text(config: dict, payload: dict) -> str:
-    doc = {"config": config}
-    doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -140,249 +129,134 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_kappa_list(args) -> list:
-    if args.kappa:
-        ks = [float(k) for k in args.kappa]
-        if any(k <= 0 for k in ks):
-            raise ValueError("mode moduli must be positive")
-        return ks
-    kmax = args.kmax if args.kmax else 5
-    return [m for m, _ in mode_moduli(args.dim, kmax)]
-
-
-def _alpha_plus(dim: int, L: float) -> float:
-    ell = TWO_PI / L
-    if dim == 1:
-        return alpha3_1d(L)
-    if dim == 2:
-        return alpha_plus_2d(ell)
-    return alpha_plus_3d(ell)
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: take parsed args, return (exit_code, artifact text)
+# subcommand handlers: take parsed args, return an _Artifact.  A handler
+# that resolves a flag (a default, a derived value) writes the resolved
+# value back to args, so that the echo shows the effective configuration.
 
 
 def _run_index(args):
-    basis = args.basis or _default_basis(args.dim)
-    trunc = args.trunc or _default_trunc(args.dim)
-    kappa = float(args.kappa[0]) if args.kappa else 1.0
-    if kappa <= 0:
+    args.kappa = float(args.kappa[0]) if args.kappa else 1.0
+    if args.kappa <= 0:
         raise ValueError("mode modulus must be positive")
-    pair = operator_pair(args.dim, basis, trunc, L=args.L)
-    C1 = kappa * pair.ell * np.asarray(pair.L1, dtype=float)
+    pair = operator_pair(args.dim, args.basis, args.trunc, L=args.L)
+    C1 = args.kappa * pair.ell * np.asarray(pair.L1, dtype=float)
     C2 = np.asarray(pair.L2, dtype=float)
     rep = hypocoercivity_index(C1, C2, tol=args.tol_rank)
-    config = _ordered_config(
-        {
-            "subcommand": "index",
-            "dim": args.dim,
-            "L": args.L,
-            "basis": basis,
-            "trunc": trunc,
-            "kappa": kappa,
-            "tol_rank": args.tol_rank,
-            "format": args.format or "json",
-            "seed": args.seed,
-        }
+    tau = rep.tau if rep.tau is not None else -1
+    cc = rep.coercivity_constant if rep.coercivity_constant is not None else float("nan")
+    return _Artifact(
+        header=("tau", "hypocoercive", "dim_ker_C2", "coercivity_constant"),
+        rows=[(tau, rep.hypocoercive, rep.dim_ker_C2, cc)],
+        extra={"rank_profile": list(rep.rank_profile)},
+        doc={
+            "hypocoercive": rep.hypocoercive,
+            "tau": rep.tau,
+            "rank_profile": list(rep.rank_profile),
+            "dim_ker_C2": rep.dim_ker_C2,
+            "coercivity_constant": rep.coercivity_constant,
+        },
     )
-    if (args.format or "json") == "json":
-        text = _json_text(
-            config,
-            {
-                "hypocoercive": rep.hypocoercive,
-                "tau": rep.tau,
-                "rank_profile": list(rep.rank_profile),
-                "dim_ker_C2": rep.dim_ker_C2,
-                "coercivity_constant": rep.coercivity_constant,
-            },
-        )
-    else:
-        header = ["tau", "hypocoercive", "dim_ker_C2", "coercivity_constant"]
-        tau = rep.tau if rep.tau is not None else -1
-        cc = rep.coercivity_constant if rep.coercivity_constant is not None else float("nan")
-        text = _csv_text(
-            config,
-            header,
-            [(tau, rep.hypocoercive, rep.dim_ker_C2, cc)],
-            extra={"rank_profile": list(rep.rank_profile)},
-        )
-    return EXIT_OK, text
 
 
 def _run_certificate(args):
     cert = certify(args.dim, args.L, alpha=args.alpha)
-    config = _ordered_config(
-        {
-            "subcommand": "certificate",
-            "dim": args.dim,
-            "L": args.L,
-            "alpha": args.alpha,
-            "format": args.format or "json",
-            "seed": args.seed,
-        }
+    doc = cert.to_json_dict()
+    header = ("d", "L", "alpha_plus", "alpha_star", "mu", "lambda", "c_d", "C_d", "valid")
+    return _Artifact(
+        header=header,
+        rows=[tuple(doc[h] for h in header)],
+        doc=doc,
+        code=EXIT_OK if cert.valid else EXIT_VERIFY,
     )
-    if (args.format or "json") == "json":
-        text = _json_text(config, cert.to_json_dict())
-    else:
-        header = [
-            "d",
-            "L",
-            "alpha_plus",
-            "alpha_star",
-            "mu",
-            "lambda",
-            "c_d",
-            "C_d",
-            "valid",
-        ]
-        row = (
-            cert.d,
-            cert.L,
-            cert.alpha_plus,
-            cert.alpha_star,
-            cert.mu,
-            cert.lam,
-            cert.c_d,
-            cert.C_d,
-            cert.valid,
-        )
-        text = _csv_text(config, header, [row])
-    code = EXIT_OK if cert.valid else EXIT_VERIFY
-    return code, text
 
 
 def _run_spectrum(args):
-    trunc = args.trunc or _default_trunc(args.dim)
-    ks = _resolve_kappa_list(args)
-    rep = spectral_gap(args.dim, args.L, ks, trunc)
-    config = _ordered_config(
-        {
-            "subcommand": "spectrum",
-            "dim": args.dim,
-            "L": args.L,
-            "trunc": trunc,
-            "kappa": ks,
-            "kmax": args.kmax or None,
-            "format": args.format or "csv",
-            "seed": args.seed,
-        }
-    )
-    extra = {"gap": rep.gap, "argmin_kappa": rep.argmin_kappa}
-    if (args.format or "csv") == "json":
-        text = _json_text(
-            config,
-            {
-                "entries": [
-                    {"kappa": k, "N": n, "gap": g} for k, n, g in rep.rows()
-                ],
-                "gap": rep.gap,
-                "argmin_kappa": rep.argmin_kappa,
-            },
-        )
+    if args.kappa:
+        args.kappa = [float(k) for k in args.kappa]
+        if any(k <= 0 for k in args.kappa):
+            raise ValueError("mode moduli must be positive")
     else:
-        text = _csv_text(config, ["kappa", "N", "gap"], rep.rows(), extra=extra)
-    return EXIT_OK, text
+        args.kappa = [m for m, _ in mode_moduli(args.dim, args.kmax or 5)]
+    args.kmax = args.kmax or None
+    rep = spectral_gap(args.dim, args.L, args.kappa, args.trunc)
+    header = ("kappa", "N", "gap")
+    rows = rep.rows()
+    extra = {"gap": rep.gap, "argmin_kappa": rep.argmin_kappa}
+    doc = {"entries": [dict(zip(header, row)) for row in rows], **extra}
+    return _Artifact(header=header, rows=rows, extra=extra, doc=doc)
 
 
 def _run_minors(args):
+    spec = chain_spec(args.dim)
     ell = TWO_PI / args.L
-    kappa = float(args.kappa[0]) if args.kappa else 1.0
-    alpha = args.alpha
-    if alpha is None:
-        alpha = 0.5 * _alpha_plus(args.dim, args.L)
-    fn = {1: minors_1d, 2: minors_2d, 3: minors_3d}[args.dim]
-    table = fn(kappa, alpha, ell)
-    config = _ordered_config(
-        {
-            "subcommand": "minors",
-            "dim": args.dim,
-            "L": args.L,
-            "kappa": kappa,
-            "alpha": alpha,
-            "format": args.format or "json",
-            "seed": args.seed,
-        }
+    args.kappa = float(args.kappa[0]) if args.kappa else 1.0
+    if args.alpha is None:
+        args.alpha = 0.5 * spec.alpha_plus(ell)
+    table = spec.minors(args.kappa, args.alpha, ell)
+    return _Artifact(
+        header=("i", "delta"),
+        rows=[(j + 1, v) for j, v in enumerate(table.values)],
+        extra={"convention": table.convention, "ell": table.ell, **table.p_values},
+        doc={
+            "convention": table.convention,
+            "ell": table.ell,
+            "values": list(table.values),
+            "p_values": table.p_values,
+            "positive": all(v > 0 for v in table.values),
+        },
     )
-    if (args.format or "json") == "json":
-        text = _json_text(
-            config,
-            {
-                "convention": table.convention,
-                "ell": table.ell,
-                "values": list(table.values),
-                "p_values": table.p_values,
-                "positive": all(v > 0 for v in table.values),
-            },
-        )
-    else:
-        rows = [(j + 1, v) for j, v in enumerate(table.values)]
-        extra = {"convention": table.convention, "ell": table.ell}
-        extra.update(table.p_values)
-        text = _csv_text(config, ["i", "delta"], rows, extra=extra)
-    return EXIT_OK, text
 
 
-def _simulation_grid(tmax: float, dt: float):
-    if tmax <= 0 or dt <= 0:
+def _simulation_grid(args):
+    """Number of samples; rounds args.tmax down to a whole number of dt."""
+    if args.tmax <= 0 or args.dt <= 0:
         raise ValueError("tmax and dt must be positive")
-    n = int(math.floor(tmax / dt + 1e-9)) + 1
+    n = int(math.floor(args.tmax / args.dt + 1e-9)) + 1
     if n < 2:
         raise ValueError("tmax must cover at least one step")
-    return n, (n - 1) * dt
+    args.tmax = (n - 1) * args.dt
+    return n
+
+
+def _columns(derived: dict, cols: dict) -> _Artifact:
+    """A table of named columns below the derived scalars."""
+    cols = {h: [float(x) for x in c] for h, c in cols.items()}
+    return _Artifact(
+        header=tuple(cols),
+        rows=list(zip(*cols.values())),
+        extra=derived,
+        doc={"derived": derived, **cols},
+    )
 
 
 def _run_simulate(args):
     if args.dim != 1:
         raise ValueError("simulation reconstruction requires --dim 1")
-    trunc = args.trunc or _default_trunc(1)
-    kmax = args.kmax or 128
-    n, tmax = _simulation_grid(args.tmax, args.dt)
+    args.kmax = args.kmax or 128
+    n = _simulation_grid(args)
     cert = certify(1, args.L, n_verify=0, alpha=args.alpha)
-    state = concentrated_initial_data(args.epsilon, kmax=kmax, N=trunc, L=args.L)
+    args.alpha = cert.alpha_star
+    state = concentrated_initial_data(args.epsilon, kmax=args.kmax, N=args.trunc, L=args.L)
     data = run_trajectory(
         state,
-        tmax,
+        args.tmax,
         n,
         alpha=cert.alpha_star,
         gamma=args.gamma,
         C_d=cert.C_d,
         lam=cert.lam,
     )
-    config = _ordered_config(
-        {
-            "subcommand": "simulate",
-            "dim": 1,
-            "L": args.L,
-            "trunc": trunc,
-            "kmax": kmax,
-            "alpha": cert.alpha_star,
-            "epsilon": args.epsilon,
-            "tmax": tmax,
-            "dt": args.dt,
-            "gamma": args.gamma,
-            "format": args.format or "csv",
-            "seed": args.seed,
-        }
-    )
+    E0 = float(data["entropy"][0])
     derived = {
         "mu": cert.mu,
         "lambda": cert.lam,
         "C_d": cert.C_d,
-        "E0": float(data["entropy"][0]),
-        "t_init": t_init(cert.C_d, float(data["entropy"][0]), cert.lam),
+        "E0": E0,
+        "t_init": t_init(cert.C_d, E0, cert.lam),
         "truncation_tail": state.info["truncation_tail"],
     }
-    header = ["t", "entropy", "h_norm", "l1", "envelope"]
-    cols = [data["t"], data["entropy"], data["h_norm"], data["l1"], data["envelope"]]
-    if (args.format or "csv") == "json":
-        payload = {"derived": derived}
-        payload.update({h: [float(x) for x in c] for h, c in zip(header, cols)})
-        text = _json_text(config, payload)
-    else:
-        rows = list(zip(*[[float(x) for x in c] for c in cols]))
-        text = _csv_text(config, header, rows, extra=derived)
-    return EXIT_OK, text
+    return _columns(derived, {h: data[h] for h in ("t", "entropy", "h_norm", "l1", "envelope")})
 
 
 def _run_sweep(args):
@@ -390,60 +264,23 @@ def _run_sweep(args):
         raise ValueError("sweep range must satisfy 0 < from < to")
     if args.points < 2:
         raise ValueError("need at least two sweep points")
-    Ls = np.geomspace(args.sweep_from, args.sweep_to, args.points)
     rows = []
-    for L in Ls:
+    for L in np.geomspace(args.sweep_from, args.sweep_to, args.points):
         cert = certify(args.dim, float(L), n_verify=0)
-        rows.append(
-            (float(L), cert.alpha_plus, cert.alpha_star, cert.mu, 2.0 * cert.mu)
-        )
-    config = _ordered_config(
-        {
-            "subcommand": "sweep-L",
-            "dim": args.dim,
-            "format": args.format or "csv",
-            "seed": args.seed,
-            "from": args.sweep_from,
-            "to": args.sweep_to,
-            "points": args.points,
-        }
-    )
-    header = ["L", "alpha_plus", "alpha_star", "mu", "two_mu"]
-    if (args.format or "csv") == "json":
-        text = _json_text(
-            config,
-            {
-                "rows": [
-                    dict(zip(header, row)) for row in rows
-                ]
-            },
-        )
-    else:
-        text = _csv_text(config, header, rows)
-    return EXIT_OK, text
+        rows.append((float(L), cert.alpha_plus, cert.alpha_star, cert.mu, 2.0 * cert.mu))
+    header = ("L", "alpha_plus", "alpha_star", "mu", "two_mu")
+    return _Artifact(header=header, rows=rows, doc={"rows": [dict(zip(header, r)) for r in rows]})
 
 
 def _run_envelope(args):
     if args.dim != 1:
         raise ValueError("the envelope workflow requires --dim 1")
-    n, tmax = _simulation_grid(args.tmax, args.dt)
+    n = _simulation_grid(args)
     cert = certify(1, args.L, n_verify=0, alpha=args.alpha)
+    args.alpha = cert.alpha_star
     E0 = 3.0 / (2.0 * args.epsilon) - 1.0
-    ts = np.linspace(0.0, tmax, n)
+    ts = np.linspace(0.0, args.tmax, n)
     env = np.minimum(2.0, np.sqrt(cert.C_d * E0) * np.exp(-0.5 * cert.lam * ts))
-    config = _ordered_config(
-        {
-            "subcommand": "envelope",
-            "dim": 1,
-            "L": args.L,
-            "alpha": cert.alpha_star,
-            "epsilon": args.epsilon,
-            "tmax": tmax,
-            "dt": args.dt,
-            "format": args.format or "csv",
-            "seed": args.seed,
-        }
-    )
     derived = {
         "mu": cert.mu,
         "lambda": cert.lam,
@@ -451,26 +288,64 @@ def _run_envelope(args):
         "E0": E0,
         "t_init": t_init(cert.C_d, E0, cert.lam),
     }
-    if (args.format or "csv") == "json":
-        payload = {"derived": derived}
-        payload.update(
-            {"t": [float(x) for x in ts], "envelope": [float(x) for x in env]}
-        )
-        text = _json_text(config, payload)
-    else:
-        rows = list(zip((float(x) for x in ts), (float(x) for x in env)))
-        text = _csv_text(config, ["t", "envelope"], rows, extra=derived)
-    return EXIT_OK, text
+    return _columns(derived, {"t": ts, "envelope": env})
 
 
-_HANDLERS = {
-    "index": _run_index,
-    "certificate": _run_certificate,
-    "spectrum": _run_spectrum,
-    "minors": _run_minors,
-    "simulate": _run_simulate,
-    "sweep-L": _run_sweep,
-    "envelope": _run_envelope,
+@dataclass(frozen=True)
+class _Subcommand:
+    """A handler, its help line, the flags it reads in the order of its
+    configuration echo (``--out`` is read but not echoed), and its
+    default format."""
+
+    run: Callable
+    help: str
+    echo: tuple
+    format: str
+
+
+_SUBCOMMANDS = {
+    "index": _Subcommand(
+        _run_index,
+        "hypocoercivity index of a modal generator",
+        ("dim", "L", "basis", "trunc", "kappa", "tol_rank", "format"),
+        "json",
+    ),
+    "certificate": _Subcommand(
+        _run_certificate,
+        "closed-form decay certificate",
+        ("dim", "L", "alpha", "format"),
+        "json",
+    ),
+    "spectrum": _Subcommand(
+        _run_spectrum,
+        "numerical spectral gaps per mode",
+        ("dim", "L", "trunc", "kappa", "kmax", "format"),
+        "csv",
+    ),
+    "minors": _Subcommand(
+        _run_minors,
+        "closed-form minor chain at one point",
+        ("dim", "L", "kappa", "alpha", "format"),
+        "json",
+    ),
+    "simulate": _Subcommand(
+        _run_simulate,
+        "modal trajectory with diagnostics",
+        ("dim", "L", "trunc", "kmax", "alpha", "epsilon", "tmax", "dt", "gamma", "format"),
+        "csv",
+    ),
+    "sweep-L": _Subcommand(
+        _run_sweep,
+        "certified rate versus torus length",
+        ("dim", "format", "from", "to", "points"),
+        "csv",
+    ),
+    "envelope": _Subcommand(
+        _run_envelope,
+        "L1 decay envelope curve",
+        ("dim", "L", "alpha", "epsilon", "tmax", "dt", "format"),
+        "csv",
+    ),
 }
 
 
@@ -481,59 +356,41 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, sim=False, sweep=False):
-        p.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
-        p.add_argument("--L", type=float, default=TWO_PI)
-        p.add_argument("--basis", choices=("tensor", "energy"), default=None)
-        p.add_argument("--trunc", type=int, default=None)
-        p.add_argument("--kappa", type=float, nargs="+", default=None)
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--tol-rank", type=float, default=1e-10, dest="tol_rank")
-        if sim:
-            p.add_argument("--epsilon", type=float, default=0.02)
-            p.add_argument("--tmax", type=float, default=40.0)
-            p.add_argument("--dt", type=float, default=0.5)
-            p.add_argument("--gamma", type=float, default=0.0)
-        if sweep:
-            p.add_argument("--from", type=float, default=0.1, dest="sweep_from")
-            p.add_argument("--to", type=float, default=50.0, dest="sweep_to")
-            p.add_argument("--points", type=int, default=100)
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for key in spec.echo:
+            kw = dict(_FLAGS[key], default=spec.format) if key == "format" else _FLAGS[key]
+            p.add_argument("--" + key.replace("_", "-"), **kw)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=0)
-
-    common(sub.add_parser("index", help="hypocoercivity index of a modal generator"))
-    common(sub.add_parser("certificate", help="closed-form decay certificate"))
-    common(sub.add_parser("spectrum", help="numerical spectral gaps per mode"))
-    common(sub.add_parser("minors", help="closed-form minor chain at one point"))
-    common(sub.add_parser("simulate", help="modal trajectory with diagnostics"), sim=True)
-    common(sub.add_parser("sweep-L", help="certified rate versus torus length"), sweep=True)
-    common(sub.add_parser("envelope", help="L1 decay envelope curve"), sim=True)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.L <= 0:
-        parser.error("torus length must be positive")
-    handler = _HANDLERS[args.subcommand]
+    flags = vars(args)
+    if "L" in flags and not (math.isfinite(args.L) and args.L > 0):
+        parser.error(f"torus length must be finite and positive, got {args.L}")
+    # defaults that depend on --dim: the basis and four times the block
+    # of the certificates
+    spec = DIMENSIONS[args.dim]
+    if "basis" in flags:
+        args.basis = args.basis or spec.variant
+    if "trunc" in flags:
+        args.trunc = args.trunc or 4 * spec.block
     try:
-        code, text = handler(args)
+        art = _SUBCOMMANDS[args.subcommand].run(args)
     except ValueError as exc:
         parser.error(str(exc))
-        return EXIT_USAGE
     except (EigenvalueFailure, ArithmeticError) as exc:
         sys.stderr.write(f"hypobgk: verification failure: {exc}\n")
         return EXIT_VERIFY
-    _emit(text, args.out)
-    if code == EXIT_VERIFY:
+    _emit(_render(args, art), args.out)
+    if art.code == EXIT_VERIFY:
         sys.stderr.write(
             "hypobgk: certificate verification failed; see the emitted artifact\n"
         )
-    return code
+    return art.code
 
 
 if __name__ == "__main__":

@@ -28,15 +28,42 @@ from scipy.linalg import eigh_tridiagonal
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
-#: smallest truncation that contains the coupled low-order block used by
-#: the decay certificates, per dimension
-MIN_CERTIFICATE_SIZE = {1: 5, 2: 11, 3: 21}
+
+@dataclass(frozen=True)
+class DimensionSpec:
+    """The facts about velocity dimension d that several modules read.
+
+    Attributes
+    ----------
+    min_N : int
+        Smallest truncation accepted: the degree-two level must be
+        complete so that the collision projector is well defined.
+    block : int
+        Size of the coupled low-order block of the decay certificates,
+        the smallest truncation that contains it.
+    variant : str
+        Basis variant in which the certificates are written.
+    """
+
+    min_N: int
+    block: int
+    variant: str
+
+
+DIMENSIONS = {
+    1: DimensionSpec(min_N=5, block=5, variant="tensor"),
+    2: DimensionSpec(min_N=6, block=11, variant="energy"),
+    3: DimensionSpec(min_N=10, block=21, variant="energy"),
+}
+
+#: DimensionSpec.block by dimension
+MIN_CERTIFICATE_SIZE = {d: spec.block for d, spec in DIMENSIONS.items()}
 
 _VARIANTS = ("tensor", "energy")
 
 
 def _check_variant(d: int, variant: str) -> None:
-    if d not in (1, 2, 3):
+    if d not in DIMENSIONS:
         raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
     if variant not in _VARIANTS:
         raise ValueError(f"unknown basis variant {variant!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import (
-    MIN_CERTIFICATE_SIZE,
+    DIMENSIONS,
     _check_variant,
     _index_table,
     basis_change_matrix,
@@ -28,17 +28,14 @@ from .hermite import (
 
 MAX_TRUNCATION = 2000
 
-#: smallest truncation accepted per dimension: the degree-two level must
-#: be complete so that the collision projector is well defined
-_MIN_N = {1: 5, 2: 6, 3: 10}
-
 
 def _check_size(d: int, variant: str, N: int) -> None:
     _check_variant(d, variant)
     if N > MAX_TRUNCATION:
         raise ValueError(f"truncation {N} exceeds limit {MAX_TRUNCATION}")
-    if N < _MIN_N[d]:
-        raise ValueError(f"need N >= {_MIN_N[d]} in dimension {d}, got {N}")
+    min_N = DIMENSIONS[d].min_N
+    if N < min_N:
+        raise ValueError(f"need N >= {min_N} in dimension {d}, got {N}")
 
 
 def build_L1(d: int, variant: str, N: int) -> np.ndarray:
@@ -319,46 +316,6 @@ def mode_moduli(d: int, kmax: int):
         if n2 > 0:
             counts[n2] = counts.get(n2, 0) + 1
     return [(math.sqrt(n2), counts[n2]) for n2 in sorted(counts)]
-
-
-def matrix_to_json(M: np.ndarray) -> dict:
-    """Dense JSON form: size and rows of [re, im] pairs."""
-    M = np.asarray(M, dtype=complex)
-    return {
-        "n": M.shape[0],
-        "rows": [[[z.real, z.imag] for z in row] for row in M],
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`."""
-    rows = obj["rows"]
-    n = obj["n"]
-    M = np.empty((n, len(rows[0]) if rows else 0), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, (re, im) in enumerate(row):
-            M[i, j] = complex(re, im)
-    return M
-
-
-def matrix_to_triplets(M: np.ndarray, tol: float = 0.0):
-    """Sparse form: list of (i, j, re, im) for entries above tol in modulus."""
-    M = np.asarray(M, dtype=complex)
-    out = []
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            z = M[i, j]
-            if abs(z) > tol:
-                out.append((i, j, z.real, z.imag))
-    return out
-
-
-def matrix_from_triplets(triplets, n: int) -> np.ndarray:
-    """Inverse of :func:`matrix_to_triplets` for an n-by-n matrix."""
-    M = np.zeros((n, n), dtype=complex)
-    for i, j, re, im in triplets:
-        M[i, j] = complex(re, im)
-    return M
 
 
 if __name__ == "__main__":

@@ -114,15 +114,9 @@ def moments(state: ModalState) -> dict:
     return out
 
 
-_PROPAGATOR_CACHE: dict = {}
-_OPERATOR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _operators(d: int, variant: str, N: int):
-    key = (d, variant, N)
-    if key not in _OPERATOR_CACHE:
-        _OPERATOR_CACHE[key] = (build_L1(d, variant, N), build_L2(d, variant, N))
-    return _OPERATOR_CACHE[key]
+    return build_L1(d, variant, N), build_L2(d, variant, N)
 
 
 def _expm_neg(C: np.ndarray, dt: float) -> np.ndarray:
@@ -135,18 +129,22 @@ def _expm_neg(C: np.ndarray, dt: float) -> np.ndarray:
     return (vecs * np.exp(-vals * dt)) @ np.linalg.inv(vecs)
 
 
+@lru_cache(maxsize=4096)
+def _mode_propagator(d: int, variant: str, N: int, L: float, kappa, dt: float) -> np.ndarray:
+    """exp(-C_kappa dt) for one basis, torus length and mode modulus."""
+    L1, L2 = _operators(d, variant, N)
+    C = 1j * kappa * (2.0 * math.pi / L) * L1 + L2.astype(complex)
+    E = _expm_neg(C, dt)
+    E.flags.writeable = False
+    return E
+
+
 def _propagator(state: ModalState, key, dt: float) -> np.ndarray:
     signed = state.d == 1
-    cache_key = (state.d, state.variant, state.N, state.L, abs(key) if signed else key, dt)
-    E = _PROPAGATOR_CACHE.get(cache_key)
-    if E is None:
-        L1, L2 = _operators(state.d, state.variant, state.N)
-        kap = abs(key) if signed else key
-        C = 1j * kap * state.ell * L1 + L2.astype(complex)
-        E = _expm_neg(C, dt)
-        if len(_PROPAGATOR_CACHE) > 4096:
-            _PROPAGATOR_CACHE.clear()
-        _PROPAGATOR_CACHE[cache_key] = E
+    E = _mode_propagator(
+        state.d, state.variant, state.N, state.L, abs(key) if signed else key, dt
+    )
+    # L1 and L2 are real, so C_{-k} = conj(C_k)
     if signed and key < 0:
         return E.conj()
     return E
@@ -166,18 +164,11 @@ def evolve(state: ModalState, dt: float) -> ModalState:
     return new
 
 
-_P_CACHE: dict = {}
-
-
+@lru_cache(maxsize=4096)
 def _mode_P(d: int, kappa: float, alpha: float, N: int) -> np.ndarray:
-    if kappa == 0 or alpha == 0:
-        return np.eye(N, dtype=complex)
-    key = (d, kappa, alpha, N)
-    if key not in _P_CACHE:
-        if len(_P_CACHE) > 4096:
-            _P_CACHE.clear()
-        _P_CACHE[key] = bgk_P(d, kappa, alpha, N)
-    return _P_CACHE[key]
+    P = np.eye(N, dtype=complex) if kappa == 0 or alpha == 0 else bgk_P(d, kappa, alpha, N)
+    P.flags.writeable = False
+    return P
 
 
 def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:

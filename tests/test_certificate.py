@@ -24,6 +24,7 @@ from hypobgk.certificate import (
     _thresholds_3d,
     alpha_plus_2d,
     alpha_plus_3d,
+    chain_spec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -179,6 +180,24 @@ def test_certificate_argument_validation():
         certify(4)
     with pytest.raises(ValueError):
         certify(1, L=-1.0)
+
+
+@pytest.mark.parametrize("L", [math.inf, math.nan])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_certificate_rejects_non_finite_length(d, L):
+    with pytest.raises(ValueError, match="finite"):
+        certify(d, L)
+
+
+def test_chain_spec_dispatch():
+    for d in (1, 2, 3):
+        spec = chain_spec(d)
+        assert spec.minors is MINORS[d]
+        assert (spec.theta, spec.amgm) == (THETA[d], AMGM.get(d))
+        assert spec.alpha_plus(0.7) == ALPHA_PLUS[d](0.7)
+        assert spec.mu(0.01, 0.7) == mu_value(d, 0.01, 0.7)
+    with pytest.raises(ValueError, match="dimension"):
+        chain_spec(4)
 
 
 def test_optimal_rate_decreases_with_torus_length():

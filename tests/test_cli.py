@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -148,6 +149,71 @@ def test_spectrum_rejects_non_finite_length(L, capsys):
         cli.main(["spectrum", "--L", L])
     assert exc.value.code == 1
     assert "torus length must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "sub",
+    # spectrum: test_spectrum_rejects_non_finite_length
+    [s for s, spec in cli._SUBCOMMANDS.items() if "L" in spec.echo and s != "spectrum"],
+)
+def test_every_length_flag_rejects_non_finite(sub, L, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--L", L])
+    assert exc.value.code == 1
+    assert "torus length must be finite" in capsys.readouterr().err
+
+
+#: arguments that keep each subcommand small
+_SMALL = {
+    "index": ["--dim", "2", "--trunc", "15", "--kappa", "2"],
+    "certificate": ["--dim", "2"],
+    "spectrum": ["--dim", "3", "--kmax", "1", "--trunc", "30"],
+    "minors": ["--dim", "3"],
+    "simulate": ["--kmax", "4", "--tmax", "1", "--dt", "0.5"],
+    "sweep-L": ["--dim", "2", "--points", "3"],
+    "envelope": ["--tmax", "2", "--dt", "1"],
+}
+
+
+def _echo_value_parses(value):
+    """A CSV echo value is a number, a word, or a list of numbers."""
+    if value.startswith("[") and value.endswith("]"):
+        return all(_echo_value_parses(x) for x in value[1:-1].split(", "))
+    try:
+        float(value)
+    except ValueError:
+        return re.fullmatch(r"[A-Za-z][\w-]*", value) is not None
+    return True
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("sub", sorted(_SMALL))
+def test_every_subcommand_echoes_its_flags(sub, fmt, tmp_path):
+    path = tmp_path / f"{sub}.{fmt}"
+    assert cli.main([sub, *_SMALL[sub], "--format", fmt, "--out", str(path)]) == 0
+    text = path.read_text()
+    # the JSON config and the leading CSV comment lines both follow the
+    # subcommand's echo order
+    keys = ["subcommand", *cli._SUBCOMMANDS[sub].echo]
+    if fmt == "json":
+        config = json.loads(text)["config"]
+        assert list(config) == keys
+        assert config["format"] == "json"
+    else:
+        echo = [line[2:].split(" = ", 1) for line in text.splitlines() if line.startswith("# ")]
+        assert [k for k, _ in echo[: len(keys)]] == keys
+        for key, value in echo:
+            assert _echo_value_parses(value), (key, value)
+
+
+@pytest.mark.parametrize(
+    "argv", [["certificate", "--trunc", "5"], ["sweep-L", "--L", "3"], ["index", "--seed", "1"]]
+)
+def test_unread_flag_exits_one(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
 
 
 def test_invalid_certificate_exits_two(monkeypatch, capsys):

@@ -18,8 +18,7 @@ from hypobgk import (
     operator_pair,
     spectral_gap,
 )
-from hypobgk.hermite import _index_table
-from hypobgk.operators import _MIN_N
+from hypobgk.hermite import DIMENSIONS, _index_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,7 +116,7 @@ def _gap_cases(n=80, seed=20240603):
     for _ in range(n):
         d = int(rng.integers(1, 4))
         variant = "tensor" if d == 1 else str(rng.choice(["tensor", "energy"]))
-        N = int(rng.integers(_MIN_N[d], 121))
+        N = int(rng.integers(DIMENSIONS[d].min_N, 121))
         L = float(rng.choice(lengths))
         kappa = float(rng.choice([m for m, _ in mode_moduli(d, 3)]))
         cases.append(

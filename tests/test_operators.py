@@ -16,13 +16,7 @@ from hypobgk import (
     multi_index,
     operator_pair,
 )
-from hypobgk.operators import (
-    MAX_TRUNCATION,
-    matrix_from_json,
-    matrix_from_triplets,
-    matrix_to_json,
-    matrix_to_triplets,
-)
+from hypobgk.operators import MAX_TRUNCATION
 
 
 def test_transport_1d_structure():
@@ -107,23 +101,6 @@ def test_mode_moduli_validation():
         mode_moduli(1, 0)
     with pytest.raises(ValueError):
         mode_moduli(4, 3)
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(9)
-    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    back = matrix_from_json(matrix_to_json(M))
-    assert np.array_equal(back, M)
-
-
-def test_triplet_roundtrip_drops_zeros():
-    M = np.zeros((5, 5), dtype=complex)
-    M[0, 1] = 1.5
-    M[3, 2] = -2.0 + 0.25j
-    trips = matrix_to_triplets(M)
-    assert len(trips) == 2
-    back = matrix_from_triplets(trips, 5)
-    assert np.array_equal(back, M)
 
 
 def test_truncation_guards():
