@@ -71,12 +71,12 @@ def minors_1d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
 
 
 def _check_params(kappa, alpha, ell):
-    if kappa < 1:
-        raise ValueError("mode modulus must be at least 1")
-    if alpha < 0:
-        raise ValueError("coupling amplitude must be nonnegative")
-    if ell <= 0:
-        raise ValueError("wavenumber scale must be positive")
+    if not (math.isfinite(kappa) and kappa >= 1):
+        raise ValueError(f"mode modulus kappa must be finite and at least 1, got {kappa}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"coupling amplitude alpha must be finite and nonnegative, got {alpha}")
+    if not (math.isfinite(ell) and ell > 0):
+        raise ValueError(f"wavenumber scale must be finite and positive, got {ell}")
 
 
 def _p6_2d(k, a, l):
@@ -697,7 +697,15 @@ def certify(
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"torus length must be finite and positive, got {L}")
     ell = 2.0 * math.pi / L
-    a_plus, a_star, mu = _maximize_mu(d, ell)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            a_plus, a_star, mu = _maximize_mu(d, ell)
+        except OverflowError:
+            a_plus = a_star = mu = math.nan
+    if not all(map(math.isfinite, (a_plus, a_star, mu))):
+        # the thresholds and rates hold powers of ell that leave the
+        # floating-point range on tiny tori
+        raise ValueError(f"torus length {L!r} is too small: powers of 2 pi / L overflow")
     if alpha is not None:
         if not 0.0 < alpha < a_plus:
             raise ValueError(

@@ -49,7 +49,7 @@ _FLAGS = {
     "L": dict(type=float, default=TWO_PI),
     "basis": dict(choices=("tensor", "energy")),
     "trunc": dict(type=int),
-    "kappa": dict(type=float, nargs="+"),
+    "kappa": dict(type=float),
     "kmax": dict(type=int),
     "alpha": dict(type=float),
     "epsilon": dict(type=float, default=0.02),
@@ -136,9 +136,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _run_index(args):
-    args.kappa = float(args.kappa[0]) if args.kappa else 1.0
-    if args.kappa <= 0:
-        raise ValueError("mode modulus must be positive")
+    args.kappa = 1.0 if args.kappa is None else args.kappa
+    if not (math.isfinite(args.kappa) and args.kappa > 0):
+        raise ValueError(f"mode modulus kappa must be finite and positive, got {args.kappa}")
     pair = operator_pair(args.dim, args.basis, args.trunc, L=args.L)
     C1 = args.kappa * pair.ell * np.asarray(pair.L1, dtype=float)
     C2 = np.asarray(pair.L2, dtype=float)
@@ -190,7 +190,7 @@ def _run_spectrum(args):
 def _run_minors(args):
     spec = chain_spec(args.dim)
     ell = TWO_PI / args.L
-    args.kappa = float(args.kappa[0]) if args.kappa else 1.0
+    args.kappa = 1.0 if args.kappa is None else args.kappa
     if args.alpha is None:
         args.alpha = 0.5 * spec.alpha_plus(ell)
     table = spec.minors(args.kappa, args.alpha, ell)
@@ -210,9 +210,12 @@ def _run_minors(args):
 
 def _simulation_grid(args):
     """Number of samples; rounds args.tmax down to a whole number of dt."""
-    if args.tmax <= 0 or args.dt <= 0:
-        raise ValueError("tmax and dt must be positive")
-    n = int(math.floor(args.tmax / args.dt + 1e-9)) + 1
+    steps = args.tmax / args.dt
+    if not all(math.isfinite(v) and v > 0 for v in (args.tmax, args.dt, steps)):
+        raise ValueError(
+            f"tmax, dt and tmax / dt must be finite and positive, got {args.tmax} and {args.dt}"
+        )
+    n = int(math.floor(steps + 1e-9)) + 1
     if n < 2:
         raise ValueError("tmax must cover at least one step")
     args.tmax = (n - 1) * args.dt
@@ -294,13 +297,14 @@ def _run_envelope(args):
 @dataclass(frozen=True)
 class _Subcommand:
     """A handler, its help line, the flags it reads in the order of its
-    configuration echo (``--out`` is read but not echoed), and its
-    default format."""
+    configuration echo (``--out`` is read but not echoed), its default
+    format, and the flags among them that take one or more values."""
 
     run: Callable
     help: str
     echo: tuple
     format: str
+    many: tuple = ()
 
 
 _SUBCOMMANDS = {
@@ -321,6 +325,7 @@ _SUBCOMMANDS = {
         "numerical spectral gaps per mode",
         ("dim", "L", "trunc", "kappa", "kmax", "format"),
         "csv",
+        many=("kappa",),
     ),
     "minors": _Subcommand(
         _run_minors,
@@ -360,6 +365,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=spec.help)
         for key in spec.echo:
             kw = dict(_FLAGS[key], default=spec.format) if key == "format" else _FLAGS[key]
+            if key in spec.many:
+                kw = dict(kw, nargs="+")
             p.add_argument("--" + key.replace("_", "-"), **kw)
         p.add_argument("--out", default=None)
     return parser

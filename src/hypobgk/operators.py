@@ -20,9 +20,12 @@ import numpy as np
 
 from .hermite import (
     DIMENSIONS,
+    SQRT2PI,
     _check_variant,
     _index_table,
     basis_change_matrix,
+    gauss_hermite,
+    hermite_phi,
     lex_index,
 )
 
@@ -182,9 +185,6 @@ class ModalGenerator:
 
 #: c_m in i**m = c_m i**(m % 2), indexed by m % 4
 _SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-#: i * i**(n % 2 - m % 2) for |n - m| = 1: -1 for even m, 1 for odd m;
-#: indexed by m % 4
-_L1_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -192,43 +192,117 @@ class ChainBlock:
     """One diagonal block of T^-1 C_kappa T, T = diag(i**m_1), in the
     tensor basis.
 
-    ``index`` holds the ascending flat positions of its multi-indices;
-    ``K`` and ``l2`` are the restrictions of T^-1 (i L1) T and
-    T^-1 L2 T, both real.
+    ``index`` holds the ascending flat positions of its multi-indices.
+    ``chains`` holds, for each chain of the block, the local positions
+    of its members in the order m_1 = 0, 1, 2, ...; multiplication by
+    v_1 links consecutive members.  ``low`` holds the local positions at
+    which L2 differs from the identity, and ``l2`` the restriction of L2
+    to them, so no array of the block's size is kept.
     """
 
     index: np.ndarray
-    K: np.ndarray = field(repr=False)
+    chains: tuple = field(repr=False)
+    low: np.ndarray = field(repr=False)
     l2: np.ndarray = field(repr=False)
 
     @property
     def trivial(self) -> bool:
         """L2 restricts to the identity: every real part is exactly 1."""
-        return np.array_equal(self.l2, np.eye(len(self.index)))
+        return len(self.low) == 0
+
+    @property
+    def tridiagonal(self) -> bool:
+        """A lone chain, whose block is tridiagonal in local order."""
+        return len(self.chains) == 1
+
+    def _m1(self) -> np.ndarray:
+        m1 = np.empty(len(self.index), dtype=int)
+        for chain in self.chains:
+            m1[chain] = np.arange(len(chain))
+        return m1
 
     def matrix(self, s: float) -> np.ndarray:
-        """The real block l2 + s K of T^-1 C_kappa T, s = kappa ell."""
-        B = s * self.K
-        B += self.l2
+        """The real block l2 + s K of T^-1 C_kappa T, s = kappa ell.
+
+        Entry (p, q) of T^-1 A T is i**(m_1q - m_1p) A_pq.  L2 only
+        links indices whose m_1 have equal parity, so its entries become
+        c_p c_q L2_pq with i**m = c_m i**(m % 2), c_m = +-1; i L1 links
+        m_1 to m_1 + 1 with i sqrt(m_1 + 1), which becomes -sqrt(m_1 + 1)
+        above the diagonal and +sqrt(m_1 + 1) below.  The block is
+        therefore real, and equal to the phased generator to the last
+        bit.
+        """
+        B = np.eye(len(self.index))
+        c = _SIGN[self._m1()[self.low] % 4]
+        B[np.ix_(self.low, self.low)] = c[:, None] * self.l2 * c
+        for chain in self.chains:
+            w = s * np.sqrt(np.arange(1.0, len(chain)))
+            B[chain[:-1], chain[1:]] = -w
+            B[chain[1:], chain[:-1]] = w
         return B
+
+    def bands(self, s: float) -> np.ndarray:
+        """:meth:`matrix` of a lone chain in the (3, n) diagonal-ordered
+        form of :func:`scipy.linalg.solve_banded`."""
+        if not self.tridiagonal:
+            raise ValueError("only a lone chain is tridiagonal")
+        n = len(self.index)
+        ab = np.zeros((3, n))
+        w = s * np.sqrt(np.arange(1.0, n))
+        ab[0, 1:] = -w
+        ab[1] = 1.0
+        ab[1, self.low] = np.diagonal(self.l2)
+        ab[2, :-1] = w
+        return ab
+
+    def eigenbasis(self):
+        """The block in the eigenbasis of its chains, for every kappa.
+
+        Each chain's Jacobi matrix of v_1 is diagonalized by the
+        Gauss-Hermite rule of its length: nodes x_j, and eigenvectors
+        with components Q[m, j] = sqrt(w_j / sqrt(2 pi)) phi_m(x_j).
+        I - L2 is the orthogonal projector W W^T onto the block's share
+        of the conserved moments.  So with C the block of C_kappa before
+        the phase T, Q^T C Q is
+
+            diag(1 + i s x) - U U^T,    U = Q^T W,  s = kappa ell,
+
+        a diagonal minus an update of rank at most d + 2.  W lives on
+        the few ``low`` positions, so U needs phi_m at the nodes only
+        for the m_1 found there.
+
+        Returns
+        -------
+        (x, U) : ndarray, ndarray
+            The nodes of all chains, concatenated, and U with one row
+            per node; ||U||_2 <= 1.
+        """
+        # a projector's eigenvalues are 0 and 1
+        vals, vecs = np.linalg.eigh(np.eye(len(self.low)) - self.l2)
+        W = vecs[:, vals > 0.5]
+        m1 = self._m1()[self.low]
+        xs, us = [], []
+        for chain in self.chains:
+            x, w = gauss_hermite(len(chain))
+            on = np.isin(self.low, chain)
+            phi = hermite_phi(int(m1[on].max(initial=0)), x)[m1[on]]
+            xs.append(x)
+            us.append(np.sqrt(w / SQRT2PI)[:, None] * (phi.T @ W[on]))
+        return np.concatenate(xs), np.vstack(us)
 
 
 def chain_blocks(pair: OperatorPair) -> tuple:
     """Diagonal blocks of T^-1 C_kappa T, the same for every kappa.
 
     Multiplication by v_1 only changes m_1, so L1 links each index to
-    its neighbours in one chain with m_2, ..., m_d fixed; L2 is diagonal
-    except on the degree-two level, where it couples the chains holding
-    (2, 0, 0), (0, 2, 0) and (0, 0, 2).  The blocks are the connected
-    components of the nonzero pattern of L1 and L2, read off the
-    assembled matrices, so a lone chain is tridiagonal.
-
-    Entry (p, q) of T^-1 A T is i**(m_1q - m_1p) A_pq.  L2 only links
-    indices whose m_1 have equal parity, so its entries become
-    c_p c_q L2_pq, with i**m = c_m i**(m % 2) and c_m = +-1; i L1 links
-    unequal parities, so its entries become c_p s_p c_q L1_pq with the
-    sign s_p of :data:`_L1_SIGN`.  Every block is therefore real, and
-    equal to the phased generator to the last bit.
+    its neighbours in one chain with m_2, ..., m_d fixed.  The degree
+    grows with m_1, so a chain holds m_1 = 0, 1, ..., n - 1 in flat
+    order.  L2 is the identity beyond the degree-two level, which the
+    smallest truncation holds; there it is diagonal except for the
+    projector that couples the chains holding (2, 0, 0), (0, 2, 0) and
+    (0, 0, 2).  The blocks are the chains, with those linked by L2
+    merged.  They are read off the index table and the low-degree
+    corner of the assembled L2, and keep no array of size N.
 
     Parameters
     ----------
@@ -242,34 +316,38 @@ def chain_blocks(pair: OperatorPair) -> tuple:
     """
     if pair.d > 1 and pair.variant != "tensor":
         raise ValueError("the chain split needs the tensor basis")
-    parent = list(range(pair.N))
+    idx = _index_table(pair.d, pair.N)
+    chains: dict = {}
+    for i, m in enumerate(idx):
+        chains.setdefault(m[1:], []).append(i)
+    n_low = DIMENSIONS[pair.d].min_N
+    L2 = pair.L2[:n_low, :n_low]
+    parent = {tail: tail for tail in chains}
 
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def root(tail):
+        while parent[tail] != tail:
+            tail = parent[tail]
+        return tail
 
-    rows, cols = np.nonzero((pair.L1 != 0) | (pair.L2 != 0))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        parent[root(i)] = root(j)
-    members: dict = {}
-    for i in range(pair.N):
-        members.setdefault(root(i), []).append(i)
-    m1 = np.array([m[0] % 4 for m in _index_table(pair.d, pair.N)])
+    for p, q in zip(*np.nonzero(L2)):
+        parent[root(idx[p][1:])] = root(idx[q][1:])
+    groups: dict = {}
+    for tail in chains:
+        groups.setdefault(root(tail), []).append(chains[tail])
+    low = np.flatnonzero((L2 != np.eye(n_low)).any(axis=1))
     blocks = []
-    for group in members.values():
-        index = np.array(group)
-        at = np.ix_(index, index)
-        c = _SIGN[m1[index]]
-        K = pair.L1[at]
-        K *= (c * _L1_SIGN[m1[index]])[:, None]
-        K *= c
-        l2 = pair.L2[at]
-        l2 *= c[:, None]
-        l2 *= c
-        blocks.append(ChainBlock(index=index, K=K, l2=l2))
-    return tuple(blocks)
+    for group in groups.values():
+        index = np.sort(np.concatenate(group))
+        mine = low[np.isin(low, index)]
+        blocks.append(
+            ChainBlock(
+                index=index,
+                chains=tuple(np.searchsorted(index, chain) for chain in group),
+                low=np.searchsorted(index, mine),
+                l2=L2[np.ix_(mine, mine)],
+            )
+        )
+    return tuple(sorted(blocks, key=lambda blk: blk.index[0]))
 
 
 def modal_generator(pair: OperatorPair, kappa: float) -> ModalGenerator:

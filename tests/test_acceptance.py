@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import wofz
 
 import hypobgk.cli as cli
 from hypobgk import (
@@ -43,6 +42,8 @@ from hypobgk import evolve
 from hypobgk.ansatz import bgk_coupling
 from hypobgk.certificate import AMGM, THETA, alpha_plus_2d, alpha_plus_3d
 from hypobgk.hermite import SQRT2PI, gauss_hermite, hermite_phi
+
+from oracles import dispersion_root
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,41 +121,6 @@ def _det_rate(d, alpha_plus):
         options={"xatol": 1e-12},
     )
     return -res.fun
-
-
-def _dispersion_root():
-    """Real root in (0.5, 0.6) of the 1D BGK dispersion relation at
-    kappa = 1, L = 2 pi (so k = kappa ell = 1).
-
-    A real eigenvalue lambda < 1 of the generator C = i k v + I - Pi of
-    dh/dt = -C h solves det(I_3 - G(lambda)) = 0, where Pi projects onto
-    the collision invariants psi = (1, v, (v**2 - 1) / sqrt 2) and
-    G_ij = E[psi_i psi_j / (i k (v - z))] over the unit Gaussian, with
-    z = i (1 - lambda) / k.
-    """
-    k = 1.0
-    # power-series coefficients of the collision invariants
-    psi = [[1.0], [0.0, 1.0], [-1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0)]]
-    gauss_moments = [1.0, 0.0, 1.0, 0.0]  # E[v**n]
-
-    def det(lam):
-        z = 1j * (1.0 - lam) / k
-        # E[v**n / (v - z)] for Im z > 0, from the Faddeeva function and
-        # E[v**(n+1) / (v - z)] = z E[v**n / (v - z)] + E[v**n]
-        moments = [1j * math.sqrt(math.pi / 2.0) * wofz(z / math.sqrt(2.0))]
-        for n in range(4):
-            moments.append(z * moments[n] + gauss_moments[n])
-
-        def mean_over(a, b):
-            coeffs = np.polynomial.polynomial.polymul(a, b)
-            return sum(c * moments[n] for n, c in enumerate(coeffs)) / (1j * k)
-
-        G = np.array([[mean_over(a, b) for b in psi] for a in psi])
-        # G_ij is real for i + j even and imaginary otherwise, so the
-        # determinant is real
-        return np.linalg.det(np.eye(3) - G).real
-
-    return brentq(det, 0.5, 0.6, xtol=1e-15)
 
 
 # -- criterion 1: hypocoercivity indices ------------------------------------
@@ -254,7 +220,7 @@ def test_criterion06_gap_profile_monotone(gap_study):
     # A Galerkin truncation of the non-normal generator need not approach
     # it monotonically in value (the gap overshoots at N = 50), but its
     # distance to the limit must shrink as N grows.
-    root = _dispersion_root()
+    root = dispersion_root()
     dist = [abs(g - root) for _, g in profile.rows()]
     assert all(b <= a for a, b in zip(dist, dist[1:])), dist
     assert dist[-1] <= 1e-7, dist

@@ -189,6 +189,23 @@ def test_certificate_rejects_non_finite_length(d, L):
         certify(d, L)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_certificate_rejects_overflowing_length(d):
+    with pytest.raises(ValueError, match="too small"):
+        certify(d, 1e-300, n_verify=0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_minors_reject_non_finite_parameters(d, bad):
+    with pytest.raises(ValueError, match="kappa"):
+        MINORS[d](bad, 0.1)
+    with pytest.raises(ValueError, match="alpha"):
+        MINORS[d](1.0, bad)
+    with pytest.raises(ValueError, match="wavenumber"):
+        MINORS[d](1.0, 0.1, bad)
+
+
 def test_chain_spec_dispatch():
     for d in (1, 2, 3):
         spec = chain_spec(d)

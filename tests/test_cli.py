@@ -238,3 +238,55 @@ def test_float_rendering_round_trips():
     mu = float(rows[0][4])
     obj = json.loads(_run("certificate", "--dim", "1").stdout)
     assert np.isclose(mu, obj["mu"], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("sub", ["simulate", "envelope"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--tmax", "inf"],
+        ["--tmax", "nan"],
+        ["--dt", "inf"],
+        ["--dt", "nan"],
+        # finite, but the number of steps overflows
+        ["--tmax", "1e300", "--dt", "1e-10"],
+    ],
+)
+def test_non_finite_time_grid_exits_one(sub, grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, *grid])
+    assert exc.value.code == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_overflowing_torus_length_exits_one(d, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certificate", "--dim", str(d), "--L", "1e-300"])
+    assert exc.value.code == 1
+    assert "too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["index", "minors"])
+def test_single_value_kappa(sub):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--kappa", "1", "2", "3"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv,word",
+    [
+        (["index", "--kappa", "nan"], "kappa"),
+        (["index", "--kappa", "inf"], "kappa"),
+        (["minors", "--kappa", "nan"], "kappa"),
+        (["minors", "--kappa", "inf"], "kappa"),
+        (["minors", "--dim", "1", "--alpha", "nan"], "alpha"),
+        (["minors", "--dim", "3", "--alpha", "inf"], "alpha"),
+    ],
+)
+def test_non_finite_kappa_or_alpha_exits_one(argv, word, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert word in capsys.readouterr().err
