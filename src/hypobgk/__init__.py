@@ -61,6 +61,7 @@ from .gap import (
     ConvergenceStudy,
     EigenvalueFailure,
     GapReport,
+    VerificationFailure,
     complex_eigenvalues,
     convergence_study,
     spectral_gap,
@@ -94,6 +95,7 @@ __all__ = [
     "ModalState",
     "OperatorPair",
     "PAnsatz",
+    "VerificationFailure",
     "alpha3_1d",
     "ansatz_chain3",
     "ansatz_dimker1",

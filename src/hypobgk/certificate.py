@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .ansatz import bgk_P
+from .gap import VerificationFailure
 from .hermite import DIMENSIONS
 from .operators import modal_generator, mode_moduli, operator_pair
 
@@ -357,7 +358,7 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
     tail[b:, b:] -= 2.0 * np.eye(N - b)
     resid = np.abs(tail).max()
     if resid > 1e-10:
-        raise ArithmeticError(
+        raise VerificationFailure(
             f"dissipation matrix deviates from 2 I outside the block by {resid:.3e}"
         )
     return F[:b, :b]

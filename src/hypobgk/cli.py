@@ -13,8 +13,9 @@ configuration, so a stored output identifies the run that produced
 it.  Identical configurations produce byte-identical artifacts.
 
 Exit status: 0 on success, 1 on usage errors (bad flags or
-out-of-range parameters), 2 when a verification step fails (an
-invalid certificate or a rejected eigensolve).
+out-of-range parameters) and on arithmetic errors such as a numerical
+overflow, 2 when a verification step fails (an invalid certificate, a
+rejected eigensolve or a ``VerificationFailure``).
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ import numpy as np
 
 from . import __version__
 from .certificate import certify, chain_spec
-from .gap import EigenvalueFailure, spectral_gap
+from .gap import EigenvalueFailure, VerificationFailure, spectral_gap
 from .hermite import DIMENSIONS
 from .index import hypocoercivity_index
 from .operators import mode_moduli, operator_pair
-from .sim import concentrated_initial_data, run_trajectory, t_init
+from .sim import concentrated_initial_data, decay_envelope, run_trajectory, t_init
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,9 +192,14 @@ def _run_minors(args):
     spec = chain_spec(args.dim)
     ell = TWO_PI / args.L
     args.kappa = 1.0 if args.kappa is None else args.kappa
-    if args.alpha is None:
-        args.alpha = 0.5 * spec.alpha_plus(ell)
-    table = spec.minors(args.kappa, args.alpha, ell)
+    try:
+        if args.alpha is None:
+            args.alpha = 0.5 * spec.alpha_plus(ell)
+        table = spec.minors(args.kappa, args.alpha, ell)
+    except OverflowError:
+        raise ValueError(
+            f"torus length {args.L!r} is too small: powers of 2 pi / L overflow"
+        ) from None
     return _Artifact(
         header=("i", "delta"),
         rows=[(j + 1, v) for j, v in enumerate(table.values)],
@@ -283,7 +289,7 @@ def _run_envelope(args):
     args.alpha = cert.alpha_star
     E0 = 3.0 / (2.0 * args.epsilon) - 1.0
     ts = np.linspace(0.0, args.tmax, n)
-    env = np.minimum(2.0, np.sqrt(cert.C_d * E0) * np.exp(-0.5 * cert.lam * ts))
+    env = decay_envelope(ts, cert.C_d, E0, cert.lam)
     derived = {
         "mu": cert.mu,
         "lambda": cert.lam,
@@ -387,11 +393,11 @@ def main(argv=None) -> int:
         args.trunc = args.trunc or 4 * spec.block
     try:
         art = _SUBCOMMANDS[args.subcommand].run(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except (EigenvalueFailure, ArithmeticError) as exc:
+    except (EigenvalueFailure, VerificationFailure) as exc:
         sys.stderr.write(f"hypobgk: verification failure: {exc}\n")
         return EXIT_VERIFY
+    except (ValueError, ArithmeticError) as exc:
+        parser.error(str(exc))
     _emit(_render(args, art), args.out)
     if art.code == EXIT_VERIFY:
         sys.stderr.write(

@@ -73,6 +73,12 @@ class EigenvalueFailure(RuntimeError):
         self.partial = partial
 
 
+class VerificationFailure(RuntimeError):
+    """A computed result failed its independent check: an assembled
+    dissipation matrix that is not 2 I outside its block, or two routes
+    to the hypocoercivity index that disagree."""
+
+
 def _sample(n: int) -> np.ndarray:
     """Up to 10 evenly spaced positions among n eigenpairs."""
     return np.unique(np.linspace(0, n - 1, min(10, n)).astype(int))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gap import complex_eigenvalues
+from .gap import VerificationFailure, complex_eigenvalues
 
 DEFAULT_TOL = 1e-10
 
@@ -160,7 +160,7 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
         M = M @ C1
 
     if tau_rank != tau_null:
-        raise ArithmeticError(
+        raise VerificationFailure(
             f"rank route gave tau={tau_rank}, nullspace route gave tau={tau_null}; "
             "the pair is too ill conditioned for the requested tolerance"
         )

@@ -1,23 +1,25 @@
 """Modal simulation of the linearized dynamics and entropy diagnostics.
 
-A state is a collection of Hermite coefficient vectors, one per spatial
-mode, evolved exactly by matrix exponentials of the modal generators.
-The entropy functional weights each mode with the certified
-transformation matrix, so its decay at the certified rate can be
-checked against the simulated trajectory, along with the L1 distance of
-the reconstructed density from equilibrium and its Csiszar-Kullback
-style envelope bound.
+A state is a stack of Hermite coefficient vectors, one row per spatial
+mode modulus, evolved exactly by matrix exponentials of the modal
+generators.  The entropy functional weights each mode with the
+certified transformation matrix, so its decay at the certified rate
+can be checked against the simulated trajectory, along with the L1
+distance of the reconstructed density from equilibrium and its
+Csiszar-Kullback style envelope bound.
 
-One-dimensional states track signed wavenumbers so that spatial phases
-(and hence L1 reconstruction) are exact; multi-dimensional states track
-one representative per modulus with lattice multiplicities, which is
-all the quadratic functionals need.
+Every dimension uses the same half-spectrum layout: one row per
+modulus kappa >= 0 with its lattice multiplicity as weight.  Real data
+has h_{-k} = conj(h_k), and C_{-k} = conj(C_k) because L1 and L2 are
+real, so the conjugate modes carry no information of their own.  In
+1D the moduli are the wavenumbers 0, 1, ..., kmax with weights 1 and
+2, which is also what the real reconstruction of h(x, v) needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +34,7 @@ R2 = math.sqrt(2.0)
 
 @dataclass
 class ModalState:
-    """Hermite coefficients per spatial mode at one instant.
+    """Hermite coefficients per spatial mode modulus at one instant.
 
     Attributes
     ----------
@@ -44,11 +46,14 @@ class ModalState:
         Hermite basis variant of the coefficient vectors.
     N : int
         Truncation size.
-    coeffs : dict
-        Mode key -> complex coefficient vector.  Keys are signed
-        integers for d = 1 and float moduli otherwise.
-    weights : dict
-        Mode key -> multiplicity weight used in quadratic functionals.
+    kappa : ndarray, shape (K,)
+        Mode moduli, nonnegative.
+    coeffs : ndarray, shape (K, N)
+        Complex coefficient vector of one representative mode per
+        modulus; row i belongs to ``kappa[i]``.
+    weights : ndarray, shape (K,)
+        Lattice multiplicity of each modulus, the weight of its row in
+        quadratic functionals and, in 1D, in the reconstruction.
     t : float
         Current time.
     info : dict
@@ -59,8 +64,9 @@ class ModalState:
     L: float
     variant: str
     N: int
-    coeffs: dict = field(repr=False)
-    weights: dict = field(repr=False)
+    kappa: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     t: float = 0.0
     info: dict = field(default_factory=dict, repr=False)
 
@@ -68,85 +74,49 @@ class ModalState:
     def ell(self) -> float:
         return 2.0 * math.pi / self.L
 
-    def mode_modulus(self, key) -> float:
-        return float(abs(key)) if self.d == 1 else float(key)
-
-    def copy(self) -> "ModalState":
-        return ModalState(
-            d=self.d,
-            L=self.L,
-            variant=self.variant,
-            N=self.N,
-            coeffs={k: v.copy() for k, v in self.coeffs.items()},
-            weights=dict(self.weights),
-            t=self.t,
-            info=dict(self.info),
-        )
-
 
 def moments(state: ModalState) -> dict:
     """Hydrodynamic moments (mass, momentum, temperature) per mode.
 
-    Returns a dict mapping each mode key to a dict with entries
-    ``sigma`` (mass), ``momentum`` (tuple of d components along the
-    tracked directions) and ``tau`` (temperature).
+    Returns a dict of arrays aligned with ``state.kappa``: ``sigma``
+    (mass, shape (K,)), ``momentum`` (shape (K, d), the components
+    along the tracked directions) and ``tau`` (temperature, shape (K,)).
     """
-    d = state.d
-    out = {}
-    for key, h in state.coeffs.items():
-        sigma = complex(h[0])
-        if d == 1:
-            mom = (complex(h[1]),)
-            tau = R2 * complex(h[2]) + sigma
-        elif d == 2:
-            mom = (complex(h[1]), complex(h[2]))
-            if state.variant == "energy":
-                tau = 2.0 * complex(h[3]) + 2.0 * sigma
-            else:
-                tau = R2 * (complex(h[3]) + complex(h[5])) + 2.0 * sigma
-        else:
-            mom = (complex(h[1]), complex(h[2]), complex(h[3]))
-            if state.variant == "energy":
-                tau = math.sqrt(6.0) * complex(h[4]) + 3.0 * sigma
-            else:
-                tau = R2 * (complex(h[4]) + complex(h[7]) + complex(h[9])) + 3.0 * sigma
-        out[key] = {"sigma": sigma, "momentum": mom, "tau": tau}
-    return out
+    d, h = state.d, state.coeffs
+    sigma = h[:, 0]
+    if d == 1:
+        tau = R2 * h[:, 2] + sigma
+    elif state.variant == "energy":
+        tau = (2.0 if d == 2 else math.sqrt(6.0)) * h[:, d + 1] + d * sigma
+    else:
+        trace = (3, 5) if d == 2 else (4, 7, 9)
+        tau = R2 * h[:, trace].sum(axis=1) + d * sigma
+    return {"sigma": sigma, "momentum": h[:, 1 : d + 1], "tau": tau}
 
 
-@lru_cache(maxsize=64)
-def _operators(d: int, variant: str, N: int):
-    return build_L1(d, variant, N), build_L2(d, variant, N)
+@lru_cache(maxsize=8)
+def _propagators(d: int, variant: str, N: int, L: float, kappa: tuple, dt: float) -> np.ndarray:
+    """The stack exp(-C_kappa dt) over the moduli ``kappa``.
 
-
-def _expm_neg(C: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-C dt) through eigendecomposition, with a scaling-and-squaring
-    fallback for ill-conditioned eigenbases."""
+    One batched eigendecomposition; a mode whose eigenvector matrix has
+    condition number above 1e8 (or not finite) falls back to scaling
+    and squaring.
+    """
+    ell = 2.0 * math.pi / L
+    L1, L2 = build_L1(d, variant, N), build_L2(d, variant, N)
+    C = (1j * np.asarray(kappa) * ell)[:, None, None] * L1
+    C += L2
     vals, vecs = np.linalg.eig(C)
-    cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > 1e8:
-        return _scipy_expm(-C * dt)
-    return (vecs * np.exp(-vals * dt)) @ np.linalg.inv(vecs)
-
-
-@lru_cache(maxsize=4096)
-def _mode_propagator(d: int, variant: str, N: int, L: float, kappa, dt: float) -> np.ndarray:
-    """exp(-C_kappa dt) for one basis, torus length and mode modulus."""
-    L1, L2 = _operators(d, variant, N)
-    C = 1j * kappa * (2.0 * math.pi / L) * L1 + L2.astype(complex)
-    E = _expm_neg(C, dt)
+    bad = ~(np.linalg.cond(vecs) <= 1e8)
+    # stand-in eigenbases keep the batched inverse defined; those modes
+    # are overwritten below
+    vecs[bad] = np.eye(N)
+    inv = np.linalg.inv(vecs)
+    vecs *= np.exp(-vals * dt)[:, None, :]
+    E = vecs @ inv
+    for i in np.flatnonzero(bad):
+        E[i] = _scipy_expm(-C[i] * dt)
     E.flags.writeable = False
-    return E
-
-
-def _propagator(state: ModalState, key, dt: float) -> np.ndarray:
-    signed = state.d == 1
-    E = _mode_propagator(
-        state.d, state.variant, state.N, state.L, abs(key) if signed else key, dt
-    )
-    # L1 and L2 are real, so C_{-k} = conj(C_k)
-    if signed and key < 0:
-        return E.conj()
     return E
 
 
@@ -154,19 +124,24 @@ def evolve(state: ModalState, dt: float) -> ModalState:
     """Advance every mode by dt with the exact modal propagators."""
     if dt < 0:
         raise ValueError("time step must be nonnegative")
-    new = state.copy()
-    new.t = state.t + dt
     if dt == 0.0:
-        return new
-    for key in state.coeffs:
-        E = _propagator(state, key, dt)
-        new.coeffs[key] = E @ state.coeffs[key]
-    return new
+        return replace(state, coeffs=state.coeffs.copy())
+    E = _propagators(
+        state.d, state.variant, state.N, state.L, tuple(state.kappa.tolist()), float(dt)
+    )
+    return replace(state, coeffs=np.einsum("kij,kj->ki", E, state.coeffs), t=state.t + dt)
 
 
-@lru_cache(maxsize=4096)
-def _mode_P(d: int, kappa: float, alpha: float, N: int) -> np.ndarray:
-    P = np.eye(N, dtype=complex) if kappa == 0 or alpha == 0 else bgk_P(d, kappa, alpha, N)
+@lru_cache(maxsize=8)
+def _transformations(d: int, kappa: tuple, alpha: float, N: int) -> np.ndarray:
+    """The stack of P_kappa over the moduli ``kappa``; P = I for the
+    homogeneous mode and for alpha = 0."""
+    P = np.stack(
+        [
+            np.eye(N, dtype=complex) if k == 0 or alpha == 0 else bgk_P(d, k, alpha, N)
+            for k in kappa
+        ]
+    )
     P.flags.writeable = False
     return P
 
@@ -174,53 +149,49 @@ def _mode_P(d: int, kappa: float, alpha: float, N: int) -> np.ndarray:
 def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
     """Modified entropy sum_k w_k (1 + kappa^2)^gamma <h_k, P_kappa h_k>.
 
-    With alpha = 0 (or gamma = 0 and alpha = 0) this reduces to the
+    The sum runs over the stored half spectrum, which is the full
+    lattice sum: a conjugate mode h_{-k} = conj(h_k) evolves under
+    conj(C_kappa) and is weighted by conj(P_kappa), so it contributes
+    the same real value as h_k.  With alpha = 0 this reduces to the
     squared coefficient norm.  The homogeneous mode always uses P = I.
     """
-    total = 0.0
-    for key, h in state.coeffs.items():
-        kap = state.mode_modulus(key)
-        P = _mode_P(state.d, kap, alpha, state.N)
-        q = float(np.real(np.vdot(h, P @ h)))
-        total += state.weights[key] * (1.0 + kap**2) ** gamma * q
-    return total
+    P = _transformations(state.d, tuple(state.kappa.tolist()), alpha, state.N)
+    h = state.coeffs
+    q = np.einsum("ki,kij,kj->k", h.conj(), P, h).real
+    return float(np.sum(state.weights * (1.0 + state.kappa**2) ** gamma * q))
 
 
 def h_norm(state: ModalState) -> float:
     """Plain coefficient norm sqrt(sum_k w_k ||h_k||^2)."""
-    return math.sqrt(
-        sum(
-            state.weights[k] * float(np.real(np.vdot(v, v)))
-            for k, v in state.coeffs.items()
-        )
-    )
+    return math.sqrt(float(state.weights @ (np.abs(state.coeffs) ** 2).sum(axis=1)))
 
 
 @dataclass(frozen=True)
 class L1Grid:
     """Reconstruction grid of :func:`l1_distance_1d`.
 
-    Holds the spatial phases of the tracked modes on the x grid, the
-    Hermite table at the Gauss nodes and the normalized quadrature
-    weights.  It depends only on the mode keys, the truncation and the
-    grid sizes, so every state along one trajectory shares it.
+    Holds the spatial phases of the moduli on the x grid, the Hermite
+    table at the Gauss nodes and the normalized quadrature weights.  It
+    depends only on the moduli, the truncation and the grid sizes, so
+    every state along one trajectory shares it.  The phases are kept
+    explicitly rather than taken from an FFT, so that every ``kmax``
+    is exact on the x grid.
     """
 
-    keys: tuple
+    kappa: tuple
     phases: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, keys: tuple, N: int, nx: int = 512, nv: int = 160) -> "L1Grid":
-        """Grid for modes ``keys`` and truncation N, with nx points in x
-        and the nv-point Gauss rule in v."""
-        ks = np.array([float(k) for k in keys])
+    def build(cls, kappa: tuple, N: int, nx: int = 512, nv: int = 160) -> "L1Grid":
+        """Grid for the moduli ``kappa`` and truncation N, with nx
+        points in x and the nv-point Gauss rule in v."""
         xs = (np.arange(nx) + 0.5) / nx
         nodes, wts = gauss_hermite(nv)
         grid = cls(
-            keys=keys,
-            phases=np.exp(2j * math.pi * np.outer(xs, ks)),
+            kappa=kappa,
+            phases=np.exp(2j * math.pi * np.outer(xs, kappa)),
             phi=hermite_phi(N - 1, nodes),
             weights=wts / SQRT2PI,
         )
@@ -229,10 +200,12 @@ class L1Grid:
         return grid
 
     def distance(self, state: ModalState) -> float:
-        """:func:`l1_distance_1d` of a state with this grid's modes and
-        truncation."""
-        H = np.array([state.coeffs[k] for k in self.keys])
-        vals = (self.phases @ H) @ self.phi
+        """:func:`l1_distance_1d` of a state with this grid's moduli and
+        truncation.  With h_{-k} = conj(h_k), h(x) is the real part of
+        the half-spectrum sum weighted by the multiplicities 1 (kappa =
+        0) and 2 (kappa > 0)."""
+        H = state.weights[:, None] * state.coeffs
+        vals = (self.phases @ H).real @ self.phi
         return float(np.mean(np.abs(vals) @ self.weights))
 
 
@@ -247,12 +220,11 @@ def l1_distance_1d(state: ModalState, nx: int = 512, nv: int = 160) -> float:
     |h| dv dx against the normalized torus measure.  The velocity
     integral uses the quadrature of the Gaussian weight, exact for the
     polynomial part of the basis.  The grid is built once per set of
-    modes, truncation and grid sizes, and reused.
+    moduli, truncation and grid sizes, and reused.
     """
     if state.d != 1:
         raise ValueError("reconstruction is implemented for d = 1")
-    keys = tuple(sorted(state.coeffs, key=int))
-    return _l1_grid(keys, state.N, nx, nv).distance(state)
+    return _l1_grid(tuple(state.kappa.tolist()), state.N, nx, nv).distance(state)
 
 
 def _hann_transform(u):
@@ -286,27 +258,27 @@ def concentrated_initial_data(
         raise ValueError("epsilon must lie in (0, 1]")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    coeffs = {}
-    weights = {}
-    energy = 0.0
-    for k in range(-kmax, kmax + 1):
-        vec = np.zeros(N, dtype=complex)
-        if k != 0:
-            chat = float(_hann_transform(np.array([k * epsilon]))[0])
-            vec[0] = chat * np.exp(-2j * math.pi * k * x0)
-            energy += chat * chat
-        coeffs[k] = vec
-        weights[k] = 1.0
+    kappa = np.arange(kmax + 1, dtype=float)
+    weights = np.where(kappa == 0, 1.0, 2.0)
+    chat = _hann_transform(kappa * epsilon)
+    chat[0] = 0.0
+    coeffs = np.zeros((kmax + 1, N), dtype=complex)
+    coeffs[:, 0] = chat * np.exp(-2j * math.pi * kappa * x0)
     exact = 3.0 / (2.0 * epsilon) - 1.0
     return ModalState(
         d=1,
         L=L,
         variant="tensor",
         N=N,
+        kappa=kappa,
         coeffs=coeffs,
         weights=weights,
         t=0.0,
-        info={"epsilon": epsilon, "truncation_tail": exact - energy, "x0": x0},
+        info={
+            "epsilon": epsilon,
+            "truncation_tail": exact - math.fsum(weights * chat * chat),
+            "x0": x0,
+        },
     )
 
 

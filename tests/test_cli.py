@@ -267,6 +267,34 @@ def test_overflowing_torus_length_exits_one(d, capsys):
     assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_overflowing_torus_length_in_minors_exits_one(d, capsys):
+    # the default alpha is half of alpha_plus, whose powers of 2 pi / L
+    # overflow: an input error, not a failed verification
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["minors", "--dim", str(d), "--L", "1e-300"])
+    assert exc.value.code == 1
+    assert "too small" in capsys.readouterr().err
+
+
+def test_only_verification_failures_exit_two(monkeypatch, capsys):
+    def diverging(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "hypocoercivity_index", diverging)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["index"])
+    assert exc.value.code == 1
+    assert "division by zero" in capsys.readouterr().err
+
+    def disagreeing(*args, **kwargs):
+        raise cli.VerificationFailure("rank route gave tau=2, nullspace route gave tau=3")
+
+    monkeypatch.setattr(cli, "hypocoercivity_index", disagreeing)
+    assert cli.main(["index"]) == 2
+    assert "verification failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sub", ["index", "minors"])
 def test_single_value_kappa(sub):
     with pytest.raises(SystemExit) as exc:
