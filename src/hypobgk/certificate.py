@@ -14,8 +14,18 @@ computable decay rate
 
 valid for every kappa >= 1 because each minor factor is smallest at
 kappa = 1 on the admissible range of alpha.  The certificate maximizes
-mu over alpha in (0, alpha_plus), where alpha_plus is the closed-form
-positivity threshold of the whole chain.
+mu over alpha in (0, alpha_plus), where alpha_plus is the positivity
+threshold of the whole chain.
+
+Both are polynomial roots, nothing is sampled on a grid.  Each factor
+of the 2D and 3D chains is one table of coefficients in u = 1 /
+kappa**2, alpha and ell.  At kappa = 1 it is a polynomial of degree at
+most 5 in alpha; alpha_plus is the smallest positive root, with a sign
+change, among these polynomials and their derivatives in u (in 1D a
+closed form).  All of them are solved by one stacked eigensolve of
+companion matrices, and each root is polished by Newton steps.  The
+maximizer alpha_star is the root of the numerator of mu' in (0,
+alpha_plus) with the largest mu, from one more companion matrix.
 
 Minor conventions: the one-dimensional block is ordered so that the
 natural chain runs from the lower-right corner, hence trailing minors;
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -80,209 +91,158 @@ def _check_params(kappa, alpha, ell):
         raise ValueError(f"wavenumber scale must be finite and positive, got {ell}")
 
 
-def _p6_2d(k, a, l):
-    return -(54.0 / 11.0) * l * l * a + 2.0 * l - 2.0 * a / k**2
+@dataclass(frozen=True)
+class _Factor:
+    """One factor of a 2D or 3D minor, as a table of coefficients.
+
+    The factor is ``sum_{j,k} rows[j, k] u**j ell**(m + k - 2 j) alpha**k``
+    with ``u = 1 / kappa**2``, that is ``ell**m F(u / ell**2, ell alpha)``:
+    row 0 is the part free of kappa, rows 1 and 2 the coefficients of u
+    and u**2.  This table is the one source of the factor: the minors,
+    the kappa = 1 slices whose roots are the thresholds, the derivatives
+    in u at u = 1 (the "tilde" factors) and the certified rates all read
+    it.
+    """
+
+    m: int
+    rows: np.ndarray
+
+    def __call__(self, kappa, alpha, ell):
+        v = 1.0 / (kappa * ell) ** 2
+        x = ell * alpha
+        value = 0.0
+        for c0, c1, c2 in self.rows.T[::-1].tolist():
+            value = value * x + (c0 + v * (c1 + v * c2))
+        return ell**self.m * value
 
 
-def _p7_2d(k, a, l):
-    p0 = 93.0 * l**2 * a**2 - 34.0 * l * a
-    p1 = 12.0 * a**2
-    p2 = 162.0 * l**4 * a**2 - 120.0 * l**3 * a + 22.0 * l**2
-    return (p0 + p1 / k**2) / k**2 + p2
+def _factor(m, *rows):
+    table = np.zeros((3, 6))
+    for j, row in enumerate(rows):
+        table[j, : len(row)] = row
+    return _Factor(m, table)
 
 
-def _p8_2d(k, a, l):
-    return 2.0 * l**3 * a**2 - 6.0 * l**2 * a + 4.0 * l - a / k**2
+_FACTORS = {
+    2: {
+        "d5": _factor(1, (4.0, -4.0), (0.0, -1.0)),
+        "p6": _factor(1, (2.0, -54.0 / 11.0), (0.0, -2.0)),
+        "p7": _factor(2, (22.0, -120.0, 162.0), (0.0, -34.0, 93.0), (0.0, 0.0, 12.0)),
+        "p8": _factor(1, (4.0, -6.0, 2.0), (0.0, -1.0)),
+        "p9": _factor(
+            2,
+            (44.0, -262.0, 411.0, -81.0),
+            (0.0, -68.0, 198.0, -12.0),
+            (0.0, 0.0, 24.0),
+        ),
+        "p11": _factor(
+            2,
+            (44.0, -358.0, 963.0, -909.0, 162.0),
+            (0.0, -68.0, 294.0, -300.0, -72.0),
+            (0.0, 0.0, 24.0),
+        ),
+    },
+    3: {
+        "p6": _factor(1, (4.0, -4.0), (0.0, -1.0)),
+        "p8": _factor(1, (10.0 / 9.0 * (R2 - 1.0), (2.0 - 3.0 * R2) / 3.0), (0.0, -5.0 / 6.0)),
+        "p10": _factor(
+            1, (40.0 * (R2 - 1.0), -6.0 * (8.0 * R2 - 6.0), 9.0 * (R2 - 1.0)), (0.0, -30.0, 9.0)
+        ),
+        "p11": _factor(
+            2,
+            (480.0 * (R2 - 1.0), 472.0 - 816.0 * R2, 456.0 * R2 - 24.0, 9.0 - 54.0 * R2),
+            (0.0, -(216.0 + 144.0 * R2), 672.0 - 72.0 * R2, 54.0 * R2 - 144.0),
+            (0.0, 0.0, 108.0, -18.0),
+        ),
+        "p12": _factor(1, (8.0, -12.0, 4.0), (0.0, -2.0)),
+        "p14": _factor(
+            2,
+            (
+                3840.0 * R6 - 3840.0 * R3 + 7680.0 * R2 - 7680.0,
+                4192.0 - 6528.0 * R6 + 1856.0 * R3 - 13056.0 * R2,
+                11056.0 + 3424.0 * R6 + 6368.0 * R3 + 6864.0 * R2,
+                # the cubic coefficient carries plus signs on the radicals:
+                # the expanded determinant of the 14x14 submatrix pins it
+                -(9348.0 + 336.0 * R6 + 5400.0 * R3 + 624.0 * R2),
+                1440.0 - 180.0 * R6 + 828.0 * R3 - 324.0 * R2,
+            ),
+            (
+                0.0,
+                -1152.0 * R6 - 1728.0 * R3 - 2304.0 * R2 - 3456.0,
+                -576.0 * R6 + 5952.0 * R3 - 1152.0 * R2 + 11760.0,
+                360.0 * R6 - 1824.0 * R3 + 720.0 * R2 - 3396.0,
+                -108.0 * R6 - 72.0 * R3 - 180.0 * R2 - 144.0,
+            ),
+            (0.0, 0.0, 864.0 * (R3 + 2.0), -144.0 * (R3 + 2.0)),
+        ),
+        "p16": _factor(
+            2,
+            (
+                1920.0 * (R2 - 1.0), 928.0 - 3264.0 * R2, 1632.0 * R2 + 3104.0,
+                -24.0 * R2 - 2412.0, 216.0 - 144.0 * R2, 27.0,
+            ),
+            (
+                0.0, -576.0 * R2 - 864.0, 2976.0 - 288.0 * R2, 144.0 * R2 - 744.0,
+                -36.0 * (R2 + 2.0),
+            ),
+            (0.0, 0.0, 432.0, -72.0),
+        ),
+        "p21": _factor(
+            2,
+            (
+                1920.0 * (85.0 * R2 - 109.0), 464416.0 - 417216.0 * R2, 158880.0 * R2 + 38048.0,
+                89448.0 * R2 - 353228.0, 95000.0 - 25248.0 * R2, 7707.0,
+            ),
+            (
+                0.0, -14400.0 * R2 - 25056.0, 300768.0 - 130464.0 * R2, 75024.0 * R2 - 175272.0,
+                -468.0 * R2 - 2664.0, 2928.0 - 1152.0 * R2,
+            ),
+            (0.0, 0.0, 6.0 * (4392.0 - 1728.0 * R2), -(4392.0 - 1728.0 * R2)),
+        ),
+    },
+}
 
-
-def _p9_2d(k, a, l):
-    p0 = -12.0 * l**3 * a**3 + 198.0 * l**2 * a**2 - 68.0 * l * a
-    p1 = 24.0 * a**2
-    p2 = -81.0 * l**5 * a**3 + 411.0 * l**4 * a**2 - 262.0 * l**3 * a + 44.0 * l**2
-    return (p0 + p1 / k**2) / k**2 + p2
-
-
-def _p11_2d(k, a, l):
-    p0 = -72.0 * l**4 * a**4 - 300.0 * l**3 * a**3 + 294.0 * l**2 * a**2 - 68.0 * l * a
-    p1 = 24.0 * a**2
-    p2 = (
-        162.0 * l**6 * a**4
-        - 909.0 * l**5 * a**3
-        + 963.0 * l**4 * a**2
-        - 358.0 * l**3 * a
-        + 44.0 * l**2
-    )
-    return (p0 + p1 / k**2) / k**2 + p2
-
-
-def _d11_2d(k, a, l):
-    """Last minor of the 2D chain, the one the certified rate uses."""
-    # determinant expansion pins this prefactor at 32 (the chain ratio
+#: the last minor of the 2D and 3D chains, the one the certified rate
+#: uses: const * ell * alpha**power * (product of the named factors)
+_LAST_MINOR = {
+    # determinant expansion pins the 2D prefactor at 32 (the chain ratio
     # d11/d10 must approach 2 as alpha -> 0)
-    return 32.0 * l * a**4 * _p8_2d(k, a, l) * _p11_2d(k, a, l)
+    2: (32.0, 4, ("p8", "p11")),
+    3: (
+        256.0 * (R3 + 2.0) * (24.0 * R2 + 61.0) / (23121.0 * (R3 + 1.0) ** 2),
+        5,
+        ("p12", "p12", "p21"),
+    ),
+}
+
+
+def _last_minor(d, k, a, l):
+    const, power, names = _LAST_MINOR[d]
+    value = const * l * a**power
+    for name in names:
+        value = value * _FACTORS[d][name](k, a, l)
+    return value
 
 
 def minors_2d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Leading principal minors of the 11x11 block for d = 2."""
     _check_params(kappa, alpha, ell)
     k, a, l = kappa, alpha, ell
+    p = {name: f(k, a, l) for name, f in _FACTORS[2].items()}
     la = l * a
     d1 = 2.0 * la
     d2 = 4.0 * la**2
     d3 = 8.0 * la**3
     d4 = 44.0 * la**4
-    d5 = 22.0 * l**3 * a**4 * (4.0 * l - 4.0 * l**2 * a - a / k**2)
-    p6 = _p6_2d(k, a, l)
-    d6 = d5 * p6 / l
-    p7 = _p7_2d(k, a, l)
-    d7 = 2.0 * d5 * p7 / (11.0 * l**2)
-    p8 = _p8_2d(k, a, l)
-    d8 = 8.0 * l * a**4 * p7 * p8
-    p9 = _p9_2d(k, a, l)
-    d9 = 8.0 * l * a**4 * p8 * p9
+    d5 = 22.0 * l**3 * a**4 * p.pop("d5")
+    d6 = d5 * p["p6"] / l
+    d7 = 2.0 * d5 * p["p7"] / (11.0 * l**2)
+    d8 = 8.0 * l * a**4 * p["p7"] * p["p8"]
+    d9 = 8.0 * l * a**4 * p["p8"] * p["p9"]
     d10 = 2.0 * d9
-    p11 = _p11_2d(k, a, l)
-    d11 = _d11_2d(k, a, l)
+    d11 = _last_minor(2, k, a, l)
     return MinorTable(
-        2,
-        kappa,
-        alpha,
-        ell,
-        (d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11),
-        {"p6": p6, "p7": p7, "p8": p8, "p9": p9, "p11": p11},
-        "leading",
-    )
-
-
-def _p6_3d(k, a, l):
-    return -4.0 * l**2 * a - a / k**2 + 4.0 * l
-
-
-def _p8_3d(k, a, l):
-    return ((2.0 - 3.0 * R2) / 3.0) * l**2 * a - (5.0 / 6.0) * a / k**2 + (10.0 / 9.0) * (
-        R2 - 1.0
-    ) * l
-
-
-def _p10_3d(k, a, l):
-    return (
-        9.0 * ((R2 - 1.0) * l**2 + 1.0 / k**2) * l * a**2
-        - 6.0 * ((8.0 * R2 - 6.0) * l**2 + 5.0 / k**2) * a
-        + 40.0 * (R2 - 1.0) * l
-    )
-
-
-def _p11_3d_parts(a, l):
-    p0 = (
-        (54.0 * R2 - 144.0) * l**3 * a**3
-        + (672.0 - 72.0 * R2) * l**2 * a**2
-        - (216.0 + 144.0 * R2) * l * a
-    )
-    p1 = 18.0 * (6.0 - l * a) * a**2
-    p2 = (
-        (9.0 - 54.0 * R2) * l**3 * a**3
-        + (456.0 * R2 - 24.0) * l**2 * a**2
-        + (472.0 - 816.0 * R2) * l * a
-        + 480.0 * (R2 - 1.0)
-    )
-    return p0, p1, p2
-
-
-def _p11_3d(k, a, l):
-    p0, p1, p2 = _p11_3d_parts(a, l)
-    return (p0 + p1 / k**2) / k**2 + p2 * l**2
-
-
-def _p12_3d(k, a, l):
-    return 4.0 * l**3 * a**2 - 12.0 * l**2 * a + 8.0 * l - 2.0 * a / k**2
-
-
-def _p14_3d_parts(a, l):
-    p0 = (
-        (-108.0 * R6 - 72.0 * R3 - 180.0 * R2 - 144.0) * l**4 * a**4
-        + (360.0 * R6 - 1824.0 * R3 + 720.0 * R2 - 3396.0) * l**3 * a**3
-        + (-576.0 * R6 + 5952.0 * R3 - 1152.0 * R2 + 11760.0) * l**2 * a**2
-        + (-1152.0 * R6 - 1728.0 * R3 - 2304.0 * R2 - 3456.0) * l * a
-    )
-    p1 = 144.0 * (R3 + 2.0) * (6.0 - l * a) * a**2
-    # the cubic coefficient carries plus signs on the radicals: the
-    # expanded determinant of the 14x14 submatrix pins it at
-    # -(9348 + 336 sqrt6 + 5400 sqrt3 + 624 sqrt2)
-    p2 = (
-        (1440.0 - 180.0 * R6 + 828.0 * R3 - 324.0 * R2) * l**4 * a**4
-        - (9348.0 + 336.0 * R6 + 5400.0 * R3 + 624.0 * R2) * l**3 * a**3
-        + (11056.0 + 3424.0 * R6 + 6368.0 * R3 + 6864.0 * R2) * l**2 * a**2
-        + (4192.0 - 6528.0 * R6 + 1856.0 * R3 - 13056.0 * R2) * l * a
-        + (3840.0 * R6 - 3840.0 * R3 + 7680.0 * R2 - 7680.0)
-    )
-    return p0, p1, p2
-
-
-def _p14_3d(k, a, l):
-    p0, p1, p2 = _p14_3d_parts(a, l)
-    return (p0 + p1 / k**2) / k**2 + l**2 * p2
-
-
-def _p16_3d_parts(a, l):
-    p0 = (
-        -36.0 * (R2 + 2.0) * l**4 * a**4
-        + (144.0 * R2 - 744.0) * l**3 * a**3
-        + (-288.0 * R2 + 2976.0) * l**2 * a**2
-        + (-576.0 * R2 - 864.0) * l * a
-    )
-    p1 = 72.0 * (6.0 - a * l) * a**2
-    p2 = (
-        27.0 * l**5 * a**5
-        + (-144.0 * R2 + 216.0) * l**4 * a**4
-        + (-24.0 * R2 - 2412.0) * l**3 * a**3
-        + (1632.0 * R2 + 3104.0) * l**2 * a**2
-        + (-3264.0 * R2 + 928.0) * l * a
-        + 1920.0 * (R2 - 1.0)
-    )
-    return p0, p1, p2
-
-
-def _p16_3d(k, a, l):
-    p0, p1, p2 = _p16_3d_parts(a, l)
-    return (p0 + p1 / k**2) / k**2 + l**2 * p2
-
-
-def _p21_3d_parts(a, l):
-    p0 = (
-        (-1152.0 * R2 + 2928.0) * l**5 * a**5
-        + (-468.0 * R2 - 2664.0) * l**4 * a**4
-        + (75024.0 * R2 - 175272.0) * l**3 * a**3
-        + (-130464.0 * R2 + 300768.0) * l**2 * a**2
-        + (-14400.0 * R2 - 25056.0) * l * a
-    )
-    p1 = (-1728.0 * R2 + 4392.0) * (6.0 - l * a) * a**2
-    p2 = (
-        7707.0 * l**5 * a**5
-        + (-25248.0 * R2 + 95000.0) * l**4 * a**4
-        + (89448.0 * R2 - 353228.0) * l**3 * a**3
-        + (158880.0 * R2 + 38048.0) * l**2 * a**2
-        + (-417216.0 * R2 + 464416.0) * l * a
-        + 1920.0 * (85.0 * R2 - 109.0)
-    )
-    return p0, p1, p2
-
-
-def _p21_3d(k, a, l):
-    p0, p1, p2 = _p21_3d_parts(a, l)
-    return (p0 + p1 / k**2) / k**2 + l**2 * p2
-
-
-def _d21_3d(k, a, l):
-    """Last minor of the 3D chain, the one the certified rate uses."""
-    return (
-        256.0
-        * (R3 + 2.0)
-        * (24.0 * R2 + 61.0)
-        / (23121.0 * (R3 + 1.0) ** 2)
-        * l
-        * a**5
-        * _p12_3d(k, a, l) ** 2
-        * _p21_3d(k, a, l)
+        2, kappa, alpha, ell, (d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11), p, "leading"
     )
 
 
@@ -290,6 +250,8 @@ def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Leading principal minors of the 21x21 block for d = 3."""
     _check_params(kappa, alpha, ell)
     k, a, l = kappa, alpha, ell
+    p = {name: f(k, a, l) for name, f in _FACTORS[3].items()}
+    p6, p11, p12 = p["p6"], p["p11"], p["p12"]
     la = l * a
     w = R2 - 1.0
     d1 = 2.0 * la
@@ -297,30 +259,22 @@ def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     d3 = 8.0 * w * la**3
     d4 = 16.0 * w * la**4
     d5 = (80.0 / 3.0) * w * l**5 * a**5
-    p6 = _p6_3d(k, a, l)
     d6 = (40.0 / 3.0) * w * l**4 * a**5 * p6
     d7 = (20.0 / 3.0) * w * l**3 * a**5 * p6**2
-    p8 = _p8_3d(k, a, l)
-    d8 = 12.0 * l**2 * a**5 * p6**2 * p8
+    d8 = 12.0 * l**2 * a**5 * p6**2 * p["p8"]
     d9 = 2.0 * d8
-    p10 = _p10_3d(k, a, l)
-    d10 = (4.0 / 3.0) * l**2 * a**5 * p6**2 * p10
-    p11 = _p11_3d(k, a, l)
+    d10 = (4.0 / 3.0) * l**2 * a**5 * p6**2 * p["p10"]
     d11 = (2.0 / 9.0) * l * a**5 * p6**2 * p11
-    p12 = _p12_3d(k, a, l)
     d12 = (2.0 / 9.0) * l * a**5 * p6 * p11 * p12
     d13 = (2.0 / 9.0) * l * a**5 * p11 * p12**2
-    p14 = _p14_3d(k, a, l)
-    d14 = l * a**5 * p12**2 * p14 / (9.0 * (1.0 + R3) ** 2)
+    d14 = l * a**5 * p12**2 * p["p14"] / (9.0 * (1.0 + R3) ** 2)
     d15 = 2.0 * d14
-    p16 = _p16_3d(k, a, l)
-    d16 = (8.0 / 9.0) * ((2.0 + R3) / (1.0 + R3) ** 2) * l * a**5 * p12**2 * p16
+    d16 = (8.0 / 9.0) * ((2.0 + R3) / (1.0 + R3) ** 2) * l * a**5 * p12**2 * p["p16"]
     d17 = 2.0 * d16
     d18 = 4.0 * d16
     d19 = 8.0 * d16
     d20 = 16.0 * d16
-    p21 = _p21_3d(k, a, l)
-    d21 = _d21_3d(k, a, l)
+    d21 = _last_minor(3, k, a, l)
     return MinorTable(
         3,
         kappa,
@@ -330,10 +284,7 @@ def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
             d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11,
             d12, d13, d14, d15, d16, d17, d18, d19, d20, d21,
         ),
-        {
-            "p6": p6, "p8": p8, "p10": p10, "p11": p11, "p12": p12,
-            "p14": p14, "p16": p16, "p21": p21,
-        },
+        p,
         "leading",
     )
 
@@ -365,41 +316,75 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
 
 
 # ---------------------------------------------------------------------------
+# polynomial roots
+
+
+def _values(C, x):
+    """Values and derivatives at x[i, :] of the polynomials with
+    ascending coefficients C[i, :]."""
+    p = np.zeros_like(x)
+    dp = np.zeros_like(x)
+    for c in C.T[::-1, :, None]:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
+def _roots(C, top):
+    """Real positive roots of each polynomial, nan in the unused slots.
+
+    ``C[i]`` holds the ascending coefficients of one polynomial in a
+    variable scaled so that the roots of interest lie in (0, top] and are
+    of order one.  Terms negligible on [0, top] at working precision are
+    dropped, and the roots of every row come from one stacked
+    companion-matrix eigensolve; a row of lower degree than the stack is
+    completed by eigenvalues -1.  Each real positive eigenvalue is then
+    polished by a Newton step on the full polynomial.
+    """
+    rows, width = C.shape
+    size = np.abs(C) * top ** np.arange(width)
+    live = size > np.finfo(float).eps * size.max(axis=1, keepdims=True)
+    # a row that underflowed to zeros has no roots
+    deg = np.where(live.any(axis=1), width - 1 - np.argmax(live[:, ::-1], axis=1), 0)
+    n = max(int(deg.max()), 1)
+    k = np.arange(n)
+    M = np.zeros((rows, n, n))
+    M[:, k[1:], k[:-1]] = k[1:] < deg[:, None]
+    M[:, k, k] = np.where(k < deg[:, None], 0.0, -1.0)
+    r, i = np.nonzero(k < deg[:, None])
+    M[r, i, deg[r] - 1] = -C[r, i] / C[r, deg[r]]
+    z = np.linalg.eigvals(M)
+    x = np.where((z.real > 0) & (np.abs(z.imag) <= 1e-6 * np.abs(z)), z.real, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, dp = _values(C, x)
+        x = x - p / dp
+    return np.where((0 < x) & (x < np.inf), x, np.nan)
+
+
+def _sign_changes(C, top):
+    """Roots in (0, top] at which each polynomial changes sign.
+
+    The roots of :func:`_roots`, kept where the polynomial takes opposite
+    signs halfway to the neighbouring roots.  Returns an array with one
+    row per polynomial, sorted along the row, nan in the unused slots.
+    """
+    x = np.sort(_roots(C, top), axis=1)
+    # eigenvalues that polished onto one root count once
+    close = np.diff(x, axis=1) <= 1e-13 * x[:, 1:]
+    x[:, 1:][close] = np.nan
+    x = np.sort(x, axis=1)
+    rows, n = x.shape
+    before = 0.5 * (np.hstack([np.zeros((rows, 1)), x[:, :-1]]) + x)
+    after = np.hstack([x[:, 1:], np.full((rows, 1), np.nan)])
+    after = np.where(np.isnan(after), 2.0 * x, 0.5 * (x + after))
+    with np.errstate(invalid="ignore", over="ignore"):
+        p, _ = _values(C, np.hstack([before, after]))
+    flips = np.sign(p[:, :n]) != np.sign(p[:, n:])
+    return np.where(flips & (x <= top), x, np.nan)
+
+
+# ---------------------------------------------------------------------------
 # positivity thresholds
-
-
-def _bisect_root(f, lo, hi, steps: int = 200) -> float:
-    flo = f(lo)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (f(mid) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _smallest_positive_root(f, hi: float, n: int = 2001) -> float:
-    """First zero of f on (0, hi], or inf when the sign never changes."""
-    xs = np.linspace(0.0, hi, n)[1:]
-    vals = np.asarray(f(xs), dtype=float)
-    sign0 = vals[0] > 0
-    flip = np.nonzero((vals > 0) != sign0)[0]
-    if flip.size == 0:
-        return math.inf
-    i = int(flip[0])
-    lo = xs[i - 1] if i > 0 else hi / (n - 1) * 1e-9
-    return _bisect_root(f, lo, xs[i])
-
-
-def _smaller_quad_root(A: float, B: float, C: float) -> float:
-    """Smaller positive root of A x**2 - B x + C with A, B, C > 0."""
-    disc = B * B - 4.0 * A * C
-    if disc < 0:
-        return math.inf
-    return (B - math.sqrt(disc)) / (2.0 * A)
 
 
 def alpha3_1d(L: float = 2.0 * math.pi) -> float:
@@ -411,89 +396,73 @@ def alpha3_1d(L: float = 2.0 * math.pi) -> float:
     if L <= 0:
         raise ValueError("torus length must be positive")
     l = 2.0 * math.pi / L
-    return (1.0 + 8.0 * l**2 - math.sqrt(1.0 + 16.0 * l**2)) / (24.0 * l**3)
+    # the smaller root of 72 l**3 a**2 - (48 l**2 + 6) a + 8 l, in the
+    # form 2 C / (B + sqrt(disc)) that does not cancel on large tori
+    return 8.0 * l / (3.0 * (1.0 + 8.0 * l**2 + math.sqrt(1.0 + 16.0 * l**2)))
 
 
-def _thresholds_2d(l: float) -> dict:
-    hi = 10.0 * 4.0 * l / (4.0 * l**2 + 1.0)
-    t = {}
-    t["d5"] = 4.0 * l / (4.0 * l**2 + 1.0)
-    t["p6"] = 22.0 * l / (54.0 * l**2 + 22.0)
-    t["p7"] = _smaller_quad_root(
-        162.0 * l**4 + 93.0 * l**2 + 12.0, 120.0 * l**3 + 34.0 * l, 22.0 * l**2
-    )
-    t["p7t"] = 34.0 * l / (93.0 * l**2 + 24.0)
-    t["p8"] = _smaller_quad_root(2.0 * l**3, 6.0 * l**2 + 1.0, 4.0 * l)
-    t["p9"] = _smallest_positive_root(lambda a: _p9_2d(1.0, a, l), hi)
-    t["p9t"] = _smaller_quad_root(12.0 * l**3, 198.0 * l**2 + 48.0, 68.0 * l)
-    t["p11"] = _smallest_positive_root(lambda a: _p11_2d(1.0, a, l), hi)
-    t["p11t"] = _smallest_positive_root(
-        lambda a: 72.0 * l**4 * a**3
-        + 300.0 * l**3 * a**2
-        - (294.0 * l**2 + 48.0) * a
-        + 68.0 * l,
-        hi,
-    )
+def _kappa1(d, l):
+    """The factors of the 2D or 3D chain at kappa = 1, in y = alpha / scale.
+
+    Returns ``(scale, G)``: ``G[f, j, k]`` is the coefficient of
+    ``u**j y**k`` of a positive multiple of factor f, so that
+    ``G[f].sum(0)`` is the factor at kappa = 1 and
+    ``G[f, 1] + 2 G[f, 2]`` its derivative in u there.  The scale
+    4 ell / (4 ell**2 + 1) is the d5 (2D) and p6 (3D) threshold; it keeps
+    every coefficient finite on tori of any size.
+    """
+    q = 4.0 * l**2
+    scale, s, w = 4.0 * l / (q + 1.0), q / (q + 1.0), 4.0 / (q + 1.0)
+    j, k = np.ogrid[:3, :6]
+    # the tables vanish where k < j
+    return scale, _TABLES[d] * w**j * s ** np.maximum(k - j, 0)
+
+
+_TABLES = {d: np.stack([f.rows for f in factors.values()]) for d, factors in _FACTORS.items()}
+
+
+def _thresholds(d: int, l: float) -> dict:
+    """First sign change in alpha of each factor of the 2D or 3D chain.
+
+    Key ``name`` is the factor at kappa = 1.  For a factor quadratic in
+    u, key ``name + "t"`` is where its u**2 coefficient or its
+    derivative in u at u = 1 changes sign: below both the factor is
+    convex in u with its minimum over u in (0, 1] at u = 1, that is at
+    kappa = 1.  A factor linear in u keeps a negative slope on the
+    admissible range.  Every root comes from one stacked eigensolve;
+    roots beyond ten times the scale of :func:`_kappa1` count as none.
+    """
+    scale, G = _kappa1(d, l)
+    names = list(_FACTORS[d])
+    curved = np.flatnonzero(_TABLES[d][:, 2].any(axis=1))
+    rows = np.zeros((len(names) + 2 * len(curved), 6))
+    rows[: len(names)] = G.sum(1)
+    # the slope and the u**2 coefficient, divided by alpha and alpha**2
+    rows[len(names) :: 2, :5] = (G[curved, 1] + 2.0 * G[curved, 2])[:, 1:]
+    rows[len(names) + 1 :: 2, :4] = G[curved, 2, 2:]
+    roots = _sign_changes(rows, 10.0)
+    first = scale * np.fmin.reduce(roots, axis=1, initial=np.inf)
+    t = dict(zip(names, first.tolist()))
+    for i, c in enumerate(curved):
+        t[names[c] + "t"] = float(first[len(names) + 2 * i : len(names) + 2 * i + 2].min())
     return t
+
+
+def _alpha_plus(d: int, ell: float) -> float:
+    # theta alpha < 1 keeps P positive definite
+    return min(1.0 / THETA[d], *_thresholds(d, ell).values())
 
 
 def alpha_plus_2d(ell: float = 1.0) -> float:
     """Amplitude threshold below which every minor in the 2D chain is
     positive for all kappa >= 1."""
-    t = _thresholds_2d(ell)
-    a_d6 = min(t["d5"], t["p6"])
-    a_d7 = min(t["d5"], t["p7t"], t["p7"])
-    a_d8 = min(t["d5"], a_d7, t["p8"])
-    a_d9 = min(t["p9"], t["p9t"], t["p8"])
-    a_d11 = min(t["p11"], t["p11t"], t["p8"])
-    return min(1.0 / R6, t["d5"], a_d6, a_d7, a_d8, a_d9, a_d11)
-
-
-def _thresholds_3d(l: float) -> dict:
-    hi = 10.0 * 4.0 * l / (4.0 * l**2 + 1.0)
-    cap = 6.0 / l
-    t = {}
-    t["p6"] = 4.0 * l / (4.0 * l**2 + 1.0)
-    t["p8"] = 20.0 * (R2 - 1.0) * l / (3.0 * (5.0 + (6.0 * R2 - 4.0) * l**2))
-    t["p10"] = _smaller_quad_root(
-        9.0 * ((R2 - 1.0) * l**2 + 1.0) * l,
-        6.0 * ((8.0 * R2 - 6.0) * l**2 + 5.0),
-        40.0 * (R2 - 1.0) * l,
-    )
-    t["p11"] = _smallest_positive_root(lambda a: _p11_3d(1.0, a, l), hi)
-    t["p12"] = _smaller_quad_root(4.0 * l**3, 12.0 * l**2 + 2.0, 8.0 * l)
-    t["p14"] = _smallest_positive_root(lambda a: _p14_3d(1.0, a, l), hi)
-    t["p16"] = _smallest_positive_root(lambda a: _p16_3d(1.0, a, l), hi)
-    t["p21"] = _smallest_positive_root(lambda a: _p21_3d(1.0, a, l), hi)
-
-    def tilde(parts) -> float:
-        def g(a):
-            p0, p1, _ = parts(a, l)
-            return (p0 + 2.0 * p1) / a
-
-        return min(cap, _smallest_positive_root(g, hi))
-
-    t["p11t"] = tilde(_p11_3d_parts)
-    t["p14t"] = tilde(_p14_3d_parts)
-    t["p16t"] = tilde(_p16_3d_parts)
-    t["p21t"] = tilde(_p21_3d_parts)
-    return t
+    return _alpha_plus(2, ell)
 
 
 def alpha_plus_3d(ell: float = 1.0) -> float:
     """Amplitude threshold below which every minor in the 3D chain is
     positive for all kappa >= 1."""
-    t = _thresholds_3d(ell)
-    a_d10 = min(t["p6"], t["p10"])
-    a_d11 = min(t["p11"], t["p11t"], t["p6"])
-    a_d12 = min(t["p12"], a_d11)
-    a_d13 = min(t["p11"], t["p12"])
-    a_d14 = min(t["p12"], t["p14t"], t["p14"])
-    a_d16 = min(t["p16"], t["p16t"], t["p12"])
-    a_d21 = min(t["p21"], t["p21t"], t["p12"])
-    return min(
-        0.5, t["p6"], t["p8"], a_d10, a_d11, a_d12, a_d13, a_d14, a_d16, a_d21
-    )
+    return _alpha_plus(3, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +474,8 @@ def _mu_1d(a, l):
     return d3 / (8.0 * (1.0 - l * a) ** 2 * (1.0 + a * THETA[1]))
 
 
-def _mu_2d(a, l):
-    return AMGM[2] * _d11_2d(1.0, a, l) / (2.0 * (1.0 + THETA[2] * a))
-
-
-def _mu_3d(a, l):
-    return AMGM[3] * _d21_3d(1.0, a, l) / (2.0 * (1.0 + THETA[3] * a))
+def _mu_chain(d, a, l):
+    return AMGM[d] * _last_minor(d, 1.0, a, l) / (2.0 * (1.0 + THETA[d] * a))
 
 
 @dataclass(frozen=True)
@@ -547,8 +512,8 @@ _CHAINS = {
     1: ChainSpec(
         minors_1d, lambda l: alpha3_1d(2.0 * math.pi / l), _mu_1d, math.sqrt(3.0 + R6), None, 8
     ),
-    2: ChainSpec(minors_2d, alpha_plus_2d, _mu_2d, R6, (10.0 / 14.0) ** 10, 15),
-    3: ChainSpec(minors_3d, alpha_plus_3d, _mu_3d, 2.0, (20.0 / 32.0) ** 20, 35),
+    2: ChainSpec(minors_2d, alpha_plus_2d, partial(_mu_chain, 2), R6, (10.0 / 14.0) ** 10, 15),
+    3: ChainSpec(minors_3d, alpha_plus_3d, partial(_mu_chain, 3), 2.0, (20.0 / 32.0) ** 20, 35),
 }
 
 #: ChainSpec.theta and ChainSpec.amgm by dimension
@@ -563,40 +528,68 @@ def chain_spec(d: int) -> ChainSpec:
     return _CHAINS[d]
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _rate_critical(d: int, a_plus: float, l: float):
+    """``(scale, Q)``: the critical points of mu in (0, a_plus) are roots
+    of the polynomial Q in y = alpha / scale (ascending coefficients).
+
+    In 1D mu = N / D with N = d3 and D = 8 (1 - ell alpha)**2 (1 + theta
+    alpha), so Q = N' D - N D'.  In 2D and 3D mu = K alpha**m M / (1 +
+    theta alpha) with M the product of the factors of the last minor at
+    kappa = 1, so Q = (m M + alpha M') (1 + theta alpha) - theta alpha M.
+    """
+    if d == 1:
+        b, t = l * a_plus, THETA[1] * a_plus
+        N = np.array([0.0, 8.0 * b, -48.0 * b**2 - 6.0 * a_plus**2, 72.0 * b**3])
+        D = np.convolve([1.0, -2.0 * b, b**2], [1.0, t])
+        k = np.arange(1, 4)
+        # the y**5 terms cancel exactly
+        return a_plus, (np.convolve(k * N[1:], D) - np.convolve(N, k * D[1:]))[:-1]
+    scale, G = _kappa1(d, l)
+    _, m, names = _LAST_MINOR[d]
+    index = list(_FACTORS[d])
+    M = np.ones(1)
+    for name in names:
+        M = np.convolve(M, G[index.index(name)].sum(0))
+    k = np.arange(M.size + 1)
+    t = THETA[d] * scale
+    return scale, (m + k) * np.append(M, 0.0) + t * (m + k - 2) * np.append(0.0, M)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 90):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-12:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _best_root(q, top, f):
+    """The root y of the polynomial q in (0, top) with the largest f(y),
+    polished by two Newton steps; nan when q has no such root.
+
+    The roots of a single polynomial come from its companion matrix after
+    the terms negligible on [0, top] are dropped, as in :func:`_roots`,
+    whose array bookkeeping would cost more than the eigensolve here.
+    """
+    q = q.tolist()
+    size = [abs(c) * top**k for k, c in enumerate(q)]
+    n = max((k for k, c in enumerate(size) if c > np.finfo(float).eps * max(size)), default=0)
+    if n == 0:
+        return math.nan
+    M = np.eye(n, k=-1)
+    M[:, -1] = [-c / q[n] for c in q[:n]]
+    roots = np.linalg.eigvals(M).tolist()
+    ys = [z.real for z in roots if 0.0 < z.real < top and abs(z.imag) <= 1e-6 * abs(z)]
+    if not ys:
+        return math.nan
+    y = max(ys, key=f)
+    for _ in range(2):
+        p = dp = 0.0
+        for c in reversed(q):
+            dp = dp * y + p
+            p = p * y + c
+        y = y - p / dp if dp else y
+    return y
 
 
 def _maximize_mu(d: int, ell: float):
     spec = chain_spec(d)
-    f = spec.mu
     a_plus = spec.alpha_plus(ell)
-    xs = np.linspace(0.0, a_plus, 402)[1:-1]
-    vals = f(xs, ell)
-    i = int(np.argmax(vals))
-    lo = xs[i - 1] if i > 0 else 0.0
-    hi = xs[i + 1] if i < len(xs) - 1 else a_plus
-    a_star, mu = _golden_max(lambda a: f(a, ell), lo, hi)
-    return a_plus, a_star, float(mu)
+    scale, Q = _rate_critical(d, a_plus, ell)
+    a_star = scale * _best_root(Q, a_plus / scale, lambda y: spec.mu(scale * y, ell))
+    return a_plus, a_star, float(spec.mu(a_star, ell))
 
 
 @dataclass(frozen=True)
@@ -698,15 +691,18 @@ def certify(
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"torus length must be finite and positive, got {L}")
     ell = 2.0 * math.pi / L
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         try:
             a_plus, a_star, mu = _maximize_mu(d, ell)
-        except OverflowError:
+        except ArithmeticError:
             a_plus = a_star = mu = math.nan
-    if not all(map(math.isfinite, (a_plus, a_star, mu))):
+    if not all(math.isfinite(v) and v > 0 for v in (a_plus, a_star, mu)):
         # the thresholds and rates hold powers of ell that leave the
-        # floating-point range on tiny tori
-        raise ValueError(f"torus length {L!r} is too small: powers of 2 pi / L overflow")
+        # floating-point range on very small and very large tori
+        size = "small" if ell > 1.0 else "large"
+        raise ValueError(
+            f"torus length {L!r} is too {size}: powers of 2 pi / L leave the floating-point range"
+        )
     if alpha is not None:
         if not 0.0 < alpha < a_plus:
             raise ValueError(

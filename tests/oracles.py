@@ -41,3 +41,98 @@ def dispersion_root():
         return np.linalg.det(np.eye(3) - G).real
 
     return brentq(det, 0.5, 0.6, xtol=1e-15)
+
+
+def alpha_plus_oracle(d, ell, dps=40):
+    """alpha_plus of the d-dimensional certificate at wavenumber scale
+    ell, from mpmath polynomial roots at ``dps`` digits.
+
+    1D: the smaller root of the third trailing minor at kappa = 1,
+    72 ell**3 a**2 - (48 ell**2 + 6) a + 8 ell.  2D and 3D: the smallest
+    of 1 / theta and the smallest positive root of every kappa = 1
+    factor, of its derivative in u = 1 / kappa**2 at u = 1 over alpha and
+    of its u**2 coefficient over alpha**2, for the factors quadratic in u
+    (all these roots are simple); roots beyond ten times
+    4 ell / (4 ell**2 + 1) count as none.  The
+    factor tables are the program's (the minors tests pin them against
+    dense determinants); the roots are found here independently.
+    """
+    import mpmath as mp
+
+    from hypobgk.certificate import _FACTORS, THETA
+
+    with mp.workdps(dps):
+        l = mp.mpf(ell)
+        if d == 1:
+            A, B, C = 72 * l**3, 48 * l**2 + 6, 8 * l
+            return float((B - mp.sqrt(B * B - 4 * A * C)) / (2 * A))
+        scale = 4 * l / (4 * l**2 + 1)
+        best = mp.mpf(1) / mp.mpf(THETA[d])
+        for f in _FACTORS[d].values():
+            # coefficient of u**j alpha**k, then of u**j y**k with alpha = scale y
+            c = [
+                [mp.mpf(float(f.rows[j, k])) * l ** (f.m + k - 2 * j) * scale**k for k in range(6)]
+                for j in range(3)
+            ]
+            polys = [[c[0][k] + c[1][k] + c[2][k] for k in range(6)]]
+            if any(c[2]):
+                polys.append([c[1][k] + 2 * c[2][k] for k in range(1, 6)])
+                polys.append(c[2][2:])
+            for p in polys:
+                # drop the terms below the working precision on [0, 10]:
+                # their roots lie far beyond 10 and slow the iteration
+                size = [abs(x) * 10**k for k, x in enumerate(p)]
+                while p and size[len(p) - 1] <= mp.mpf(10) ** (-dps) * max(size):
+                    p = p[:-1]
+                n = len(p) - 1
+                if n < 1:
+                    continue
+                # eigenvalues of the companion matrix by mpmath's QR: the
+                # Durand-Kerner iteration of mp.polyroots stalls on roots
+                # 1e28 apart, as on large tori
+                companion = mp.matrix(n, n)
+                for i in range(n):
+                    if i:
+                        companion[i, i - 1] = 1
+                    companion[i, n - 1] = -p[i] / p[n]
+                roots = [companion[0, 0]] if n == 1 else mp.eig(companion, left=False, right=False)
+                for z in roots:
+                    if abs(mp.im(z)) <= mp.mpf(10) ** (5 - dps) * abs(z) and 0 < mp.re(z) <= 10:
+                        best = min(best, scale * mp.re(z))
+        return float(best)
+
+
+def alpha_star_oracle(d, ell, start, dps=40):
+    """The critical point of the certified rate mu(alpha) nearest to
+    ``start``: mpmath's findroot on the numerical derivative of mu at
+    ``dps`` digits.  mu is evaluated directly, not through the
+    polynomial whose root the program takes.
+    """
+    import mpmath as mp
+
+    from hypobgk.certificate import _FACTORS, _LAST_MINOR, THETA
+
+    with mp.workdps(dps):
+        l, theta = mp.mpf(ell), mp.mpf(THETA[d])
+        if d == 1:
+
+            def mu(a):
+                return (8 * l * a * (1 - 3 * l * a) ** 2 - 6 * a**2) / (
+                    (1 - l * a) ** 2 * (1 + theta * a)
+                )
+
+        else:
+            _, power, names = _LAST_MINOR[d]
+
+            def mu(a):
+                value = a**power / (1 + theta * a)
+                for name in names:
+                    f = _FACTORS[d][name]
+                    value *= sum(
+                        mp.mpf(float(f.rows[j, k])) * l ** (f.m + k - 2 * j) * a**k
+                        for j in range(3)
+                        for k in range(6)
+                    )
+                return value
+
+        return float(mp.findroot(lambda a: mp.diff(mu, a), mp.mpf(start)))

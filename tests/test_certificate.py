@@ -18,18 +18,24 @@ from hypobgk import (
     rational_monotone_check,
 )
 from hypobgk.certificate import (
+    _FACTORS,
     AMGM,
     THETA,
-    _thresholds_2d,
-    _thresholds_3d,
+    _sign_changes,
+    _thresholds,
     alpha_plus_2d,
     alpha_plus_3d,
     chain_spec,
 )
+from hypobgk.cli import build_parser
+from oracles import alpha_plus_oracle, alpha_star_oracle
 
 TWO_PI = 2.0 * math.pi
 MINORS = {1: minors_1d, 2: minors_2d, 3: minors_3d}
 ALPHA_PLUS = {1: lambda l: alpha3_1d(TWO_PI / l), 2: alpha_plus_2d, 3: alpha_plus_3d}
+_SWEEP = build_parser().parse_args(["sweep-L"])
+#: the torus lengths ``hypobgk sweep-L`` evaluates by default
+SWEEP_LENGTHS = [float(L) for L in np.geomspace(_SWEEP.sweep_from, _SWEEP.sweep_to, _SWEEP.points)]
 
 
 def _brute_minors(d, kappa, alpha, ell, convention):
@@ -106,9 +112,9 @@ def test_admissibility_thresholds_multi_d():
     assert abs(alpha_plus_2d(1.0) - 0.21023801412882542) < 1e-12
     assert abs(alpha_plus_3d(1.0) - 0.21428787448140457) < 1e-12
     # the admissible amplitude is the smallest of all factor thresholds
-    t2 = _thresholds_2d(1.0)
+    t2 = _thresholds(2, 1.0)
     assert abs(min(t2.values()) - alpha_plus_2d(1.0)) < 1e-14
-    t3 = _thresholds_3d(1.0)
+    t3 = _thresholds(3, 1.0)
     assert abs(min(t3.values()) - alpha_plus_3d(1.0)) < 1e-14
     # a couple of individual thresholds, frozen
     assert abs(t3["p6"] - 0.8) < 1e-14
@@ -126,6 +132,97 @@ def test_minors_positive_inside_admissible_range(d):
     # just beyond the threshold the chain loses positivity at kappa = 1
     t = MINORS[d](1.0, 1.02 * a_plus, 1.0)
     assert min(t.values) <= 0
+
+
+def test_sign_changes_of_close_and_double_roots():
+    # (y - r1)(y - r2)(y - 2) with r1, r2 inside one cell of a 2001-point
+    # scan of (0, 1]: the scan sees no sign change, the roots do
+    r1, r2 = 0.30011, 0.30027
+    coeffs = np.polynomial.polynomial.polyfromroots([r1, r2, 2.0])
+    xs = np.linspace(0.0, 1.0, 2001)[1:]
+    assert len(set(np.sign(np.polynomial.polynomial.polyval(xs, coeffs)))) == 1
+    roots = _sign_changes(coeffs[None, :], 1.0)[0]
+    assert abs(np.nanmin(roots) - r1) < 1e-12
+    assert np.sort(roots[~np.isnan(roots)]) == pytest.approx([r1, r2], rel=1e-12)
+    # a double root is no sign change
+    coeffs = np.polynomial.polynomial.polyfromroots([0.2, 0.2, 0.5])
+    roots = _sign_changes(coeffs[None, :], 1.0)[0]
+    assert roots[~np.isnan(roots)] == pytest.approx([0.5], rel=1e-12)
+
+
+def _threshold_polynomials(d, l):
+    """For each key of ``_thresholds(d, l)``, the kappa = 1 polynomials in
+    alpha (ascending coefficients) whose first sign change it is."""
+    out = {}
+    for name, f in _FACTORS[d].items():
+        j, k = np.ogrid[:3, :6]
+        rows = f.rows * l ** (f.m + k - 2.0 * j)
+        out[name] = [rows.sum(0)]
+        if f.rows[2].any():
+            out[name + "t"] = [(rows[1] + 2.0 * rows[2])[1:], rows[2][2:]]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_thresholds_are_first_sign_changes(d):
+    polyval = np.polynomial.polynomial.polyval
+    for L in SWEEP_LENGTHS:
+        l = TWO_PI / L
+        t = _thresholds(d, l)
+        polys = _threshold_polynomials(d, l)
+        assert set(t) == set(polys)
+        for key, ps in polys.items():
+            r = t[key]
+            top = r if math.isfinite(r) else 40.0 * l / (4.0 * l**2 + 1.0)
+            grid = np.linspace(0.0, top, 10001)[1:-1]
+            for p in ps:
+                assert len(set(np.sign(polyval(grid, p)))) == 1, (L, key)
+            if math.isfinite(r):
+                assert any(
+                    np.sign(polyval(r * (1.0 - 1e-9), p)) != np.sign(polyval(r * (1.0 + 1e-9), p))
+                    for p in ps
+                ), (L, key)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_optimal_amplitude_beats_a_fine_grid(d):
+    spec = chain_spec(d)
+    for L in SWEEP_LENGTHS:
+        cert = certify(d, L, n_verify=0)
+        grid = np.linspace(0.0, cert.alpha_plus, 10001)[1:-1]
+        assert cert.mu >= spec.mu(grid, TWO_PI / L).max() * (1.0 - 1e-14), L
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [0.3, TWO_PI, 30.0])
+def test_optimal_amplitude_is_the_critical_point(d, L):
+    cert = certify(d, L, n_verify=0)
+    ref = alpha_star_oracle(d, TWO_PI / L, cert.alpha_star)
+    assert abs(cert.alpha_star - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_thresholds_on_tori_of_every_decade(d):
+    # 1e-30 <= L <= 1e8: no LinAlgError or ZeroDivisionError, no
+    # cancellation to zero on large tori, every value a root to 1e-10
+    for k in range(-30, 9):
+        L = 10.0**k
+        cert = certify(d, L, n_verify=0)
+        ref = alpha_plus_oracle(d, TWO_PI / L)
+        assert abs(cert.alpha_plus - ref) <= 1e-10 * ref, L
+        assert 0.0 < cert.alpha_star < cert.alpha_plus and cert.mu > 0.0, L
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_certificate_out_of_range_fails_only_on_the_torus_length(d):
+    for k in np.arange(-160.0, 160.0, 0.37):
+        L = float(10.0**k)
+        try:
+            cert = certify(d, L, n_verify=0)
+        except ValueError as exc:
+            assert str(exc).startswith(f"torus length {L!r} is too "), (L, exc)
+        else:
+            assert 0.0 < cert.alpha_star < cert.alpha_plus and cert.mu > 0.0, L
 
 
 def test_certificate_1d_values():
@@ -193,6 +290,13 @@ def test_certificate_rejects_non_finite_length(d, L):
 def test_certificate_rejects_overflowing_length(d):
     with pytest.raises(ValueError, match="too small"):
         certify(d, 1e-300, n_verify=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_certificate_rejects_underflowing_length(d):
+    # the rate underflows to zero: never a valid certificate of rate 0
+    with pytest.raises(ValueError, match="torus length 1e[+]300 is too large"):
+        certify(d, 1e300, n_verify=0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

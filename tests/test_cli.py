@@ -268,6 +268,40 @@ def test_overflowing_torus_length_exits_one(d, capsys):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+def test_underflowing_torus_length_exits_one(d, capsys):
+    # the rate underflows to zero on a huge torus: an input error, never
+    # a valid certificate of rate 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certificate", "--dim", str(d), "--L", "1e300"])
+    assert exc.value.code == 1
+    assert "torus length 1e+300 is too large" in capsys.readouterr().err
+
+
+def test_large_torus_certificate_is_positive(tmp_path):
+    # the threshold used to cancel to zero here, certifying rate 0
+    from oracles import alpha_plus_oracle
+
+    out = tmp_path / "cert.json"
+    assert cli.main(["certificate", "--dim", "1", "--L", "1e8", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    ref = alpha_plus_oracle(1, 2.0 * math.pi / 1e8)
+    assert abs(doc["alpha_plus"] - ref) <= 1e-12 * ref
+    assert 0.0 < doc["alpha_star"] < doc["alpha_plus"] and doc["mu"] > 0.0
+    assert doc["valid"] is True
+
+
+def test_sweep_on_large_tori_has_no_zero_rows(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-L", "--dim", "3", "--from", "1e5", "--to", "1e7", "--points", "3"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    _, rows = _csv_rows(out.read_text())
+    assert len(rows) == 3
+    for row in rows:
+        assert all(float(v) > 0.0 for v in row)
+        assert float(row[2]) < float(row[1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_overflowing_torus_length_in_minors_exits_one(d, capsys):
     # the default alpha is half of alpha_plus, whose powers of 2 pi / L
     # overflow: an input error, not a failed verification
