@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr as _qr
 
 from .index import _check_pair
 
@@ -111,27 +110,46 @@ def _min_eig_transformed(C: np.ndarray, P: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_hermitian_part(F))[0])
 
 
-def _canonicalize(C1, C2, tol: float):
-    """Unitary Q with Q* C2 Q diagonal, kernel coordinates first.
+@dataclass(frozen=True)
+class _Frame:
+    """Coordinates in which the ansatz patterns are written.
 
-    Returns (Q, c1, c2diag, kdim) where c1 = Q* C1 Q and c2diag holds
-    the ascending eigenvalues of C2.  Exactly diagonal inputs are only
-    permuted, never rotated, so structured examples keep their entries.
+    The columns of the unitary ``T`` diagonalize C2 with its kernel
+    first: T* C2 T = diag(c2) and c = T* C1 T.  ``kdim`` is dim ker C2.
     """
-    C1, C2 = _check_pair(C1, C2, tol)
-    n = C1.shape[0]
-    diag = np.diag(C2).real
-    scale = max(np.linalg.norm(C2, 2), 1.0)
-    if np.linalg.norm(C2 - np.diag(np.diag(C2)), 2) < 1e-13 * scale:
-        order = np.argsort(diag, kind="stable")
-        Q = np.eye(n, dtype=complex)[:, order]
-        w = diag[order]
-    else:
-        w, Q = np.linalg.eigh(C2)
-    w = np.clip(w, 0.0, None)
-    kdim = int(np.sum(w <= tol * max(w.max(), 1.0)))
-    c1 = Q.conj().T @ C1 @ Q
-    return Q, c1, w, kdim
+
+    T: np.ndarray
+    c: np.ndarray
+    c2: np.ndarray
+    kdim: int
+
+    @classmethod
+    def of(cls, C1, C2, tol: float) -> "_Frame":
+        pair = _check_pair(C1, C2, tol)
+        Q = pair.V
+        return cls(Q, Q.conj().T @ pair.C1 @ Q, pair.w, pair.kdim)
+
+    @property
+    def C(self) -> np.ndarray:
+        return 1j * self.c + np.diag(self.c2).astype(complex)
+
+    def permuted(self, perm) -> "_Frame":
+        return _Frame(self.T[:, perm], self.c[np.ix_(perm, perm)], self.c2[perm], self.kdim)
+
+
+def _coupling(n: int, entries) -> np.ndarray:
+    """Hermitian A with A[i, j] = lam and A[j, i] = conj(lam) per entry."""
+    A = np.zeros((n, n), dtype=complex)
+    for i, j, lam in entries:
+        A[i, j] = lam
+        A[j, i] = np.conj(lam)
+    return A
+
+
+def _kernel_slopes(C: np.ndarray, A: np.ndarray, kdim: int) -> np.ndarray:
+    """Ascending eigenvalues of the kernel block of C*A + AC, kernel first."""
+    F = C.conj().T @ A + A @ C
+    return np.linalg.eigvalsh(_hermitian_part(F[:kdim, :kdim]))
 
 
 def _shrink_r(C: np.ndarray, A: np.ndarray, iters: int = 40) -> float:
@@ -169,16 +187,30 @@ def _shrink_r(C: np.ndarray, A: np.ndarray, iters: int = 40) -> float:
     return lo
 
 
+def _transform(frame: _Frame, entries, normalize: bool = True):
+    """P = T (I + r A) T* from coupling entries (i, j, lam) in the frame.
+
+    A is checked to have positive Kato slopes on the kernel, scaled to
+    Frobenius norm 1/2 when ``normalize``, and r is the largest radius
+    in (0, 1] keeping C*P + PC definite.  Returns (r, the final
+    coupling values r lam, P).
+    """
+    n = frame.c.shape[0]
+    C = frame.C
+    if _kernel_slopes(C, _coupling(n, entries), frame.kdim)[0] <= 0:
+        raise AnsatzError("slope matrix on ker C2 is not positive definite")
+    if normalize:
+        s = 0.5 / math.sqrt(2.0 * sum(abs(lam) ** 2 for _, _, lam in entries))
+        entries = [(i, j, s * lam) for i, j, lam in entries]
+    A = _coupling(n, entries)
+    r = _shrink_r(C, A)
+    P = frame.T @ (np.eye(n, dtype=complex) + r * A) @ frame.T.conj().T
+    return r, [r * lam for _, _, lam in entries], _hermitian_part(P)
+
+
 def _unit_phase(z: complex) -> complex:
     """exp(i (arg z - pi/2)); the phase that maximizes Im(conj(lam) z)."""
     return cmath.exp(1j * (cmath.phase(z) - 0.5 * math.pi))
-
-
-def _kernel_slope_matrix(c1: np.ndarray, c2diag: np.ndarray, A: np.ndarray, kdim: int):
-    """R* (C* A + A C) R on the kernel coordinates, in canonical form."""
-    C = 1j * c1 + np.diag(c2diag).astype(complex)
-    F = C.conj().T @ A + A @ C
-    return _hermitian_part(F[:kdim, :kdim])
 
 
 def kato_slopes(C1, C2, A, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -203,18 +235,12 @@ def kato_slopes(C1, C2, A, tol: float = DEFAULT_TOL) -> np.ndarray:
     ndarray
         The slopes xi_j, sorted ascending.
     """
-    C1, C2 = _check_pair(C1, C2, tol)
+    frame = _Frame.of(C1, C2, tol)
     A = np.asarray(A, dtype=complex)
     if np.linalg.norm(A - A.conj().T, 2) > 1e-10 * max(np.linalg.norm(A, 2), 1.0):
         raise ValueError("A must be Hermitian")
-    w, V = np.linalg.eigh(C2)
-    R = V[:, np.clip(w, 0, None) <= tol * max(w.max(), 1.0)]
-    if R.shape[1] == 0:
-        return np.array([])
-    C = 1j * C1 + C2
-    F = C.conj().T @ A + A @ C
-    M = _hermitian_part(R.conj().T @ F @ R)
-    return np.sort(np.linalg.eigvalsh(M))
+    T = frame.T
+    return _kernel_slopes(frame.C, T.conj().T @ A @ T, frame.kdim)
 
 
 def optimal_P(C, weights=None) -> np.ndarray:
@@ -274,38 +300,36 @@ def ansatz_dimker1(C1, C2, tol: float = DEFAULT_TOL):
         The final coupling value and the transformation matrix in the
         input coordinates.
     """
-    Q, c1, c2d, kdim = _canonicalize(C1, C2, tol)
-    if kdim != 1:
-        raise AnsatzError(f"pattern needs dim ker C2 = 1, got {kdim}")
-    n = c1.shape[0]
-    scale = max(np.linalg.norm(c1, 2), 1.0)
-    couplings = np.abs(c1[0, 1:])
+    frame = _Frame.of(C1, C2, tol)
+    if frame.kdim != 1:
+        raise AnsatzError(f"pattern needs dim ker C2 = 1, got {frame.kdim}")
+    n = frame.c.shape[0]
+    scale = max(np.linalg.norm(frame.c, 2), 1.0)
+    couplings = np.abs(frame.c[0, 1:])
     j = int(np.argmax(couplings)) + 1
     if couplings[j - 1] <= tol * scale:
         raise AnsatzError("kernel coordinate decoupled; not hypocoercive in this pattern")
     perm = np.arange(n)
     perm[[1, j]] = perm[[j, 1]]
-    Pm = np.eye(n, dtype=complex)[:, perm]
-    c = Pm.conj().T @ c1 @ Pm
-    c2p = c2d[perm]
-
-    lam_unit = 0.5 * _unit_phase(c[0, 1])
-    A = np.zeros((n, n), dtype=complex)
-    A[0, 1] = lam_unit
-    A[1, 0] = np.conj(lam_unit)
-    Cc = 1j * c + np.diag(c2p).astype(complex)
-    r = _shrink_r(Cc, A)
-    lam = r * lam_unit
-    T = Q @ Pm
-    P = T @ (np.eye(n, dtype=complex) + r * A) @ T.conj().T
-    return lam, _hermitian_part(P)
+    frame = frame.permuted(perm)
+    # a unit start of modulus 1/2, not normalized
+    lam = 0.5 * _unit_phase(frame.c[0, 1])
+    _, (lam,), P = _transform(frame, [(0, 1, lam)], normalize=False)
+    return lam, P
 
 
-def _leading_minors_positive(M: np.ndarray) -> bool:
-    for k in range(1, M.shape[0] + 1):
-        if np.linalg.det(M[:k, :k]).real <= 0:
-            return False
-    return True
+def _two_pivots(B: np.ndarray):
+    """First two column pivots of a pivoted QR of B.
+
+    The column of largest norm, then, among the others, the column of
+    largest norm after projecting out the first.
+    """
+    norms = np.linalg.norm(B, axis=0)
+    j0 = int(np.argmax(norms))
+    q = B[:, j0] / norms[j0]
+    rest = np.linalg.norm(B - np.outer(q, q.conj() @ B), axis=0)
+    rest[j0] = -1.0
+    return j0, int(np.argmax(rest))
 
 
 def _ansatz_2b1_lambdas(c: np.ndarray):
@@ -355,44 +379,33 @@ def ansatz_dimker2(C1, C2, tol: float = DEFAULT_TOL):
         Case label, dict of final coupling values, kernel rotation in
         input coordinates (None unless case 2B2), and the matrix P.
     """
-    Q, c1, c2d, kdim = _canonicalize(C1, C2, tol)
-    if kdim != 2:
-        raise AnsatzError(f"pattern needs dim ker C2 = 2, got {kdim}")
-    n = c1.shape[0]
+    frame = _Frame.of(C1, C2, tol)
+    if frame.kdim != 2:
+        raise AnsatzError(f"pattern needs dim ker C2 = 2, got {frame.kdim}")
+    n = frame.c.shape[0]
     if n < 3:
         raise AnsatzError("need at least one coercive coordinate")
-    scale = max(np.linalg.norm(c1, 2), 1.0)
-    B = c1[:2, 2:]
+    c = frame.c
+    scale = max(np.linalg.norm(c, 2), 1.0)
+    B = c[:2, 2:]
     sv = np.linalg.svd(B, compute_uv=False)
     rank = int(np.sum(sv > tol * scale)) if sv.size else 0
 
     if rank == 0:
         raise AnsatzError("kernel block decoupled; not hypocoercive in this pattern")
 
-    eye = np.eye(n, dtype=complex)
-
     if rank == 2:
-        # pick the two best-conditioned coupling columns and move them
-        # to positions 2 and 3
-        _, _, piv = _qr(B, pivoting=True)
+        # move the first two pivot columns of the coupling window to
+        # positions 2 and 3, the larger cross product b p in front
         perm = np.arange(n)
-        targets = [2 + piv[0], 2 + piv[1]]
-        for pos, src in zip((2, 3), targets):
-            cur = int(np.where(perm == src)[0][0])
+        for pos, src in zip((2, 3), _two_pivots(B)):
+            cur = int(np.flatnonzero(perm == 2 + src)[0])
             perm[[pos, cur]] = perm[[cur, pos]]
-        Pm = eye[:, perm]
-        c = Pm.conj().T @ c1 @ Pm
-        c2p = c2d[perm]
-        a, b = c[0, 2], c[0, 3]
-        p, q = c[1, 2], c[1, 3]
+        (a, b), (p, q) = c[0, perm[2:4]], c[1, perm[2:4]]
         if abs(b * p) < abs(a * q):
-            perm2 = np.arange(n)
-            perm2[[2, 3]] = perm2[[3, 2]]
-            Pm2 = eye[:, perm2]
-            c = Pm2.conj().T @ c @ Pm2
-            c2p = c2p[perm2]
-            Pm = Pm @ Pm2
+            perm[[2, 3]] = perm[[3, 2]]
             a, b, p, q = b, a, q, p
+        frame = frame.permuted(perm)
         if abs(b * p - a * q) <= tol * scale**2:
             raise AnsatzError("coupling window is singular; case 2A degenerates")
 
@@ -401,96 +414,48 @@ def ansatz_dimker2(C1, C2, tol: float = DEFAULT_TOL):
         floor = 1e-6 * max(ell1, ell2, abs(b * p))
         ell1 = max(ell1, floor)
         ell2 = max(ell2, floor)
-        lam = None
+        C = frame.C
         for _ in range(100):
-            l1 = -1j * ell1 * b
-            l2 = -1j * ell2 * p
-            A = np.zeros((n, n), dtype=complex)
-            A[0, 3] = l1
-            A[3, 0] = np.conj(l1)
-            A[1, 2] = l2
-            A[2, 1] = np.conj(l2)
-            M = _kernel_slope_matrix(c, c2p, A, 2)
-            if _leading_minors_positive(M):
-                lam = (l1, l2)
+            entries = [(0, 3, -1j * ell1 * b), (1, 2, -1j * ell2 * p)]
+            if _kernel_slopes(C, _coupling(n, entries), 2)[0] > 0:
                 break
             # degenerate amplitude balance; shrink the smaller leg
             if ell1 <= ell2:
                 ell1 *= 0.5
             else:
                 ell2 *= 0.5
-        if lam is None:
+        else:
             raise AnsatzError("slope matrix could not be made definite in case 2A")
-        l1, l2 = lam
-        s = 0.5 / math.sqrt(2.0 * (abs(l1) ** 2 + abs(l2) ** 2))
-        l1, l2 = s * l1, s * l2
-        A = np.zeros((n, n), dtype=complex)
-        A[0, 3] = l1
-        A[3, 0] = np.conj(l1)
-        A[1, 2] = l2
-        A[2, 1] = np.conj(l2)
-        Cc = 1j * c + np.diag(c2p).astype(complex)
-        r = _shrink_r(Cc, A)
-        T = Q @ Pm
-        P = T @ (eye + r * A) @ T.conj().T
-        params = {"lambda1": r * l1, "lambda2": r * l2, "r": r}
-        return "2A", params, None, _hermitian_part(P)
+        r, (l1, l2), P = _transform(frame, entries)
+        return "2A", {"lambda1": l1, "lambda2": l2, "r": r}, None, P
 
     # rank one: move the dominant coupling column to position 2
-    norms = np.linalg.norm(B, axis=0)
-    jstar = 2 + int(np.argmax(norms))
+    jstar = 2 + int(np.argmax(np.linalg.norm(B, axis=0)))
     perm = np.arange(n)
     perm[[2, jstar]] = perm[[jstar, 2]]
-    Pm = eye[:, perm]
-    c = Pm.conj().T @ c1 @ Pm
-    c2p = c2d[perm]
+    frame = frame.permuted(perm)
 
-    a, p = c[0, 2], c[1, 2]
+    a, p = frame.c[0, 2], frame.c[1, 2]
     case = "2B1"
     U_rot = None
     if abs(a) > tol * scale:
         case = "2B2"
         nrm = math.sqrt(abs(a) ** 2 + abs(p) ** 2)
-        Uul = np.array(
-            [
-                [np.conj(p) / nrm, a / nrm],
-                [-np.conj(a) / nrm, p / nrm],
-            ]
-        )
-        U = eye.copy()
-        U[:2, :2] = Uul
-        c = U.conj().T @ c @ U
-        U_rot = (Q @ Pm) @ U @ (Q @ Pm).conj().T
-    else:
-        U = eye
+        U = np.eye(n, dtype=complex)
+        U[:2, :2] = [[np.conj(p) / nrm, a / nrm], [-np.conj(a) / nrm, p / nrm]]
+        U_rot = frame.T @ U @ frame.T.conj().T
+        # U acts inside the kernel, where T* C2 T stays diag(c2)
+        frame = _Frame(frame.T @ U, U.conj().T @ frame.c @ U, frame.c2, 2)
 
+    c = frame.c
     if abs(c[1, 2]) <= tol * scale:
         raise AnsatzError("no coupling out of the kernel after rotation")
     if abs(c[0, 1]) <= tol * scale:
         raise AnsatzError("rank-one pattern with vanishing kernel coupling; not hypocoercive")
 
     l1, l2 = _ansatz_2b1_lambdas(c)
-    A = np.zeros((n, n), dtype=complex)
-    A[0, 1] = l1
-    A[1, 0] = np.conj(l1)
-    A[1, 2] = l2
-    A[2, 1] = np.conj(l2)
-    M = _kernel_slope_matrix(c, c2p, A, 2)
-    if not _leading_minors_positive(M):
-        raise AnsatzError("slope matrix not definite in the rank-one pattern")
-    s = 0.5 / math.sqrt(2.0 * (abs(l1) ** 2 + abs(l2) ** 2))
-    l1, l2 = s * l1, s * l2
-    A = np.zeros((n, n), dtype=complex)
-    A[0, 1] = l1
-    A[1, 0] = np.conj(l1)
-    A[1, 2] = l2
-    A[2, 1] = np.conj(l2)
-    Cc = 1j * c + np.diag(c2p).astype(complex)
-    r = _shrink_r(Cc, A)
-    T = (Q @ Pm) @ U
-    P = T @ (np.eye(n, dtype=complex) + r * A) @ T.conj().T
-    params = {"lambda1": r * l1, "lambda2": r * l2, "r": r}
-    return case, params, U_rot, _hermitian_part(P)
+    r, (l1, l2), P = _transform(frame, [(0, 1, l1), (1, 2, l2)])
+    return case, {"lambda1": l1, "lambda2": l2, "r": r}, U_rot, P
 
 
 def ansatz_chain3(C1, C2, tol: float = DEFAULT_TOL):
@@ -507,9 +472,10 @@ def ansatz_chain3(C1, C2, tol: float = DEFAULT_TOL):
     -------
     (lambda1, lambda2, lambda3, P)
     """
-    Q, c, c2d, kdim = _canonicalize(C1, C2, tol)
-    if kdim != 3:
-        raise AnsatzError(f"pattern needs dim ker C2 = 3, got {kdim}")
+    frame = _Frame.of(C1, C2, tol)
+    if frame.kdim != 3:
+        raise AnsatzError(f"pattern needs dim ker C2 = 3, got {frame.kdim}")
+    c = frame.c
     n = c.shape[0]
     if n < 4:
         raise AnsatzError("need at least one coercive coordinate")
@@ -534,20 +500,8 @@ def ansatz_chain3(C1, C2, tol: float = DEFAULT_TOL):
     im3 = im2 + max(im1, X**2 / (2.0 * im1))
     l3 = im3 / abs(d3) * _unit_phase(d3)
 
-    A = np.zeros((n, n), dtype=complex)
-    for (i, j), lam in zip(((0, 1), (1, 2), (2, 3)), (l1, l2, l3)):
-        A[i, j] = lam
-        A[j, i] = np.conj(lam)
-    M = _kernel_slope_matrix(c, c2d, A, 3)
-    if not _leading_minors_positive(M):
-        raise AnsatzError("slope matrix not definite in the chain pattern")
-    s = 0.5 / math.sqrt(2.0 * (abs(l1) ** 2 + abs(l2) ** 2 + abs(l3) ** 2))
-    l1, l2, l3 = s * l1, s * l2, s * l3
-    A *= s
-    Cc = 1j * c + np.diag(c2d).astype(complex)
-    r = _shrink_r(Cc, A)
-    P = Q @ (np.eye(n, dtype=complex) + r * A) @ Q.conj().T
-    return r * l1, r * l2, r * l3, _hermitian_part(P)
+    _, (l1, l2, l3), P = _transform(frame, [(0, 1, l1), (1, 2, l2), (2, 3, l3)])
+    return l1, l2, l3, P
 
 
 def bgk_coupling(d: int, kappa: float, alpha: float, N: int | None = None) -> np.ndarray:

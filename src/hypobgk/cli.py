@@ -192,14 +192,22 @@ def _run_minors(args):
     spec = chain_spec(args.dim)
     ell = TWO_PI / args.L
     args.kappa = 1.0 if args.kappa is None else args.kappa
+    default_alpha = args.alpha is None
     try:
-        if args.alpha is None:
+        if default_alpha:
             args.alpha = 0.5 * spec.alpha_plus(ell)
         table = spec.minors(args.kappa, args.alpha, ell)
-    except OverflowError:
+        # at alpha = 0.5 alpha_plus every minor is positive, so a zero
+        # is an underflow
+        usable = all(math.isfinite(v) and (v != 0 or not default_alpha) for v in table.values)
+    except (OverflowError, ZeroDivisionError):
+        usable = False
+    if not usable:
+        size = "small" if ell > 1.0 else "large"
         raise ValueError(
-            f"torus length {args.L!r} is too small: powers of 2 pi / L overflow"
-        ) from None
+            f"torus length {args.L!r} is too {size}: "
+            "the minors at 2 pi / L leave the floating-point range"
+        )
     return _Artifact(
         header=("i", "delta"),
         rows=[(j + 1, v) for j, v in enumerate(table.values)],

@@ -11,6 +11,10 @@ absence of C1-invariant subspaces inside ker C2, and to all eigenvalues
 of C having a positive real part.  The routines here compute the index
 by two independent routes, check the invariant-subspace conditions
 directly, and test the spectral characterization.
+
+Here and in :mod:`hypobgk.ansatz`, ker C2 is spanned by the eigenvectors
+of C2 with eigenvalues at most tol * max(||C2||, 1), from one
+eigendecomposition per call.
 """
 
 from __future__ import annotations
@@ -31,29 +35,44 @@ def _as_square(M, name: str) -> np.ndarray:
     return A
 
 
-def _check_pair(C1, C2, tol: float):
+@dataclass(frozen=True)
+class _Pair:
+    """A checked pair (C1, C2) with the kernel split of C2.
+
+    ``V`` is unitary with V* C2 V = diag(w), ``w`` ascending and
+    clipped at zero; its first ``kdim`` columns span ker C2, the
+    eigenvalues at most tol * max(||C2||, 1).
+    """
+
+    C1: np.ndarray
+    C2: np.ndarray
+    V: np.ndarray
+    w: np.ndarray
+    kdim: int
+
+
+def _check_pair(C1, C2, tol: float) -> _Pair:
     C1 = _as_square(C1, "C1")
     C2 = _as_square(C2, "C2")
     if C1.shape != C2.shape:
         raise ValueError("C1 and C2 must have the same shape")
     scale1 = max(np.linalg.norm(C1, 2), 1.0)
-    scale2 = max(np.linalg.norm(C2, 2), 1.0)
     if np.linalg.norm(C1 - C1.conj().T, 2) > 1e-12 * scale1:
         raise ValueError("C1 must be Hermitian")
+    diag = np.diag(C2).real
+    if np.any(C2 - np.diag(diag)):
+        w, V = np.linalg.eigh(C2)
+    else:
+        # permuted, never rotated: structured examples keep their entries
+        order = np.argsort(diag, kind="stable")
+        w, V = diag[order], np.eye(len(diag), dtype=complex)[:, order]
+    scale2 = max(np.abs(w).max(), 1.0)  # ||C2||_2 for a Hermitian C2
     if np.linalg.norm(C2 - C2.conj().T, 2) > 1e-12 * scale2:
         raise ValueError("C2 must be Hermitian")
-    w = np.linalg.eigvalsh(C2)
     if w.min() < -1e-10 * scale2:
         raise ValueError("C2 must be positive semidefinite")
-    return C1, C2
-
-
-def sqrt_psd(C2: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix."""
-    C2 = _as_square(C2, "C2")
-    w, V = np.linalg.eigh(C2)
     w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.conj().T
+    return _Pair(C1, C2, V, w, int(np.sum(w <= tol * scale2)))
 
 
 def _rank(M: np.ndarray, tol: float) -> int:
@@ -91,7 +110,7 @@ class IndexReport:
     dim_ker_C2 : int
         Kernel dimension of the collision part.
     tol : float
-        Relative rank threshold used.
+        Kernel and rank threshold used.
     coercivity_constant : float or None
         Smallest eigenvalue of sum_{j<=tau} C1^j C2 C1^j when finite.
     """
@@ -107,24 +126,27 @@ class IndexReport:
 def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
     """Compute the hypocoercivity index of the pair (C1, C2).
 
-    Two independent routes are evaluated: ranks of the stacked family
-    {sqrt(C2) C1^j}_{j<=m}, and progressive intersection of the null
-    spaces ker(sqrt(C2) C1^j).  They must agree; disagreement raises.
+    With R* an orthonormal basis of the range of C2, two independent
+    routes are evaluated: ranks of the stacked family {R C1^j}_{j<=m},
+    and progressive intersection of ker C2 with the null spaces
+    ker(R C1^j).  They must agree; disagreement raises.
 
     Parameters
     ----------
     C1, C2 : array_like
         Hermitian part pair; C2 must be positive semidefinite.
     tol : float
-        Relative singular value threshold for rank decisions.
+        Kernel threshold of C2 relative to max(||C2||, 1), and relative
+        singular value threshold for the rank decisions.
 
     Returns
     -------
     IndexReport
     """
-    C1, C2 = _check_pair(C1, C2, tol)
+    pair = _check_pair(C1, C2, tol)
+    C1, C2 = pair.C1, pair.C2
     n = C1.shape[0]
-    R = sqrt_psd(C2)
+    R = pair.V[:, pair.kdim :].conj().T
 
     # route one: ranks of the stacked family
     blocks = [R]
@@ -143,21 +165,20 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
             break
         last = r
 
-    # route two: intersection of null spaces of sqrt(C2) C1^j
-    Q = np.eye(n, dtype=complex)
-    M = R.copy()
+    # route two: intersection of ker C2 with the null spaces of R C1^j
+    Q = pair.V[:, : pair.kdim]
+    M = R
     tau_null = None
-    dims = []
     for j in range(n + 1):
-        K = _nullspace(M @ Q, tol)
-        Q = Q @ K
-        dims.append(Q.shape[1])
+        if j > 0:
+            M = M @ C1
+            K = _nullspace(M @ Q, tol)
+            if K.shape[1] == Q.shape[1]:
+                break
+            Q = Q @ K
         if Q.shape[1] == 0:
             tau_null = j
             break
-        if j > 0 and dims[-1] == dims[-2]:
-            break
-        M = M @ C1
 
     if tau_rank != tau_null:
         raise VerificationFailure(
@@ -165,9 +186,8 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
             "the pair is too ill conditioned for the requested tolerance"
         )
 
-    dim_ker = n - _rank(R, tol)
     if tau_rank is None:
-        return IndexReport(False, None, tuple(ranks), dim_ker, tol, None)
+        return IndexReport(False, None, tuple(ranks), pair.kdim, tol, None)
 
     acc = np.zeros_like(C2)
     power = np.eye(n, dtype=complex)
@@ -175,14 +195,14 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
         acc = acc + power @ C2 @ power.conj().T
         power = power @ C1
     cmin = float(np.linalg.eigvalsh(0.5 * (acc + acc.conj().T)).min())
-    return IndexReport(True, int(tau_rank), tuple(ranks), dim_ker, tol, cmin)
+    return IndexReport(True, int(tau_rank), tuple(ranks), pair.kdim, tol, cmin)
 
 
 def is_hypocoercive_spectral(C1, C2, tol: float = DEFAULT_TOL) -> bool:
     """Spectral characterization: all eigenvalues of i C1 + C2 have
     real part above tol."""
-    C1, C2 = _check_pair(C1, C2, tol)
-    vals, _ = complex_eigenvalues(1j * C1 + C2)
+    pair = _check_pair(C1, C2, tol)
+    vals, _ = complex_eigenvalues(1j * pair.C1 + pair.C2, vectors=False)
     return bool(np.min(vals.real) > tol)
 
 
@@ -217,20 +237,22 @@ def check_invariance_conditions(C1, C2, tol: float = DEFAULT_TOL) -> dict:
 
     - ``"B3"``: True when ker C2 contains no nontrivial C1-invariant
       subspace;
-    - ``"B4"``: True when no eigenvector of C1 lies in ker C2.
+    - ``"B4"``: True when no eigenvector of C1 lies in ker C2: every
+      eigenspace of C1 keeps its dimension under the projection onto
+      the range of C2 (the sines of its angles to ker C2 exceed tol).
 
     Both are equivalent to a finite index; agreement with
     :func:`hypocoercivity_index` is exercised in the test suite rather
     than enforced here.
     """
-    C1, C2 = _check_pair(C1, C2, tol)
-    R = sqrt_psd(C2)
-    K0 = _nullspace(R, tol)
-    if K0.shape[1] == 0:
+    pair = _check_pair(C1, C2, tol)
+    C1 = pair.C1
+    if pair.kdim == 0:
         return {"B3": True, "B4": True}
 
-    b3 = _invariant_subspace_in_kernel(C1, K0, tol) == 0
+    b3 = _invariant_subspace_in_kernel(C1, pair.V[:, : pair.kdim], tol) == 0
 
+    R = pair.V[:, pair.kdim :].conj().T
     scale = max(np.linalg.norm(C1, 2), 1.0)
     w, V = np.linalg.eigh(C1)
     b4 = True
@@ -240,9 +262,8 @@ def check_invariance_conditions(C1, C2, tol: float = DEFAULT_TOL) -> dict:
         j = i + 1
         while j < n and abs(w[j] - w[i]) <= 1e-8 * scale:
             j += 1
-        eigvecs = V[:, i:j]
-        s = np.linalg.svd(R @ eigvecs, compute_uv=False)
-        if s.size == 0 or s.min() <= tol * max(np.linalg.norm(R, 2), 1.0):
+        s = np.linalg.svd(R @ V[:, i:j], compute_uv=False)
+        if np.sum(s > tol) < j - i:
             b4 = False
             break
         i = j
@@ -256,7 +277,8 @@ def commutator_condition(C1, C2, K, tol: float = DEFAULT_TOL) -> bool:
     positive definite.  This only verifies a candidate; it never
     searches for one.
     """
-    C1, C2 = _check_pair(C1, C2, tol)
+    pair = _check_pair(C1, C2, tol)
+    C1, C2 = pair.C1, pair.C2
     K = _as_square(K, "K")
     scale = max(np.linalg.norm(K, 2), 1.0)
     if np.linalg.norm(K + K.conj().T, 2) > 1e-10 * scale:

@@ -22,8 +22,8 @@ from .hermite import (
     DIMENSIONS,
     SQRT2PI,
     _check_variant,
+    _energy_block,
     _index_table,
-    basis_change_matrix,
     gauss_hermite,
     hermite_phi,
     lex_index,
@@ -73,8 +73,15 @@ def build_L1(d: int, variant: str, N: int) -> np.ndarray:
             L1[i, j] = w
             L1[j, i] = w
     if variant == "energy" and d >= 2:
-        S = basis_change_matrix(d, N)
-        L1 = S @ L1 @ S
+        # S @ L1 @ S with S = basis_change_matrix(d, N): S is the
+        # identity off the degree-two level, and every entry of the
+        # rotated rows and columns has at most one nonzero term, so
+        # this equals the dense product to the last bit
+        lo = lex_index(tuple([2] + [0] * (d - 1)))
+        hi = lo + d * (d + 1) // 2
+        B = _energy_block(d)
+        L1[lo:hi] = B @ L1[lo:hi]
+        L1[:, lo:hi] = L1[:, lo:hi] @ B
     return L1
 
 

@@ -17,7 +17,7 @@ from hypobgk import (
     operator_pair,
     optimal_P,
 )
-from hypobgk.ansatz import bgk_coupling
+from hypobgk.ansatz import _two_pivots, bgk_coupling
 
 
 def _min_eig_D(C1, C2, P):
@@ -107,6 +107,18 @@ def test_dimker2_full_rank_window():
     assert {"lambda1", "lambda2", "r"} <= set(params)
     assert np.linalg.eigvalsh(P).min() > 0
     assert _min_eig_D(C1, C2, P) > 1e-8
+
+
+def test_two_pivots_of_the_window_match_pivoted_qr():
+    from scipy.linalg import qr
+
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        m = int(rng.integers(3, 9))
+        B = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+        B *= rng.uniform(0.1, 10.0, m)
+        _, piv = qr(B, mode="r", pivoting=True)
+        assert _two_pivots(B) == tuple(piv[:2])
 
 
 def test_dimker2_rank_one_adapted():

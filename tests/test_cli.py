@@ -311,6 +311,18 @@ def test_overflowing_torus_length_in_minors_exits_one(d, capsys):
     assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d,L", [(3, "1e100"), (2, "1e100"), (1, "1e300"), (3, "1e300")])
+def test_underflowing_torus_length_in_minors_exits_one(d, L, capsys):
+    # the default alpha makes every minor positive: a nan or a zero, or
+    # a division by zero on the way, is an input error and no artifact
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["minors", "--dim", str(d), "--L", L])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"torus length {float(L)!r} is too large" in captured.err
+
+
 def test_only_verification_failures_exit_two(monkeypatch, capsys):
     def diverging(*args, **kwargs):
         raise ZeroDivisionError("float division by zero")

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+import hypobgk.index as index_module
 from hypobgk import (
     check_invariance_conditions,
     hypocoercivity_index,
     is_hypocoercive_spectral,
+    kato_slopes,
     operator_pair,
 )
 from hypobgk.ansatz import bgk_coupling
-from hypobgk.index import commutator_condition, sqrt_psd
+from hypobgk.hermite import DIMENSIONS
+from hypobgk.index import commutator_condition
 
 
 @pytest.mark.parametrize(
@@ -28,6 +31,36 @@ def test_model_indices(d, variant, tau, kerdim):
     assert rep.coercivity_constant is not None and rep.coercivity_constant > 0
     conds = check_invariance_conditions(pair.ell * pair.L1, pair.L2)
     assert conds == {"B3": True, "B4": True}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_and_energy_bases_give_the_same_index(d):
+    # the bases are orthogonally similar; in the tensor basis the kernel
+    # eigenvalues of C2 come out at rounding level instead of zero
+    for N in (20, 4 * DIMENSIONS[d].block):
+        tensor, energy = (
+            hypocoercivity_index(p.ell * p.L1, p.L2)
+            for p in (operator_pair(d, v, N) for v in ("tensor", "energy"))
+        )
+        assert tensor.tau == energy.tau
+        assert tensor.rank_profile == energy.rank_profile
+        assert tensor.dim_ker_C2 == energy.dim_ker_C2 == d + 2
+
+
+def test_spectral_check_uses_the_verified_values_path(monkeypatch):
+    # no eigenvectors: inverse iteration verifies the pair with the
+    # smallest real part, the one that decides the answer
+    calls = []
+    real = index_module.complex_eigenvalues
+
+    def recording(M, *args, **kwargs):
+        calls.append(kwargs.get("vectors", True))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(index_module, "complex_eigenvalues", recording)
+    pair = operator_pair(1, "tensor", 8)
+    assert is_hypocoercive_spectral(pair.ell * pair.L1, pair.L2)
+    assert calls == [False]
 
 
 def test_index_example_from_module_cli():
@@ -70,8 +103,11 @@ def test_characterizations_agree_on_random_pairs():
         conds = check_invariance_conditions(C1, C2)
         spectral = is_hypocoercive_spectral(C1, C2)
         assert rep.hypocoercive == spectral == conds["B3"] == conds["B4"]
+        # C2 has rank k exactly; its kernel eigenvalues are rounding
+        assert rep.dim_ker_C2 == n - k
+        assert len(kato_slopes(C1, C2, np.zeros((n, n)))) == n - k
         if rep.hypocoercive:
-            assert 0 <= rep.tau <= rep.dim_ker_C2
+            assert 1 <= rep.tau <= rep.dim_ker_C2
             # the constant is a raw smallest eigenvalue; ill-conditioned
             # draws can put a truly tiny value below machine zero
             assert rep.coercivity_constant > -1e-10
@@ -92,15 +128,6 @@ def test_input_validation():
         hypocoercivity_index(np.eye(2), -np.eye(2))
     with pytest.raises(ValueError):
         hypocoercivity_index(np.eye(2), np.eye(3))
-
-
-def test_sqrt_psd():
-    rng = np.random.default_rng(4)
-    B = rng.standard_normal((5, 3))
-    C2 = B @ B.T
-    R = sqrt_psd(C2)
-    assert np.abs(R - R.conj().T).max() < 1e-12
-    assert np.abs(R @ R - C2).max() < 1e-10
 
 
 def test_commutator_condition_on_model():

@@ -16,6 +16,7 @@ from hypobgk import (
     multi_index,
     operator_pair,
 )
+from hypobgk.hermite import DIMENSIONS
 from hypobgk.operators import MAX_TRUNCATION
 
 
@@ -63,6 +64,11 @@ def test_energy_variant_is_orthogonal_conjugation(d):
         A = build(d, "tensor", N)
         B = build(d, "energy", N)
         assert np.abs(S @ A @ S - B).max() < 1e-13
+    # L1 rotates only the degree-two rows and columns; each entry of the
+    # dense product has at most one nonzero term, so they agree exactly
+    for n in (DIMENSIONS[d].min_N, 84, 500):
+        S = basis_change_matrix(d, n)
+        assert np.array_equal(build_L1(d, "energy", n), S @ build_L1(d, "tensor", n) @ S)
 
 
 def test_operator_pair_and_modal_generator():
