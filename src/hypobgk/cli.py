@@ -143,7 +143,10 @@ def _run_index(args):
     pair = operator_pair(args.dim, args.basis, args.trunc, L=args.L)
     C1 = args.kappa * pair.ell * np.asarray(pair.L1, dtype=float)
     C2 = np.asarray(pair.L2, dtype=float)
-    rep = hypocoercivity_index(C1, C2, tol=args.tol_rank)
+    try:
+        rep = hypocoercivity_index(C1, C2, tol=args.tol_rank)
+    except VerificationFailure as exc:
+        raise VerificationFailure(f"torus length {args.L!r}: {exc}") from exc
     tau = rep.tau if rep.tau is not None else -1
     cc = rep.coercivity_constant if rep.coercivity_constant is not None else float("nan")
     return _Artifact(

@@ -33,23 +33,27 @@ to 357 at N = 2000; the chains of 2D and 3D are short, and lose few or
 no rows.
 
 The reduced matrix goes to :func:`complex_eigenvalues` without
-eigenvectors, which verifies its sampled pairs and the pair with the
-smallest real part.  That pair is verified once more against the block
-itself, by inverse iteration with banded solves on a lone chain.  The
-energy basis differs from the tensor basis by an orthogonal involution,
-so it has the same spectrum.
+eigenvectors, together with U, which verifies its sampled pairs and the
+pair with the smallest real part.  Its inverse iteration solves with
+diag(1 + i s x) - sigma - U U^T by the Sherman-Morrison-Woodbury
+formula, O(n r**2) for U of rank r instead of an O(n**3) LU.  The pair
+with the smallest real part is verified once more against the block
+itself: a lone chain is tridiagonal and solved by a tridiagonal LU with
+partial pivoting (LAPACK's gttrf / gttrs scheme), the coupled block by
+a dense solve.  Only numpy is needed.  The energy basis differs from
+the tensor basis by an orthogonal involution, so it has the same
+spectrum.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigvals, lu_factor, lu_solve, solve_banded
+from numpy.linalg import eigvals
 
 from .operators import ChainBlock, _check_size, chain_blocks, operator_pair
 
@@ -84,7 +88,7 @@ def _sample(n: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, min(10, n)).astype(int))
 
 
-def complex_eigenvalues(M, tol: float = _TOL, *, vectors: bool = True):
+def complex_eigenvalues(M, tol: float = _TOL, *, vectors: bool = True, U=None):
     """Eigenvalues and right eigenvectors of a general complex matrix.
 
     A sample of eigenpairs is validated through the backward error
@@ -102,6 +106,13 @@ def complex_eigenvalues(M, tol: float = _TOL, *, vectors: bool = True):
         smallest real part are then validated with eigenvectors from
         inverse iteration, relative to the largest column norm of M,
         a lower bound of ||M||_2.
+    U : array_like, optional
+        A real (n, r) factor that describes M as a diagonal matrix
+        minus U U^T.  With ``vectors=False`` the inverse iteration then
+        solves by the Sherman-Morrison-Woodbury formula in O(n r**2)
+        instead of an LU of M.  Backward errors are still measured on
+        M itself, so a U that does not describe M can only fail the
+        check.  Unused with ``vectors=True``.
 
     Returns
     -------
@@ -117,7 +128,8 @@ def complex_eigenvalues(M, tol: float = _TOL, *, vectors: bool = True):
     if n > MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds limit {MAX_EIG_SIZE}")
     if not vectors:
-        return _verified_eigenvalues(M, tol)
+        op = _dense(M) if U is None else _low_rank(M, np.asarray(U, dtype=float))
+        return _verified_eigenvalues(M, op, tol)
     try:
         vals, vecs = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:
@@ -140,15 +152,15 @@ def complex_eigenvalues(M, tol: float = _TOL, *, vectors: bool = True):
     return vals, vecs
 
 
-def _verified_eigenvalues(M: np.ndarray, tol: float):
-    """Eigenvalues without eigenvectors, for :func:`complex_eigenvalues`."""
+def _verified_eigenvalues(M: np.ndarray, op: _Operator, tol: float):
+    """Eigenvalues without eigenvectors, for :func:`complex_eigenvalues`,
+    verified by inverse iteration with ``op``, an operator for M."""
     if not np.isfinite(M).all():
         raise EigenvalueFailure("matrix has non-finite entries")
     try:
-        vals = eigvals(M, check_finite=False)
+        vals = eigvals(M).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise EigenvalueFailure(f"eigensolver did not converge: {exc}") from exc
-    op = _dense(M)
     if op.scale == 0.0:
         return vals, 0.0
     worst = 0.0
@@ -173,8 +185,61 @@ class _Operator:
     scale: float
 
 
+def _singular(x):
+    raise np.linalg.LinAlgError("singular shifted matrix")
+
+
+def _gttrf(dl: list, d: list, du: list):
+    """LU factorization with partial pivoting of a tridiagonal matrix,
+    in place on lists of Python complex numbers, as LAPACK's gttrf.
+
+    ``dl``, ``d`` and ``du`` hold the diagonals below, on and above the
+    diagonal.  Afterwards ``dl`` holds the multipliers, ``d`` and ``du``
+    the first two diagonals of U, and the returned list ``du2`` its
+    third; the returned ``swap[i]`` says whether rows i and i + 1 were
+    interchanged.  Pivots are compared by |re| + |im|, which cannot
+    overflow where the modulus could.
+    """
+    n = len(d)
+    du2 = [0j] * max(n - 2, 0)
+    swap = [False] * max(n - 1, 0)
+    for i in range(n - 1):
+        a, b = d[i], dl[i]
+        if abs(a.real) + abs(a.imag) >= abs(b.real) + abs(b.imag):
+            if a != 0:
+                f = b / a
+                dl[i] = f
+                d[i + 1] -= f * du[i]
+        else:
+            f = a / b
+            d[i], dl[i], swap[i] = b, f, True
+            d[i + 1], du[i] = du[i] - f * d[i + 1], d[i + 1]
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -f * du[i + 1]
+    return du2, swap
+
+
+def _gttrs(dl: list, d: list, du: list, du2: list, swap: list, b: list) -> list:
+    """Solves with the factorization of :func:`_gttrf`, as LAPACK's gttrs;
+    the pivots must be nonzero."""
+    n = len(d)
+    for i in range(n - 1):
+        if swap[i]:
+            b[i], b[i + 1] = b[i + 1], b[i] - dl[i] * b[i + 1]
+        else:
+            b[i + 1] -= dl[i] * b[i]
+    b[n - 1] /= d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return b
+
+
 def _banded(ab: np.ndarray) -> _Operator:
-    """A tridiagonal matrix held in the (3, n) form of ``solve_banded``."""
+    """A tridiagonal matrix held in the (3, n) form of
+    :meth:`ChainBlock.bands`, solved by :func:`_gttrf` and :func:`_gttrs`."""
 
     def apply(x):
         y = ab[1] * x
@@ -183,9 +248,13 @@ def _banded(ab: np.ndarray) -> _Operator:
         return y
 
     def factor(sigma):
-        shifted = ab.astype(complex)
-        shifted[1] -= sigma
-        return partial(solve_banded, (1, 1), shifted, check_finite=False)
+        dl = ab[2, :-1].astype(complex).tolist()
+        d = (ab[1] - sigma).astype(complex).tolist()
+        du = ab[0, 1:].astype(complex).tolist()
+        du2, swap = _gttrf(dl, d, du)
+        if 0 in d:
+            return _singular
+        return lambda x: np.array(_gttrs(dl, d, du, du2, swap, x.astype(complex).tolist()))
 
     # column j of ab holds the entries of column j of the matrix
     scale = float(np.sqrt((np.abs(ab) ** 2).sum(axis=0)).max())
@@ -196,13 +265,37 @@ def _dense(B: np.ndarray) -> _Operator:
     def factor(sigma):
         shifted = B.astype(complex)
         shifted.flat[:: len(B) + 1] -= sigma
-        with warnings.catch_warnings():
-            # a singular factor shows as non-finite solutions
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
-        return partial(lu_solve, lu, check_finite=False)
+        return partial(np.linalg.solve, shifted)
 
     return _Operator(len(B), B.__matmul__, factor, float(np.linalg.norm(B, axis=0).max()))
+
+
+def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
+    """M = D - U U^T with D diagonal, solved by the Sherman-Morrison-
+    Woodbury formula
+
+        (D - sigma - U U^T)^-1 = E + E U (I - U^T E U)^-1 U^T E,
+
+    E = (D - sigma)^-1, with one r x r solve per right-hand side.  The
+    product and the scale are those of the dense M.
+    """
+    D = np.diagonal(M) + np.einsum("ij,ij->i", U, U)
+
+    def factor(sigma):
+        delta = D - sigma
+        if not delta.all():
+            # sigma is an entry of D to the last bit
+            return _singular
+        V = U / delta[:, None]
+        cap = np.eye(U.shape[1]) - U.T @ V
+
+        def solve(x):
+            y = x / delta
+            return y + V @ np.linalg.solve(cap, U.T @ y)
+
+        return solve
+
+    return _Operator(len(M), M.__matmul__, factor, float(np.linalg.norm(M, axis=0).max()))
 
 
 def _verified(op: _Operator, lam: complex, tol: float, vals=None) -> float:
@@ -240,13 +333,14 @@ class _Reduced:
     """A nontrivial block in the eigenbasis of its chains, deflated.
 
     ``keep`` holds the rows of :meth:`ChainBlock.eigenbasis` that are
-    kept, ``x`` their nodes and ``G`` = U U^T over them.
+    kept, ``x`` their nodes and ``U`` those rows of U, so that the
+    reduced matrix is diag(1 + i s x) - U U^T.
     """
 
     block: ChainBlock
     keep: np.ndarray
     x: np.ndarray
-    G: np.ndarray
+    U: np.ndarray
 
 
 def _reduce(block: ChainBlock) -> _Reduced:
@@ -263,8 +357,7 @@ def _reduce(block: ChainBlock) -> _Reduced:
     order = np.argsort(norms, kind="stable")
     dropped = order[np.cumsum(norms[order]) <= _EPS**2]
     keep = np.setdiff1d(np.arange(len(x)), dropped)
-    U = U[keep]
-    return _Reduced(block, keep, x[keep], U @ U.T)
+    return _Reduced(block, keep, x[keep], U[keep])
 
 
 def _split(d: int, N: int, L: float):
@@ -288,7 +381,8 @@ def _mode_gap(reduced, s: float):
     # L2 <= I bounds every real part by 1
     gap, worst = 1.0, 0.0
     for r in reduced:
-        vals, err = complex_eigenvalues(np.diag(1.0 + 1j * s * r.x) - r.G, vectors=False)
+        M = np.diag(1.0 + 1j * s * r.x) - r.U @ r.U.T
+        vals, err = complex_eigenvalues(M, vectors=False, U=r.U)
         p = np.argmin(vals.real)
         # the pair that sets the block's minimum, on the block itself
         blk = r.block

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -292,12 +291,17 @@ def _hermite_top(n: int, x: np.ndarray):
 def gauss_hermite(n: int):
     """Nodes and weights for the weight exp(-v**2/2) on the real line.
 
-    The nodes are the zeros of phi_n.  The eigenvalues of the Jacobi
-    matrix of the recurrence give them to about machine precision in
-    absolute terms; one Newton step on phi_n (with
-    phi_n' = sqrt(n) phi_{n-1}) brings them to the accuracy of the
-    recurrence, since Newton's error is quadratic in the error of its
-    start.  The weights are the Christoffel numbers
+    The nodes are the zeros of phi_n, the eigenvalues of the Jacobi
+    matrix J of the recurrence.  J links even degrees to odd ones, so
+    J**2 splits into its even and odd rows, and the odd block, of size
+    n // 2, is a symmetric tridiagonal matrix whose eigenvalues are the
+    squared positive nodes (Golub and Welsch, Math. Comp. 23, 1969).
+    Its eigenvalues give the nodes to about machine precision in
+    absolute terms, except near 0 where the square root halves the
+    digits; one Newton step on phi_n (with phi_n' = sqrt(n) phi_{n-1})
+    brings them to the accuracy of the recurrence, since Newton's error
+    is quadratic in the error of its start.  The weights are the
+    Christoffel numbers
 
         w_i = sqrt(2 pi) / (n phi_{n-1}(x_i)**2),
 
@@ -308,7 +312,8 @@ def gauss_hermite(n: int):
     the identity phi_{n-1}' = x phi_{n-1} - sqrt(n) phi_n, so one pass
     of the recurrence serves both.  Nodes and weights are then made
     exactly symmetric.  The weights sum to sqrt(2 pi); weights below
-    the floating-point range are 0.0.
+    the floating-point range are 0.0.  The rule is built once per n,
+    and the arrays returned are read-only.
 
     Parameters
     ----------
@@ -322,17 +327,32 @@ def gauss_hermite(n: int):
     """
     if n < 1:
         raise ValueError("need at least one node")
+    return _gauss_hermite(n)
+
+
+@lru_cache(maxsize=64)
+def _gauss_hermite(n: int):
     if n == 1:
-        return np.zeros(1), np.array([SQRT2PI])
-    nodes = eigh_tridiagonal(
-        np.zeros(n), np.sqrt(np.arange(1.0, n)), eigvals_only=True
-    )
-    p, q, e = _hermite_top(n, nodes)
-    step = -p / (math.sqrt(n) * q)
-    q = q + (nodes * q - math.sqrt(n) * p) * step
-    nodes = nodes + step
-    weights = np.ldexp(SQRT2PI / (n * q * q), -2 * e)
-    return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+        nodes, weights = np.zeros(1), np.array([SQRT2PI])
+    else:
+        # rows and columns 1, 3, 5, ... of J**2: (J**2)_ii = i + (i + 1)
+        # for i < n - 1 and n - 1 for i = n - 1, and (J**2)_{i, i+2} =
+        # sqrt((i + 1) (i + 2))
+        i = np.arange(1.0, 2 * (n // 2), 2.0)
+        diag = np.where(i < n - 1, 2.0 * i + 1.0, i)
+        off = np.sqrt((i[:-1] + 1.0) * (i[:-1] + 2.0))
+        square = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        pos = np.sqrt(np.clip(np.linalg.eigvalsh(square), 0.0, None))
+        nodes = np.concatenate([-pos[::-1], np.zeros(n % 2), pos])
+        p, q, e = _hermite_top(n, nodes)
+        step = -p / (math.sqrt(n) * q)
+        q = q + (nodes * q - math.sqrt(n) * p) * step
+        nodes = nodes + step
+        weights = np.ldexp(SQRT2PI / (n * q * q), -2 * e)
+        nodes, weights = 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _energy_block(d: int) -> np.ndarray:

@@ -85,13 +85,14 @@ def _rank(M: np.ndarray, tol: float) -> int:
 
 
 def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the null space (columns)."""
+    """Orthonormal basis (columns) of the null space of M, whose norm is
+    at most 1: singular values up to tol are zero.  A threshold relative
+    to the largest singular value would read a matrix of pure rounding
+    as full rank."""
     if M.shape[0] == 0:
         return np.eye(M.shape[1], dtype=complex)
     U, s, Vh = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return Vh[r:].conj().T
+    return Vh[int(np.sum(s > tol)) :].conj().T
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,11 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
     With R* an orthonormal basis of the range of C2, two independent
     routes are evaluated: ranks of the stacked family {R C1^j}_{j<=m},
     and progressive intersection of ker C2 with the null spaces
-    ker(R C1^j).  They must agree; disagreement raises.
+    ker(R C1^j).  Both run on C1 / ||C1||_2, which has the same index.
+    They must agree; disagreement raises.  The coercivity constant is
+    sigma_min(B)**2 for the stack B of sqrt(C2) C1^j, j <= tau, whose
+    Gram matrix is the sum; a sigma_min(B) that is not above its
+    rounding bound n eps ||B||_2 raises too.
 
     Parameters
     ----------
@@ -147,6 +152,10 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
     C1, C2 = pair.C1, pair.C2
     n = C1.shape[0]
     R = pair.V[:, pair.kdim :].conj().T
+    # tau does not change under C1 -> c C1, and with ||C1||_2 = 1 the
+    # powers of C1 neither vanish nor overflow against R
+    norm1 = np.linalg.norm(C1, 2)
+    S = C1 / norm1 if norm1 > 0.0 else C1
 
     # route one: ranks of the stacked family
     blocks = [R]
@@ -155,7 +164,7 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
     last = None
     for j in range(n + 1):
         if j > 0:
-            blocks.append(blocks[-1] @ C1)
+            blocks.append(blocks[-1] @ S)
         r = _rank(np.vstack(blocks), tol)
         ranks.append(r)
         if r == n:
@@ -165,13 +174,14 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
             break
         last = r
 
-    # route two: intersection of ker C2 with the null spaces of R C1^j
+    # route two: intersection of ker C2 with the null spaces of R C1^j;
+    # R has orthonormal rows and ||S||_2 = 1, so ||M Q||_2 <= 1
     Q = pair.V[:, : pair.kdim]
     M = R
     tau_null = None
     for j in range(n + 1):
         if j > 0:
-            M = M @ C1
+            M = M @ S
             K = _nullspace(M @ Q, tol)
             if K.shape[1] == Q.shape[1]:
                 break
@@ -189,12 +199,21 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
     if tau_rank is None:
         return IndexReport(False, None, tuple(ranks), pair.kdim, tol, None)
 
-    acc = np.zeros_like(C2)
-    power = np.eye(n, dtype=complex)
-    for j in range(tau_rank + 1):
-        acc = acc + power @ C2 @ power.conj().T
-        power = power @ C1
-    cmin = float(np.linalg.eigvalsh(0.5 * (acc + acc.conj().T)).min())
+    # sum_{j<=tau} C1^j C2 C1^j = B* B for the stack B of the blocks
+    # diag(sqrt(w)) V* C1^j, since C1 is Hermitian.  The SVD finds
+    # sigma_min(B) to within about n eps ||B||_2; an eigensolve of the
+    # sum would lose its smallest eigenvalue to n eps ||B||_2**2
+    stack = [np.sqrt(pair.w)[:, None] * pair.V.conj().T]
+    for _ in range(tau_rank):
+        stack.append(stack[-1] @ C1)
+    s = np.linalg.svd(np.vstack(stack), compute_uv=False)
+    bound = n * np.finfo(float).eps * s[0]
+    if not s[-1] > bound:
+        raise VerificationFailure(
+            f"the coercivity constant is lost to rounding: sigma_min {s[-1]:.3e} of "
+            f"the index-{tau_rank} family is not above its rounding bound {bound:.3e}"
+        )
+    cmin = float(s[-1] ** 2)
     return IndexReport(True, int(tau_rank), tuple(ranks), pair.kdim, tol, cmin)
 
 

@@ -250,7 +250,9 @@ class ChainBlock:
 
     def bands(self, s: float) -> np.ndarray:
         """:meth:`matrix` of a lone chain in the (3, n) diagonal-ordered
-        form of :func:`scipy.linalg.solve_banded`."""
+        form: ``ab[0, 1:]`` above the diagonal, ``ab[1]`` on it and
+        ``ab[2, :-1]`` below it, so that column j of ``ab`` holds the
+        entries of column j of the matrix."""
         if not self.tridiagonal:
             raise ValueError("only a lone chain is tridiagonal")
         n = len(self.index)

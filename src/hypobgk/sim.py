@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .ansatz import bgk_P
 from .hermite import SQRT2PI, gauss_hermite, hermite_phi
@@ -114,8 +113,12 @@ def _propagators(d: int, variant: str, N: int, L: float, kappa: tuple, dt: float
     inv = np.linalg.inv(vecs)
     vecs *= np.exp(-vals * dt)[:, None, :]
     E = vecs @ inv
-    for i in np.flatnonzero(bad):
-        E[i] = _scipy_expm(-C[i] * dt)
+    if bad.any():
+        # the package's only use of scipy, loaded where it is needed
+        from scipy.linalg import expm
+
+        for i in np.flatnonzero(bad):
+            E[i] = expm(-C[i] * dt)
     E.flags.writeable = False
     return E
 

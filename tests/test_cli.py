@@ -341,6 +341,26 @@ def test_only_verification_failures_exit_two(monkeypatch, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", ["1e-8", "1e-3", "1e8", "1e12"])
+def test_index_on_extreme_tori(d, L, tmp_path, capsys):
+    # the index keeps its value on the model torus, or the run exits 2
+    # naming the length; it never reports a coercivity constant <= 0
+    tau = {1: 3, 2: 2, 3: 2}[d]
+    out = tmp_path / "index.json"
+    code = cli.main(["index", "--dim", str(d), "--L", L, "--out", str(out)])
+    if code == 0:
+        doc = json.loads(out.read_text())
+        assert doc["tau"] == tau and doc["coercivity_constant"] > 0.0
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"torus length {float(L)!r}: the coercivity constant is lost to rounding" in err
+        assert f"index-{tau} family" in err
+    if L == "1e-3":
+        assert code == 0
+
+
 @pytest.mark.parametrize("sub", ["index", "minors"])
 def test_single_value_kappa(sub):
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ spectral-gap reports."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,7 +328,8 @@ def test_wrong_reduction_fails_verification_on_the_block(monkeypatch, d, N):
 
     def wrong(block):
         r = real(block)
-        return dataclasses.replace(r, G=r.G * (1.0 + 1e-4))
+        # scales U U^T by 1 + 1e-4
+        return dataclasses.replace(r, U=r.U * math.sqrt(1.0 + 1e-4))
 
     monkeypatch.setattr(gap, "_reduce", wrong)
     with pytest.raises(EigenvalueFailure):
@@ -341,3 +343,69 @@ def test_verification_survives_huge_inverse_iterates():
     op = gap._banded(blk.bands(5.0))
     for lam in np.linalg.eigvals(blk.matrix(5.0)):
         assert gap._backward_error(op, lam) <= 1e-8
+
+
+# -- structured verification: Woodbury on the reduced matrix, a
+# tridiagonal LU on a lone chain
+
+
+def test_gaps_raise_no_floating_point_warnings(monkeypatch):
+    # eigvals often returns a diagonal entry 1 + i s x_j of a reduced
+    # matrix, or an eigenvalue of a chain, to the last bit; inverse
+    # iteration must step off such an exact hit without a RuntimeWarning
+    hits = []
+    real = gap._singular
+
+    def counting(x):
+        hits.append(1)
+        return real(x)
+
+    monkeypatch.setattr(gap, "_singular", counting)
+    kappas = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, N, Ns in ((1, 60, [40, 60, 100]), (2, 60, [20, 44, 60]), (3, 21, [21, 84])):
+            rep = spectral_gap(d, TWO_PI, kappas, N)
+            study = convergence_study(d, TWO_PI, 1.0, Ns)
+            assert 0.0 < rep.backward_error <= 1e-8
+            assert 0.0 < study.backward_error <= 1e-8
+    assert hits
+
+
+@pytest.mark.parametrize("d,N", [(1, 150), (1, 500), (2, 60), (3, 84)])
+def test_structured_backward_errors_agree_with_dense_solves(d, N):
+    # the Woodbury solve on the reduced matrix and the tridiagonal LU on
+    # a chain give the backward errors of inverse iteration with dense
+    # solves of the same matrices
+    reduced, ell = gap._split(d, N, TWO_PI)
+    for s in (0.3 * ell, ell, 5.0 * ell):
+        for r in reduced:
+            M = np.diag(1.0 + 1j * s * r.x) - r.U @ r.U.T
+            vals = np.linalg.eigvals(M)
+            p = np.argmin(vals.real)
+            picks = np.union1d(gap._sample(len(vals)), [p])
+            checks = [(gap._low_rank(M, r.U), gap._dense(M), picks)]
+            if r.block.tridiagonal:
+                blk = r.block
+                checks.append((gap._banded(blk.bands(s)), gap._dense(blk.matrix(s)), [p]))
+            for structured, dense, picks in checks:
+                for q in picks:
+                    e_s = gap._backward_error(structured, vals[q])
+                    e_d = gap._backward_error(dense, vals[q])
+                    assert e_s <= 1e-8 and e_d <= 1e-8
+                    assert abs(e_s - e_d) <= 1e-13, (s, q, e_s, e_d)
+
+
+def test_tridiagonal_lu_solves_like_a_dense_solve():
+    # small pivots force row interchanges; n = 1 and 2 have no third
+    # diagonal
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 7, 40):
+        ab = rng.standard_normal((3, n))
+        ab[1, ::2] *= 1e-3
+        B = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+        sigma = 0.3 + 0.2j
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = gap._banded(ab).factor(sigma)(x)
+        ref = np.linalg.solve(B - sigma * np.eye(n), x)
+        assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()

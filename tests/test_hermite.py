@@ -40,6 +40,57 @@ def test_single_node_rule():
     assert abs(w[0] - SQRT2PI) < 1e-13
 
 
+def _oracle_rule(n, starts, dps=40):
+    """Zeros of phi_n polished from ``starts`` by Newton's method at dps
+    digits, with their Christoffel weights sqrt(2 pi) / sum_k phi_k**2."""
+    import mpmath as mp
+
+    def phi(x):
+        out = [mp.mpf(1), x]
+        for m in range(1, n):
+            out.append((x * out[m] - mp.sqrt(m) * out[m - 1]) / mp.sqrt(m + 1))
+        return out
+
+    with mp.workdps(dps):
+        nodes, weights = [], []
+        for x0 in starts:
+            x = mp.mpf(float(x0))
+            for _ in range(20):
+                p = phi(x)
+                step = p[n] / (mp.sqrt(n) * p[n - 1])
+                x -= step
+                if abs(step) <= mp.mpf(10) ** (5 - dps) * max(1, abs(x)):
+                    break
+            else:
+                raise AssertionError(f"Newton's method did not converge from {x0}")
+            nodes.append(x)
+            weights.append(mp.sqrt(2 * mp.pi) / mp.fsum(v * v for v in phi(x)[:n]))
+        return nodes, weights
+
+
+@pytest.mark.parametrize("n", [64, 160])
+def test_rule_matches_a_40_digit_oracle(n):
+    # the nonnegative half, by symmetry; the polished zeros are distinct,
+    # so they are all n // 2 + n % 2 of them
+    x, w = gauss_hermite(n)
+    half = slice(n // 2, None)
+    nodes, weights = _oracle_rule(n, x[half])
+    assert len(nodes) == n - n // 2
+    assert all(b - a > 1e-3 for a, b in zip(nodes, nodes[1:])) and nodes[0] >= 0
+    for xi, wi, xr, wr in zip(x[half], w[half], nodes, weights):
+        assert abs(xi - float(xr)) <= 1e-14 * max(1.0, float(xr))
+        assert abs(wi - float(wr)) <= 1e-13 * float(wr)
+
+
+def test_rule_is_cached_and_read_only():
+    x, w = gauss_hermite(50)
+    assert gauss_hermite(50)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
 def test_orthonormality_under_quadrature():
     # 64 nodes integrate products up to degree 127 exactly, enough for
     # every pair with m, n <= 20

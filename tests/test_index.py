@@ -5,6 +5,7 @@ import pytest
 
 import hypobgk.index as index_module
 from hypobgk import (
+    VerificationFailure,
     check_invariance_conditions,
     hypocoercivity_index,
     is_hypocoercive_spectral,
@@ -45,6 +46,47 @@ def test_tensor_and_energy_bases_give_the_same_index(d):
         assert tensor.tau == energy.tau
         assert tensor.rank_profile == energy.rank_profile
         assert tensor.dim_ker_C2 == energy.dim_ker_C2 == d + 2
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-3, 1e3, 1e12])
+def test_index_does_not_depend_on_the_scale_of_C1(c):
+    # both routes run on C1 / ||C1||_2; the ranks used to cross their
+    # threshold at different orders on small and large tori
+    for d, variant in ((1, "tensor"), (2, "energy"), (3, "energy")):
+        pair = operator_pair(d, variant, 20)
+        ref = hypocoercivity_index(pair.ell * pair.L1, pair.L2)
+        try:
+            rep = hypocoercivity_index(c * pair.ell * pair.L1, pair.L2)
+        except VerificationFailure as exc:
+            # the routes agreed, but the coercivity constant is lost to
+            # rounding on this scale
+            assert "lost to rounding: sigma_min" in str(exc)
+            assert f"index-{ref.tau} family" in str(exc)
+        else:
+            assert (rep.tau, rep.rank_profile) == (ref.tau, ref.rank_profile)
+            assert rep.coercivity_constant > 0.0
+    C2 = np.diag([0.0, 0.0, 1.0])
+    C1 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.5]])
+    assert not hypocoercivity_index(c * C1, C2).hypocoercive
+
+
+def test_coercivity_constant_on_a_small_torus_matches_exact_arithmetic():
+    # at L = 0.1 the sum has norm 2e15, and a dense eigensolve of it
+    # gave 0.7497 for its smallest eigenvalue 0.7861; from the SVD of
+    # the stacked family the error is about n eps ||B||_2 / sigma_min
+    import mpmath as mp
+
+    pair = operator_pair(1, "tensor", 20, L=0.1)
+    C1, C2 = pair.ell * pair.L1, pair.L2
+    rep = hypocoercivity_index(C1, C2)
+    with mp.workdps(40):
+        A, P = mp.zeros(20, 20), mp.eye(20)
+        C1m, C2m = mp.matrix(C1.tolist()), mp.matrix(C2.tolist())
+        for _ in range(rep.tau + 1):
+            A += P * C2m * P.T
+            P = P * C1m
+        ref = float(min(mp.eigsy(A, eigvals_only=True)))
+    assert abs(rep.coercivity_constant - ref) <= 1e-6 * ref
 
 
 def test_spectral_check_uses_the_verified_values_path(monkeypatch):
