@@ -555,11 +555,3 @@ def bgk_P(d: int, kappa: float, alpha: float, N: int | None = None) -> np.ndarra
     """
     A = bgk_coupling(d, kappa, alpha, N)
     return np.eye(A.shape[0], dtype=complex) + A
-
-
-if __name__ == "__main__":
-    from .operators import build_L1, build_L2
-
-    l1v, l2v, l3v, P = ansatz_chain3(build_L1(1, "tensor", 6), build_L2(1, "tensor", 6))
-    print("chain couplings:", l1v, l2v, l3v)
-    print("|l2/l1|, |l3/l1| =", abs(l2v / l1v), abs(l3v / l1v))

@@ -804,12 +804,3 @@ def rational_monotone_check(p0, p1, p2, alpha_bar: float, n_grid: int = 2000) ->
                 if Pn.polyval(r.real, comb) > tol:
                     return False
     return True
-
-
-if __name__ == "__main__":
-    for d in (1, 2, 3):
-        cert = certify(d)
-        print(
-            f"d={d}: alpha_plus={cert.alpha_plus:.10f} "
-            f"alpha_star={cert.alpha_star:.10f} mu={cert.mu:.12g} valid={cert.valid}"
-        )

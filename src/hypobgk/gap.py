@@ -23,26 +23,37 @@ moments, so the block is unitarily similar to
 
 with x and U built once per truncation, for every kappa, and U of rank
 at most d + 2.  This is the Gauss-Hermite discretization of the BGK
-dispersion relation.  The rows of U whose squared norms sum to at most
-eps**2 are dropped.  Since ||U||_2 <= 1 this perturbs the matrix by at
-most 3 eps in the 2-norm, a backward error at the level of rounding,
-and leaves each dropped row as the exact eigenvalue 1 + i s x_j, whose
-real part is 1.  The tail weights of a 1D chain decay like
-exp(-x**2 / 2), so its 500 rows shrink to 177 at N = 500 and its 2000
-to 357 at N = 2000; the chains of 2D and 3D are short, and lose few or
-no rows.
+dispersion relation.  The Maxwellian is even in v, so the nodes of a
+chain come in mirror pairs x_j' = -x_j, and each column of U (mass,
+momentum, energy) is even or odd under j -> j', both to the last bit.
+In the basis e = (d_j + d_j') / sqrt 2, o = i (d_j - d_j') / sqrt 2 of
+each pair the matrix is therefore the real
 
-The reduced matrix goes to :func:`complex_eigenvalues` without
-eigenvectors, together with U, which verifies its sampled pairs and the
+    B - V V^T,    B = [[1, -s x_j], [s x_j, 1]] on (e, o) of each pair,
+
+with B also 1 on a node x = 0 (a chain of odd length), and V carrying
+sqrt 2 U_j, the even columns on e and the odd ones on o.  Its
+eigenvalues come in conjugate pairs, as the dispersion relation's do,
+and the real solver costs less than the complex one.  Mirror pairs
+whose squared norms in U sum to at most eps**2 are dropped whole.
+Since ||U||_2 <= 1 this perturbs the matrix by at most 3 eps in the
+2-norm, a backward error at the level of rounding, and leaves each
+dropped pair as the exact eigenvalues 1 +- i s x_j, whose real part is
+1.  The tail weights of a 1D chain decay like exp(-x**2 / 2), so its
+500 rows shrink to 178 at N = 500 and its 2000 to 358 at N = 2000; the
+chains of 2D and 3D are short, and lose few or no rows.
+
+The real form goes to :func:`complex_eigenvalues` without
+eigenvectors, together with V, which verifies its sampled pairs and the
 pair with the smallest real part.  Its inverse iteration solves with
-diag(1 + i s x) - sigma - U U^T by the Sherman-Morrison-Woodbury
-formula, O(n r**2) for U of rank r instead of an O(n**3) LU.  The pair
-with the smallest real part is verified once more against the block
-itself: a lone chain is tridiagonal and solved by a tridiagonal LU with
-partial pivoting (LAPACK's gttrf / gttrs scheme), the coupled block by
-a dense solve.  Only numpy is needed.  The energy basis differs from
-the tensor basis by an orthogonal involution, so it has the same
-spectrum.
+B - sigma - V V^T by the Sherman-Morrison-Woodbury formula, with the
+2 x 2 blocks of B inverted in closed form: O(n r**2) for V of rank r
+instead of an O(n**3) LU.  The pair with the smallest real part is
+verified once more against the block itself: a lone chain is
+tridiagonal and solved by a tridiagonal LU with partial pivoting
+(LAPACK's gttrf / gttrs scheme), the coupled block by a dense solve.
+Only numpy is needed.  The energy basis differs from the tensor basis
+by an orthogonal involution, so it has the same spectrum.
 """
 
 from __future__ import annotations
@@ -84,8 +95,10 @@ class VerificationFailure(RuntimeError):
 
 
 def _sample(n: int) -> np.ndarray:
-    """Up to 10 evenly spaced positions among n eigenpairs."""
-    return np.unique(np.linspace(0, n - 1, min(10, n)).astype(int))
+    """Up to 10 evenly spaced positions among n eigenpairs, ascending
+    and distinct: 0, ..., n - 1 for n < 10, and spaced (n - 1) / 9 >= 1
+    apart otherwise."""
+    return np.linspace(0, n - 1, min(10, n)).astype(int)
 
 
 def complex_eigenvalues(M, tol: float = _TOL, *, vectors: bool = True, U=None):
@@ -107,12 +120,14 @@ def complex_eigenvalues(M, tol: float = _TOL, *, vectors: bool = True, U=None):
         inverse iteration, relative to the largest column norm of M,
         a lower bound of ||M||_2.
     U : array_like, optional
-        A real (n, r) factor that describes M as a diagonal matrix
-        minus U U^T.  With ``vectors=False`` the inverse iteration then
-        solves by the Sherman-Morrison-Woodbury formula in O(n r**2)
-        instead of an LU of M.  Backward errors are still measured on
-        M itself, so a U that does not describe M can only fail the
-        check.  Unused with ``vectors=True``.
+        A real (n, r) factor that describes M as a block diagonal
+        matrix, with blocks of order 1 and 2 along the diagonal, minus
+        U U^T.  With ``vectors=False`` the inverse iteration then
+        solves by the Sherman-Morrison-Woodbury formula, with each
+        2 x 2 block inverted in closed form, in O(n r**2) instead of an
+        LU of M.  Backward errors are still measured on M itself, so a
+        U that does not describe M can only fail the check.  Unused
+        with ``vectors=True``.
 
     Returns
     -------
@@ -163,8 +178,11 @@ def _verified_eigenvalues(M: np.ndarray, op: _Operator, tol: float):
         raise EigenvalueFailure(f"eigensolver did not converge: {exc}") from exc
     if op.scale == 0.0:
         return vals, 0.0
+    picks = np.zeros(len(vals), dtype=bool)
+    picks[_sample(len(vals))] = True
+    picks[np.argmin(vals.real)] = True
     worst = 0.0
-    for p in np.union1d(_sample(len(vals)), [np.argmin(vals.real)]):
+    for p in np.flatnonzero(picks):
         worst = max(worst, _verified(op, vals[p], tol, vals))
     return vals, worst
 
@@ -271,31 +289,65 @@ def _dense(B: np.ndarray) -> _Operator:
 
 
 def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
-    """M = D - U U^T with D diagonal, solved by the Sherman-Morrison-
-    Woodbury formula
+    """M = D - U U^T with D block diagonal in blocks of order 1 and 2,
+    solved by the Sherman-Morrison-Woodbury formula
 
         (D - sigma - U U^T)^-1 = E + E U (I - U^T E U)^-1 U^T E,
 
-    E = (D - sigma)^-1, with one r x r solve per right-hand side.  The
-    product and the scale are those of the dense M.
+    E = (D - sigma)^-1, with one r x r solve per right-hand side.  D is
+    read off the three central diagonals of M + U U^T: a 2 x 2 block
+    starts at each nonzero entry next to the diagonal that does not
+    close the block above it.  Each block [[p, q], [t, w]] is inverted
+    in closed form, its determinant taken as (z - root) (z + root),
+    z = sigma - (p + w) / 2 and root**2 = ((p - w) / 2)**2 + q t, so
+    that it keeps its accuracy where sigma nears an eigenvalue of the
+    block.  The product and the scale are those of the dense M.
     """
-    D = np.diagonal(M) + np.einsum("ij,ij->i", U, U)
+    n = len(M)
+    uu = np.einsum("ij,ij->i", U[:-1], U[1:])
+    diag = np.diagonal(M) + np.einsum("ij,ij->i", U, U)
+    upper = np.diagonal(M, 1) + uu
+    lower = np.diagonal(M, -1) + uu
+    first = (upper != 0) | (lower != 0)
+    first[1:] &= ~first[:-1]
+    # b: the first rows of the 2 x 2 blocks; lone: the 1 x 1 blocks
+    b = np.flatnonzero(first)
+    lone = np.ones(n, dtype=bool)
+    lone[b] = lone[b + 1] = False
+    mid = (diag[b] + diag[b + 1]) / 2
+    q, t = upper[b], lower[b]
+    root = np.sqrt((((diag[b] - diag[b + 1]) / 2) ** 2 + q * t).astype(complex))
 
     def factor(sigma):
-        delta = D - sigma
-        if not delta.all():
-            # sigma is an entry of D to the last bit
+        a = diag - sigma
+        z = sigma - mid
+        det = (z - root) * (z + root)
+        if not (a[lone].all() and det.all()):
+            # sigma is an eigenvalue of D to the last bit
             return _singular
-        V = U / delta[:, None]
-        cap = np.eye(U.shape[1]) - U.T @ V
+        # E on, above and below the diagonal
+        e = np.empty(n, dtype=complex)
+        e[lone] = 1.0 / a[lone]
+        e[b], e[b + 1] = a[b + 1] / det, a[b] / det
+        eu, el = np.zeros((2, n - 1), dtype=complex)
+        eu[b], el[b] = -q / det, -t / det
+
+        def inverse(y):
+            out = e[:, None] * y
+            out[:-1] += eu[:, None] * y[1:]
+            out[1:] += el[:, None] * y[:-1]
+            return out
+
+        EU = inverse(U)
+        cap = np.eye(U.shape[1]) - U.T @ EU
 
         def solve(x):
-            y = x / delta
-            return y + V @ np.linalg.solve(cap, U.T @ y)
+            y = inverse(x[:, None])[:, 0]
+            return y + EU @ np.linalg.solve(cap, U.T @ y)
 
         return solve
 
-    return _Operator(len(M), M.__matmul__, factor, float(np.linalg.norm(M, axis=0).max()))
+    return _Operator(n, M.__matmul__, factor, float(np.linalg.norm(M, axis=0).max()))
 
 
 def _verified(op: _Operator, lam: complex, tol: float, vals=None) -> float:
@@ -330,34 +382,86 @@ def _backward_error(op: _Operator, lam: complex) -> float:
 
 @dataclass(frozen=True)
 class _Reduced:
-    """A nontrivial block in the eigenbasis of its chains, deflated.
+    """A nontrivial block in the real form of its chains' eigenbasis,
+    deflated (:func:`_reduce`).
 
-    ``keep`` holds the rows of :meth:`ChainBlock.eigenbasis` that are
-    kept, ``x`` their nodes and ``U`` those rows of U, so that the
-    reduced matrix is diag(1 + i s x) - U U^T.
+    ``pairs`` holds the kept mirror pairs, rows (j, j') of
+    :meth:`ChainBlock.eigenbasis` with x_j > 0 and x_j' = -x_j, and
+    ``single`` the kept rows with x_j = 0.  Pair k is row 2k (its even
+    vector e) and row 2k + 1 (its odd vector o) of the real form, and
+    the single rows follow.  ``x`` holds x_j for each pair, ``V`` the
+    real factor and ``base`` the part I - V V^T that is the same for
+    every kappa.
     """
 
     block: ChainBlock
-    keep: np.ndarray
+    pairs: np.ndarray
+    single: np.ndarray
     x: np.ndarray
-    U: np.ndarray
+    V: np.ndarray
+    base: np.ndarray = field(repr=False)
+
+    def matrix(self, s: float) -> np.ndarray:
+        """The real form B - V V^T at s = kappa ell: ``base`` with -s x_j
+        at (e, o) and s x_j at (o, e) of each pair, where V V^T is 0."""
+        M = self.base.copy()
+        e = 2 * np.arange(len(self.x))
+        M[e, e + 1] -= s * self.x
+        M[e + 1, e] += s * self.x
+        return M
 
 
 def _reduce(block: ChainBlock) -> _Reduced:
-    """Drops the rows of U whose squared norms sum to at most eps**2.
+    """The real form of a block, without the mirror pairs and nodes 0
+    whose squared norms in U sum to at most eps**2.
 
-    With E the dropped rows and ||U||_2 <= 1, setting them to zero
+    The Gauss-Hermite nodes of a chain of n are symmetric: node
+    n - 1 - j is the mirror x_j' = -x_j of node j.  The conserved
+    moments have a parity in v_1, so each column of U is even or odd
+    under j -> j'.  Both hold to the last bit and are checked.  In the
+    basis e = (d_j + d_j') / sqrt 2, o = i (d_j - d_j') / sqrt 2 of each
+    pair with x_j > 0, diag(1 + i s x) - U U^T is therefore the real
+    matrix B - V V^T: B is 1 on each node 0 and [[1, -s x_j],
+    [s x_j, 1]] on (e, o), and V carries sqrt 2 U_j, the even columns
+    on e and the odd ones on o.  Its eigenvalues come in conjugate
+    pairs.
+
+    The pairs and the nodes 0 are dropped whole, the smallest first.
+    With E the dropped rows of U and ||U||_2 <= 1, setting them to zero
     changes U U^T by at most 2 ||E|| + ||E||**2 <= 3 eps in the 2-norm:
     a backward perturbation at the level of rounding.  The perturbed
-    matrix has the exact eigenvalue 1 + i s x_j for each dropped row,
-    with real part 1, and the kept rows form the reduced block.
+    matrix has the exact eigenvalues 1 +- i s x_j for each dropped
+    pair and 1 for a dropped node 0, with real part 1, and the rest
+    forms the reduced block.
     """
     x, U = block.eigenbasis()
+    sizes = np.array([len(chain) for chain in block.chains])
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    mirror = 2 * start + np.repeat(sizes, sizes) - 1 - np.arange(len(x))
+    parity = (U[mirror] == U).all(axis=0) | (U[mirror] == -U).all(axis=0)
+    if not (np.array_equal(x[mirror], -x) and parity.all()):
+        raise VerificationFailure("the eigenbasis of a chain block is not mirror-symmetric")
     norms = np.einsum("ij,ij->i", U, U)
-    order = np.argsort(norms, kind="stable")
-    dropped = order[np.cumsum(norms[order]) <= _EPS**2]
-    keep = np.setdiff1d(np.arange(len(x)), dropped)
-    return _Reduced(block, keep, x[keep], U[keep])
+    units = np.flatnonzero(x >= 0)
+    weight = norms[units] + np.where(x[units] > 0, norms[mirror[units]], 0.0)
+    order = np.argsort(weight, kind="stable")
+    kept = np.ones(len(units), dtype=bool)
+    kept[order[np.cumsum(weight[order]) <= _EPS**2]] = False
+    kept = units[kept]
+    pairs, single = kept[x[kept] > 0], kept[x[kept] == 0]
+    k = len(pairs)
+    V = np.empty((2 * k + len(single), U.shape[1]))
+    V[: 2 * k : 2] = (U[pairs] + U[mirror[pairs]]) / math.sqrt(2.0)
+    V[1 : 2 * k : 2] = (U[pairs] - U[mirror[pairs]]) / math.sqrt(2.0)
+    V[2 * k :] = U[single]
+    return _Reduced(
+        block,
+        np.column_stack([pairs, mirror[pairs]]),
+        single,
+        x[pairs],
+        V,
+        np.eye(len(V)) - V @ V.T,
+    )
 
 
 def _split(d: int, N: int, L: float):
@@ -381,8 +485,7 @@ def _mode_gap(reduced, s: float):
     # L2 <= I bounds every real part by 1
     gap, worst = 1.0, 0.0
     for r in reduced:
-        M = np.diag(1.0 + 1j * s * r.x) - r.U @ r.U.T
-        vals, err = complex_eigenvalues(M, vectors=False, U=r.U)
+        vals, err = complex_eigenvalues(r.matrix(s), vectors=False, U=r.V)
         p = np.argmin(vals.real)
         # the pair that sets the block's minimum, on the block itself
         blk = r.block
@@ -510,11 +613,3 @@ def convergence_study(d: int, L: float, kappa: float, N_list) -> ConvergenceStud
         nondecreasing=mono,
         backward_error=worst,
     )
-
-
-if __name__ == "__main__":
-    rep = spectral_gap(1, 2.0 * math.pi, [1, 2, 3, 4, 5], 200)
-    for k, n, g in rep.rows():
-        print(f"kappa={k:g} N={n} gap={g:.6f}")
-    print("overall:", rep.gap, "at kappa =", rep.argmin_kappa)
-    print("worst backward error:", rep.backward_error)

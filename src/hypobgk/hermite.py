@@ -406,11 +406,3 @@ def basis_change_matrix(d: int, N: int) -> np.ndarray:
     S = np.eye(N)
     S[lo:hi, lo:hi] = _energy_block(d)
     return S
-
-
-if __name__ == "__main__":
-    nodes, weights = gauss_hermite(40)
-    phi = hermite_phi(8, nodes)
-    gram = (phi * weights) @ phi.T / SQRT2PI
-    print("Gram residual:", np.abs(gram - np.eye(9)).max())
-    print("first 10 indices in 3D:", [multi_index(i, 3) for i in range(10)])

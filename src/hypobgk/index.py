@@ -305,11 +305,3 @@ def commutator_condition(C1, C2, K, tol: float = DEFAULT_TOL) -> bool:
     M = C2 + K @ C1 - C1 @ K
     w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
     return bool(w.min() > tol)
-
-
-if __name__ == "__main__":
-    from .operators import build_L1, build_L2
-
-    for d, variant, N in ((1, "tensor", 10), (2, "energy", 15), (3, "energy", 20)):
-        rep = hypocoercivity_index(build_L1(d, variant, N), build_L2(d, variant, N))
-        print(f"d={d}: tau={rep.tau}, ranks={rep.rank_profile}")

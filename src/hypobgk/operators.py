@@ -403,9 +403,3 @@ def mode_moduli(d: int, kmax: int):
         if n2 > 0:
             counts[n2] = counts.get(n2, 0) + 1
     return [(math.sqrt(n2), counts[n2]) for n2 in sorted(counts)]
-
-
-if __name__ == "__main__":
-    pair = operator_pair(2, "energy", 15)
-    print("L1[3, 6] =", pair.L1[3, 6], "expected", math.sqrt(1.5))
-    print("ker L2 dim:", int(np.sum(np.abs(np.diag(pair.L2)) < 1e-12)))

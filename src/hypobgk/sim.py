@@ -341,11 +341,3 @@ def run_trajectory(
     if C_d is not None and lam is not None and E0 is not None:
         out["envelope"] = decay_envelope(ts, C_d, E0, lam)
     return out
-
-
-if __name__ == "__main__":
-    state = concentrated_initial_data(0.05, kmax=64, N=20)
-    print("E(0) =", entropy(state, 0.0), "exact", 3.0 / 0.1 - 1.0)
-    print("l1(0) =", l1_distance_1d(state))
-    later = evolve(state, 5.0)
-    print("E(5) =", entropy(later, 0.0))

@@ -12,6 +12,7 @@ import pytest
 import hypobgk.gap as gap
 from hypobgk import (
     EigenvalueFailure,
+    VerificationFailure,
     certify,
     chain_blocks,
     complex_eigenvalues,
@@ -277,12 +278,13 @@ def test_gap_at_the_largest_truncation_is_the_dispersion_root():
     assert 0.0 < rep.backward_error <= 1e-8
 
 
-@pytest.mark.parametrize("N", [300, 400, 500])
+@pytest.mark.parametrize("N", [200, 300, 400, 500])
 def test_deflated_gap_matches_dense_eigensolve(N):
     # at these sizes the chain's tail rows are deflated
     pair = operator_pair(1, "tensor", N)
     kappas = [1.0, 2.0, 3.0, 4.0, 5.0]
     rep = spectral_gap(1, TWO_PI, kappas, N)
+    assert rep.argmin_kappa == 1.0
     for kappa, (_, _, g) in zip(kappas, rep.rows()):
         dense = complex_eigenvalues(modal_generator(pair, kappa).C)[0].real.min()
         assert abs(g - dense) <= 1e-12, (kappa, g, dense)
@@ -292,12 +294,16 @@ def test_deflation_drops_at_most_eps_squared():
     (blk,) = chain_blocks(operator_pair(1, "tensor", 500))
     x, U = blk.eigenbasis()
     reduced = gap._reduce(blk)
-    dropped = np.setdiff1d(np.arange(len(x)), reduced.keep)
-    assert (U[dropped] ** 2).sum() <= np.finfo(float).eps ** 2
-    assert len(reduced.keep) < 500 / 2
-    assert np.array_equal(reduced.x, x[reduced.keep])
-    # the smallest rows go first
-    assert (U[reduced.keep] ** 2).sum(axis=1).min() >= (U[dropped] ** 2).sum(axis=1).max()
+    kept = np.zeros(len(x), dtype=bool)
+    kept[reduced.pairs] = kept[reduced.single] = True
+    assert len(reduced.V) == kept.sum() < 500 / 2
+    assert (U[~kept] ** 2).sum() <= np.finfo(float).eps ** 2
+    assert np.array_equal(reduced.x, x[reduced.pairs[:, 0]]) and (reduced.x > 0).all()
+    # mirror pairs go whole, and the smallest go first
+    mirror = np.arange(len(x))[::-1]
+    assert np.array_equal(kept, kept[mirror])
+    pair_norms = (U**2).sum(axis=1) + (U[mirror] ** 2).sum(axis=1)
+    assert pair_norms[kept].min() >= pair_norms[~kept].max()
 
 
 @pytest.mark.parametrize("d,N", [(1, 40), (2, 60), (3, 84)])
@@ -319,6 +325,94 @@ def test_eigenbasis_form_is_similar_to_the_block(d, N):
     assert ranks == d + 2
 
 
+# sizes with odd and even chains, so that nodes 0 occur
+MIRROR_CASES = [(1, 40), (1, 41), (2, 60), (2, 61), (3, 84), (3, 85)]
+
+
+def _nontrivial(d, N):
+    return [blk for blk in chain_blocks(operator_pair(d, "tensor", N)) if not blk.trivial]
+
+
+@pytest.mark.parametrize("d,N", MIRROR_CASES)
+def test_eigenbasis_is_mirror_symmetric_to_the_last_bit(d, N):
+    # the real form rests on both: node n - 1 - j of a chain of n is
+    # -x_j, and each column of U is even or odd under that mirror
+    for blk in _nontrivial(d, N):
+        x, U = blk.eigenbasis()
+        mirror, start = [], 0
+        for chain in blk.chains:
+            mirror.extend(range(start + len(chain) - 1, start - 1, -1))
+            start += len(chain)
+        assert np.array_equal(x[mirror], -x)
+        for u in U.T:
+            assert np.array_equal(u[mirror], u) or np.array_equal(u[mirror], -u)
+
+
+@pytest.mark.parametrize("d,N", MIRROR_CASES)
+def test_real_form_is_similar_to_the_block(d, N):
+    # nothing is deflated at these sizes, so the real form of the pairs
+    # and nodes 0 has the block's whole spectrum
+    s = 1.3
+    nodes_0 = 0
+    for blk in _nontrivial(d, N):
+        r = gap._reduce(blk)
+        nodes_0 += len(r.single)
+        M = r.matrix(s)
+        assert M.dtype == float and len(M) == len(blk.index)
+        reduced = np.linalg.eigvals(M)
+        full = np.linalg.eigvals(blk.matrix(s))
+        dist = np.abs(reduced[:, None] - full[None, :])
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-12
+    assert nodes_0 > 0 or N % 2 == 0
+
+
+@pytest.mark.parametrize("d,N", [(1, 151), (3, 84)])
+def test_wrong_real_form_fails_verification(monkeypatch, d, N):
+    # a coupling [[1, s x], [s x, 1]] instead of [[1, -s x], [s x, 1]],
+    # or V scaled by 1 + 1e-4, is caught on the block.  Flipping the sign
+    # of every coupling gives the transpose of the real form, with the
+    # same spectrum: it is the other choice of sign for o
+    real = gap._Reduced.matrix
+    expected = spectral_gap(d, TWO_PI, [1.0], N).gap
+
+    def transposed(r, s):
+        return real(r, s).T
+
+    monkeypatch.setattr(gap._Reduced, "matrix", transposed)
+    assert abs(spectral_gap(d, TWO_PI, [1.0], N).gap - expected) <= 1e-12
+
+    def symmetric(r, s):
+        M = real(r, s)
+        e = 2 * np.arange(len(r.x))
+        M[e, e + 1] *= -1.0
+        return M
+
+    monkeypatch.setattr(gap._Reduced, "matrix", symmetric)
+    with pytest.raises(EigenvalueFailure):
+        spectral_gap(d, TWO_PI, [1.0], N)
+    monkeypatch.setattr(gap._Reduced, "matrix", real)
+
+    reduce = gap._reduce
+
+    def scaled(block):
+        r = reduce(block)
+        return dataclasses.replace(r, V=r.V * (1.0 + 1e-4))
+
+    monkeypatch.setattr(gap, "_reduce", scaled)
+    with pytest.raises(EigenvalueFailure):
+        spectral_gap(d, TWO_PI, [1.0], N)
+
+
+def test_asymmetric_eigenbasis_is_refused(monkeypatch):
+    (blk,) = chain_blocks(operator_pair(1, "tensor", 40))
+    x, U = blk.eigenbasis()
+    U = U.copy()
+    U[0, 1] *= 1.0 + 1e-15
+    monkeypatch.setattr(type(blk), "eigenbasis", lambda self: (x, U))
+    with pytest.raises(VerificationFailure, match="mirror"):
+        gap._reduce(blk)
+
+
 @pytest.mark.parametrize("d,N", [(1, 150), (3, 84)])
 def test_wrong_reduction_fails_verification_on_the_block(monkeypatch, d, N):
     # the reduced matrix's own pairs verify, so only the check of the
@@ -328,8 +422,9 @@ def test_wrong_reduction_fails_verification_on_the_block(monkeypatch, d, N):
 
     def wrong(block):
         r = real(block)
-        # scales U U^T by 1 + 1e-4
-        return dataclasses.replace(r, U=r.U * math.sqrt(1.0 + 1e-4))
+        # scales V V^T by 1 + 1e-4
+        V = r.V * math.sqrt(1.0 + 1e-4)
+        return dataclasses.replace(r, V=V, base=np.eye(len(V)) - V @ V.T)
 
     monkeypatch.setattr(gap, "_reduce", wrong)
     with pytest.raises(EigenvalueFailure):
@@ -372,19 +467,20 @@ def test_gaps_raise_no_floating_point_warnings(monkeypatch):
     assert hits
 
 
-@pytest.mark.parametrize("d,N", [(1, 150), (1, 500), (2, 60), (3, 84)])
+@pytest.mark.parametrize("d,N", [(1, 150), (1, 151), (1, 500), (2, 60), (3, 84)])
 def test_structured_backward_errors_agree_with_dense_solves(d, N):
-    # the Woodbury solve on the reduced matrix and the tridiagonal LU on
-    # a chain give the backward errors of inverse iteration with dense
-    # solves of the same matrices
+    # the Woodbury solve on the reduced real form, with its 2 x 2 blocks
+    # and its 1 x 1 rows at the nodes 0 (N = 151, and two in d = 2), and the
+    # tridiagonal LU on a chain give the backward errors of inverse
+    # iteration with dense solves of the same matrices
     reduced, ell = gap._split(d, N, TWO_PI)
     for s in (0.3 * ell, ell, 5.0 * ell):
         for r in reduced:
-            M = np.diag(1.0 + 1j * s * r.x) - r.U @ r.U.T
+            M = r.matrix(s)
             vals = np.linalg.eigvals(M)
             p = np.argmin(vals.real)
-            picks = np.union1d(gap._sample(len(vals)), [p])
-            checks = [(gap._low_rank(M, r.U), gap._dense(M), picks)]
+            picks = {p, *gap._sample(len(vals))}
+            checks = [(gap._low_rank(M, r.V), gap._dense(M), picks)]
             if r.block.tridiagonal:
                 blk = r.block
                 checks.append((gap._banded(blk.bands(s)), gap._dense(blk.matrix(s)), [p]))

@@ -2,7 +2,8 @@
 ``import hypobgk`` and ``import hypobgk.cli`` nor by the CLI subcommands
 and the spectral gaps.  scipy is left to the propagator fallback of
 :mod:`hypobgk.sim` and to the test oracles, so the check runs in a fresh
-interpreter."""
+interpreter.  Nor is ``numpy.ma``, which numpy's set routines
+(``np.unique``, ``np.union1d``, ``np.setdiff1d``) import on first use."""
 
 import subprocess
 import sys
@@ -14,6 +15,9 @@ import sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+def masked_modules():
+    return sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])
 
 import hypobgk
 assert not scipy_modules(), ("import hypobgk", scipy_modules())
@@ -37,11 +41,12 @@ for i, argv in enumerate(commands):
     assert code == 0, (argv, code)
 for d, N in ((1, 150), (2, 60), (3, 84)):
     spectral_gap(d, 2.0 * math.pi, [0.0, 1.0, math.sqrt(2.0)], N)
-print(",".join(scipy_modules()))
+print(",".join(scipy_modules() + masked_modules()))
 """
 
 
 def test_no_scipy_in_imports_cli_runs_and_gaps(tmp_path):
+    # the script prints every scipy and numpy.ma module it loaded
     r = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(tmp_path)],
         capture_output=True,

@@ -64,6 +64,8 @@ def test_energy_variant_is_orthogonal_conjugation(d):
         A = build(d, "tensor", N)
         B = build(d, "energy", N)
         assert np.abs(S @ A @ S - B).max() < 1e-13
+    # a transport entry between degree two and three in the energy basis
+    assert build_L1(2, "energy", 15)[3, 6] == pytest.approx(math.sqrt(1.5), abs=1e-15)
     # L1 rotates only the degree-two rows and columns; each entry of the
     # dense product has at most one nonzero term, so they agree exactly
     for n in (DIMENSIONS[d].min_N, 84, 500):
