@@ -29,7 +29,6 @@ def truncation_study():
     study = convergence_study(1, 2.0 * math.pi, 1.0, [25, 50, 100, 200, 400])
     for n, g in study.rows():
         print(f"  N = {n:>4}   gap = {g:.8f}")
-    print(f"  nondecreasing: {study.nondecreasing}")
 
 
 if __name__ == "__main__":

@@ -9,17 +9,14 @@ simulations.
 """
 
 from .hermite import (
-    BasisSpec,
     basis_change_matrix,
     eval_basis,
     gauss_hermite,
     lex_index,
     multi_index,
-    recurrence_coeffs,
 )
 from .operators import (
     ChainBlock,
-    ModalGenerator,
     OperatorPair,
     build_L1,
     build_L2,
@@ -36,7 +33,6 @@ from .index import (
 )
 from .ansatz import (
     AnsatzError,
-    PAnsatz,
     ansatz_chain3,
     ansatz_dimker1,
     ansatz_dimker2,
@@ -54,7 +50,6 @@ from .certificate import (
     minors_2d,
     minors_3d,
     mu_limits_1d,
-    mu_value,
     rational_monotone_check,
 )
 from .gap import (
@@ -74,7 +69,6 @@ from .sim import (
     evolve,
     h_norm,
     l1_distance_1d,
-    moments,
     run_trajectory,
     t_init,
 )
@@ -83,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnsatzError",
-    "BasisSpec",
     "ChainBlock",
     "ConvergenceStudy",
     "DecayCertificate",
@@ -91,10 +84,8 @@ __all__ = [
     "GapReport",
     "IndexReport",
     "MinorTable",
-    "ModalGenerator",
     "ModalState",
     "OperatorPair",
-    "PAnsatz",
     "VerificationFailure",
     "alpha3_1d",
     "ansatz_chain3",
@@ -127,14 +118,11 @@ __all__ = [
     "minors_3d",
     "modal_generator",
     "mode_moduli",
-    "moments",
     "mu_limits_1d",
-    "mu_value",
     "multi_index",
     "operator_pair",
     "optimal_P",
     "rational_monotone_check",
-    "recurrence_coeffs",
     "run_trajectory",
     "spectral_gap",
     "t_init",

@@ -7,27 +7,32 @@ routines here build perturbations P = I + A with A supported on a few
 entries coupling the kernel of C2 to coercive directions, following a
 first-order (small-A) analysis of the lowest eigenvalues.
 
-Patterns covered:
+Each pattern is one function:
 
-- ``dimker1``: one-dimensional kernel, single coupling entry;
-- ``2A`` / ``2B1`` / ``2B2``: two-dimensional kernel, classified by the
-  rank of the off-kernel coupling block of C1;
-- ``chain3``: three-dimensional kernel with C1 acting as a tridiagonal
-  chain through the kernel, as in the one-dimensional BGK hierarchy;
-- ``bgk1d`` / ``bgk2d`` / ``bgk3d``: the closed-form families used by
-  the decay certificates, with mode-scaled entries proportional to
-  alpha / kappa.
+- :func:`ansatz_dimker1`: one-dimensional kernel, single coupling
+  entry;
+- :func:`ansatz_dimker2`: two-dimensional kernel, cases ``2A`` /
+  ``2B1`` / ``2B2`` by the rank of the off-kernel coupling block of C1;
+- :func:`ansatz_chain3`: three-dimensional kernel with C1 acting as a
+  tridiagonal chain through the kernel, as in the one-dimensional BGK
+  hierarchy;
+- :func:`bgk_P`: the closed-form families used by the decay
+  certificates in d = 1, 2, 3, with mode-scaled entries proportional
+  to alpha / kappa.
 
-All constructors verify positive definiteness of C* P + P C before
-returning and raise :class:`AnsatzError` when the input violates the
-structural assumptions of the pattern.
+The first three return P together with the final coupling amplitudes
+(and the kernel rotation of case ``2B2``), verify positive
+definiteness of C* P + P C before returning, and raise
+:class:`AnsatzError` when the input violates the structural
+assumptions of the pattern.  :func:`optimal_P` is the spectrally
+optimal P, for comparison.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,59 +51,6 @@ _BGK_COUPLINGS = {
 
 class AnsatzError(ValueError):
     """Structural assumption of an ansatz pattern is violated."""
-
-
-@dataclass(frozen=True)
-class PAnsatz:
-    """A constructed transformation matrix together with its provenance.
-
-    Attributes
-    ----------
-    pattern : str
-        One of ``dimker1``, ``case2A``, ``case2B1``, ``case2B2``,
-        ``chain3``, ``bgk1d``, ``bgk2d``, ``bgk3d``.
-    parameters : dict
-        The coupling amplitudes of the pattern.
-    U : ndarray or None
-        Kernel rotation applied before the coupling ansatz, when one
-        was needed (pattern ``case2B2``).
-    mode_scaled : bool
-        True when the off-diagonal entries scale like 1 / kappa with
-        the spatial mode modulus (the bgk patterns).
-    P : ndarray
-        The Hermitian positive definite matrix itself.
-    """
-
-    pattern: str
-    parameters: dict
-    U: np.ndarray | None = field(repr=False)
-    mode_scaled: bool
-    P: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_dimker1(cls, C1, C2, tol: float = DEFAULT_TOL) -> "PAnsatz":
-        lam, P = ansatz_dimker1(C1, C2, tol)
-        return cls("dimker1", {"lambda": lam}, None, False, P)
-
-    @classmethod
-    def from_dimker2(cls, C1, C2, tol: float = DEFAULT_TOL) -> "PAnsatz":
-        case, params, U, P = ansatz_dimker2(C1, C2, tol)
-        return cls(f"case{case}", params, U, False, P)
-
-    @classmethod
-    def from_chain3(cls, C1, C2, tol: float = DEFAULT_TOL) -> "PAnsatz":
-        l1, l2, l3, P = ansatz_chain3(C1, C2, tol)
-        return cls("chain3", {"lambda1": l1, "lambda2": l2, "lambda3": l3}, None, False, P)
-
-    @classmethod
-    def from_bgk(cls, d: int, kappa: float, alpha: float, N: int | None = None) -> "PAnsatz":
-        return cls(
-            f"bgk{d}d",
-            {"alpha": alpha, "kappa": kappa},
-            None,
-            True,
-            bgk_P(d, kappa, alpha, N),
-        )
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:

@@ -50,6 +50,8 @@ R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
 R6 = math.sqrt(6.0)
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class MinorTable:
@@ -301,7 +303,7 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
     N = chain_spec(d).assembly_N
     b = DIMENSIONS[d].block
     pair = operator_pair(d, DIMENSIONS[d].variant, N, L=2.0 * math.pi / ell)
-    C = modal_generator(pair, kappa).C
+    C = modal_generator(pair, kappa)
     P = bgk_P(d, kappa, alpha, N)
     F = C.conj().T @ P + P @ C
     tail = F.copy()
@@ -324,9 +326,12 @@ def _values(C, x):
     ascending coefficients C[i, :]."""
     p = np.zeros_like(x)
     dp = np.zeros_like(x)
+    # in place: the same operations as dp = dp x + p, p = p x + c
     for c in C.T[::-1, :, None]:
-        dp = dp * x + p
-        p = p * x + c
+        dp *= x
+        dp += p
+        p *= x
+        p += c
     return p, dp
 
 
@@ -343,17 +348,19 @@ def _roots(C, top):
     """
     rows, width = C.shape
     size = np.abs(C) * top ** np.arange(width)
-    live = size > np.finfo(float).eps * size.max(axis=1, keepdims=True)
+    live = size > _EPS * size.max(axis=1, keepdims=True)
     # a row that underflowed to zeros has no roots
     deg = np.where(live.any(axis=1), width - 1 - np.argmax(live[:, ::-1], axis=1), 0)
     n = max(int(deg.max()), 1)
-    k = np.arange(n)
-    M = np.zeros((rows, n, n))
-    M[:, k[1:], k[:-1]] = k[1:] < deg[:, None]
-    M[:, k, k] = np.where(k < deg[:, None], 0.0, -1.0)
-    r, i = np.nonzero(k < deg[:, None])
-    M[r, i, deg[r] - 1] = -C[r, i] / C[r, deg[r]]
-    z = np.linalg.eigvals(M)
+    active = np.arange(n) < deg[:, None]
+    # the companion matrices, rows flattened: ones below the diagonal,
+    # -1 on it past the degree, the coefficients in column deg - 1
+    M = np.zeros((rows, n * n))
+    M[:, n :: n + 1] = active[:, 1:]
+    M[:, :: n + 1] = np.where(active, 0.0, -1.0)
+    r, i = np.nonzero(active)
+    M[r, i * n + deg[r] - 1] = -C[r, i] / C[r, deg[r]]
+    z = np.linalg.eigvals(M.reshape(rows, n, n))
     x = np.where((z.real > 0) & (np.abs(z.imag) <= 1e-6 * np.abs(z)), z.real, np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p, dp = _values(C, x)
@@ -413,12 +420,14 @@ def _kappa1(d, l):
     """
     q = 4.0 * l**2
     scale, s, w = 4.0 * l / (q + 1.0), q / (q + 1.0), 4.0 / (q + 1.0)
-    j, k = np.ogrid[:3, :6]
-    # the tables vanish where k < j
-    return scale, _TABLES[d] * w**j * s ** np.maximum(k - j, 0)
+    return scale, _TABLES[d] * w**_J * s**_K_J
 
 
 _TABLES = {d: np.stack([f.rows for f in factors.values()]) for d, factors in _FACTORS.items()}
+#: for entry (j, k) of a table: j and max(k - j, 0) (the tables vanish
+#: where k < j)
+_J = np.arange(3)[:, None]
+_K_J = np.maximum(np.arange(6) - _J, 0)
 
 
 def _thresholds(d: int, l: float) -> dict:
@@ -449,20 +458,10 @@ def _thresholds(d: int, l: float) -> dict:
 
 
 def _alpha_plus(d: int, ell: float) -> float:
+    """Amplitude threshold below which every minor in the 2D or 3D chain
+    is positive for all kappa >= 1."""
     # theta alpha < 1 keeps P positive definite
-    return min(1.0 / THETA[d], *_thresholds(d, ell).values())
-
-
-def alpha_plus_2d(ell: float = 1.0) -> float:
-    """Amplitude threshold below which every minor in the 2D chain is
-    positive for all kappa >= 1."""
-    return _alpha_plus(2, ell)
-
-
-def alpha_plus_3d(ell: float = 1.0) -> float:
-    """Amplitude threshold below which every minor in the 3D chain is
-    positive for all kappa >= 1."""
-    return _alpha_plus(3, ell)
+    return min(1.0 / _CHAINS[d].theta, *_thresholds(d, ell).values())
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +470,12 @@ def alpha_plus_3d(ell: float = 1.0) -> float:
 
 def _mu_1d(a, l):
     d3 = 8.0 * l * a * (1.0 - 3.0 * l * a) ** 2 - 6.0 * a**2
-    return d3 / (8.0 * (1.0 - l * a) ** 2 * (1.0 + a * THETA[1]))
+    return d3 / (8.0 * (1.0 - l * a) ** 2 * (1.0 + a * _CHAINS[1].theta))
 
 
 def _mu_chain(d, a, l):
-    return AMGM[d] * _last_minor(d, 1.0, a, l) / (2.0 * (1.0 + THETA[d] * a))
+    spec = _CHAINS[d]
+    return spec.amgm * _last_minor(d, 1.0, a, l) / (2.0 * (1.0 + spec.theta * a))
 
 
 @dataclass(frozen=True)
@@ -512,13 +512,13 @@ _CHAINS = {
     1: ChainSpec(
         minors_1d, lambda l: alpha3_1d(2.0 * math.pi / l), _mu_1d, math.sqrt(3.0 + R6), None, 8
     ),
-    2: ChainSpec(minors_2d, alpha_plus_2d, partial(_mu_chain, 2), R6, (10.0 / 14.0) ** 10, 15),
-    3: ChainSpec(minors_3d, alpha_plus_3d, partial(_mu_chain, 3), 2.0, (20.0 / 32.0) ** 20, 35),
+    2: ChainSpec(
+        minors_2d, partial(_alpha_plus, 2), partial(_mu_chain, 2), R6, (10.0 / 14.0) ** 10, 15
+    ),
+    3: ChainSpec(
+        minors_3d, partial(_alpha_plus, 3), partial(_mu_chain, 3), 2.0, (20.0 / 32.0) ** 20, 35
+    ),
 }
-
-#: ChainSpec.theta and ChainSpec.amgm by dimension
-THETA = {d: c.theta for d, c in _CHAINS.items()}
-AMGM = {d: c.amgm for d, c in _CHAINS.items() if c.amgm is not None}
 
 
 def chain_spec(d: int) -> ChainSpec:
@@ -538,7 +538,7 @@ def _rate_critical(d: int, a_plus: float, l: float):
     kappa = 1, so Q = (m M + alpha M') (1 + theta alpha) - theta alpha M.
     """
     if d == 1:
-        b, t = l * a_plus, THETA[1] * a_plus
+        b, t = l * a_plus, _CHAINS[1].theta * a_plus
         N = np.array([0.0, 8.0 * b, -48.0 * b**2 - 6.0 * a_plus**2, 72.0 * b**3])
         D = np.convolve([1.0, -2.0 * b, b**2], [1.0, t])
         k = np.arange(1, 4)
@@ -551,37 +551,23 @@ def _rate_critical(d: int, a_plus: float, l: float):
     for name in names:
         M = np.convolve(M, G[index.index(name)].sum(0))
     k = np.arange(M.size + 1)
-    t = THETA[d] * scale
+    t = _CHAINS[d].theta * scale
     return scale, (m + k) * np.append(M, 0.0) + t * (m + k - 2) * np.append(0.0, M)
 
 
 def _best_root(q, top, f):
     """The root y of the polynomial q in (0, top) with the largest f(y),
-    polished by two Newton steps; nan when q has no such root.
-
-    The roots of a single polynomial come from its companion matrix after
-    the terms negligible on [0, top] are dropped, as in :func:`_roots`,
-    whose array bookkeeping would cost more than the eigensolve here.
-    """
-    q = q.tolist()
-    size = [abs(c) * top**k for k, c in enumerate(q)]
-    n = max((k for k, c in enumerate(size) if c > np.finfo(float).eps * max(size)), default=0)
-    if n == 0:
-        return math.nan
-    M = np.eye(n, k=-1)
-    M[:, -1] = [-c / q[n] for c in q[:n]]
-    roots = np.linalg.eigvals(M).tolist()
-    ys = [z.real for z in roots if 0.0 < z.real < top and abs(z.imag) <= 1e-6 * abs(z)]
+    from :func:`_roots` and polished by one more Newton step; nan when q
+    has no such root."""
+    ys = [y for y in _roots(q[None, :], top)[0].tolist() if y < top]
     if not ys:
         return math.nan
     y = max(ys, key=f)
-    for _ in range(2):
-        p = dp = 0.0
-        for c in reversed(q):
-            dp = dp * y + p
-            p = p * y + c
-        y = y - p / dp if dp else y
-    return y
+    p = dp = 0.0
+    for c in reversed(q.tolist()):
+        dp = dp * y + p
+        p = p * y + c
+    return y - p / dp if dp else y
 
 
 def _maximize_mu(d: int, ell: float):
@@ -664,11 +650,6 @@ def _first_moduli(d: int, count: int):
         kmax *= 2
 
 
-def mu_value(d: int, alpha: float, ell: float = 1.0) -> float:
-    """Closed-form certified rate at a given coupling amplitude."""
-    return chain_spec(d).mu(alpha, ell)
-
-
 def certify(
     d: int,
     L: float = 2.0 * math.pi,
@@ -709,7 +690,7 @@ def certify(
                 "coupling amplitude must lie in (0, %.6g)" % a_plus
             )
         a_star = float(alpha)
-        mu = mu_value(d, a_star, ell)
+        mu = spec.mu(a_star, ell)
     theta = spec.theta * a_star
     c_d = 1.0 / (1.0 + theta)
     C_d = 1.0 / (1.0 - theta)
@@ -722,7 +703,7 @@ def certify(
         N = spec.assembly_N
         pair = operator_pair(d, DIMENSIONS[d].variant, N, L=L)
     for kappa in _first_moduli(d, n_verify) if n_verify > 0 else []:
-        C = modal_generator(pair, kappa).C
+        C = modal_generator(pair, kappa)
         P = bgk_P(d, kappa, a_star, N)
         F = C.conj().T @ P + P @ C - 2.0 * mu * P
         m = float(np.linalg.eigvalsh(0.5 * (F + F.conj().T)).min())

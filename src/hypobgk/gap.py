@@ -43,8 +43,8 @@ dropped pair as the exact eigenvalues 1 +- i s x_j, whose real part is
 500 rows shrink to 178 at N = 500 and its 2000 to 358 at N = 2000; the
 chains of 2D and 3D are short, and lose few or no rows.
 
-The real form goes to :func:`complex_eigenvalues` without
-eigenvectors, together with V, which verifies its sampled pairs and the
+The real form goes to :func:`complex_eigenvalues` together with V;
+it computes no eigenvectors, and verifies its sampled pairs and the
 pair with the smallest real part.  Its inverse iteration solves with
 B - sigma - V V^T by the Sherman-Morrison-Woodbury formula, with the
 2 x 2 blocks of B inverted in closed form: O(n r**2) for V of rank r
@@ -101,85 +101,55 @@ def _sample(n: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(10, n)).astype(int)
 
 
-def complex_eigenvalues(M, tol: float = _TOL, *, vectors: bool = True, U=None):
-    """Eigenvalues and right eigenvectors of a general complex matrix.
+def complex_eigenvalues(M, tol: float = _TOL, *, U=None):
+    """Verified eigenvalues of a general real or complex matrix.
 
-    A sample of eigenpairs is validated through the backward error
-    ||M v - w v|| / ||M||; failure raises :class:`EigenvalueFailure`.
+    No eigenvectors are computed, and a real M goes to the real solver.
+    A sample of up to 10 eigenvalues and the one with the smallest real
+    part are verified with eigenvectors from inverse iteration, through
+    the backward error ||M x - lam x|| / ||M||, with ||M|| taken as the
+    largest column norm of M, a lower bound of ||M||_2; failure raises
+    :class:`EigenvalueFailure`.
 
     Parameters
     ----------
     M : array_like
-        Square matrix of size at most ``MAX_EIG_SIZE``.
+        Square matrix of size at most ``MAX_EIG_SIZE``, with finite
+        entries.
     tol : float
-        Relative backward error bound for the sampled pairs.
-    vectors : bool
-        With False no eigenvectors are computed, and a real M goes to
-        the real solver.  The sampled pairs and the pair with the
-        smallest real part are then validated with eigenvectors from
-        inverse iteration, relative to the largest column norm of M,
-        a lower bound of ||M||_2.
+        Relative backward error bound for the verified eigenvalues.
     U : array_like, optional
         A real (n, r) factor that describes M as a block diagonal
         matrix, with blocks of order 1 and 2 along the diagonal, minus
-        U U^T.  With ``vectors=False`` the inverse iteration then
-        solves by the Sherman-Morrison-Woodbury formula, with each
-        2 x 2 block inverted in closed form, in O(n r**2) instead of an
-        LU of M.  Backward errors are still measured on M itself, so a
-        U that does not describe M can only fail the check.  Unused
-        with ``vectors=True``.
+        U U^T.  The inverse iteration then solves by the
+        Sherman-Morrison-Woodbury formula, with each 2 x 2 block
+        inverted in closed form, in O(n r**2) instead of an LU of M.
+        Backward errors are still measured on M itself, so a U that
+        does not describe M can only fail the check.
 
     Returns
     -------
-    (values, vectors) : ndarray, ndarray
-        Unordered eigenvalues and matching unit eigenvector columns.
-        With ``vectors=False`` the second entry is the worst relative
-        backward error among the validated pairs instead.
+    (values, backward_error) : ndarray, float
+        Unordered complex eigenvalues and the worst relative backward
+        error among the verified ones.
     """
-    M = np.asarray(M, dtype=complex if vectors or np.iscomplexobj(M) else float)
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     n = M.shape[0]
     if n > MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds limit {MAX_EIG_SIZE}")
-    if not vectors:
-        op = _dense(M) if U is None else _low_rank(M, np.asarray(U, dtype=float))
-        return _verified_eigenvalues(M, op, tol)
-    try:
-        vals, vecs = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigenvalueFailure(f"eigensolver did not converge: {exc}") from exc
-    scale = np.linalg.norm(M, 2)
-    if scale == 0.0:
-        return vals, vecs
-    worst = 0.0
-    for j in _sample(n):
-        v = vecs[:, j]
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise EigenvalueFailure("zero eigenvector returned", partial=(vals, vecs))
-        err = np.linalg.norm(M @ v - vals[j] * v) / (scale * nv)
-        worst = max(worst, err)
-    if worst > tol:
-        raise EigenvalueFailure(
-            f"backward error {worst:.3e} exceeds {tol:.1e}", partial=(vals, vecs)
-        )
-    return vals, vecs
-
-
-def _verified_eigenvalues(M: np.ndarray, op: _Operator, tol: float):
-    """Eigenvalues without eigenvectors, for :func:`complex_eigenvalues`,
-    verified by inverse iteration with ``op``, an operator for M."""
     if not np.isfinite(M).all():
         raise EigenvalueFailure("matrix has non-finite entries")
     try:
         vals = eigvals(M).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise EigenvalueFailure(f"eigensolver did not converge: {exc}") from exc
+    op = _dense(M) if U is None else _low_rank(M, np.asarray(U, dtype=float))
     if op.scale == 0.0:
         return vals, 0.0
-    picks = np.zeros(len(vals), dtype=bool)
-    picks[_sample(len(vals))] = True
+    picks = np.zeros(n, dtype=bool)
+    picks[_sample(n)] = True
     picks[np.argmin(vals.real)] = True
     worst = 0.0
     for p in np.flatnonzero(picks):
@@ -485,7 +455,7 @@ def _mode_gap(reduced, s: float):
     # L2 <= I bounds every real part by 1
     gap, worst = 1.0, 0.0
     for r in reduced:
-        vals, err = complex_eigenvalues(r.matrix(s), vectors=False, U=r.V)
+        vals, err = complex_eigenvalues(r.matrix(s), U=r.V)
         p = np.argmin(vals.real)
         # the pair that sets the block's minimum, on the block itself
         blk = r.block
@@ -572,10 +542,8 @@ def spectral_gap(d: int, L: float, kappa_list, N: int) -> GapReport:
 class ConvergenceStudy:
     """Gap of one mode across truncations, for resolution checks.
 
-    ``entries`` holds (N, gap) pairs in the order requested.  The
-    ``nondecreasing`` flag records whether the profile grew monotonically
-    with N; a False value signals that the truncated spectrum approached
-    its limit from above somewhere along the sequence.
+    ``entries`` holds (N, gap) pairs in the order requested; a Galerkin
+    truncation does not promise that they converge monotonically.
     ``backward_error`` is the worst relative backward error among the
     verified eigenpairs.
     """
@@ -584,7 +552,6 @@ class ConvergenceStudy:
     L: float
     kappa: float
     entries: tuple
-    nondecreasing: bool
     backward_error: float
 
     def rows(self):
@@ -593,7 +560,7 @@ class ConvergenceStudy:
 
 
 def convergence_study(d: int, L: float, kappa: float, N_list) -> ConvergenceStudy:
-    """Gap of one mode across truncations, with a monotonicity flag."""
+    """Gap of one mode across truncations."""
     kappa = float(kappa)
     Ns = [int(N) for N in N_list]
     _check_inputs(d, L, [kappa], Ns)
@@ -603,13 +570,4 @@ def convergence_study(d: int, L: float, kappa: float, N_list) -> ConvergenceStud
         g, err = _mode_gap(reduced, kappa * ell)
         out.append((N, g))
         worst = max(worst, err)
-    gaps = [g for _, g in out]
-    mono = all(b >= a for a, b in zip(gaps, gaps[1:]))
-    return ConvergenceStudy(
-        d=d,
-        L=L,
-        kappa=kappa,
-        entries=tuple(out),
-        nondecreasing=mono,
-        backward_error=worst,
-    )
+    return ConvergenceStudy(d=d, L=L, kappa=kappa, entries=tuple(out), backward_error=worst)

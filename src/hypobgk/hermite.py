@@ -55,9 +55,6 @@ DIMENSIONS = {
     3: DimensionSpec(min_N=10, block=21, variant="energy"),
 }
 
-#: DimensionSpec.block by dimension
-MIN_CERTIFICATE_SIZE = {d: spec.block for d, spec in DIMENSIONS.items()}
-
 _VARIANTS = ("tensor", "energy")
 
 
@@ -66,56 +63,6 @@ def _check_variant(d: int, variant: str) -> None:
         raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
     if variant not in _VARIANTS:
         raise ValueError(f"unknown basis variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    """Identifies a finite Hermite basis: dimension, variant, size.
-
-    Parameters
-    ----------
-    d : int
-        Velocity dimension, 1, 2 or 3.
-    variant : str
-        Either ``"tensor"`` or ``"energy"``.  In one dimension the two
-        variants coincide.
-    N : int
-        Number of retained basis functions.
-    """
-
-    d: int
-    variant: str
-    N: int
-
-    def __post_init__(self):
-        _check_variant(self.d, self.variant)
-        if self.N < 1:
-            raise ValueError("basis size must be positive")
-
-    def indices(self):
-        """Return the list of the first N multi-indices in flat order."""
-        return [multi_index(i, self.d) for i in range(self.N)]
-
-
-def recurrence_coeffs(m: int):
-    """Three-term recurrence weights for the 1D basis.
-
-    v g_m = up * g_{m+1} + down * g_{m-1} with up = sqrt(m+1) and
-    down = sqrt(m).
-
-    Parameters
-    ----------
-    m : int
-        Nonnegative basis degree.
-
-    Returns
-    -------
-    tuple of float
-        ``(sqrt(m + 1), sqrt(m))``.
-    """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    return math.sqrt(m + 1.0), math.sqrt(m)
 
 
 def lex_index(m, d: int | None = None) -> int:
@@ -252,7 +199,7 @@ def eval_basis(m, v, variant: str = "tensor", weighted: bool = True):
         # Degree-two diagonal functions recombine among themselves; read the
         # mixing row off the orthogonal basis-change matrix.
         block = [tuple(2 if j == a else 0 for j in range(d)) for a in range(d)]
-        S = basis_change_matrix(d, MIN_CERTIFICATE_SIZE[d])
+        S = basis_change_matrix(d, DIMENSIONS[d].block)
         i = lex_index(m)
         vals = sum(
             S[i, lex_index(b)] * eval_basis(b, v, "tensor", weighted) for b in block

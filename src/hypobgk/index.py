@@ -221,7 +221,7 @@ def is_hypocoercive_spectral(C1, C2, tol: float = DEFAULT_TOL) -> bool:
     """Spectral characterization: all eigenvalues of i C1 + C2 have
     real part above tol."""
     pair = _check_pair(C1, C2, tol)
-    vals, _ = complex_eigenvalues(1j * pair.C1 + pair.C2, vectors=False)
+    vals, _ = complex_eigenvalues(1j * pair.C1 + pair.C2)
     return bool(np.min(vals.real) > tol)
 
 

@@ -182,14 +182,6 @@ def operator_pair(d: int, variant: str, N: int, L: float = 2.0 * math.pi) -> Ope
     )
 
 
-@dataclass(frozen=True)
-class ModalGenerator:
-    """Evolution matrix -C of a single spatial mode, with its modulus."""
-
-    kappa: float
-    C: np.ndarray = field(repr=False)
-
-
 #: c_m in i**m = c_m i**(m % 2), indexed by m % 4
 _SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
@@ -359,20 +351,18 @@ def chain_blocks(pair: OperatorPair) -> tuple:
     return tuple(sorted(blocks, key=lambda blk: blk.index[0]))
 
 
-def modal_generator(pair: OperatorPair, kappa: float) -> ModalGenerator:
+def modal_generator(pair: OperatorPair, kappa: float) -> np.ndarray:
     """Generator C_kappa = i kappa (2 pi / L) L1 + L2 for modulus kappa."""
     if kappa < 0:
         raise ValueError("mode modulus must be nonnegative")
-    C = 1j * kappa * pair.ell * pair.L1 + pair.L2.astype(complex)
-    return ModalGenerator(kappa=float(kappa), C=C)
+    return 1j * kappa * pair.ell * pair.L1 + pair.L2.astype(complex)
 
 
 def mode_moduli(d: int, kmax: int):
     """Distinct moduli |k| of nonzero integer modes with multiplicities.
 
-    Enumerates k in Z^d with 0 < max_i |k_i| <= kmax and groups by
-    |k|.  Grouping keys on the integer |k|**2, so equal moduli are
-    collapsed exactly.
+    Counts k in Z^d with 0 < max_i |k_i| <= kmax by the integer |k|**2,
+    so equal moduli are collapsed exactly.
 
     Parameters
     ----------
@@ -390,16 +380,10 @@ def mode_moduli(d: int, kmax: int):
         raise ValueError("dimension must be 1, 2 or 3")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    counts: dict[int, int] = {}
-    rng = range(-kmax, kmax + 1)
-    if d == 1:
-        grids = ((k,) for k in rng)
-    elif d == 2:
-        grids = ((k1, k2) for k1 in rng for k2 in rng)
-    else:
-        grids = ((k1, k2, k3) for k1 in rng for k2 in rng for k3 in rng)
-    for k in grids:
-        n2 = sum(c * c for c in k)
-        if n2 > 0:
-            counts[n2] = counts.get(n2, 0) + 1
-    return [(math.sqrt(n2), counts[n2]) for n2 in sorted(counts)]
+    squares = np.arange(-kmax, kmax + 1) ** 2
+    n2 = squares
+    for _ in range(d - 1):
+        n2 = np.add.outer(n2, squares)
+    counts = np.bincount(n2.ravel())
+    counts[0] = 0
+    return [(math.sqrt(n), c) for n, c in enumerate(counts.tolist()) if c]

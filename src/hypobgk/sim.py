@@ -28,7 +28,8 @@ from .ansatz import bgk_P
 from .hermite import SQRT2PI, gauss_hermite, hermite_phi
 from .operators import build_L1, build_L2
 
-R2 = math.sqrt(2.0)
+#: points of the x grid and of the Gauss rule in v of the L1 distance
+_NX, _NV = 512, 160
 
 
 @dataclass
@@ -72,25 +73,6 @@ class ModalState:
     @property
     def ell(self) -> float:
         return 2.0 * math.pi / self.L
-
-
-def moments(state: ModalState) -> dict:
-    """Hydrodynamic moments (mass, momentum, temperature) per mode.
-
-    Returns a dict of arrays aligned with ``state.kappa``: ``sigma``
-    (mass, shape (K,)), ``momentum`` (shape (K, d), the components
-    along the tracked directions) and ``tau`` (temperature, shape (K,)).
-    """
-    d, h = state.d, state.coeffs
-    sigma = h[:, 0]
-    if d == 1:
-        tau = R2 * h[:, 2] + sigma
-    elif state.variant == "energy":
-        tau = (2.0 if d == 2 else math.sqrt(6.0)) * h[:, d + 1] + d * sigma
-    else:
-        trace = (3, 5) if d == 2 else (4, 7, 9)
-        tau = R2 * h[:, trace].sum(axis=1) + d * sigma
-    return {"sigma": sigma, "momentum": h[:, 1 : d + 1], "tau": tau}
 
 
 @lru_cache(maxsize=8)
@@ -175,10 +157,10 @@ class L1Grid:
 
     Holds the spatial phases of the moduli on the x grid, the Hermite
     table at the Gauss nodes and the normalized quadrature weights.  It
-    depends only on the moduli, the truncation and the grid sizes, so
-    every state along one trajectory shares it.  The phases are kept
-    explicitly rather than taken from an FFT, so that every ``kmax``
-    is exact on the x grid.
+    depends only on the moduli and the truncation, so every state along
+    one trajectory shares it.  The phases are kept explicitly rather
+    than taken from an FFT, so that every ``kmax`` is exact on the x
+    grid.
     """
 
     kappa: tuple
@@ -187,11 +169,11 @@ class L1Grid:
     weights: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, kappa: tuple, N: int, nx: int = 512, nv: int = 160) -> "L1Grid":
-        """Grid for the moduli ``kappa`` and truncation N, with nx
-        points in x and the nv-point Gauss rule in v."""
-        xs = (np.arange(nx) + 0.5) / nx
-        nodes, wts = gauss_hermite(nv)
+    def build(cls, kappa: tuple, N: int) -> "L1Grid":
+        """Grid for the moduli ``kappa`` and truncation N, with 512
+        points in x and the 160-point Gauss rule in v."""
+        xs = (np.arange(_NX) + 0.5) / _NX
+        nodes, wts = gauss_hermite(_NV)
         grid = cls(
             kappa=kappa,
             phases=np.exp(2j * math.pi * np.outer(xs, kappa)),
@@ -216,18 +198,18 @@ class L1Grid:
 _l1_grid = lru_cache(maxsize=4)(L1Grid.build)
 
 
-def l1_distance_1d(state: ModalState, nx: int = 512, nv: int = 160) -> float:
+def l1_distance_1d(state: ModalState) -> float:
     """L1 distance of the reconstructed deviation from zero, d = 1.
 
     Reconstructs h(x, v) on a uniform-by-Gauss grid and integrates
     |h| dv dx against the normalized torus measure.  The velocity
     integral uses the quadrature of the Gaussian weight, exact for the
     polynomial part of the basis.  The grid is built once per set of
-    moduli, truncation and grid sizes, and reused.
+    moduli and truncation, and reused.
     """
     if state.d != 1:
         raise ValueError("reconstruction is implemented for d = 1")
-    return _l1_grid(tuple(state.kappa.tolist()), state.N, nx, nv).distance(state)
+    return _l1_grid(tuple(state.kappa.tolist()), state.N).distance(state)
 
 
 def _hann_transform(u):
@@ -244,13 +226,12 @@ def concentrated_initial_data(
     kmax: int = 128,
     N: int = 20,
     L: float = 2.0 * math.pi,
-    x0: float = 0.5,
 ) -> ModalState:
     """Deviation state for a raised-cosine density bump of width epsilon.
 
     The initial density is the unit-mass bump
-    (1 + cos(2 pi (x - x0) / epsilon)) / epsilon supported on
-    |x - x0| < epsilon / 2 (relative coordinates), multiplied by the
+    (1 + cos(2 pi (x - 1/2) / epsilon)) / epsilon supported on
+    |x - 1/2| < epsilon / 2 (relative coordinates), multiplied by the
     Maxwellian.  Only the mass component of each mode is populated; the
     homogeneous mode is zero since the bump carries no excess mass.
     The squared norm of the untruncated state is 3 / (2 epsilon) - 1;
@@ -266,7 +247,7 @@ def concentrated_initial_data(
     chat = _hann_transform(kappa * epsilon)
     chat[0] = 0.0
     coeffs = np.zeros((kmax + 1, N), dtype=complex)
-    coeffs[:, 0] = chat * np.exp(-2j * math.pi * kappa * x0)
+    coeffs[:, 0] = chat * np.exp(-1j * math.pi * kappa)
     exact = 3.0 / (2.0 * epsilon) - 1.0
     return ModalState(
         d=1,
@@ -280,7 +261,6 @@ def concentrated_initial_data(
         info={
             "epsilon": epsilon,
             "truncation_tail": exact - math.fsum(weights * chat * chat),
-            "x0": x0,
         },
     )
 
@@ -309,13 +289,12 @@ def run_trajectory(
     gamma: float = 0.0,
     C_d: float | None = None,
     lam: float | None = None,
-    with_l1: bool = True,
 ):
     """Sample entropy, norm, L1 and envelope along the evolution.
 
     Returns a dict of aligned arrays with keys ``t``, ``entropy``,
-    ``h_norm``, ``l1`` and ``envelope`` (the last two only when
-    requested and available).
+    ``h_norm``, ``l1`` (for d = 1, where the reconstruction is
+    implemented) and ``envelope`` (when ``C_d`` and ``lam`` are given).
     """
     if n_samples < 2:
         raise ValueError("need at least two sample points")
@@ -323,6 +302,7 @@ def run_trajectory(
     dt = float(ts[1] - ts[0])
     ent = np.empty(n_samples)
     nrm = np.empty(n_samples)
+    with_l1 = state.d == 1
     l1 = np.empty(n_samples) if with_l1 else None
     cur = state
     E0 = None

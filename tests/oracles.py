@@ -59,7 +59,7 @@ def alpha_plus_oracle(d, ell, dps=40):
     """
     import mpmath as mp
 
-    from hypobgk.certificate import _FACTORS, THETA
+    from hypobgk.certificate import _FACTORS, chain_spec
 
     with mp.workdps(dps):
         l = mp.mpf(ell)
@@ -67,7 +67,7 @@ def alpha_plus_oracle(d, ell, dps=40):
             A, B, C = 72 * l**3, 48 * l**2 + 6, 8 * l
             return float((B - mp.sqrt(B * B - 4 * A * C)) / (2 * A))
         scale = 4 * l / (4 * l**2 + 1)
-        best = mp.mpf(1) / mp.mpf(THETA[d])
+        best = mp.mpf(1) / mp.mpf(chain_spec(d).theta)
         for f in _FACTORS[d].values():
             # coefficient of u**j alpha**k, then of u**j y**k with alpha = scale y
             c = [
@@ -110,10 +110,10 @@ def alpha_star_oracle(d, ell, start, dps=40):
     """
     import mpmath as mp
 
-    from hypobgk.certificate import _FACTORS, _LAST_MINOR, THETA
+    from hypobgk.certificate import _FACTORS, _LAST_MINOR, chain_spec
 
     with mp.workdps(dps):
-        l, theta = mp.mpf(ell), mp.mpf(THETA[d])
+        l, theta = mp.mpf(ell), mp.mpf(chain_spec(d).theta)
         if d == 1:
 
             def mu(a):

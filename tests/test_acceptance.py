@@ -40,7 +40,7 @@ from hypobgk import (
 )
 from hypobgk import evolve
 from hypobgk.ansatz import bgk_coupling
-from hypobgk.certificate import AMGM, THETA, alpha_plus_2d, alpha_plus_3d
+from hypobgk.certificate import chain_spec
 from hypobgk.hermite import SQRT2PI, gauss_hermite, hermite_phi
 
 from oracles import dispersion_root
@@ -48,7 +48,6 @@ from oracles import dispersion_root
 TWO_PI = 2.0 * math.pi
 
 MINORS = {1: minors_1d, 2: minors_2d, 3: minors_3d}
-ALPHA_PLUS = {1: lambda l: alpha3_1d(TWO_PI / l), 2: alpha_plus_2d, 3: alpha_plus_3d}
 
 
 # -- shared expensive artifacts, timed once ---------------------------------
@@ -83,7 +82,7 @@ def trajectory():
     state = concentrated_initial_data(0.02, kmax=128, N=20)
     E0 = entropy(state, cert.alpha_star)
     traj = run_trajectory(
-        state, 40.0, 50, cert.alpha_star, C_d=cert.C_d, lam=cert.lam, with_l1=True
+        state, 40.0, 50, cert.alpha_star, C_d=cert.C_d, lam=cert.lam
     )
     return cert, E0, traj, time.perf_counter() - t0
 
@@ -113,9 +112,10 @@ def _det_threshold(d):
 
 def _det_rate(d, alpha_plus):
     """Maximum over (0, alpha_plus) of
-    AMGM[d] det D(1, alpha) / (2 (1 + THETA[d] alpha))."""
+    amgm det D(1, alpha) / (2 (1 + theta alpha)) of ``chain_spec(d)``."""
+    spec = chain_spec(d)
     res = minimize_scalar(
-        lambda a: -AMGM[d] * _det_D(d, a) / (2.0 * (1.0 + THETA[d] * a)),
+        lambda a: -spec.amgm * _det_D(d, a) / (2.0 * (1.0 + spec.theta * a)),
         bounds=(0.0, alpha_plus),
         method="bounded",
         options={"xatol": 1e-12},
@@ -245,7 +245,7 @@ def test_criterion07_minor_oracle(d):
     for _ in range(50):
         ell = float(rng.uniform(0.2, 5.0))
         kappa = float(rng.uniform(1.0, 10.0))
-        alpha = float(rng.uniform(0.02, 0.98)) * ALPHA_PLUS[d](ell)
+        alpha = float(rng.uniform(0.02, 0.98)) * chain_spec(d).alpha_plus(ell)
         table = MINORS[d](kappa, alpha, ell)
         brute = _brute_minors(d, kappa, alpha, ell, table.convention)
         for got, ref in zip(table.values, brute):
@@ -296,7 +296,7 @@ def test_criterion09_transformation_eigenvalues(d, n):
     rng = np.random.default_rng(900 + d)
     for _ in range(10):
         kappa = float(rng.uniform(1.0, 10.0))
-        alpha = float(rng.uniform(0.05, 0.95)) * ALPHA_PLUS[d](1.0)
+        alpha = float(rng.uniform(0.05, 0.95)) * chain_spec(d).alpha_plus(1.0)
         P = bgk_P(d, kappa, alpha, n)
         got = np.sort(np.linalg.eigvalsh(P))
         assert np.abs(got - _p_eigen_fixture(d, kappa, alpha)).max() < 1e-10

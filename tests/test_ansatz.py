@@ -7,7 +7,6 @@ import pytest
 
 from hypobgk import (
     AnsatzError,
-    PAnsatz,
     ansatz_chain3,
     ansatz_dimker1,
     ansatz_dimker2,
@@ -91,9 +90,6 @@ def test_dimker1_pattern():
     assert abs(lam.real) < 1e-12  # the coupling is placed on the imaginary axis
     assert np.linalg.eigvalsh(P).min() > 0
     assert _min_eig_D(C1, C2, P) > 0
-    wrapped = PAnsatz.from_dimker1(C1, C2)
-    assert wrapped.pattern == "dimker1"
-    assert not wrapped.mode_scaled
 
 
 def test_dimker2_full_rank_window():
@@ -180,8 +176,6 @@ def test_chain3_on_model_couplings():
     assert abs(abs(l3) / abs(l1) - math.sqrt(3.0)) < 1e-12
     assert np.linalg.eigvalsh(P).min() > 0
     assert _min_eig_D(C1, C2, P) > -1e-12
-    wrapped = PAnsatz.from_chain3(C1, C2)
-    assert wrapped.pattern == "chain3"
 
 
 def test_bgk_P_eigenvalue_lists():
@@ -219,9 +213,8 @@ def test_bgk_P_default_size_and_wrapper():
         big = bgk_P(d, 1.0, 0.1, n + 6)
         assert np.abs(big[:n, :n] - P).max() == 0.0
         assert np.abs(big[n:, n:] - np.eye(6)).max() == 0.0
-    wrapped = PAnsatz.from_bgk(2, 1.0, 0.1)
-    assert wrapped.pattern == "bgk2d"
-    assert wrapped.mode_scaled
+        # bgk_P wraps the coupling direction: P = I + A
+        assert np.array_equal(P, np.eye(n) + bgk_coupling(d, 1.0, 0.1))
     with pytest.raises(ValueError):
         bgk_P(1, 0.5, 0.1)
     with pytest.raises(ValueError):

@@ -14,17 +14,12 @@ from hypobgk import (
     minors_2d,
     minors_3d,
     mu_limits_1d,
-    mu_value,
     rational_monotone_check,
 )
 from hypobgk.certificate import (
     _FACTORS,
-    AMGM,
-    THETA,
     _sign_changes,
     _thresholds,
-    alpha_plus_2d,
-    alpha_plus_3d,
     chain_spec,
 )
 from hypobgk.cli import build_parser
@@ -32,7 +27,6 @@ from oracles import alpha_plus_oracle, alpha_star_oracle
 
 TWO_PI = 2.0 * math.pi
 MINORS = {1: minors_1d, 2: minors_2d, 3: minors_3d}
-ALPHA_PLUS = {1: lambda l: alpha3_1d(TWO_PI / l), 2: alpha_plus_2d, 3: alpha_plus_3d}
 _SWEEP = build_parser().parse_args(["sweep-L"])
 #: the torus lengths ``hypobgk sweep-L`` evaluates by default
 SWEEP_LENGTHS = [float(L) for L in np.geomspace(_SWEEP.sweep_from, _SWEEP.sweep_to, _SWEEP.points)]
@@ -70,7 +64,7 @@ def test_minors_match_assembled_determinants(d):
     for _ in range(8):
         ell = float(rng.uniform(0.2, 5.0))
         kappa = float(rng.uniform(1.0, 10.0))
-        alpha = float(rng.uniform(0.02, 0.98)) * ALPHA_PLUS[d](ell)
+        alpha = float(rng.uniform(0.02, 0.98)) * chain_spec(d).alpha_plus(ell)
         table = MINORS[d](kappa, alpha, ell)
         brute = _brute_minors(d, kappa, alpha, ell, table.convention)
         for got, ref in zip(table.values, brute):
@@ -84,7 +78,7 @@ def test_trace_identities(d, trace):
     for _ in range(5):
         ell = float(rng.uniform(0.2, 5.0))
         kappa = float(rng.uniform(1.0, 10.0))
-        alpha = float(rng.uniform(0.02, 0.9)) * ALPHA_PLUS[d](ell)
+        alpha = float(rng.uniform(0.02, 0.9)) * chain_spec(d).alpha_plus(ell)
         D = assemble_D_block(d, kappa, alpha, ell)
         assert abs(np.trace(D).real - trace) < 1e-12
         assert abs(np.trace(D).imag) < 1e-12
@@ -109,22 +103,22 @@ def test_admissibility_threshold_1d_closed_form():
 
 
 def test_admissibility_thresholds_multi_d():
-    assert abs(alpha_plus_2d(1.0) - 0.21023801412882542) < 1e-12
-    assert abs(alpha_plus_3d(1.0) - 0.21428787448140457) < 1e-12
+    assert abs(chain_spec(2).alpha_plus(1.0) - 0.21023801412882542) < 1e-12
+    assert abs(chain_spec(3).alpha_plus(1.0) - 0.21428787448140457) < 1e-12
     # the admissible amplitude is the smallest of all factor thresholds
     t2 = _thresholds(2, 1.0)
-    assert abs(min(t2.values()) - alpha_plus_2d(1.0)) < 1e-14
+    assert abs(min(t2.values()) - chain_spec(2).alpha_plus(1.0)) < 1e-14
     t3 = _thresholds(3, 1.0)
-    assert abs(min(t3.values()) - alpha_plus_3d(1.0)) < 1e-14
+    assert abs(min(t3.values()) - chain_spec(3).alpha_plus(1.0)) < 1e-14
     # a couple of individual thresholds, frozen
     assert abs(t3["p6"] - 0.8) < 1e-14
     assert abs(t3["p21"] - 0.214287874481405) < 1e-12
-    assert abs(t2["p11"] - alpha_plus_2d(1.0)) < 1e-14
+    assert abs(t2["p11"] - chain_spec(2).alpha_plus(1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_minors_positive_inside_admissible_range(d):
-    a_plus = ALPHA_PLUS[d](1.0)
+    a_plus = chain_spec(d).alpha_plus(1.0)
     for frac in (0.1, 0.5, 0.9, 0.99):
         for kappa in (1.0, 2.0, 3.5):
             t = MINORS[d](kappa, frac * a_plus, 1.0)
@@ -238,7 +232,7 @@ def test_certificate_1d_values():
 def test_certificate_norm_equivalence_constants():
     for d in (1, 2, 3):
         cert = certify(d, TWO_PI, n_verify=0)
-        theta = THETA[d]
+        theta = chain_spec(d).theta
         assert abs(cert.c_d - 1.0 / (1.0 + theta * cert.alpha_star)) < 1e-14
         assert abs(cert.C_d - 1.0 / (1.0 - theta * cert.alpha_star)) < 1e-14
         assert abs(cert.lam - 2.0 * min(1.0, cert.mu)) < 1e-15
@@ -246,26 +240,27 @@ def test_certificate_norm_equivalence_constants():
 
 
 def test_certificate_constants():
-    assert THETA[1] == math.sqrt(3.0 + math.sqrt(6.0))
-    assert THETA[2] == math.sqrt(6.0)
-    assert THETA[3] == 2.0
-    assert AMGM[2] == (10.0 / 14.0) ** 10
-    assert AMGM[3] == (20.0 / 32.0) ** 20
+    assert chain_spec(1).theta == math.sqrt(3.0 + math.sqrt(6.0))
+    assert chain_spec(2).theta == math.sqrt(6.0)
+    assert chain_spec(3).theta == 2.0
+    assert chain_spec(1).amgm is None
+    assert chain_spec(2).amgm == (10.0 / 14.0) ** 10
+    assert chain_spec(3).amgm == (20.0 / 32.0) ** 20
 
 
 def test_mu_value_consistency():
     for d in (1, 2, 3):
         cert = certify(d, TWO_PI, n_verify=0)
-        assert abs(mu_value(d, cert.alpha_star) - cert.mu) < 1e-15
+        assert abs(chain_spec(d).mu(cert.alpha_star, 1.0) - cert.mu) < 1e-15
     # evaluating away from the maximizer gives a smaller rate
     cert = certify(2, TWO_PI, n_verify=0)
-    assert mu_value(2, 0.5 * cert.alpha_star) < cert.mu
+    assert chain_spec(2).mu(0.5 * cert.alpha_star, 1.0) < cert.mu
 
 
 def test_certificate_alpha_override():
     cert = certify(1, TWO_PI, n_verify=0, alpha=0.05)
     assert cert.alpha_star == 0.05
-    assert abs(cert.mu - mu_value(1, 0.05)) < 1e-15
+    assert abs(cert.mu - chain_spec(1).mu(0.05, 1.0)) < 1e-15
     with pytest.raises(ValueError):
         certify(1, TWO_PI, alpha=0.5)
     with pytest.raises(ValueError):
@@ -314,9 +309,17 @@ def test_chain_spec_dispatch():
     for d in (1, 2, 3):
         spec = chain_spec(d)
         assert spec.minors is MINORS[d]
-        assert (spec.theta, spec.amgm) == (THETA[d], AMGM.get(d))
-        assert spec.alpha_plus(0.7) == ALPHA_PLUS[d](0.7)
-        assert spec.mu(0.01, 0.7) == mu_value(d, 0.01, 0.7)
+        a, l = 0.01, 0.7
+        minors = spec.minors(1.0, a, l).values
+        if d == 1:
+            assert spec.alpha_plus(l) == alpha3_1d(TWO_PI / l)
+            # the third trailing minor sets the 1D rate
+            want = minors[2] / (8.0 * (1.0 - l * a) ** 2)
+        else:
+            assert spec.alpha_plus(l) == min(1.0 / spec.theta, *_thresholds(d, l).values())
+            want = spec.amgm * minors[-1] / 2.0
+        mu = spec.mu(a, l)
+        assert abs(mu - want / (1.0 + spec.theta * a)) <= 1e-14 * mu
     with pytest.raises(ValueError, match="dimension"):
         chain_spec(4)
 

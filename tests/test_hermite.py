@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from hypobgk import (
-    BasisSpec,
     basis_change_matrix,
+    build_L1,
     eval_basis,
     gauss_hermite,
     lex_index,
     multi_index,
-    recurrence_coeffs,
 )
-from hypobgk.hermite import MIN_CERTIFICATE_SIZE, SQRT2PI, hermite_phi
+from hypobgk.hermite import DIMENSIONS, SQRT2PI, hermite_phi
 
 
 def test_quadrature_normalization_and_symmetry():
@@ -102,22 +101,13 @@ def test_orthonormality_under_quadrature():
     assert np.abs(G - np.eye(21)).max() < 1e-10
 
 
-def test_recurrence_coeffs():
-    assert recurrence_coeffs(0) == (1.0, 0.0)
-    up, down = recurrence_coeffs(5)
-    assert up == math.sqrt(6.0)
-    assert down == math.sqrt(5.0)
-    with pytest.raises(ValueError):
-        recurrence_coeffs(-1)
-
-
 def test_recurrence_matches_evaluations():
     rng = np.random.default_rng(42)
     v = rng.uniform(-3.0, 3.0, size=12)
     phi = hermite_phi(7, v)
     for m in range(1, 6):
-        up, down = recurrence_coeffs(m)
-        resid = v * phi[m] - up * phi[m + 1] - down * phi[m - 1]
+        # v phi_m = sqrt(m + 1) phi_{m+1} + sqrt(m) phi_{m-1}
+        resid = v * phi[m] - math.sqrt(m + 1) * phi[m + 1] - math.sqrt(m) * phi[m - 1]
         assert np.abs(resid).max() < 1e-12
 
 
@@ -174,7 +164,7 @@ def test_energy_variant_recombines_degree_two():
         a = eval_basis(m, pts, variant="energy")
         b = eval_basis(m, pts, variant="tensor")
         assert np.abs(a - b).max() < 1e-13
-    S = basis_change_matrix(2, MIN_CERTIFICATE_SIZE[2])
+    S = basis_change_matrix(2, DIMENSIONS[2].block)
     i20, i02 = lex_index((2, 0)), lex_index((0, 2))
     mixed = eval_basis((2, 0), pts, variant="energy")
     manual = S[i20, i20] * eval_basis((2, 0), pts) + S[i20, i02] * eval_basis((0, 2), pts)
@@ -195,17 +185,18 @@ def test_basis_change_matrix_involution(d, n):
 
 
 def test_basis_spec():
-    spec = BasisSpec(2, "energy", 11)
-    idx = spec.indices()
-    assert len(idx) == 11
-    assert idx[0] == (0, 0)
-    with pytest.raises(ValueError):
-        BasisSpec(2, "fourier", 10)
-    with pytest.raises(ValueError):
-        BasisSpec(3, "tensor", 0)
+    # a basis is a dimension, a variant and a size; unknown variants and
+    # sizes below the complete degree-two level are rejected
+    with pytest.raises(ValueError, match="variant"):
+        build_L1(2, "fourier", 10)
+    with pytest.raises(ValueError, match="variant"):
+        eval_basis((1, 0), np.zeros((3, 2)), variant="fourier")
+    with pytest.raises(ValueError, match="need N >= 10"):
+        build_L1(3, "tensor", 0)
     # the two variants coincide in one dimension, so both names are legal
-    assert BasisSpec(1, "energy", 5).indices() == BasisSpec(1, "tensor", 5).indices()
+    assert np.array_equal(build_L1(1, "energy", 5), build_L1(1, "tensor", 5))
+    assert eval_basis(2, 0.5, variant="energy") == eval_basis(2, 0.5)
 
 
 def test_min_certificate_sizes():
-    assert MIN_CERTIFICATE_SIZE == {1: 5, 2: 11, 3: 21}
+    assert {d: spec.block for d, spec in DIMENSIONS.items()} == {1: 5, 2: 11, 3: 21}

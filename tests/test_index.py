@@ -96,13 +96,18 @@ def test_spectral_check_uses_the_verified_values_path(monkeypatch):
     real = index_module.complex_eigenvalues
 
     def recording(M, *args, **kwargs):
-        calls.append(kwargs.get("vectors", True))
+        calls.append(len(M))
         return real(M, *args, **kwargs)
 
+    def no_eigenvectors(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eig was called")
+
     monkeypatch.setattr(index_module, "complex_eigenvalues", recording)
+    monkeypatch.setattr(np.linalg, "eig", no_eigenvectors)
     pair = operator_pair(1, "tensor", 8)
     assert is_hypocoercive_spectral(pair.ell * pair.L1, pair.L2)
-    assert calls == [False]
+    assert not is_hypocoercive_spectral(np.zeros((2, 2)), np.diag([1.0, 0.0]))
+    assert calls == [8, 2]
 
 
 def test_index_example_from_module_cli():

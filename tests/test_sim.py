@@ -16,12 +16,11 @@ from hypobgk import (
     evolve,
     h_norm,
     l1_distance_1d,
-    moments,
     operator_pair,
     run_trajectory,
     t_init,
 )
-from hypobgk.certificate import THETA
+from hypobgk.certificate import chain_spec
 from hypobgk.sim import L1Grid
 
 TWO_PI = 2.0 * math.pi
@@ -64,7 +63,8 @@ def test_entropy_norm_equivalence():
     h2 = h_norm(st) ** 2
     for alpha in (0.05, 0.1):
         E = entropy(st, alpha)
-        assert h2 / (1.0 + THETA[1] * alpha) <= E <= h2 / (1.0 - THETA[1] * alpha)
+        theta = chain_spec(1).theta
+        assert h2 / (1.0 + theta * alpha) <= E <= h2 / (1.0 - theta * alpha)
 
 
 def test_invalid_epsilon_rejected():
@@ -130,15 +130,11 @@ def test_homogeneous_mode_is_conserved():
 
 def test_moments_of_initial_bump():
     st = _initial()
-    mom = moments(st)
-    assert mom["sigma"].shape == mom["tau"].shape == st.kappa.shape
-    assert mom["momentum"].shape == (len(st.kappa), 1)
-    assert abs(abs(mom["sigma"][1]) - 0.9997420530610657) < 1e-9
-    for k in (1, 2, 5):
-        # mass-only data: no momentum, and the temperature defect
-        # equals the density defect
-        assert np.abs(mom["momentum"][k]).max() < 1e-13
-        assert abs(mom["tau"][k] - mom["sigma"][k]) < 1e-13
+    # mass-only data: the mass moment h_0 carries the bump, and the
+    # momentum h_1 and the temperature moment h_2 are zero
+    assert st.coeffs.shape == (len(st.kappa), st.N)
+    assert abs(abs(st.coeffs[1, 0]) - 0.9997420530610657) < 1e-9
+    assert not st.coeffs[:, 1:].any()
 
 
 def test_l1_distance_matches_quadrature_oracle():
@@ -182,7 +178,7 @@ def test_trajectory_decay_and_envelope():
     st = _initial()
     E0 = entropy(st, cert.alpha_star)
     traj = run_trajectory(
-        st, 10.0, 21, cert.alpha_star, C_d=cert.C_d, lam=cert.lam, with_l1=True
+        st, 10.0, 21, cert.alpha_star, C_d=cert.C_d, lam=cert.lam
     )
     assert set(traj) == {"t", "entropy", "h_norm", "l1", "envelope"}
     assert traj["t"][0] == 0.0 and traj["t"][-1] == 10.0
@@ -202,7 +198,7 @@ def test_trajectory_decay_and_envelope():
 def test_observed_rate_sits_between_certificate_and_gap():
     cert = certify(1, TWO_PI, n_verify=0)
     st = _initial()
-    traj = run_trajectory(st, 40.0, 81, cert.alpha_star, with_l1=False)
+    traj = run_trajectory(st, 40.0, 81, cert.alpha_star)
     m = (traj["t"] >= 10.0) & (traj["t"] <= 30.0)
     slope = -np.polyfit(traj["t"][m], np.log(traj["entropy"][m]), 1)[0]
     assert cert.lam <= slope <= 2.0 * 0.56
