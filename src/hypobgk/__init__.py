@@ -50,7 +50,6 @@ from .certificate import (
     minors_2d,
     minors_3d,
     mu_limits_1d,
-    rational_monotone_check,
 )
 from .gap import (
     ConvergenceStudy,
@@ -122,7 +121,6 @@ __all__ = [
     "multi_index",
     "operator_pair",
     "optimal_P",
-    "rational_monotone_check",
     "run_trajectory",
     "spectral_gap",
     "t_init",

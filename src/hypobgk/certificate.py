@@ -44,7 +44,7 @@ import numpy as np
 from .ansatz import bgk_P
 from .gap import VerificationFailure
 from .hermite import DIMENSIONS
-from .operators import modal_generator, mode_moduli, operator_pair
+from .operators import _check_length, modal_generator, mode_moduli, operator_pair
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -400,8 +400,7 @@ def alpha3_1d(L: float = 2.0 * math.pi) -> float:
     The third trailing minor at kappa = 1 vanishes at this amplitude;
     below it the whole chain is positive.
     """
-    if L <= 0:
-        raise ValueError("torus length must be positive")
+    _check_length(L)
     l = 2.0 * math.pi / L
     # the smaller root of 72 l**3 a**2 - (48 l**2 + 6) a + 8 l, in the
     # form 2 C / (B + sqrt(disc)) that does not cancel on large tori
@@ -669,8 +668,7 @@ def certify(
     DecayCertificate
     """
     spec = chain_spec(d)
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"torus length must be finite and positive, got {L}")
+    _check_length(L)
     ell = 2.0 * math.pi / L
     with np.errstate(all="ignore"):
         try:
@@ -746,42 +744,3 @@ def mu_limits_1d(L_small: float = 1e-3) -> dict:
         "mu_at_L_small": mu,
         "alpha_over_L_at_L_small": a_star / L_small,
     }
-
-
-def rational_monotone_check(p0, p1, p2, alpha_bar: float, n_grid: int = 2000) -> bool:
-    """Sufficient condition for kappa = 1 minimality of a minor factor.
-
-    For p(kappa, alpha) = (p0(alpha) + p1(alpha) / kappa**2) / kappa**2
-    + p2(alpha), the factor is minimized over kappa >= 1 at kappa = 1
-    for every alpha in [0, alpha_bar] provided p1 >= 0 and
-    p0 + 2 p1 <= 0 there.  The coefficient sequences are ascending
-    polynomial coefficients; the conditions are checked on a dense grid
-    and at the interior critical points of p0 + 2 p1.
-
-    Returns
-    -------
-    bool
-    """
-    from numpy.polynomial import polynomial as Pn
-
-    if alpha_bar <= 0:
-        raise ValueError("alpha_bar must be positive")
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    p1 = np.atleast_1d(np.asarray(p1, dtype=float))
-    xs = np.linspace(0.0, alpha_bar, n_grid)
-    tol = 1e-12 * max(1.0, np.abs(p0).max() + np.abs(p1).max())
-    if np.min(Pn.polyval(xs, p1)) < -tol:
-        return False
-    m = max(len(p0), len(p1))
-    comb = np.zeros(m)
-    comb[: len(p0)] += p0
-    comb[: len(p1)] += 2.0 * p1
-    if np.max(Pn.polyval(xs, comb)) > tol:
-        return False
-    if len(comb) > 1:
-        crit = Pn.polyroots(Pn.polyder(comb))
-        for r in crit:
-            if abs(r.imag) < 1e-10 and 0.0 <= r.real <= alpha_bar:
-                if Pn.polyval(r.real, comb) > tol:
-                    return False
-    return True

@@ -60,13 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 from numpy.linalg import eigvals
 
-from .operators import ChainBlock, _check_size, chain_blocks, operator_pair
+from .operators import ChainBlock, _check_length, _check_size, chain_blocks, operator_pair
 
 MAX_EIG_SIZE = 2000
 
@@ -329,10 +329,19 @@ def _verified(op: _Operator, lam: complex, tol: float, vals=None) -> float:
     return err
 
 
+@lru_cache(maxsize=32)
+def _start(n: int) -> np.ndarray:
+    """The fixed random start of inverse iteration in dimension n, drawn
+    once per n and shared by every verified pair."""
+    x = np.random.default_rng(0).standard_normal(n).astype(complex)
+    x.flags.writeable = False
+    return x
+
+
 def _backward_error(op: _Operator, lam: complex) -> float:
     """||B x - lam x|| / (scale ||x||) for x from two steps of inverse
-    iteration at lam, from a fixed random start."""
-    x = np.random.default_rng(0).standard_normal(op.n).astype(complex)
+    iteration at lam, from the fixed random start :func:`_start`."""
+    x = _start(op.n)
     solve = op.factor(lam)
     for _ in range(2):
         try:
@@ -467,8 +476,7 @@ def _mode_gap(reduced, s: float):
 
 
 def _check_inputs(d: int, L: float, kappas, Ns) -> None:
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"torus length must be finite and positive, got {L}")
+    _check_length(L)
     if not kappas:
         raise ValueError("need at least one mode modulus")
     if not all(math.isfinite(k) and k >= 0 for k in kappas):

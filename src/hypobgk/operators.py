@@ -41,6 +41,11 @@ def _check_size(d: int, variant: str, N: int) -> None:
         raise ValueError(f"need N >= {min_N} in dimension {d}, got {N}")
 
 
+def _check_length(L: float) -> None:
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"torus length must be finite and positive, got {L}")
+
+
 def build_L1(d: int, variant: str, N: int) -> np.ndarray:
     """Matrix of multiplication by v_1 in the chosen basis.
 
@@ -170,8 +175,7 @@ class OperatorPair:
 
 def operator_pair(d: int, variant: str, N: int, L: float = 2.0 * math.pi) -> OperatorPair:
     """Assemble both operator matrices for one basis and torus length."""
-    if L <= 0:
-        raise ValueError("torus length must be positive")
+    _check_length(L)
     return OperatorPair(
         L1=build_L1(d, variant, N),
         L2=build_L2(d, variant, N),

@@ -8,12 +8,19 @@ can be checked against the simulated trajectory, along with the L1
 distance of the reconstructed density from equilibrium and its
 Csiszar-Kullback style envelope bound.
 
-Every dimension uses the same half-spectrum layout: one row per
-modulus kappa >= 0 with its lattice multiplicity as weight.  Real data
-has h_{-k} = conj(h_k), and C_{-k} = conj(C_k) because L1 and L2 are
-real, so the conjugate modes carry no information of their own.  In
-1D the moduli are the wavenumbers 0, 1, ..., kmax with weights 1 and
-2, which is also what the real reconstruction of h(x, v) needs.
+The simulation is one-dimensional and stores the half spectrum: one
+row per wavenumber kappa = 0, 1, ..., kmax, with weight 1 for kappa = 0
+and 2 otherwise.  Real data has h_{-k} = conj(h_k), and C_{-k} =
+conj(C_k) because L1 and L2 are real, so the conjugate modes carry no
+information of their own.
+
+The propagators are computed in real arithmetic.  With T = diag(i**m),
+T^-1 C_kappa T = L2 + kappa ell K is real, where K holds -sqrt(m + 1)
+above the diagonal and +sqrt(m + 1) below it (the identity of
+:meth:`hypobgk.operators.ChainBlock.matrix`).  Its exponential is taken
+by the [13/13] Pade approximant with scaling and squaring (Higham, SIAM
+J. Matrix Anal. Appl. 26 (2005) 1179-1193), and multiplying back by
+the powers of i is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 from .ansatz import bgk_P
 from .hermite import SQRT2PI, gauss_hermite, hermite_phi
-from .operators import build_L1, build_L2
+from .operators import _check_length, build_L1, build_L2
 
 #: points of the x grid and of the Gauss rule in v of the L1 distance
 _NX, _NV = 512, 160
@@ -38,12 +45,8 @@ class ModalState:
 
     Attributes
     ----------
-    d : int
-        Velocity dimension.
     L : float
         Torus side length.
-    variant : str
-        Hermite basis variant of the coefficient vectors.
     N : int
         Truncation size.
     kappa : ndarray, shape (K,)
@@ -53,16 +56,14 @@ class ModalState:
         modulus; row i belongs to ``kappa[i]``.
     weights : ndarray, shape (K,)
         Lattice multiplicity of each modulus, the weight of its row in
-        quadratic functionals and, in 1D, in the reconstruction.
+        quadratic functionals and in the reconstruction.
     t : float
         Current time.
     info : dict
         Free-form metadata (e.g. truncation tail of initial data).
     """
 
-    d: int
     L: float
-    variant: str
     N: int
     kappa: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
@@ -75,32 +76,63 @@ class ModalState:
         return 2.0 * math.pi / self.L
 
 
+#: coefficients b_j = (26 - j)! / (j! (13 - j)!) of the numerator
+#: p(A) = sum b_j A**j of the [13/13] Pade approximant p(A) / p(-A) of
+#: exp(A); each is an integer that a double holds exactly
+_PADE13 = [math.factorial(26 - j) / (math.factorial(j) * math.factorial(13 - j)) for j in range(14)]
+#: the largest 1-norm at which its backward error stays below the unit
+#: roundoff
+_THETA13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) for a stack of real square matrices by scaling and
+    squaring with the [13/13] Pade approximant, overwriting A.  Each
+    matrix is scaled by a power of two to 1-norm at most theta_13 on its
+    own: scaled and squared as often as the largest mode, a mode with a
+    small norm loses accuracy in the squarings."""
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.maximum(0, np.ceil(np.log2(norm / _THETA13))).astype(int)
+    A *= np.exp2(-s)[:, None, None]
+    b, eye = _PADE13, np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    # the odd part U and the even part V of p(A)
+    U = A @ (
+        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye
+    )
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    # the powers are not needed past here; freeing them lowers the peak
+    # memory of a simulation
+    del A2, A4, A6
+    P = V + U
+    V -= U
+    X = np.linalg.solve(V, P)
+    for i in range(s.max(initial=0)):
+        sq = s > i
+        Y = X[sq]
+        X[sq] = Y @ Y
+    return X
+
+
 @lru_cache(maxsize=8)
-def _propagators(d: int, variant: str, N: int, L: float, kappa: tuple, dt: float) -> np.ndarray:
+def _propagators(N: int, L: float, kappa: tuple, dt: float) -> np.ndarray:
     """The stack exp(-C_kappa dt) over the moduli ``kappa``.
 
-    One batched eigendecomposition; a mode whose eigenvector matrix has
-    condition number above 1e8 (or not finite) falls back to scaling
-    and squaring.
+    The exponential is taken of the real B_kappa = T^-1 C_kappa T =
+    L2 + kappa ell K, T = diag(i**m), and exp(-C_kappa dt) = T
+    exp(-B_kappa dt) T^-1 multiplies entry (p, q) by i**(p - q), which
+    is exact.
     """
     ell = 2.0 * math.pi / L
-    L1, L2 = build_L1(d, variant, N), build_L2(d, variant, N)
-    C = (1j * np.asarray(kappa) * ell)[:, None, None] * L1
-    C += L2
-    vals, vecs = np.linalg.eig(C)
-    bad = ~(np.linalg.cond(vecs) <= 1e8)
-    # stand-in eigenbases keep the batched inverse defined; those modes
-    # are overwritten below
-    vecs[bad] = np.eye(N)
-    inv = np.linalg.inv(vecs)
-    vecs *= np.exp(-vals * dt)[:, None, :]
-    E = vecs @ inv
-    if bad.any():
-        # the package's only use of scipy, loaded where it is needed
-        from scipy.linalg import expm
-
-        for i in np.flatnonzero(bad):
-            E[i] = expm(-C[i] * dt)
+    L1 = build_L1(1, "tensor", N)
+    K = np.tril(L1) - np.triu(L1)
+    B = (np.asarray(kappa) * ell)[:, None, None] * K
+    B += build_L2(1, "tensor", N)
+    B *= -dt
+    m = np.arange(N)
+    E = _expm(B) * np.array([1, 1j, -1, -1j])[(m[:, None] - m) % 4]
     E.flags.writeable = False
     return E
 
@@ -111,19 +143,17 @@ def evolve(state: ModalState, dt: float) -> ModalState:
         raise ValueError("time step must be nonnegative")
     if dt == 0.0:
         return replace(state, coeffs=state.coeffs.copy())
-    E = _propagators(
-        state.d, state.variant, state.N, state.L, tuple(state.kappa.tolist()), float(dt)
-    )
+    E = _propagators(state.N, state.L, tuple(state.kappa.tolist()), float(dt))
     return replace(state, coeffs=np.einsum("kij,kj->ki", E, state.coeffs), t=state.t + dt)
 
 
 @lru_cache(maxsize=8)
-def _transformations(d: int, kappa: tuple, alpha: float, N: int) -> np.ndarray:
+def _transformations(kappa: tuple, alpha: float, N: int) -> np.ndarray:
     """The stack of P_kappa over the moduli ``kappa``; P = I for the
     homogeneous mode and for alpha = 0."""
     P = np.stack(
         [
-            np.eye(N, dtype=complex) if k == 0 or alpha == 0 else bgk_P(d, k, alpha, N)
+            np.eye(N, dtype=complex) if k == 0 or alpha == 0 else bgk_P(1, k, alpha, N)
             for k in kappa
         ]
     )
@@ -140,7 +170,7 @@ def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
     the same real value as h_k.  With alpha = 0 this reduces to the
     squared coefficient norm.  The homogeneous mode always uses P = I.
     """
-    P = _transformations(state.d, tuple(state.kappa.tolist()), alpha, state.N)
+    P = _transformations(tuple(state.kappa.tolist()), alpha, state.N)
     h = state.coeffs
     q = np.einsum("ki,kij,kj->k", h.conj(), P, h).real
     return float(np.sum(state.weights * (1.0 + state.kappa**2) ** gamma * q))
@@ -199,7 +229,7 @@ _l1_grid = lru_cache(maxsize=4)(L1Grid.build)
 
 
 def l1_distance_1d(state: ModalState) -> float:
-    """L1 distance of the reconstructed deviation from zero, d = 1.
+    """L1 distance of the reconstructed deviation from zero.
 
     Reconstructs h(x, v) on a uniform-by-Gauss grid and integrates
     |h| dv dx against the normalized torus measure.  The velocity
@@ -207,8 +237,6 @@ def l1_distance_1d(state: ModalState) -> float:
     polynomial part of the basis.  The grid is built once per set of
     moduli and truncation, and reused.
     """
-    if state.d != 1:
-        raise ValueError("reconstruction is implemented for d = 1")
     return _l1_grid(tuple(state.kappa.tolist()), state.N).distance(state)
 
 
@@ -242,6 +270,7 @@ def concentrated_initial_data(
         raise ValueError("epsilon must lie in (0, 1]")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    _check_length(L)
     kappa = np.arange(kmax + 1, dtype=float)
     weights = np.where(kappa == 0, 1.0, 2.0)
     chat = _hann_transform(kappa * epsilon)
@@ -250,9 +279,7 @@ def concentrated_initial_data(
     coeffs[:, 0] = chat * np.exp(-1j * math.pi * kappa)
     exact = 3.0 / (2.0 * epsilon) - 1.0
     return ModalState(
-        d=1,
         L=L,
-        variant="tensor",
         N=N,
         kappa=kappa,
         coeffs=coeffs,
@@ -293,8 +320,8 @@ def run_trajectory(
     """Sample entropy, norm, L1 and envelope along the evolution.
 
     Returns a dict of aligned arrays with keys ``t``, ``entropy``,
-    ``h_norm``, ``l1`` (for d = 1, where the reconstruction is
-    implemented) and ``envelope`` (when ``C_d`` and ``lam`` are given).
+    ``h_norm``, ``l1`` and ``envelope`` (when ``C_d`` and ``lam`` are
+    given).
     """
     if n_samples < 2:
         raise ValueError("need at least two sample points")
@@ -302,22 +329,18 @@ def run_trajectory(
     dt = float(ts[1] - ts[0])
     ent = np.empty(n_samples)
     nrm = np.empty(n_samples)
-    with_l1 = state.d == 1
-    l1 = np.empty(n_samples) if with_l1 else None
+    l1 = np.empty(n_samples)
     cur = state
     E0 = None
     for i in range(n_samples):
         ent[i] = entropy(cur, alpha, gamma)
         nrm[i] = h_norm(cur)
-        if with_l1:
-            l1[i] = l1_distance_1d(cur)
+        l1[i] = l1_distance_1d(cur)
         if i == 0:
             E0 = ent[0]
         if i < n_samples - 1:
             cur = evolve(cur, dt)
-    out = {"t": ts, "entropy": ent, "h_norm": nrm}
-    if with_l1:
-        out["l1"] = l1
+    out = {"t": ts, "entropy": ent, "h_norm": nrm, "l1": l1}
     if C_d is not None and lam is not None and E0 is not None:
         out["envelope"] = decay_envelope(ts, C_d, E0, lam)
     return out

@@ -53,7 +53,6 @@ PUBLIC = [
     "multi_index",
     "operator_pair",
     "optimal_P",
-    "rational_monotone_check",
     "run_trajectory",
     "spectral_gap",
     "t_init",
@@ -79,11 +78,14 @@ def test_all_holds_exactly_the_public_names():
         ("certificate", "alpha_plus_2d"),
         ("certificate", "alpha_plus_3d"),
         ("certificate", "mu_value"),
+        ("certificate", "rational_monotone_check"),
         ("sim", "moments"),
     ],
 )
 def test_second_names_do_not_resolve(module, name):
     # each quantity has one name: the block size is DIMENSIONS[d].block,
-    # theta, amgm, alpha_plus and mu are fields of chain_spec(d)
+    # theta, amgm, alpha_plus and mu are fields of chain_spec(d), and the
+    # two conditions of rational_monotone_check are roots that
+    # certificate._thresholds solves in closed form
     assert not hasattr(hypobgk, name)
     assert not hasattr(importlib.import_module(f"hypobgk.{module}"), name)

@@ -14,7 +14,6 @@ from hypobgk import (
     minors_2d,
     minors_3d,
     mu_limits_1d,
-    rational_monotone_check,
 )
 from hypobgk.certificate import (
     _FACTORS,
@@ -337,16 +336,6 @@ def test_small_torus_limits():
     assert abs(out["alpha_over_L_limit"] - (4.0 - r13) / (6.0 * math.pi)) < 1e-15
     assert abs(out["mu_at_L_small"] - out["mu_limit"]) < 1e-4
     assert abs(out["alpha_over_L_at_L_small"] - out["alpha_over_L_limit"]) < 1e-4
-
-
-def test_rational_monotone_check():
-    # constant coefficients: p1 >= 0 and p0 + 2 p1 <= 0 on the range
-    assert rational_monotone_check([-5.0], [1.0], [0.0], 0.3)
-    assert not rational_monotone_check([1.0], [-3.0], [0.0], 0.3)
-    # the 1D third minor in mode form: p0 = -6 alpha^2, p1 = 0
-    assert rational_monotone_check([0.0, 0.0, -6.0], [0.0], [0.0], 0.25)
-    with pytest.raises(ValueError):
-        rational_monotone_check([1.0], [1.0], [0.0], 0.0)
 
 
 def test_minor_input_validation():

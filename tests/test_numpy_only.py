@@ -1,9 +1,10 @@
 """The package runs on numpy alone: no scipy module is imported, neither by
-``import hypobgk`` and ``import hypobgk.cli`` nor by the CLI subcommands
-and the spectral gaps.  scipy is left to the propagator fallback of
-:mod:`hypobgk.sim` and to the test oracles, so the check runs in a fresh
-interpreter.  Nor is ``numpy.ma``, which numpy's set routines
-(``np.unique``, ``np.union1d``, ``np.setdiff1d``) import on first use."""
+``import hypobgk`` and ``import hypobgk.cli`` nor by the CLI subcommands,
+the simulation among them, and the spectral gaps.  numpy is the only
+runtime dependency; scipy serves the test oracles, which load it into
+the test process, so the check runs in a fresh interpreter.  Nor is
+``numpy.ma`` imported, which numpy's set routines (``np.unique``,
+``np.union1d``, ``np.setdiff1d``) import on first use."""
 
 import subprocess
 import sys

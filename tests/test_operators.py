@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from hypobgk import (
+    alpha3_1d,
     basis_change_matrix,
     build_L1,
     build_L2,
+    concentrated_initial_data,
     modal_generator,
     mode_moduli,
     multi_index,
@@ -80,6 +82,17 @@ def test_operator_pair_and_modal_generator():
     C = 1j * 3.0 * pair.ell * pair.L1 + pair.L2
     assert np.abs(modal_generator(pair, 3.0) - C).max() < 1e-14
     assert np.abs(modal_generator(pair, 0.0) - pair.L2).max() == 0.0
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+def test_torus_length_must_be_finite_and_positive(L):
+    for build in (
+        lambda: operator_pair(1, "tensor", 10, L=L),
+        lambda: alpha3_1d(L),
+        lambda: concentrated_initial_data(0.1, L=L),
+    ):
+        with pytest.raises(ValueError, match=f"torus length must be finite and positive, got {L}"):
+            build()
 
 
 def test_mode_moduli_1d():
