@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from hypobgk import certify, mu_limits_1d
+from hypobgk import certify, certify_many, mu_limits_1d
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,9 +30,8 @@ def headline():
 def torus_sweep():
     print()
     print("1D rate versus torus length")
-    for L in np.geomspace(0.5, 16.0, 9):
-        cert = certify(1, float(L), n_verify=10)
-        print(f"  L = {L:7.3f}   alpha_star = {cert.alpha_star:.6f}   "
+    for cert in certify_many(1, np.geomspace(0.5, 16.0, 9), n_verify=10):
+        print(f"  L = {cert.L:7.3f}   alpha_star = {cert.alpha_star:.6f}   "
               f"2 mu = {cert.lam:.6f}")
     out = mu_limits_1d()
     print(f"  L -> 0 limit of mu: {out['mu_limit']:.10f} "

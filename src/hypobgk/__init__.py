@@ -46,6 +46,7 @@ from .certificate import (
     alpha3_1d,
     assemble_D_block,
     certify,
+    certify_many,
     minors_1d,
     minors_2d,
     minors_3d,
@@ -96,6 +97,7 @@ __all__ = [
     "build_L1",
     "build_L2",
     "certify",
+    "certify_many",
     "chain_blocks",
     "check_invariance_conditions",
     "complex_eigenvalues",

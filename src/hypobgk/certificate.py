@@ -25,7 +25,9 @@ change, among these polynomials and their derivatives in u (in 1D a
 closed form).  All of them are solved by one stacked eigensolve of
 companion matrices, and each root is polished by Newton steps.  The
 maximizer alpha_star is the root of the numerator of mu' in (0,
-alpha_plus) with the largest mu, from one more companion matrix.
+alpha_plus) with the largest mu, from one more companion matrix.  For a
+grid of torus lengths (``certify_many``, the ``sweep-L`` curve) the
+companion matrices of all lengths go through the same eigensolves.
 
 Minor conventions: the one-dimensional block is ordered so that the
 natural chain runs from the lower-right corner, hence trailing minors;
@@ -321,13 +323,41 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
 # polynomial roots
 
 
+def _pow(x, n):
+    """``x**n`` elementwise, computed on Python floats.
+
+    Python's power is the C library's pow; numpy's power (and its square)
+    can round differently in the last place.  The scalar formulas
+    (``spec.mu``, the minors) use Python's, and so do the thresholds and
+    rates of a grid of tori.  ``x`` is nonnegative; an overflow gives inf.
+    """
+    out = []
+    for v in np.ravel(x).tolist():
+        try:
+            out.append(v**n)
+        except OverflowError:
+            out.append(math.inf)
+    return np.reshape(out, np.shape(x))
+
+
+def _convolve_rows(A, B):
+    """Products of the polynomials in the rows of A and B.
+
+    ``numpy.convolve`` row by row: it sums through BLAS dot products,
+    whose order of summation an array expression does not reproduce.
+    """
+    products = [np.convolve(a, b) for a, b in zip(A, B)]
+    return np.reshape(products, (len(A), A.shape[1] + B.shape[1] - 1))
+
+
 def _values(C, x):
-    """Values and derivatives at x[i, :] of the polynomials with
-    ascending coefficients C[i, :]."""
+    """Values and derivatives at x[..., i, :] of the polynomials with
+    ascending coefficients C[..., i, :]."""
     p = np.zeros_like(x)
     dp = np.zeros_like(x)
     # in place: the same operations as dp = dp x + p, p = p x + c
-    for c in C.T[::-1, :, None]:
+    for k in range(C.shape[-1] - 1, -1, -1):
+        c = C[..., k, None]
         dp *= x
         dp += p
         p *= x
@@ -338,20 +368,25 @@ def _values(C, x):
 def _roots(C, top):
     """Real positive roots of each polynomial, nan in the unused slots.
 
-    ``C[i]`` holds the ascending coefficients of one polynomial in a
+    ``C[..., :]`` holds the ascending coefficients of one polynomial in a
     variable scaled so that the roots of interest lie in (0, top] and are
-    of order one.  Terms negligible on [0, top] at working precision are
-    dropped, and the roots of every row come from one stacked
-    companion-matrix eigensolve; a row of lower degree than the stack is
-    completed by eigenvalues -1.  Each real positive eigenvalue is then
-    polished by a Newton step on the full polynomial.
+    of order one; ``top`` is one number or one per polynomial.  Terms
+    negligible on [0, top] at working precision are dropped, and the
+    roots of every polynomial come from one stacked companion-matrix
+    eigensolve.  A polynomial of lower degree than the stack is completed
+    by eigenvalues -1, which the balancing of the eigensolver splits off
+    exactly, so the roots of one polynomial do not depend on the others;
+    one with a non-finite coefficient has no roots.  Each real positive
+    eigenvalue is then polished by a Newton step on the full polynomial.
     """
-    rows, width = C.shape
-    size = np.abs(C) * top ** np.arange(width)
+    *shape, width = C.shape
+    C = C.reshape(-1, width)
+    rows = len(C)
+    size = np.abs(C) * np.reshape(np.broadcast_to(top, shape), (-1, 1)) ** np.arange(width)
     live = size > _EPS * size.max(axis=1, keepdims=True)
     # a row that underflowed to zeros has no roots
     deg = np.where(live.any(axis=1), width - 1 - np.argmax(live[:, ::-1], axis=1), 0)
-    n = max(int(deg.max()), 1)
+    n = max(int(deg.max(initial=0)), 1)
     active = np.arange(n) < deg[:, None]
     # the companion matrices, rows flattened: ones below the diagonal,
     # -1 on it past the degree, the coefficients in column deg - 1
@@ -360,12 +395,15 @@ def _roots(C, top):
     M[:, :: n + 1] = np.where(active, 0.0, -1.0)
     r, i = np.nonzero(active)
     M[r, i * n + deg[r] - 1] = -C[r, i] / C[r, deg[r]]
+    finite = np.isfinite(M).all(axis=1)
+    M[~finite] = 0.0
     z = np.linalg.eigvals(M.reshape(rows, n, n))
-    x = np.where((z.real > 0) & (np.abs(z.imag) <= 1e-6 * np.abs(z)), z.real, np.nan)
+    real = (z.real > 0) & (np.abs(z.imag) <= 1e-6 * np.abs(z)) & finite[:, None]
+    x = np.where(real, z.real, np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p, dp = _values(C, x)
         x = x - p / dp
-    return np.where((0 < x) & (x < np.inf), x, np.nan)
+    return np.where((0 < x) & (x < np.inf), x, np.nan).reshape(*shape, n)
 
 
 def _sign_changes(C, top):
@@ -375,18 +413,19 @@ def _sign_changes(C, top):
     signs halfway to the neighbouring roots.  Returns an array with one
     row per polynomial, sorted along the row, nan in the unused slots.
     """
-    x = np.sort(_roots(C, top), axis=1)
+    x = np.sort(_roots(C, top), axis=-1)
     # eigenvalues that polished onto one root count once
-    close = np.diff(x, axis=1) <= 1e-13 * x[:, 1:]
-    x[:, 1:][close] = np.nan
-    x = np.sort(x, axis=1)
-    rows, n = x.shape
-    before = 0.5 * (np.hstack([np.zeros((rows, 1)), x[:, :-1]]) + x)
-    after = np.hstack([x[:, 1:], np.full((rows, 1), np.nan)])
+    close = np.diff(x, axis=-1) <= 1e-13 * x[..., 1:]
+    x[..., 1:][close] = np.nan
+    x = np.sort(x, axis=-1)
+    n = x.shape[-1]
+    edge = np.zeros(x.shape[:-1] + (1,))
+    before = 0.5 * (np.concatenate([edge, x[..., :-1]], axis=-1) + x)
+    after = np.concatenate([x[..., 1:], edge + np.nan], axis=-1)
     after = np.where(np.isnan(after), 2.0 * x, 0.5 * (x + after))
     with np.errstate(invalid="ignore", over="ignore"):
-        p, _ = _values(C, np.hstack([before, after]))
-    flips = np.sign(p[:, :n]) != np.sign(p[:, n:])
+        p, _ = _values(C, np.concatenate([before, after], axis=-1))
+    flips = np.sign(p[..., :n]) != np.sign(p[..., n:])
     return np.where(flips & (x <= top), x, np.nan)
 
 
@@ -401,24 +440,24 @@ def alpha3_1d(L: float = 2.0 * math.pi) -> float:
     below it the whole chain is positive.
     """
     _check_length(L)
-    l = 2.0 * math.pi / L
-    # the smaller root of 72 l**3 a**2 - (48 l**2 + 6) a + 8 l, in the
-    # form 2 C / (B + sqrt(disc)) that does not cancel on large tori
-    return 8.0 * l / (3.0 * (1.0 + 8.0 * l**2 + math.sqrt(1.0 + 16.0 * l**2)))
+    return float(_alpha_plus(1, 2.0 * math.pi / L))
 
 
 def _kappa1(d, l):
     """The factors of the 2D or 3D chain at kappa = 1, in y = alpha / scale.
 
-    Returns ``(scale, G)``: ``G[f, j, k]`` is the coefficient of
-    ``u**j y**k`` of a positive multiple of factor f, so that
-    ``G[f].sum(0)`` is the factor at kappa = 1 and
-    ``G[f, 1] + 2 G[f, 2]`` its derivative in u there.  The scale
-    4 ell / (4 ell**2 + 1) is the d5 (2D) and p6 (3D) threshold; it keeps
-    every coefficient finite on tori of any size.
+    Returns ``(scale, G)`` for the wavenumber scales ``l`` (a number or an
+    array): ``G[..., f, j, k]`` is the coefficient of ``u**j y**k`` of a
+    positive multiple of factor f, so that ``G[..., f, :, :].sum(-2)`` is
+    the factor at kappa = 1 and ``G[..., f, 1, :] + 2 G[..., f, 2, :]`` its
+    derivative in u there.  The scale 4 ell / (4 ell**2 + 1) is the d5 (2D)
+    and p6 (3D) threshold; it keeps every coefficient finite on tori of
+    any size.
     """
-    q = 4.0 * l**2
+    l = np.asarray(l, dtype=float)
+    q = 4.0 * _pow(l, 2)
     scale, s, w = 4.0 * l / (q + 1.0), q / (q + 1.0), 4.0 / (q + 1.0)
+    s, w = (np.reshape(v, v.shape + (1, 1, 1)) for v in (s, w))
     return scale, _TABLES[d] * w**_J * s**_K_J
 
 
@@ -429,7 +468,7 @@ _J = np.arange(3)[:, None]
 _K_J = np.maximum(np.arange(6) - _J, 0)
 
 
-def _thresholds(d: int, l: float) -> dict:
+def _thresholds(d: int, l) -> dict:
     """First sign change in alpha of each factor of the 2D or 3D chain.
 
     Key ``name`` is the factor at kappa = 1.  For a factor quadratic in
@@ -437,30 +476,41 @@ def _thresholds(d: int, l: float) -> dict:
     derivative in u at u = 1 changes sign: below both the factor is
     convex in u with its minimum over u in (0, 1] at u = 1, that is at
     kappa = 1.  A factor linear in u keeps a negative slope on the
-    admissible range.  Every root comes from one stacked eigensolve;
-    roots beyond ten times the scale of :func:`_kappa1` count as none.
+    admissible range.  Every root comes from one stacked eigensolve, for
+    one wavenumber scale ``l`` or an array of them (the values then are
+    arrays of the shape of ``l``); roots beyond ten times the scale of
+    :func:`_kappa1` count as none.
     """
     scale, G = _kappa1(d, l)
     names = list(_FACTORS[d])
     curved = np.flatnonzero(_TABLES[d][:, 2].any(axis=1))
-    rows = np.zeros((len(names) + 2 * len(curved), 6))
-    rows[: len(names)] = G.sum(1)
+    rows = np.zeros(np.shape(scale) + (len(names) + 2 * len(curved), 6))
+    rows[..., : len(names), :] = G.sum(-2)
     # the slope and the u**2 coefficient, divided by alpha and alpha**2
-    rows[len(names) :: 2, :5] = (G[curved, 1] + 2.0 * G[curved, 2])[:, 1:]
-    rows[len(names) + 1 :: 2, :4] = G[curved, 2, 2:]
+    rows[..., len(names) :: 2, :5] = (G[..., curved, 1, :] + 2.0 * G[..., curved, 2, :])[..., 1:]
+    rows[..., len(names) + 1 :: 2, :4] = G[..., curved, 2, 2:]
     roots = _sign_changes(rows, 10.0)
-    first = scale * np.fmin.reduce(roots, axis=1, initial=np.inf)
-    t = dict(zip(names, first.tolist()))
+    first = scale[..., None] * np.fmin.reduce(roots, axis=-1, initial=np.inf)
+    t = {name: first[..., i] for i, name in enumerate(names)}
     for i, c in enumerate(curved):
-        t[names[c] + "t"] = float(first[len(names) + 2 * i : len(names) + 2 * i + 2].min())
+        t[names[c] + "t"] = first[..., len(names) + 2 * i : len(names) + 2 * i + 2].min(-1)
     return t
 
 
-def _alpha_plus(d: int, ell: float) -> float:
-    """Amplitude threshold below which every minor in the 2D or 3D chain
-    is positive for all kappa >= 1."""
-    # theta alpha < 1 keeps P positive definite
-    return min(1.0 / _CHAINS[d].theta, *_thresholds(d, ell).values())
+def _alpha_plus(d: int, l):
+    """Amplitude threshold below which every minor of the chain is
+    positive for all kappa >= 1, at one wavenumber scale or an array of
+    them; 0 or nan where powers of l leave the floating-point range."""
+    with np.errstate(all="ignore"):
+        if d == 1:
+            # the smaller root of 72 l**3 a**2 - (48 l**2 + 6) a + 8 l, in
+            # the form 2 C / (B + sqrt(disc)) that does not cancel on large
+            # tori
+            l2 = _pow(l, 2)
+            return 8.0 * l / (3.0 * (1.0 + 8.0 * l2 + np.sqrt(1.0 + 16.0 * l2)))
+        # theta alpha < 1 keeps P positive definite
+        t = _thresholds(d, l)
+    return np.minimum.reduce([np.full(np.shape(l), 1.0 / _CHAINS[d].theta), *t.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +536,8 @@ class ChainSpec:
     minors : callable
         ``minors(kappa, alpha, ell)``, the closed-form minor chain.
     alpha_plus : callable
-        ``alpha_plus(ell)``, the positivity threshold of the chain.
+        ``alpha_plus(ell)``, the positivity threshold of the chain, for a
+        number ell or elementwise for an array.
     mu : callable
         ``mu(alpha, ell)``, the certified rate at kappa = 1.
     theta : float
@@ -508,9 +559,7 @@ class ChainSpec:
 
 
 _CHAINS = {
-    1: ChainSpec(
-        minors_1d, lambda l: alpha3_1d(2.0 * math.pi / l), _mu_1d, math.sqrt(3.0 + R6), None, 8
-    ),
+    1: ChainSpec(minors_1d, partial(_alpha_plus, 1), _mu_1d, math.sqrt(3.0 + R6), None, 8),
     2: ChainSpec(
         minors_2d, partial(_alpha_plus, 2), partial(_mu_chain, 2), R6, (10.0 / 14.0) ** 10, 15
     ),
@@ -527,9 +576,11 @@ def chain_spec(d: int) -> ChainSpec:
     return _CHAINS[d]
 
 
-def _rate_critical(d: int, a_plus: float, l: float):
+def _rate_critical(d: int, a_plus, l):
     """``(scale, Q)``: the critical points of mu in (0, a_plus) are roots
-    of the polynomial Q in y = alpha / scale (ascending coefficients).
+    of the polynomial ``Q[i]`` in y = alpha / ``scale[i]`` (ascending
+    coefficients), for the arrays ``a_plus`` and ``l`` of one value per
+    torus.
 
     In 1D mu = N / D with N = d3 and D = 8 (1 - ell alpha)**2 (1 + theta
     alpha), so Q = N' D - N D'.  In 2D and 3D mu = K alpha**m M / (1 +
@@ -538,43 +589,56 @@ def _rate_critical(d: int, a_plus: float, l: float):
     """
     if d == 1:
         b, t = l * a_plus, _CHAINS[1].theta * a_plus
-        N = np.array([0.0, 8.0 * b, -48.0 * b**2 - 6.0 * a_plus**2, 72.0 * b**3])
-        D = np.convolve([1.0, -2.0 * b, b**2], [1.0, t])
+        one, b2 = np.ones_like(b), _pow(b, 2)
+        N = np.stack([0.0 * one, 8.0 * b, -48.0 * b2 - 6.0 * _pow(a_plus, 2), 72.0 * _pow(b, 3)], -1)
+        D = _convolve_rows(np.stack([one, -2.0 * b, b2], -1), np.stack([one, t], -1))
         k = np.arange(1, 4)
         # the y**5 terms cancel exactly
-        return a_plus, (np.convolve(k * N[1:], D) - np.convolve(N, k * D[1:]))[:-1]
+        return a_plus, (_convolve_rows(k * N[:, 1:], D) - _convolve_rows(N, k * D[:, 1:]))[:, :-1]
     scale, G = _kappa1(d, l)
     _, m, names = _LAST_MINOR[d]
     index = list(_FACTORS[d])
-    M = np.ones(1)
+    M = np.ones((len(l), 1))
     for name in names:
-        M = np.convolve(M, G[index.index(name)].sum(0))
-    k = np.arange(M.size + 1)
-    t = _CHAINS[d].theta * scale
-    return scale, (m + k) * np.append(M, 0.0) + t * (m + k - 2) * np.append(0.0, M)
+        M = _convolve_rows(M, G[:, index.index(name)].sum(-2))
+    k = np.arange(M.shape[1] + 1)
+    t = _CHAINS[d].theta * scale[:, None]
+    edge = np.zeros((len(M), 1))
+    return scale, (m + k) * np.hstack([M, edge]) + t * (m + k - 2) * np.hstack([edge, M])
 
 
-def _best_root(q, top, f):
-    """The root y of the polynomial q in (0, top) with the largest f(y),
-    from :func:`_roots` and polished by one more Newton step; nan when q
-    has no such root."""
-    ys = [y for y in _roots(q[None, :], top)[0].tolist() if y < top]
-    if not ys:
+def _rate(spec, a, l):
+    """``spec.mu`` at one point; nan where its powers of ell overflow."""
+    try:
+        return float(spec.mu(a, l))
+    except ArithmeticError:
         return math.nan
-    y = max(ys, key=f)
-    p = dp = 0.0
-    for c in reversed(q.tolist()):
-        dp = dp * y + p
-        p = p * y + c
-    return y - p / dp if dp else y
 
 
-def _maximize_mu(d: int, ell: float):
-    spec = chain_spec(d)
-    a_plus = spec.alpha_plus(ell)
-    scale, Q = _rate_critical(d, a_plus, ell)
-    a_star = scale * _best_root(Q, a_plus / scale, lambda y: spec.mu(scale * y, ell))
-    return a_plus, a_star, float(spec.mu(a_star, ell))
+def _optimize(d: int, ell: np.ndarray):
+    """alpha_plus, alpha_star and mu at each wavenumber scale of ``ell``,
+    as lists of floats.
+
+    alpha_star is the root of Q (see :func:`_rate_critical`) in (0,
+    alpha_plus) with the largest mu, from one stacked eigensolve and
+    polished by one more Newton step; nan when there is none.  The final
+    mu is ``spec.mu`` at each alpha_star.
+    """
+    spec = _CHAINS[d]
+    with np.errstate(all="ignore"):
+        a_plus = spec.alpha_plus(ell)
+        scale, Q = _rate_critical(d, a_plus, ell)
+        top = a_plus / scale
+        ys = _roots(Q, top)
+        inside = ys < top[:, None]
+        mus = np.where(inside, spec.mu(scale[:, None] * ys, ell[:, None]), -np.inf)
+        y = np.take_along_axis(ys, np.argmax(mus, axis=1)[:, None], 1)
+        y = np.where(inside.any(axis=1)[:, None], y, np.nan)
+        p, dp = _values(Q, y)
+        y = np.where(dp != 0.0, y - p / dp, y)[:, 0]
+    a_star = (scale * y).tolist()
+    mu = [_rate(spec, a, l) for a, l in zip(a_star, ell.tolist())]
+    return a_plus.tolist(), a_star, mu
 
 
 @dataclass(frozen=True)
@@ -649,80 +713,105 @@ def _first_moduli(d: int, count: int):
         kmax *= 2
 
 
+def certify_many(
+    d: int,
+    Ls,
+    n_verify: int = 0,
+    alpha: float | None = None,
+) -> list:
+    """Evaluate the decay certificates for dimension d on a grid of torus
+    lengths.
+
+    Maximizes the closed-form rate mu over the admissible coupling
+    amplitude (or evaluates at ``alpha`` when given), forms the norm
+    equivalence constants, and verifies the matrix inequality
+    C* P + P C >= 2 mu P on the first ``n_verify`` mode moduli at an
+    assembly truncation with margin.  The thresholds alpha_plus, the
+    maximizers alpha_star and the rates mu of all lengths come from one
+    stacked computation; the value at each length does not depend on the
+    other lengths of the grid.
+
+    Raises ValueError for the first length, in grid order, that is not
+    finite and positive, or at which the certificate leaves the
+    floating-point range, or for which ``alpha`` lies outside (0,
+    alpha_plus).
+
+    Returns
+    -------
+    list of DecayCertificate, one per length
+    """
+    spec = chain_spec(d)
+    Ls = np.asarray(Ls)
+    if Ls.ndim != 1:
+        raise ValueError("torus lengths must form a one-dimensional sequence")
+    Ls = Ls.tolist()
+    ells = [2.0 * math.pi / L if math.isfinite(L) and L > 0 else math.nan for L in Ls]
+    certs = []
+    for L, ell, a_plus, a_star, mu in zip(Ls, ells, *_optimize(d, np.array(ells))):
+        _check_length(L)
+        if not all(math.isfinite(v) and v > 0 for v in (a_plus, a_star, mu)):
+            # the thresholds and rates hold powers of ell that leave the
+            # floating-point range on very small and very large tori
+            size = "small" if ell > 1.0 else "large"
+            raise ValueError(
+                f"torus length {L!r} is too {size}: powers of 2 pi / L leave the floating-point range"
+            )
+        if alpha is not None:
+            if not 0.0 < alpha < a_plus:
+                raise ValueError(
+                    "coupling amplitude must lie in (0, %.6g)" % a_plus
+                )
+            a_star = float(alpha)
+            mu = spec.mu(a_star, ell)
+        theta = spec.theta * a_star
+        checks = []
+        valid = True
+        failed = None
+        if n_verify > 0:
+            N = spec.assembly_N
+            pair = operator_pair(d, DIMENSIONS[d].variant, N, L=L)
+        for kappa in _first_moduli(d, n_verify) if n_verify > 0 else []:
+            C = modal_generator(pair, kappa)
+            P = bgk_P(d, kappa, a_star, N)
+            F = C.conj().T @ P + P @ C - 2.0 * mu * P
+            m = float(np.linalg.eigvalsh(0.5 * (F + F.conj().T)).min())
+            checks.append((float(kappa), m))
+            if m < -1e-9 and valid:
+                valid = False
+                failed = float(kappa)
+        certs.append(
+            DecayCertificate(
+                d=d,
+                L=L,
+                ell=ell,
+                alpha_plus=a_plus,
+                alpha_star=a_star,
+                mu=mu,
+                lam=2.0 * min(1.0, mu),
+                c_d=1.0 / (1.0 + theta),
+                C_d=1.0 / (1.0 - theta),
+                verification=tuple(checks),
+                valid=valid,
+                failed_kappa=failed,
+            )
+        )
+    return certs
+
+
 def certify(
     d: int,
     L: float = 2.0 * math.pi,
     n_verify: int = 50,
     alpha: float | None = None,
 ) -> DecayCertificate:
-    """Evaluate the decay certificate for dimension d and torus length L.
-
-    Maximizes the closed-form rate mu over the admissible coupling
-    amplitude (or evaluates at ``alpha`` when given), forms the norm
-    equivalence constants, and verifies the matrix inequality
-    C* P + P C >= 2 mu P on the first ``n_verify`` mode moduli at an
-    assembly truncation with margin.
+    """Evaluate the decay certificate for dimension d and torus length L:
+    :func:`certify_many` on the one length.
 
     Returns
     -------
     DecayCertificate
     """
-    spec = chain_spec(d)
-    _check_length(L)
-    ell = 2.0 * math.pi / L
-    with np.errstate(all="ignore"):
-        try:
-            a_plus, a_star, mu = _maximize_mu(d, ell)
-        except ArithmeticError:
-            a_plus = a_star = mu = math.nan
-    if not all(math.isfinite(v) and v > 0 for v in (a_plus, a_star, mu)):
-        # the thresholds and rates hold powers of ell that leave the
-        # floating-point range on very small and very large tori
-        size = "small" if ell > 1.0 else "large"
-        raise ValueError(
-            f"torus length {L!r} is too {size}: powers of 2 pi / L leave the floating-point range"
-        )
-    if alpha is not None:
-        if not 0.0 < alpha < a_plus:
-            raise ValueError(
-                "coupling amplitude must lie in (0, %.6g)" % a_plus
-            )
-        a_star = float(alpha)
-        mu = spec.mu(a_star, ell)
-    theta = spec.theta * a_star
-    c_d = 1.0 / (1.0 + theta)
-    C_d = 1.0 / (1.0 - theta)
-    lam = 2.0 * min(1.0, mu)
-
-    checks = []
-    valid = True
-    failed = None
-    if n_verify > 0:
-        N = spec.assembly_N
-        pair = operator_pair(d, DIMENSIONS[d].variant, N, L=L)
-    for kappa in _first_moduli(d, n_verify) if n_verify > 0 else []:
-        C = modal_generator(pair, kappa)
-        P = bgk_P(d, kappa, a_star, N)
-        F = C.conj().T @ P + P @ C - 2.0 * mu * P
-        m = float(np.linalg.eigvalsh(0.5 * (F + F.conj().T)).min())
-        checks.append((float(kappa), m))
-        if m < -1e-9 and valid:
-            valid = False
-            failed = float(kappa)
-    return DecayCertificate(
-        d=d,
-        L=L,
-        ell=ell,
-        alpha_plus=a_plus,
-        alpha_star=a_star,
-        mu=mu,
-        lam=lam,
-        c_d=c_d,
-        C_d=C_d,
-        verification=tuple(checks),
-        valid=valid,
-        failed_kappa=failed,
-    )
+    return certify_many(d, [L], n_verify, alpha)[0]
 
 
 def mu_limits_1d(L_small: float = 1e-3) -> dict:
@@ -735,8 +824,7 @@ def mu_limits_1d(L_small: float = 1e-3) -> dict:
     r13 = math.sqrt(13.0)
     mu_limit = 3.0 * (4.0 - r13) * (3.0 - r13) ** 2 / (1.0 - r13) ** 2
     ratio_limit = (4.0 - r13) / (6.0 * math.pi)
-    ell = 2.0 * math.pi / L_small
-    _, a_star, mu = _maximize_mu(1, ell)
+    _, (a_star,), (mu,) = _optimize(1, np.array([2.0 * math.pi / L_small]))
     return {
         "mu_limit": mu_limit,
         "alpha_over_L_limit": ratio_limit,

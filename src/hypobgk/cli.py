@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .certificate import certify, chain_spec
+from .certificate import certify, certify_many, chain_spec
 from .gap import EigenvalueFailure, VerificationFailure, spectral_gap
 from .hermite import DIMENSIONS
 from .index import hypocoercivity_index
@@ -196,13 +196,17 @@ def _run_minors(args):
     ell = TWO_PI / args.L
     args.kappa = 1.0 if args.kappa is None else args.kappa
     default_alpha = args.alpha is None
+    if default_alpha:
+        # 0 or nan where the powers of 2 pi / L in alpha_plus leave the
+        # floating-point range
+        args.alpha = 0.5 * float(spec.alpha_plus(ell))
+    usable = args.alpha > 0 or not default_alpha
     try:
-        if default_alpha:
-            args.alpha = 0.5 * spec.alpha_plus(ell)
-        table = spec.minors(args.kappa, args.alpha, ell)
-        # at alpha = 0.5 alpha_plus every minor is positive, so a zero
-        # is an underflow
-        usable = all(math.isfinite(v) and (v != 0 or not default_alpha) for v in table.values)
+        if usable:
+            table = spec.minors(args.kappa, args.alpha, ell)
+            # at alpha = 0.5 alpha_plus every minor is positive, so a zero
+            # is an underflow
+            usable = all(math.isfinite(v) and (v != 0 or not default_alpha) for v in table.values)
     except (OverflowError, ZeroDivisionError):
         usable = False
     if not usable:
@@ -284,10 +288,10 @@ def _run_sweep(args):
         raise ValueError("sweep range must satisfy 0 < from < to")
     if args.points < 2:
         raise ValueError("need at least two sweep points")
-    rows = []
-    for L in np.geomspace(args.sweep_from, args.sweep_to, args.points):
-        cert = certify(args.dim, float(L), n_verify=0)
-        rows.append((float(L), cert.alpha_plus, cert.alpha_star, cert.mu, 2.0 * cert.mu))
+    Ls = np.geomspace(args.sweep_from, args.sweep_to, args.points).tolist()
+    rows = [
+        (c.L, c.alpha_plus, c.alpha_star, c.mu, 2.0 * c.mu) for c in certify_many(args.dim, Ls)
+    ]
     header = ("L", "alpha_plus", "alpha_star", "mu", "two_mu")
     return _Artifact(header=header, rows=rows, doc={"rows": [dict(zip(header, r)) for r in rows]})
 

@@ -28,6 +28,7 @@ PUBLIC = [
     "build_L1",
     "build_L2",
     "certify",
+    "certify_many",
     "chain_blocks",
     "check_invariance_conditions",
     "complex_eigenvalues",

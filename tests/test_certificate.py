@@ -10,6 +10,7 @@ from hypobgk import (
     alpha3_1d,
     assemble_D_block,
     certify,
+    certify_many,
     minors_1d,
     minors_2d,
     minors_3d,
@@ -204,6 +205,46 @@ def test_thresholds_on_tori_of_every_decade(d):
         ref = alpha_plus_oracle(d, TWO_PI / L)
         assert abs(cert.alpha_plus - ref) <= 1e-10 * ref, L
         assert 0.0 < cert.alpha_star < cert.alpha_plus and cert.mu > 0.0, L
+
+
+def _values(certs):
+    return [(c.alpha_plus, c.alpha_star, c.mu) for c in certs]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batching_cannot_change_a_length(d):
+    # the companion matrices of one grid share eigensolves, and a stack
+    # of lengths has more than one companion width once the extreme tori
+    # join it: each length must still read bit for bit what it reads alone
+    alone = [_values(certify_many(d, [L]))[0] for L in SWEEP_LENGTHS]
+    assert _values(certify_many(d, SWEEP_LENGTHS)) == alone
+    extremes = [1e-63, 1e33]
+    grid = _values(certify_many(d, [extremes[0], *SWEEP_LENGTHS, extremes[1]]))
+    assert grid[1:-1] == alone
+    assert [grid[0], grid[-1]] == [_values(certify_many(d, [L]))[0] for L in extremes]
+    assert _values([certify(d, L, n_verify=0) for L in extremes]) == [grid[0], grid[-1]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_thresholds_match_the_oracles(d):
+    # one certify_many call over the whole default sweep grid
+    for L, cert in zip(SWEEP_LENGTHS, certify_many(d, SWEEP_LENGTHS)):
+        ell = TWO_PI / L
+        ref = alpha_plus_oracle(d, ell)
+        assert abs(cert.alpha_plus - ref) <= 1e-12 * ref, L
+        ref = alpha_star_oracle(d, ell, cert.alpha_star)
+        assert abs(cert.alpha_star - ref) <= 1e-12 * ref, L
+        assert cert.mu == chain_spec(d).mu(cert.alpha_star, ell), L
+
+
+def test_batch_names_its_first_bad_length_in_grid_order():
+    with pytest.raises(ValueError, match=r"^torus length 1e-70 is too small: "):
+        certify_many(3, [1.0, 1e-70, math.inf, 1e75])
+    with pytest.raises(ValueError, match=r"^torus length must be finite and positive, got inf$"):
+        certify_many(3, [1.0, math.inf, 1e-70])
+    with pytest.raises(ValueError, match=r"^torus length 1e\+75 is too large: "):
+        certify_many(2, [1.0, 1e75, 0.0])
+    assert certify_many(1, []) == []
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -277,6 +277,30 @@ def test_underflowing_torus_length_exits_one(d, capsys):
     assert "torus length 1e+300 is too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["--dim", "3", "--from", "1e-70", "--to", "1", "--points", "5"],
+            "torus length 1e-70 is too small: powers of 2 pi / L leave the floating-point range",
+        ),
+        (
+            ["--dim", "2", "--from", "1", "--to", "1e300", "--points", "5"],
+            "torus length 1e+75 is too large: powers of 2 pi / L leave the floating-point range",
+        ),
+    ],
+)
+def test_out_of_range_length_inside_a_sweep_exits_one(argv, message, capsys):
+    # the sweep is one batch; its error still names the first length, in
+    # grid order, that leaves the range
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep-L", *argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"hypobgk: error: {message}\n")
+
+
 def test_large_torus_certificate_is_positive(tmp_path):
     # the threshold used to cancel to zero here, certifying rate 0
     from oracles import alpha_plus_oracle
