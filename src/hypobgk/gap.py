@@ -45,10 +45,13 @@ chains of 2D and 3D are short, and lose few or no rows.
 
 The real form goes to :func:`complex_eigenvalues` together with V;
 it computes no eigenvectors, and verifies its sampled pairs and the
-pair with the smallest real part.  Its inverse iteration solves with
-B - sigma - V V^T by the Sherman-Morrison-Woodbury formula, with the
-2 x 2 blocks of B inverted in closed form: O(n r**2) for V of rank r
-instead of an O(n**3) LU.  The pair with the smallest real part is
+pair with the smallest real part.  Its inverse iteration runs for all
+of these shifts sigma at once, from one fixed deterministic start, and
+solves with B - sigma - V V^T by the Sherman-Morrison-Woodbury formula:
+the 2 x 2 blocks of B are inverted in closed form, elementwise in
+sigma, and the r x r capacitance matrices of all shifts form one
+stacked solve, O(n r**2) per shift for V of rank r instead of an
+O(n**3) LU.  The pair with the smallest real part is
 verified once more against the block itself: a lone chain is
 tridiagonal and solved by a tridiagonal LU with partial pivoting
 (LAPACK's gttrf / gttrs scheme), the coupled block by a dense solve.
@@ -59,8 +62,9 @@ by an orthogonal involution, so it has the same spectrum.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -151,20 +155,19 @@ def complex_eigenvalues(M, tol: float = _TOL, *, U=None):
     picks = np.zeros(n, dtype=bool)
     picks[_sample(n)] = True
     picks[np.argmin(vals.real)] = True
-    worst = 0.0
-    for p in np.flatnonzero(picks):
-        worst = max(worst, _verified(op, vals[p], tol, vals))
-    return vals, worst
+    return vals, _verified(op, vals[picks], tol, vals)
 
 
 @dataclass(frozen=True)
 class _Operator:
-    """Size, product, shifted factorization and largest column norm (a
-    lower bound of the 2-norm) of a matrix, for inverse iteration.
+    """Size, product, shifted solves and largest column norm (a lower
+    bound of the 2-norm) of a matrix B, for inverse iteration on a stack
+    of shifts.
 
-    ``factor(sigma)`` returns a solver for B - sigma I, which raises
-    ``LinAlgError`` or returns non-finite values when B - sigma I is
-    singular.
+    ``apply(X)`` multiplies each row of an (S, n) stack by B, and
+    ``factor(sigmas)`` returns a solver that takes such a stack and
+    solves its row i with B - sigmas[i] I; a row whose shifted matrix is
+    singular comes back non-finite.
     """
 
     n: int
@@ -173,8 +176,14 @@ class _Operator:
     scale: float
 
 
-def _singular(x):
-    raise np.linalg.LinAlgError("singular shifted matrix")
+def _rows(solves: list, X: np.ndarray) -> np.ndarray:
+    """Row i of X solved by ``solves[i]``, one factorization per shift;
+    where that raises for a singular matrix the row is nan."""
+    Y = np.full(X.shape, np.nan, dtype=complex)
+    for i, solve in enumerate(solves):
+        with suppress(np.linalg.LinAlgError, ZeroDivisionError):
+            Y[i] = solve(X[i])
+    return Y
 
 
 def _gttrf(dl: list, d: list, du: list):
@@ -210,7 +219,7 @@ def _gttrf(dl: list, d: list, du: list):
 
 def _gttrs(dl: list, d: list, du: list, du2: list, swap: list, b: list) -> list:
     """Solves with the factorization of :func:`_gttrf`, as LAPACK's gttrs;
-    the pivots must be nonzero."""
+    a zero pivot, a singular matrix, raises ZeroDivisionError."""
     n = len(d)
     for i in range(n - 1):
         if swap[i]:
@@ -229,20 +238,21 @@ def _banded(ab: np.ndarray) -> _Operator:
     """A tridiagonal matrix held in the (3, n) form of
     :meth:`ChainBlock.bands`, solved by :func:`_gttrf` and :func:`_gttrs`."""
 
-    def apply(x):
-        y = ab[1] * x
-        y[1:] += ab[2, :-1] * x[:-1]
-        y[:-1] += ab[0, 1:] * x[1:]
-        return y
+    def apply(X):
+        Y = ab[1] * X
+        Y[..., 1:] += ab[2, :-1] * X[..., :-1]
+        Y[..., :-1] += ab[0, 1:] * X[..., 1:]
+        return Y
 
-    def factor(sigma):
+    def lu(sigma):
         dl = ab[2, :-1].astype(complex).tolist()
         d = (ab[1] - sigma).astype(complex).tolist()
         du = ab[0, 1:].astype(complex).tolist()
         du2, swap = _gttrf(dl, d, du)
-        if 0 in d:
-            return _singular
-        return lambda x: np.array(_gttrs(dl, d, du, du2, swap, x.astype(complex).tolist()))
+        return lambda x: _gttrs(dl, d, du, du2, swap, x.tolist())
+
+    def factor(sigmas):
+        return partial(_rows, [lu(sigma) for sigma in sigmas])
 
     # column j of ab holds the entries of column j of the matrix
     scale = float(np.sqrt((np.abs(ab) ** 2).sum(axis=0)).max())
@@ -250,12 +260,16 @@ def _banded(ab: np.ndarray) -> _Operator:
 
 
 def _dense(B: np.ndarray) -> _Operator:
-    def factor(sigma):
+    def solve(sigma, x):
+        # shifted on demand: one n x n copy at a time, however many shifts
         shifted = B.astype(complex)
         shifted.flat[:: len(B) + 1] -= sigma
-        return partial(np.linalg.solve, shifted)
+        return np.linalg.solve(shifted, x)
 
-    return _Operator(len(B), B.__matmul__, factor, float(np.linalg.norm(B, axis=0).max()))
+    def factor(sigmas):
+        return partial(_rows, [partial(solve, sigma) for sigma in sigmas])
+
+    return _Operator(len(B), lambda X: X @ B.T, factor, float(np.linalg.norm(B, axis=0).max()))
 
 
 def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
@@ -264,14 +278,17 @@ def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
 
         (D - sigma - U U^T)^-1 = E + E U (I - U^T E U)^-1 U^T E,
 
-    E = (D - sigma)^-1, with one r x r solve per right-hand side.  D is
-    read off the three central diagonals of M + U U^T: a 2 x 2 block
-    starts at each nonzero entry next to the diagonal that does not
-    close the block above it.  Each block [[p, q], [t, w]] is inverted
-    in closed form, its determinant taken as (z - root) (z + root),
-    z = sigma - (p + w) / 2 and root**2 = ((p - w) / 2)**2 + q t, so
-    that it keeps its accuracy where sigma nears an eigenvalue of the
-    block.  The product and the scale are those of the dense M.
+    E = (D - sigma)^-1, for a stack of shifts at once: E is an (S, n)
+    array on each of its three diagonals, and the capacitance matrices
+    I - U^T E U form one (S, r, r) stack of solves.  D is read off the
+    three central diagonals of M + U U^T: a 2 x 2 block starts at each
+    nonzero entry next to the diagonal that does not close the block
+    above it.  Each block [[p, q], [t, w]] is inverted in closed form,
+    its determinant taken as (z - root) (z + root), z = sigma - (p + w)
+    / 2 and root**2 = ((p - w) / 2)**2 + q t, so that it keeps its
+    accuracy where sigma nears an eigenvalue of the block.  A sigma that
+    is an eigenvalue of D to the last bit makes its row of E infinite.
+    The product and the scale are those of the dense M.
     """
     n = len(M)
     uu = np.einsum("ij,ij->i", U[:-1], U[1:])
@@ -288,75 +305,89 @@ def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
     q, t = upper[b], lower[b]
     root = np.sqrt((((diag[b] - diag[b + 1]) / 2) ** 2 + q * t).astype(complex))
 
-    def factor(sigma):
+    def factor(sigmas):
+        sigma = sigmas[:, None]
         a = diag - sigma
         z = sigma - mid
         det = (z - root) * (z + root)
-        if not (a[lone].all() and det.all()):
-            # sigma is an eigenvalue of D to the last bit
-            return _singular
-        # E on, above and below the diagonal
-        e = np.empty(n, dtype=complex)
-        e[lone] = 1.0 / a[lone]
-        e[b], e[b + 1] = a[b + 1] / det, a[b] / det
-        eu, el = np.zeros((2, n - 1), dtype=complex)
-        eu[b], el[b] = -q / det, -t / det
+        # E on, above and below the diagonal, one row per shift
+        e = np.empty(a.shape, dtype=complex)
+        e[:, lone] = 1.0 / a[:, lone]
+        e[:, b], e[:, b + 1] = a[:, b + 1] / det, a[:, b] / det
+        eu, el = np.zeros((2, len(a), n - 1), dtype=complex)
+        eu[:, b], el[:, b] = -q / det, -t / det
 
-        def inverse(y):
-            out = e[:, None] * y
-            out[:-1] += eu[:, None] * y[1:]
-            out[1:] += el[:, None] * y[:-1]
+        def inverse(Y):
+            out = e[..., None] * Y
+            out[:, :-1] += eu[..., None] * Y[..., 1:, :]
+            out[:, 1:] += el[..., None] * Y[..., :-1, :]
             return out
 
         EU = inverse(U)
         cap = np.eye(U.shape[1]) - U.T @ EU
 
-        def solve(x):
-            y = inverse(x[:, None])[:, 0]
-            return y + EU @ np.linalg.solve(cap, U.T @ y)
+        def solve(X):
+            Y = inverse(X[..., None])
+            W = U.T @ Y
+            try:
+                Z = np.linalg.solve(cap, W)
+            except np.linalg.LinAlgError:
+                # a singular capacitance matrix fails the whole stack
+                Z = _rows([partial(np.linalg.solve, c) for c in cap], W)
+            return (Y + EU @ Z)[..., 0]
 
         return solve
 
-    return _Operator(n, M.__matmul__, factor, float(np.linalg.norm(M, axis=0).max()))
+    return _Operator(n, lambda X: X @ M.T, factor, float(np.linalg.norm(M, axis=0).max()))
 
 
-def _verified(op: _Operator, lam: complex, tol: float, vals=None) -> float:
-    """The relative backward error of lam on op; above tol it raises
-    :class:`EigenvalueFailure` carrying vals."""
-    err = _backward_error(op, lam)
+def _verified(op: _Operator, lams, tol: float, vals=None) -> float:
+    """The worst relative backward error of the shifts lams on op; above
+    tol it raises :class:`EigenvalueFailure` carrying vals."""
+    err = float(_backward_errors(op, lams).max())
     if not err <= tol:
         raise EigenvalueFailure(f"backward error {err:.3e} exceeds {tol:.1e}", partial=vals)
     return err
 
 
-@lru_cache(maxsize=32)
 def _start(n: int) -> np.ndarray:
-    """The fixed random start of inverse iteration in dimension n, drawn
-    once per n and shared by every verified pair."""
-    x = np.random.default_rng(0).standard_normal(n).astype(complex)
-    x.flags.writeable = False
-    return x
+    """The start of inverse iteration in dimension n, shared by every
+    verified pair: frac(j g) - 1/2 for j = 1, ..., n, g = (sqrt 5 - 1) / 2,
+    a fixed deterministic vector spread over (-1/2, 1/2).  A backward
+    error certifies its pair whatever the start, so none is drawn."""
+    return (np.arange(1, n + 1) * 0.6180339887498949 % 1.0 - 0.5).astype(complex)
 
 
-def _backward_error(op: _Operator, lam: complex) -> float:
-    """||B x - lam x|| / (scale ||x||) for x from two steps of inverse
-    iteration at lam, from the fixed random start :func:`_start`."""
-    x = _start(op.n)
-    solve = op.factor(lam)
+def _step_off(lams: np.ndarray, scale: float) -> np.ndarray:
+    """The shifts that replace lams, eigenvalues to the last bit (often
+    1 + i s x_j itself), for the rest of their inverse iteration."""
+    return lams + _EPS * scale
+
+
+def _backward_errors(op: _Operator, lams) -> np.ndarray:
+    """||B x - lam x|| / (scale ||x||) for each shift lam, with x from two
+    steps of inverse iteration at lam from :func:`_start`, all shifts as
+    one stack.  A shift whose solve is not finite moves by
+    :func:`_step_off` for the rest of its iteration; the others keep
+    theirs."""
+    lams = np.asarray(lams, dtype=complex)
+    X = np.tile(_start(op.n), (len(lams), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        solvers = [(slice(None), op.factor(lams))]
     for _ in range(2):
-        try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y = solve(x)
-        except np.linalg.LinAlgError:
-            y = None
-        if y is None or not np.isfinite(y).all():
-            # lam is an eigenvalue to the last bit: step off it
-            solve = op.factor(lam + _EPS * op.scale)
-            y = solve(x)
-        # near an eigenvalue y can be so large that its norm overflows
-        y /= np.abs(y).max()
-        x = y / np.linalg.norm(y)
-    return float(np.linalg.norm(op.apply(x) - lam * x) / op.scale)
+        Y = np.empty_like(X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for rows, solve in solvers:
+                Y[rows] = solve(X[rows])
+        hit = np.flatnonzero(~np.isfinite(Y).all(axis=1))
+        if len(hit):
+            step = op.factor(_step_off(lams[hit], op.scale))
+            Y[hit] = step(X[hit])
+            solvers.append((hit, step))
+        # near an eigenvalue Y can be so large that its norm overflows
+        Y /= np.abs(Y).max(axis=1, keepdims=True)
+        X = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+    return np.linalg.norm(op.apply(X) - lams[:, None] * X, axis=1) / op.scale
 
 
 @dataclass(frozen=True)
@@ -469,7 +500,7 @@ def _mode_gap(reduced, s: float):
         # the pair that sets the block's minimum, on the block itself
         blk = r.block
         op = _banded(blk.bands(s)) if blk.tridiagonal else _dense(blk.matrix(s))
-        err = max(err, _verified(op, vals[p], _TOL))
+        err = max(err, _verified(op, vals[p : p + 1], _TOL))
         gap = min(gap, float(vals[p].real))
         worst = max(worst, err)
     return gap, worst

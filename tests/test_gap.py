@@ -438,26 +438,52 @@ def test_verification_survives_huge_inverse_iterates():
     # (N = 300, s = 5) grows to where the squared norm overflows
     (blk,) = chain_blocks(operator_pair(1, "tensor", 300))
     op = gap._banded(blk.bands(5.0))
-    for lam in np.linalg.eigvals(blk.matrix(5.0)):
-        assert gap._backward_error(op, lam) <= 1e-8
+    assert (gap._backward_errors(op, np.linalg.eigvals(blk.matrix(5.0))) <= 1e-8).all()
 
 
 # -- structured verification: Woodbury on the reduced matrix, a
 # tridiagonal LU on a lone chain
 
 
+def dense_backward_error(M, lam):
+    """The backward error of lam on M from two steps of inverse iteration
+    with a dense solve, one shift alone, stepping off lam where it is an
+    eigenvalue to the last bit: the reference for the stacked path."""
+    n = len(M)
+    scale = np.linalg.norm(M, axis=0).max()
+    x, sigma = gap._start(n), lam
+    for _ in range(2):
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y = np.linalg.solve(M - sigma * np.eye(n), x)
+        except np.linalg.LinAlgError:
+            y = None
+        if y is None or not np.isfinite(y).all():
+            sigma = lam + np.finfo(float).eps * scale
+            y = np.linalg.solve(M - sigma * np.eye(n), x)
+        y /= np.abs(y).max()
+        x = y / np.linalg.norm(y)
+    return np.linalg.norm(M @ x - lam * x) / scale
+
+
+def recording_step_off(monkeypatch):
+    """Patches the step-off hook to record the shifts that it moves."""
+    moved = []
+    real = gap._step_off
+
+    def recording(lams, scale):
+        moved.extend(lams)
+        return real(lams, scale)
+
+    monkeypatch.setattr(gap, "_step_off", recording)
+    return moved
+
+
 def test_gaps_raise_no_floating_point_warnings(monkeypatch):
     # eigvals often returns a diagonal entry 1 + i s x_j of a reduced
     # matrix, or an eigenvalue of a chain, to the last bit; inverse
     # iteration must step off such an exact hit without a RuntimeWarning
-    hits = []
-    real = gap._singular
-
-    def counting(x):
-        hits.append(1)
-        return real(x)
-
-    monkeypatch.setattr(gap, "_singular", counting)
+    moved = recording_step_off(monkeypatch)
     kappas = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -466,32 +492,67 @@ def test_gaps_raise_no_floating_point_warnings(monkeypatch):
             study = convergence_study(d, TWO_PI, 1.0, Ns)
             assert 0.0 < rep.backward_error <= 1e-8
             assert 0.0 < study.backward_error <= 1e-8
-    assert hits
+    assert moved
 
 
 @pytest.mark.parametrize("d,N", [(1, 150), (1, 151), (1, 500), (2, 60), (3, 84)])
 def test_structured_backward_errors_agree_with_dense_solves(d, N):
-    # the Woodbury solve on the reduced real form, with its 2 x 2 blocks
-    # and its 1 x 1 rows at the nodes 0 (N = 151, and two in d = 2), and the
-    # tridiagonal LU on a chain give the backward errors of inverse
-    # iteration with dense solves of the same matrices
+    # the stacked Woodbury solve on the reduced real form, with its
+    # 2 x 2 blocks and its 1 x 1 rows at the nodes 0 (N = 151, and two in
+    # d = 2), and the tridiagonal LU on a chain give the backward errors
+    # of inverse iteration with a dense solve, one shift at a time
     reduced, ell = gap._split(d, N, TWO_PI)
     for s in (0.3 * ell, ell, 5.0 * ell):
         for r in reduced:
             M = r.matrix(s)
             vals = np.linalg.eigvals(M)
             p = np.argmin(vals.real)
-            picks = {p, *gap._sample(len(vals))}
-            checks = [(gap._low_rank(M, r.V), gap._dense(M), picks)]
-            if r.block.tridiagonal:
-                blk = r.block
-                checks.append((gap._banded(blk.bands(s)), gap._dense(blk.matrix(s)), [p]))
-            for structured, dense, picks in checks:
-                for q in picks:
-                    e_s = gap._backward_error(structured, vals[q])
-                    e_d = gap._backward_error(dense, vals[q])
-                    assert e_s <= 1e-8 and e_d <= 1e-8
-                    assert abs(e_s - e_d) <= 1e-13, (s, q, e_s, e_d)
+            picks = vals[sorted({p, *gap._sample(len(vals))})]
+            checks = [(gap._low_rank(M, r.V), gap._dense(M), M, picks)]
+            blk = r.block
+            B = blk.matrix(s)
+            block_op = gap._banded(blk.bands(s)) if blk.tridiagonal else gap._dense(B)
+            checks.append((block_op, gap._dense(B), B, vals[p : p + 1]))
+            for structured, dense, A, lams in checks:
+                e_s = gap._backward_errors(structured, lams)
+                e_d = gap._backward_errors(dense, lams)
+                ref = np.array([dense_backward_error(A, lam) for lam in lams])
+                assert (ref <= 1e-8).all()
+                assert np.abs(e_s - ref).max() <= 1e-13, (s, e_s, ref)
+                assert np.abs(e_d - ref).max() <= 1e-13, (s, e_d, ref)
+
+
+def test_step_off_moves_only_the_exact_hit(monkeypatch):
+    # at the outermost kept node of a 1D chain V is so small that
+    # 1 + i s x_j is an eigenvalue of the reduced matrix to the last bit;
+    # it is one of D exactly, so its row of E is infinite.  In a stack
+    # with ordinary shifts it alone steps off, and every other shift
+    # keeps its error to the last bit
+    (r,), ell = gap._split(1, 60, TWO_PI)
+    s = 2.0 * ell
+    M = r.matrix(s)
+    op = gap._low_rank(M, r.V)
+    vals = np.linalg.eigvals(M)
+    # ordinary shifts: the eigenvalues farthest from D's, which lie on Re = 1
+    ordinary = vals[np.argsort(vals.real)[:8]]
+    hit = 1.0 + 1j * s * r.x.max()
+    moved = recording_step_off(monkeypatch)
+    alone = gap._backward_errors(op, ordinary)
+    assert not moved
+    mixed = gap._backward_errors(op, np.insert(ordinary, 3, hit))
+    assert moved == [hit]
+    assert np.array_equal(np.delete(mixed, 3), alone)
+    assert (mixed <= 1e-8).all()
+    assert abs(mixed[3] - dense_backward_error(M, hit)) <= 1e-13
+    # M = diag(1, 3, 5) as D = diag(2, 3, 5) minus U U^T: at sigma = 1
+    # the capacitance matrix is exactly 0, a singular solve in the stack
+    moved.clear()
+    U = np.array([[1.0], [0.0], [0.0]])
+    op = gap._low_rank(np.diag([1.0, 3.0, 5.0]), U)
+    errs = gap._backward_errors(op, [1.0, 4.0])
+    assert moved == [1.0]
+    assert errs[0] <= 1e-15
+    assert errs[1] == gap._backward_errors(op, [4.0])[0]
 
 
 def test_tridiagonal_lu_solves_like_a_dense_solve():
@@ -502,8 +563,14 @@ def test_tridiagonal_lu_solves_like_a_dense_solve():
         ab = rng.standard_normal((3, n))
         ab[1, ::2] *= 1e-3
         B = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-        sigma = 0.3 + 0.2j
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = gap._banded(ab).factor(sigma)(x)
-        ref = np.linalg.solve(B - sigma * np.eye(n), x)
-        assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+        # one row per shift; a shift at the eigenvalue of B when n = 1
+        # makes it singular, and its row nan
+        sigmas = np.array([0.3 + 0.2j, -0.1 + 0.5j, ab[1, 0]])
+        X = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        Y = gap._banded(ab).factor(sigmas)(X)
+        for sigma, x, y in zip(sigmas, X, Y):
+            if n == 1 and sigma == ab[1, 0]:
+                assert np.isnan(y).all()
+                continue
+            ref = np.linalg.solve(B - sigma * np.eye(n), x)
+            assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
