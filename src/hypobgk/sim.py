@@ -6,7 +6,8 @@ generators.  The entropy functional weights each mode with the
 certified transformation matrix, so its decay at the certified rate
 can be checked against the simulated trajectory, along with the L1
 distance of the reconstructed density from equilibrium and its
-Csiszar-Kullback style envelope bound.
+Csiszar-Kullback style envelope bound.  :class:`L1Grid` evaluates the
+L1 distance on half its grid, by the symmetries x -> 1 - x and v -> -v.
 
 The simulation is one-dimensional and stores the half spectrum: one
 row per wavenumber kappa = 0, 1, ..., kmax, with weight 1 for kappa = 0
@@ -144,19 +145,15 @@ def evolve(state: ModalState, dt: float) -> ModalState:
     if dt == 0.0:
         return replace(state, coeffs=state.coeffs.copy())
     E = _propagators(state.N, state.L, tuple(state.kappa.tolist()), float(dt))
-    return replace(state, coeffs=np.einsum("kij,kj->ki", E, state.coeffs), t=state.t + dt)
+    return replace(state, coeffs=(E @ state.coeffs[..., None])[..., 0], t=state.t + dt)
 
 
 @lru_cache(maxsize=8)
 def _transformations(kappa: tuple, alpha: float, N: int) -> np.ndarray:
     """The stack of P_kappa over the moduli ``kappa``; P = I for the
     homogeneous mode and for alpha = 0."""
-    P = np.stack(
-        [
-            np.eye(N, dtype=complex) if k == 0 or alpha == 0 else bgk_P(1, k, alpha, N)
-            for k in kappa
-        ]
-    )
+    eye = np.eye(N, dtype=complex)
+    P = np.stack([eye if k == 0 or alpha == 0 else bgk_P(1, k, alpha, N) for k in kappa])
     P.flags.writeable = False
     return P
 
@@ -172,7 +169,7 @@ def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
     """
     P = _transformations(tuple(state.kappa.tolist()), alpha, state.N)
     h = state.coeffs
-    q = np.einsum("ki,kij,kj->k", h.conj(), P, h).real
+    q = (h.conj() * (P @ h[..., None])[..., 0]).sum(axis=1).real
     return float(np.sum(state.weights * (1.0 + state.kappa**2) ** gamma * q))
 
 
@@ -183,45 +180,54 @@ def h_norm(state: ModalState) -> float:
 
 @dataclass(frozen=True)
 class L1Grid:
-    """Reconstruction grid of :func:`l1_distance_1d`.
+    """Reconstruction grid of :func:`l1_distance_1d`: 512 points in x
+    and the 160-point Gauss rule in v, evaluated on half of each.
 
-    Holds the spatial phases of the moduli on the x grid, the Hermite
-    table at the Gauss nodes and the normalized quadrature weights.  It
-    depends only on the moduli and the truncation, so every state along
-    one trajectory shares it.  The phases are kept explicitly rather
-    than taken from an FFT, so that every ``kmax`` is exact on the x
-    grid.
+    x-mirror: x_{511-j} = 1 - x_j and exp(2 pi i kappa (1 - x)) =
+    exp(-2 pi i kappa x) for integer kappa, so with A = cos @ Re H and
+    B = sin @ Im H at the 256 points x < 1/2, Re h is A - B at x and
+    A + B at 1 - x.  v-parity: phi_m(-v) = (-1)**m phi_m(v) and the
+    Gauss rule is symmetric to the bit, so with the even- and odd-degree
+    parts e and o at the 80 positive nodes, |h(v)| + |h(-v)| =
+    |e + o| + |e - o| = 2 max(|e|, |o|).  Every state of a trajectory
+    shares the grid; its phases are explicit, not from an FFT, so that
+    every ``kmax`` is exact.
     """
 
     kappa: tuple
-    phases: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
+    cos_sin: np.ndarray = field(repr=False)
+    phi_even: np.ndarray = field(repr=False)
+    phi_odd: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, kappa: tuple, N: int) -> "L1Grid":
-        """Grid for the moduli ``kappa`` and truncation N, with 512
-        points in x and the 160-point Gauss rule in v."""
-        xs = (np.arange(_NX) + 0.5) / _NX
+        """Grid for the moduli ``kappa`` (integers >= 0) and truncation N."""
+        k = np.asarray(kappa, dtype=float)
+        if not np.all(np.isfinite(k) & (k >= 0)) or np.any(k % 1):
+            raise ValueError("L1 grid moduli must be nonnegative integers")
+        theta = 2.0 * math.pi * np.outer((np.arange(_NX // 2) + 0.5) / _NX, k)
         nodes, wts = gauss_hermite(_NV)
-        grid = cls(
-            kappa=kappa,
-            phases=np.exp(2j * math.pi * np.outer(xs, kappa)),
-            phi=hermite_phi(N - 1, nodes),
-            weights=wts / SQRT2PI,
-        )
-        for a in (grid.phases, grid.phi, grid.weights):
+        phi = hermite_phi(N - 1, nodes[_NV // 2 :])
+        cos_sin = np.stack((np.cos(theta), np.sin(theta)))
+        grid = cls(kappa, cos_sin, phi[0::2], phi[1::2], wts[_NV // 2 :] * (2.0 / SQRT2PI))
+        for a in (grid.cos_sin, grid.phi_even, grid.phi_odd, grid.weights):
             a.flags.writeable = False
         return grid
 
     def distance(self, state: ModalState) -> float:
         """:func:`l1_distance_1d` of a state with this grid's moduli and
-        truncation.  With h_{-k} = conj(h_k), h(x) is the real part of
-        the half-spectrum sum weighted by the multiplicities 1 (kappa =
-        0) and 2 (kappa > 0)."""
+        truncation.  With h_{-k} = conj(h_k), h(x) is the real part of the
+        half-spectrum sum H weighted by the multiplicities 1 and 2."""
         H = state.weights[:, None] * state.coeffs
-        vals = (self.phases @ H).real @ self.phi
-        return float(np.mean(np.abs(vals) @ self.weights))
+        A, B = self.cos_sin @ np.stack((H.real, H.imag))
+        total = 0.0
+        # one half at a time keeps the (256, 80) temporaries small
+        for vals in (A - B, A + B):
+            E = vals[:, 0::2] @ self.phi_even
+            O = vals[:, 1::2] @ self.phi_odd
+            total += (np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=E) @ self.weights).sum()
+        return float(total) / _NX
 
 
 #: grids are shared by the samples of a trajectory
@@ -245,8 +251,7 @@ def _hann_transform(u):
     u = np.asarray(u, dtype=float)
     denom = 1.0 - u * u
     safe = np.abs(denom) > 1e-8
-    out = np.where(safe, np.sinc(u) / np.where(safe, denom, 1.0), 0.5)
-    return out
+    return np.where(safe, np.sinc(u) / np.where(safe, denom, 1.0), 0.5)
 
 
 def concentrated_initial_data(
@@ -327,20 +332,15 @@ def run_trajectory(
         raise ValueError("need at least two sample points")
     ts = np.linspace(0.0, tmax, n_samples)
     dt = float(ts[1] - ts[0])
-    ent = np.empty(n_samples)
-    nrm = np.empty(n_samples)
-    l1 = np.empty(n_samples)
+    ent, nrm, l1 = np.empty((3, n_samples))
     cur = state
-    E0 = None
     for i in range(n_samples):
         ent[i] = entropy(cur, alpha, gamma)
         nrm[i] = h_norm(cur)
         l1[i] = l1_distance_1d(cur)
-        if i == 0:
-            E0 = ent[0]
         if i < n_samples - 1:
             cur = evolve(cur, dt)
     out = {"t": ts, "entropy": ent, "h_norm": nrm, "l1": l1}
-    if C_d is not None and lam is not None and E0 is not None:
-        out["envelope"] = decay_envelope(ts, C_d, E0, lam)
+    if C_d is not None and lam is not None:
+        out["envelope"] = decay_envelope(ts, C_d, ent[0], lam)
     return out

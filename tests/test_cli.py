@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hypobgk.cli as cli
+from hypobgk import certify, concentrated_initial_data, entropy
 
 
 def _run(*args):
@@ -124,6 +125,18 @@ def test_simulate_columns():
     assert header == ["t", "entropy", "h_norm", "l1", "envelope"]
     assert len(rows) == 3
     assert float(rows[0][0]) == 0.0
+
+
+def test_simulate_gamma_weights_the_entropy_column():
+    args = ("simulate", "--epsilon", "0.05", "--tmax", "1", "--dt", "0.5", "--kmax", "8")
+    cols = [
+        np.array(_csv_rows(_run(*args, "--gamma", g).stdout)[1], dtype=float)[:, 1]
+        for g in ("0", "0.5")
+    ]
+    cert = certify(1, 2.0 * math.pi, n_verify=0)
+    st = concentrated_initial_data(0.05, kmax=8)
+    assert abs(cols[1][0] - entropy(st, cert.alpha_star, 0.5)) < 1e-12 * cols[1][0]
+    assert np.all(cols[1] > cols[0])
 
 
 def test_out_file_writing(tmp_path):

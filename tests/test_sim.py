@@ -21,6 +21,7 @@ from hypobgk import (
     t_init,
 )
 from hypobgk.certificate import chain_spec
+from hypobgk.hermite import gauss_hermite, hermite_phi
 from hypobgk.sim import L1Grid, _propagators
 
 TWO_PI = 2.0 * math.pi
@@ -82,11 +83,12 @@ def test_semigroup_property():
     assert num / den < 1e-9
 
 
-def _signed_spectrum_entropy(st, t, alpha):
-    """Oracle for entropy(evolve(st, t), alpha) on a 1D state: the full
-    signed spectrum k in [-kmax, kmax] with h_{-k} = conj(h_k), each
-    mode evolved by expm(-C_k t) with its own signed generator and
-    weighted by P_k = conj(P_|k|) for k < 0."""
+def _signed_spectrum_entropy(st, t, alpha, gamma=0.0):
+    """Oracle for entropy(evolve(st, t), alpha, gamma) on a 1D state:
+    the full signed spectrum k in [-kmax, kmax] with h_{-k} =
+    conj(h_k), each mode evolved by expm(-C_k t) with its own signed
+    generator and weighted by (1 + k^2)^gamma P_k, P_k = conj(P_|k|)
+    for k < 0."""
     pair = operator_pair(1, "tensor", st.N, L=st.L)
     total = 0.0
     for kap, h0 in zip(st.kappa, st.coeffs):
@@ -97,7 +99,8 @@ def _signed_spectrum_entropy(st, t, alpha):
             C = 1j * k * pair.ell * pair.L1 + pair.L2
             h = expm(-C * t) @ h
             P = np.eye(st.N) if kap == 0 else bgk_P(1, kap, alpha, st.N)
-            total += float(np.real(np.vdot(h, (P if s > 0 else np.conj(P)) @ h)))
+            q = float(np.real(np.vdot(h, (P if s > 0 else np.conj(P)) @ h)))
+            total += (1.0 + k * k) ** gamma * q
     return total
 
 
@@ -117,6 +120,10 @@ def test_entropy_matches_signed_spectrum_oracle(t):
     )
     q0, qt = (np.einsum("ki,kij,kj->k", h.conj(), P, h).real for h in (st.coeffs, later.coeffs))
     assert np.all(qt <= np.exp(-2.0 * cert.mu * t) * q0 * (1.0 + 1e-12))
+    # the (1 + kappa^2)^gamma weight of every mode
+    Eg = entropy(later, cert.alpha_star, gamma=0.5)
+    assert abs(Eg - _signed_spectrum_entropy(st, t, cert.alpha_star, gamma=0.5)) < 1e-12 * Eg
+    assert Eg > 1.1 * E
 
 
 def test_homogeneous_mode_is_conserved():
@@ -155,6 +162,32 @@ def test_l1_distance_matches_quadrature_oracle():
     # which rings at the percent level for this concentration
     assert abs(got - oracle) < 0.01
     assert got <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("N", [5, 20, 31])
+@pytest.mark.parametrize("kmax", [7, 33, 128])
+def test_l1_grid_matches_full_grid_formula(N, kmax):
+    # random complex states have no symmetry under x -> 1 - x or v -> -v,
+    # so the half-grid evaluation must reproduce the full 512 x 160 grid
+    rng = np.random.default_rng(100 * N + kmax)
+    st = _initial(kmax=kmax, N=N)
+    st.coeffs = rng.standard_normal(st.coeffs.shape) + 1j * rng.standard_normal(st.coeffs.shape)
+    xs = (np.arange(512) + 0.5) / 512
+    nodes, w = gauss_hermite(160)
+    H = st.weights[:, None] * st.coeffs
+    phi = hermite_phi(N - 1, nodes)
+    full = np.mean(np.abs((np.exp(2j * math.pi * np.outer(xs, st.kappa)) @ H).real @ phi) @ w)
+    full /= math.sqrt(2.0 * math.pi)
+    got = L1Grid.build(tuple(st.kappa), N).distance(st)
+    assert abs(got - full) < 1e-13 * full
+
+
+def test_l1_grid_rejects_non_integer_moduli():
+    # the x-mirror exp(2 pi i kappa (1 - x)) = exp(-2 pi i kappa x) needs
+    # integer kappa
+    for kappa in ((0.0, 0.5, 1.0), (0.0, -1.0), (0.0, float("nan")), (0.0, float("inf"))):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            L1Grid.build(kappa, 5)
 
 
 def test_l1_initial_value_is_deterministic():
