@@ -29,6 +29,12 @@ alpha_plus) with the largest mu, from one more companion matrix.  For a
 grid of torus lengths (``certify_many``, the ``sweep-L`` curve) the
 companion matrices of all lengths go through the same eigensolves.
 
+One rounding rule holds for a number and for an array alike: an
+integer power is the chain of products x * x * ... * x from the left,
+and a product of polynomials sums its shifted products in a fixed order.
+So each step is one correctly rounded IEEE product or sum, and nothing
+goes through the C library's pow, numpy's power kernel or BLAS.
+
 Minor conventions: the one-dimensional block is ordered so that the
 natural chain runs from the lower-right corner, hence trailing minors;
 the two- and three-dimensional chains use leading minors.
@@ -76,23 +82,33 @@ class MinorTable:
 
 def minors_1d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Trailing principal minors of the 5x5 block for d = 1."""
-    _check_params(kappa, alpha, ell)
-    la = ell * alpha
-    d1 = 2.0
-    d2 = 4.0 * (1.0 - 3.0 * la)
-    d3 = 8.0 * la * (1.0 - 3.0 * la) ** 2 - 6.0 * alpha**2 / kappa**2
-    d4 = 2.0 * la * d3
-    d5 = (2.0 * la) ** 2 * d3
-    return MinorTable(1, kappa, alpha, ell, (d1, d2, d3, d4, d5), {}, "trailing")
+    k, a, l = _check_params(kappa, alpha, ell)
+    with np.errstate(all="ignore"):
+        la = l * a
+        b = 1.0 - 3.0 * la
+        d2 = 4.0 * b
+        d3 = 8.0 * la * (b * b) - 6.0 * (a * a) / (k * k)
+        d4 = 2.0 * la * d3
+        d5 = (2.0 * la) * (2.0 * la) * d3
+    return MinorTable(1, kappa, alpha, ell, (2.0, d2, d3, d4, d5), {}, "trailing")
 
 
 def _check_params(kappa, alpha, ell):
+    """The parameters as numpy floats: overflow and x / 0 do not raise."""
     if not (math.isfinite(kappa) and kappa >= 1):
         raise ValueError(f"mode modulus kappa must be finite and at least 1, got {kappa}")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"coupling amplitude alpha must be finite and nonnegative, got {alpha}")
     if not (math.isfinite(ell) and ell > 0):
         raise ValueError(f"wavenumber scale must be finite and positive, got {ell}")
+    return np.array([kappa, alpha, ell], dtype=float)
+
+
+def _powers(x, n):
+    """``x**0, ..., x**(n - 1)`` on a new last axis, each the chain of
+    products ``x * x * ... * x`` from the left."""
+    x = np.asarray(x, dtype=float)
+    return np.multiply.accumulate(np.stack([np.ones_like(x)] + [x] * (n - 1), -1), -1)
 
 
 @dataclass(frozen=True)
@@ -112,12 +128,13 @@ class _Factor:
     rows: np.ndarray
 
     def __call__(self, kappa, alpha, ell):
-        v = 1.0 / (kappa * ell) ** 2
+        ke = kappa * ell
+        v = 1.0 / (ke * ke)
         x = ell * alpha
         value = 0.0
         for c0, c1, c2 in self.rows.T[::-1].tolist():
             value = value * x + (c0 + v * (c1 + v * c2))
-        return ell**self.m * value
+        return _powers(ell, self.m + 1)[..., self.m] * value
 
 
 def _factor(m, *rows):
@@ -222,7 +239,7 @@ _LAST_MINOR = {
 
 def _last_minor(d, k, a, l):
     const, power, names = _LAST_MINOR[d]
-    value = const * l * a**power
+    value = const * l * _powers(a, power + 1)[..., power]
     for name in names:
         value = value * _FACTORS[d][name](k, a, l)
     return value
@@ -230,21 +247,21 @@ def _last_minor(d, k, a, l):
 
 def minors_2d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Leading principal minors of the 11x11 block for d = 2."""
-    _check_params(kappa, alpha, ell)
-    k, a, l = kappa, alpha, ell
-    p = {name: f(k, a, l) for name, f in _FACTORS[2].items()}
-    la = l * a
-    d1 = 2.0 * la
-    d2 = 4.0 * la**2
-    d3 = 8.0 * la**3
-    d4 = 44.0 * la**4
-    d5 = 22.0 * l**3 * a**4 * p.pop("d5")
-    d6 = d5 * p["p6"] / l
-    d7 = 2.0 * d5 * p["p7"] / (11.0 * l**2)
-    d8 = 8.0 * l * a**4 * p["p7"] * p["p8"]
-    d9 = 8.0 * l * a**4 * p["p8"] * p["p9"]
-    d10 = 2.0 * d9
-    d11 = _last_minor(2, k, a, l)
+    k, a, l = _check_params(kappa, alpha, ell)
+    with np.errstate(all="ignore"):
+        p = {name: f(k, a, l) for name, f in _FACTORS[2].items()}
+        lp, a4, lap = _powers(l, 4), _powers(a, 5)[4], _powers(l * a, 5)
+        d1 = 2.0 * lap[1]
+        d2 = 4.0 * lap[2]
+        d3 = 8.0 * lap[3]
+        d4 = 44.0 * lap[4]
+        d5 = 22.0 * lp[3] * a4 * p.pop("d5")
+        d6 = d5 * p["p6"] / l
+        d7 = 2.0 * d5 * p["p7"] / (11.0 * lp[2])
+        d8 = 8.0 * l * a4 * p["p7"] * p["p8"]
+        d9 = 8.0 * l * a4 * p["p8"] * p["p9"]
+        d10 = 2.0 * d9
+        d11 = _last_minor(2, k, a, l)
     return MinorTable(
         2, kappa, alpha, ell, (d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11), p, "leading"
     )
@@ -252,33 +269,33 @@ def minors_2d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
 
 def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Leading principal minors of the 21x21 block for d = 3."""
-    _check_params(kappa, alpha, ell)
-    k, a, l = kappa, alpha, ell
-    p = {name: f(k, a, l) for name, f in _FACTORS[3].items()}
-    p6, p11, p12 = p["p6"], p["p11"], p["p12"]
-    la = l * a
-    w = R2 - 1.0
-    d1 = 2.0 * la
-    d2 = 4.0 * w * la**2
-    d3 = 8.0 * w * la**3
-    d4 = 16.0 * w * la**4
-    d5 = (80.0 / 3.0) * w * l**5 * a**5
-    d6 = (40.0 / 3.0) * w * l**4 * a**5 * p6
-    d7 = (20.0 / 3.0) * w * l**3 * a**5 * p6**2
-    d8 = 12.0 * l**2 * a**5 * p6**2 * p["p8"]
-    d9 = 2.0 * d8
-    d10 = (4.0 / 3.0) * l**2 * a**5 * p6**2 * p["p10"]
-    d11 = (2.0 / 9.0) * l * a**5 * p6**2 * p11
-    d12 = (2.0 / 9.0) * l * a**5 * p6 * p11 * p12
-    d13 = (2.0 / 9.0) * l * a**5 * p11 * p12**2
-    d14 = l * a**5 * p12**2 * p["p14"] / (9.0 * (1.0 + R3) ** 2)
-    d15 = 2.0 * d14
-    d16 = (8.0 / 9.0) * ((2.0 + R3) / (1.0 + R3) ** 2) * l * a**5 * p12**2 * p["p16"]
-    d17 = 2.0 * d16
-    d18 = 4.0 * d16
-    d19 = 8.0 * d16
-    d20 = 16.0 * d16
-    d21 = _last_minor(3, k, a, l)
+    k, a, l = _check_params(kappa, alpha, ell)
+    with np.errstate(all="ignore"):
+        p = {name: f(k, a, l) for name, f in _FACTORS[3].items()}
+        p6, p11, p12 = p["p6"], p["p11"], p["p12"]
+        lp, a5, lap = _powers(l, 6), _powers(a, 6)[5], _powers(l * a, 5)
+        w = R2 - 1.0
+        d1 = 2.0 * lap[1]
+        d2 = 4.0 * w * lap[2]
+        d3 = 8.0 * w * lap[3]
+        d4 = 16.0 * w * lap[4]
+        d5 = (80.0 / 3.0) * w * lp[5] * a5
+        d6 = (40.0 / 3.0) * w * lp[4] * a5 * p6
+        d7 = (20.0 / 3.0) * w * lp[3] * a5 * (p6 * p6)
+        d8 = 12.0 * lp[2] * a5 * (p6 * p6) * p["p8"]
+        d9 = 2.0 * d8
+        d10 = (4.0 / 3.0) * lp[2] * a5 * (p6 * p6) * p["p10"]
+        d11 = (2.0 / 9.0) * l * a5 * (p6 * p6) * p11
+        d12 = (2.0 / 9.0) * l * a5 * p6 * p11 * p12
+        d13 = (2.0 / 9.0) * l * a5 * p11 * (p12 * p12)
+        d14 = l * a5 * (p12 * p12) * p["p14"] / (9.0 * (1.0 + R3) ** 2)
+        d15 = 2.0 * d14
+        d16 = (8.0 / 9.0) * ((2.0 + R3) / (1.0 + R3) ** 2) * l * a5 * (p12 * p12) * p["p16"]
+        d17 = 2.0 * d16
+        d18 = 4.0 * d16
+        d19 = 8.0 * d16
+        d20 = 16.0 * d16
+        d21 = _last_minor(3, k, a, l)
     return MinorTable(
         3,
         kappa,
@@ -323,31 +340,14 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
 # polynomial roots
 
 
-def _pow(x, n):
-    """``x**n`` elementwise, computed on Python floats.
-
-    Python's power is the C library's pow; numpy's power (and its square)
-    can round differently in the last place.  The scalar formulas
-    (``spec.mu``, the minors) use Python's, and so do the thresholds and
-    rates of a grid of tori.  ``x`` is nonnegative; an overflow gives inf.
-    """
-    out = []
-    for v in np.ravel(x).tolist():
-        try:
-            out.append(v**n)
-        except OverflowError:
-            out.append(math.inf)
-    return np.reshape(out, np.shape(x))
-
-
-def _convolve_rows(A, B):
-    """Products of the polynomials in the rows of A and B.
-
-    ``numpy.convolve`` row by row: it sums through BLAS dot products,
-    whose order of summation an array expression does not reproduce.
-    """
-    products = [np.convolve(a, b) for a, b in zip(A, B)]
-    return np.reshape(products, (len(A), A.shape[1] + B.shape[1] - 1))
+def _polymul(A, B):
+    """Products of the polynomials with ascending coefficients in the
+    last axes of A and B: the shifted products A * B[..., j] summed in
+    the order j = 0, 1, ..."""
+    out = np.zeros(A.shape[:-1] + (A.shape[-1] + B.shape[-1] - 1,))
+    for j in range(B.shape[-1]):
+        out[..., j : j + A.shape[-1]] += A * B[..., j, None]
+    return out
 
 
 def _values(C, x):
@@ -382,7 +382,7 @@ def _roots(C, top):
     *shape, width = C.shape
     C = C.reshape(-1, width)
     rows = len(C)
-    size = np.abs(C) * np.reshape(np.broadcast_to(top, shape), (-1, 1)) ** np.arange(width)
+    size = np.abs(C) * _powers(np.reshape(np.broadcast_to(top, shape), -1), width)
     live = size > _EPS * size.max(axis=1, keepdims=True)
     # a row that underflowed to zeros has no roots
     deg = np.where(live.any(axis=1), width - 1 - np.argmax(live[:, ::-1], axis=1), 0)
@@ -455,10 +455,10 @@ def _kappa1(d, l):
     any size.
     """
     l = np.asarray(l, dtype=float)
-    q = 4.0 * _pow(l, 2)
+    q = 4.0 * (l * l)
     scale, s, w = 4.0 * l / (q + 1.0), q / (q + 1.0), 4.0 / (q + 1.0)
-    s, w = (np.reshape(v, v.shape + (1, 1, 1)) for v in (s, w))
-    return scale, _TABLES[d] * w**_J * s**_K_J
+    s, w = (_powers(v[..., None], n) for v, n in ((s, 6), (w, 3)))
+    return scale, _TABLES[d] * w[..., _J] * s[..., _K_J]
 
 
 _TABLES = {d: np.stack([f.rows for f in factors.values()]) for d, factors in _FACTORS.items()}
@@ -506,7 +506,7 @@ def _alpha_plus(d: int, l):
             # the smaller root of 72 l**3 a**2 - (48 l**2 + 6) a + 8 l, in
             # the form 2 C / (B + sqrt(disc)) that does not cancel on large
             # tori
-            l2 = _pow(l, 2)
+            l2 = l * l
             return 8.0 * l / (3.0 * (1.0 + 8.0 * l2 + np.sqrt(1.0 + 16.0 * l2)))
         # theta alpha < 1 keeps P positive definite
         t = _thresholds(d, l)
@@ -518,8 +518,9 @@ def _alpha_plus(d: int, l):
 
 
 def _mu_1d(a, l):
-    d3 = 8.0 * l * a * (1.0 - 3.0 * l * a) ** 2 - 6.0 * a**2
-    return d3 / (8.0 * (1.0 - l * a) ** 2 * (1.0 + a * _CHAINS[1].theta))
+    b, c = 1.0 - 3.0 * l * a, 1.0 - l * a
+    d3 = 8.0 * l * a * (b * b) - 6.0 * (a * a)
+    return d3 / (8.0 * (c * c) * (1.0 + a * _CHAINS[1].theta))
 
 
 def _mu_chain(d, a, l):
@@ -589,30 +590,22 @@ def _rate_critical(d: int, a_plus, l):
     """
     if d == 1:
         b, t = l * a_plus, _CHAINS[1].theta * a_plus
-        one, b2 = np.ones_like(b), _pow(b, 2)
-        N = np.stack([0.0 * one, 8.0 * b, -48.0 * b2 - 6.0 * _pow(a_plus, 2), 72.0 * _pow(b, 3)], -1)
-        D = _convolve_rows(np.stack([one, -2.0 * b, b2], -1), np.stack([one, t], -1))
+        one, b2, a2 = np.ones_like(b), b * b, a_plus * a_plus
+        N = np.stack([0.0 * one, 8.0 * b, -48.0 * b2 - 6.0 * a2, 72.0 * (b2 * b)], -1)
+        D = _polymul(np.stack([one, -2.0 * b, b2], -1), np.stack([one, t], -1))
         k = np.arange(1, 4)
         # the y**5 terms cancel exactly
-        return a_plus, (_convolve_rows(k * N[:, 1:], D) - _convolve_rows(N, k * D[:, 1:]))[:, :-1]
+        return a_plus, (_polymul(k * N[:, 1:], D) - _polymul(N, k * D[:, 1:]))[:, :-1]
     scale, G = _kappa1(d, l)
     _, m, names = _LAST_MINOR[d]
     index = list(_FACTORS[d])
     M = np.ones((len(l), 1))
     for name in names:
-        M = _convolve_rows(M, G[:, index.index(name)].sum(-2))
+        M = _polymul(M, G[:, index.index(name)].sum(-2))
     k = np.arange(M.shape[1] + 1)
     t = _CHAINS[d].theta * scale[:, None]
     edge = np.zeros((len(M), 1))
     return scale, (m + k) * np.hstack([M, edge]) + t * (m + k - 2) * np.hstack([edge, M])
-
-
-def _rate(spec, a, l):
-    """``spec.mu`` at one point; nan where its powers of ell overflow."""
-    try:
-        return float(spec.mu(a, l))
-    except ArithmeticError:
-        return math.nan
 
 
 def _optimize(d: int, ell: np.ndarray):
@@ -622,7 +615,7 @@ def _optimize(d: int, ell: np.ndarray):
     alpha_star is the root of Q (see :func:`_rate_critical`) in (0,
     alpha_plus) with the largest mu, from one stacked eigensolve and
     polished by one more Newton step; nan when there is none.  The final
-    mu is ``spec.mu`` at each alpha_star.
+    mu is ``spec.mu`` on the array of alpha_star, nan or inf out of range.
     """
     spec = _CHAINS[d]
     with np.errstate(all="ignore"):
@@ -635,10 +628,9 @@ def _optimize(d: int, ell: np.ndarray):
         y = np.take_along_axis(ys, np.argmax(mus, axis=1)[:, None], 1)
         y = np.where(inside.any(axis=1)[:, None], y, np.nan)
         p, dp = _values(Q, y)
-        y = np.where(dp != 0.0, y - p / dp, y)[:, 0]
-    a_star = (scale * y).tolist()
-    mu = [_rate(spec, a, l) for a, l in zip(a_star, ell.tolist())]
-    return a_plus.tolist(), a_star, mu
+        a_star = scale * np.where(dp != 0.0, y - p / dp, y)[:, 0]
+        mu = spec.mu(a_star, ell)
+    return a_plus.tolist(), a_star.tolist(), mu.tolist()
 
 
 @dataclass(frozen=True)
@@ -762,7 +754,7 @@ def certify_many(
                     "coupling amplitude must lie in (0, %.6g)" % a_plus
                 )
             a_star = float(alpha)
-            mu = spec.mu(a_star, ell)
+            mu = float(spec.mu(a_star, ell))
         theta = spec.theta * a_star
         checks = []
         valid = True
@@ -822,7 +814,7 @@ def mu_limits_1d(L_small: float = 1e-3) -> dict:
     maximized values at ``L_small`` for comparison.
     """
     r13 = math.sqrt(13.0)
-    mu_limit = 3.0 * (4.0 - r13) * (3.0 - r13) ** 2 / (1.0 - r13) ** 2
+    mu_limit = 3.0 * (4.0 - r13) * ((3.0 - r13) * (3.0 - r13)) / ((1.0 - r13) * (1.0 - r13))
     ratio_limit = (4.0 - r13) / (6.0 * math.pi)
     _, (a_star,), (mu,) = _optimize(1, np.array([2.0 * math.pi / L_small]))
     return {

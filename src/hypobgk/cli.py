@@ -201,14 +201,11 @@ def _run_minors(args):
         # floating-point range
         args.alpha = 0.5 * float(spec.alpha_plus(ell))
     usable = args.alpha > 0 or not default_alpha
-    try:
-        if usable:
-            table = spec.minors(args.kappa, args.alpha, ell)
-            # at alpha = 0.5 alpha_plus every minor is positive, so a zero
-            # is an underflow
-            usable = all(math.isfinite(v) and (v != 0 or not default_alpha) for v in table.values)
-    except (OverflowError, ZeroDivisionError):
-        usable = False
+    if usable:
+        table = spec.minors(args.kappa, args.alpha, ell)
+        # at alpha = 0.5 alpha_plus every minor is positive, so a zero
+        # is an underflow
+        usable = all(math.isfinite(v) and (v != 0 or not default_alpha) for v in table.values)
     if not usable:
         size = "small" if ell > 1.0 else "large"
         raise ValueError(
@@ -279,6 +276,7 @@ def _run_simulate(args):
         "E0": E0,
         "t_init": t_init(cert.C_d, E0, cert.lam),
         "truncation_tail": state.info["truncation_tail"],
+        "envelope": "L2-bound",
     }
     return _columns(derived, {h: data[h] for h in ("t", "entropy", "h_norm", "l1", "envelope")})
 
@@ -311,6 +309,7 @@ def _run_envelope(args):
         "C_d": cert.C_d,
         "E0": E0,
         "t_init": t_init(cert.C_d, E0, cert.lam),
+        "envelope": "L2-bound",
     }
     return _columns(derived, {"t": ts, "envelope": env})
 

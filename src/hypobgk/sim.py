@@ -5,8 +5,8 @@ mode modulus, evolved exactly by matrix exponentials of the modal
 generators.  The entropy functional weights each mode with the
 certified transformation matrix, so its decay at the certified rate
 can be checked against the simulated trajectory, along with the L1
-distance of the reconstructed density from equilibrium and its
-Csiszar-Kullback style envelope bound.  :class:`L1Grid` evaluates the
+distance of the reconstructed density from equilibrium and its L2
+envelope bound.  :class:`L1Grid` evaluates the
 L1 distance on half its grid, by the symmetries x -> 1 - x and v -> -v.
 
 The simulation is one-dimensional and stores the half spectrum: one
@@ -298,14 +298,16 @@ def concentrated_initial_data(
 
 
 def decay_envelope(t, C_d: float, E0: float, lam: float):
-    """Pointwise L1 bound min(2, sqrt(C_d E0) exp(-lam t / 2))."""
+    """Pointwise L1 bound sqrt(C_d E0) exp(-lam t / 2): by Cauchy-Schwarz
+    the L2 norm bounds the L1 distance even of a signed density, which the
+    linearized flow can make of M (1 + h); the cap 2 holds only for f >= 0."""
     t = np.asarray(t, dtype=float)
-    out = np.minimum(2.0, np.sqrt(C_d * E0) * np.exp(-0.5 * lam * t))
+    out = np.sqrt(C_d * E0) * np.exp(-0.5 * lam * t)
     return out if out.shape else float(out)
 
 
 def t_init(C_d: float, E0: float, lam: float) -> float:
-    """Time at which the envelope drops below the trivial bound 2."""
+    """Time at which the envelope drops below 2."""
     if lam <= 0:
         raise ValueError("decay rate must be positive")
     if C_d * E0 <= 0:

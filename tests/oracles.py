@@ -102,6 +102,47 @@ def alpha_plus_oracle(d, ell, dps=40):
         return float(best)
 
 
+def _mu(d, ell):
+    """The certified rate mu(alpha) of dimension d at wavenumber scale
+    ell, as an mpmath function at the current working precision: the 1D
+    closed form, and in 2D and 3D the last minor at kappa = 1 from the
+    program's ``_FACTORS`` and ``_LAST_MINOR`` tables, each factor summed
+    term by term."""
+    import mpmath as mp
+
+    from hypobgk.certificate import _FACTORS, _LAST_MINOR, chain_spec
+
+    spec = chain_spec(d)
+    l, theta = mp.mpf(ell), mp.mpf(spec.theta)
+    if d == 1:
+        return lambda a: (8 * l * a * (1 - 3 * l * a) ** 2 - 6 * a**2) / (
+            8 * (1 - l * a) ** 2 * (1 + theta * a)
+        )
+    const, power, names = _LAST_MINOR[d]
+
+    def mu(a):
+        value = mp.mpf(spec.amgm) * mp.mpf(const) * l * a**power / (2 * (1 + theta * a))
+        for name in names:
+            f = _FACTORS[d][name]
+            value *= sum(
+                mp.mpf(float(f.rows[j, k])) * l ** (f.m + k - 2 * j) * a**k
+                for j in range(3)
+                for k in range(6)
+            )
+        return value
+
+    return mu
+
+
+def mu_oracle(d, ell, alpha, dps=40):
+    """The certified rate mu at the amplitude ``alpha`` and wavenumber
+    scale ell, evaluated at ``dps`` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return float(_mu(d, ell)(mp.mpf(alpha)))
+
+
 def alpha_star_oracle(d, ell, start, dps=40):
     """The critical point of the certified rate mu(alpha) nearest to
     ``start``: mpmath's findroot on the numerical derivative of mu at
@@ -110,29 +151,6 @@ def alpha_star_oracle(d, ell, start, dps=40):
     """
     import mpmath as mp
 
-    from hypobgk.certificate import _FACTORS, _LAST_MINOR, chain_spec
-
     with mp.workdps(dps):
-        l, theta = mp.mpf(ell), mp.mpf(chain_spec(d).theta)
-        if d == 1:
-
-            def mu(a):
-                return (8 * l * a * (1 - 3 * l * a) ** 2 - 6 * a**2) / (
-                    (1 - l * a) ** 2 * (1 + theta * a)
-                )
-
-        else:
-            _, power, names = _LAST_MINOR[d]
-
-            def mu(a):
-                value = a**power / (1 + theta * a)
-                for name in names:
-                    f = _FACTORS[d][name]
-                    value *= sum(
-                        mp.mpf(float(f.rows[j, k])) * l ** (f.m + k - 2 * j) * a**k
-                        for j in range(3)
-                        for k in range(6)
-                    )
-                return value
-
+        mu = _mu(d, ell)
         return float(mp.findroot(lambda a: mp.diff(mu, a), mp.mpf(start)))

@@ -343,7 +343,7 @@ def test_criterion11_plateau(trajectory):
     # model.  Collisions relax the non-conserved moments at unit rate,
     # so within one mean free time (t < 1) the concentrated bump is not
     # yet mixed and L1 stays near its maximum.  Transport then mixes it
-    # away before the envelope leaves its cap at t_init, a time that
+    # away before the envelope falls below 2 at t_init, a time that
     # belongs to the bound and not to the solution, so L1 has dropped
     # below 1.8 before 0.5 t_init.  L1 may exceed 2 early on, since the
     # linearized dynamics does not keep M (1 + h) nonnegative, so no

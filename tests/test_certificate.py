@@ -23,7 +23,7 @@ from hypobgk.certificate import (
     chain_spec,
 )
 from hypobgk.cli import build_parser
-from oracles import alpha_plus_oracle, alpha_star_oracle
+from oracles import alpha_plus_oracle, alpha_star_oracle, mu_oracle
 
 TWO_PI = 2.0 * math.pi
 MINORS = {1: minors_1d, 2: minors_2d, 3: minors_3d}
@@ -225,15 +225,22 @@ def test_batching_cannot_change_a_length(d):
     assert _values([certify(d, L, n_verify=0) for L in extremes]) == [grid[0], grid[-1]]
 
 
+def _ulps(x, ref):
+    return abs(x - ref) / np.spacing(ref)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_batched_thresholds_match_the_oracles(d):
-    # one certify_many call over the whole default sweep grid
+    # one certify_many call over the whole default sweep grid.  The
+    # worst distances seen are 2 / 113 / 280 ulp for alpha_plus, 6 / 33 /
+    # 157 for alpha_star and 4 / 15 / 19 for mu (d = 1 / 2 / 3): a root
+    # inherits the rounding of its coefficients times its condition
+    # number, mu only the rounding of its products
     for L, cert in zip(SWEEP_LENGTHS, certify_many(d, SWEEP_LENGTHS)):
         ell = TWO_PI / L
-        ref = alpha_plus_oracle(d, ell)
-        assert abs(cert.alpha_plus - ref) <= 1e-12 * ref, L
-        ref = alpha_star_oracle(d, ell, cert.alpha_star)
-        assert abs(cert.alpha_star - ref) <= 1e-12 * ref, L
+        assert _ulps(cert.alpha_plus, alpha_plus_oracle(d, ell)) <= 512, L
+        assert _ulps(cert.alpha_star, alpha_star_oracle(d, ell, cert.alpha_star)) <= 256, L
+        assert _ulps(cert.mu, mu_oracle(d, ell, cert.alpha_star)) <= 64, L
         assert cert.mu == chain_spec(d).mu(cert.alpha_star, ell), L
 
 
@@ -247,6 +254,7 @@ def test_batch_names_its_first_bad_length_in_grid_order():
     assert certify_many(1, []) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_certificate_out_of_range_fails_only_on_the_torus_length(d):
     for k in np.arange(-160.0, 160.0, 0.37):

@@ -115,7 +115,10 @@ def test_envelope_subcommand():
     header, rows = _csv_rows(r.stdout)
     assert header == ["t", "envelope"]
     assert len(rows) == 11
-    assert float(rows[0][1]) == 2.0
+    derived = dict(line[2:].split(" = ", 1) for line in r.stdout.splitlines() if line[:1] == "#")
+    assert derived["envelope"] == "L2-bound"
+    C_d, E0 = float(derived["C_d"]), float(derived["E0"])
+    assert rows[0][1] == "%.15g" % math.sqrt(C_d * E0)
 
 
 def test_simulate_columns():
@@ -272,6 +275,7 @@ def test_non_finite_time_grid_exits_one(sub, grid, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_overflowing_torus_length_exits_one(d, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -280,6 +284,7 @@ def test_overflowing_torus_length_exits_one(d, capsys):
     assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_underflowing_torus_length_exits_one(d, capsys):
     # the rate underflows to zero on a huge torus: an input error, never
@@ -290,6 +295,7 @@ def test_underflowing_torus_length_exits_one(d, capsys):
     assert "torus length 1e+300 is too large" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -338,6 +344,7 @@ def test_sweep_on_large_tori_has_no_zero_rows(tmp_path):
         assert float(row[2]) < float(row[1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_overflowing_torus_length_in_minors_exits_one(d, capsys):
     # the default alpha is half of alpha_plus, whose powers of 2 pi / L
@@ -348,6 +355,7 @@ def test_overflowing_torus_length_in_minors_exits_one(d, capsys):
     assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d,L", [(3, "1e100"), (2, "1e100"), (1, "1e300"), (3, "1e300")])
 def test_underflowing_torus_length_in_minors_exits_one(d, L, capsys):
     # the default alpha makes every minor positive: a nan or a zero, or

@@ -225,7 +225,19 @@ def test_trajectory_decay_and_envelope():
     late = traj["t"] >= 2.0
     assert np.all(traj["l1"][late] <= traj["envelope"][late] + 1e-3)
     assert traj["l1"].max() < 2.2
-    assert traj["envelope"][0] == 2.0
+    assert traj["envelope"][0] == np.sqrt(cert.C_d * E0)
+
+
+@pytest.mark.parametrize("N", [20, 40])
+def test_l1_stays_below_the_envelope_right_after_release(N):
+    # L1 peaks above 2 within (0, 0.8): 2.38 at t = 0.15 for N = 20 and
+    # 2.45 at t = 0.2 for N = 40.  The L2 envelope holds there too
+    cert = certify(1, TWO_PI, n_verify=0)
+    traj = run_trajectory(
+        _initial(N=N), 0.8, 17, cert.alpha_star, C_d=cert.C_d, lam=cert.lam
+    )
+    assert traj["l1"].max() > 2.0
+    assert np.all(traj["l1"] <= traj["envelope"])
 
 
 def test_observed_rate_sits_between_certificate_and_gap():
@@ -242,11 +254,11 @@ def test_envelope_and_crossover_time():
     C_d, E0, lam = 1.2727262733819609, 73.98882645625422, 0.08362471269678472
     ti = t_init(C_d, E0, lam)
     assert ti > 0
-    assert decay_envelope(ti, C_d, E0, lam) == 2.0
-    assert decay_envelope(0.0, C_d, E0, lam) == 2.0
+    assert decay_envelope(ti, C_d, E0, lam) == np.sqrt(C_d * E0) * np.exp(-0.5 * lam * ti)
+    assert decay_envelope(0.0, C_d, E0, lam) == np.sqrt(C_d * E0)
     beyond = decay_envelope(np.array([ti + 1.0, ti + 5.0]), C_d, E0, lam)
     assert beyond[0] < 2.0 and beyond[1] < beyond[0]
-    # the two-branch envelope crosses where the exponential reaches 2
+    # t_init is where the L2 bound reaches 2
     assert abs(math.sqrt(C_d * E0) * math.exp(-lam * ti / 2.0) - 2.0) < 1e-12
 
 
