@@ -3,8 +3,8 @@
 A raised-cosine bump of width epsilon = 0.02 starts with L1 distance to
 equilibrium essentially at the trivial maximum 2.  Transport mixes it
 across the torus within a few crossing times, after which the modal
-entropy decays at the certified exponential rate.  The envelope
-min(2, sqrt(C_1 E(0)) exp(-lambda_1 t / 2)) only becomes informative at
+entropy decays at the certified exponential rate.  The envelope, the
+L2 bound sqrt(C_1 E(0)) exp(-lambda_1 t / 2), only falls below 2 at
 t_init, long after the observed L1 has collapsed, which is the hallmark
 of a certificate that is uniform over all initial data.
 """
