@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -392,8 +393,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: the parser of :func:`main`, built once per process: parse_args leaves
+#: it unchanged and puts every default into a fresh namespace
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     flags = vars(args)
     if "L" in flags and not (math.isfinite(args.L) and args.L > 0):

@@ -70,7 +70,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import eigvals
 
-from .operators import ChainBlock, _check_length, _check_size, chain_blocks, operator_pair
+from .operators import ChainBlock, _check_length, _check_size, chain_blocks
 
 MAX_EIG_SIZE = 2000
 
@@ -476,12 +476,10 @@ def _reduce(block: ChainBlock) -> _Reduced:
 
 def _split(d: int, N: int, L: float):
     """The nontrivial blocks of the tensor-basis generators, reduced
-    once for every kappa, and the wavenumber scale; the dense operators
-    are dropped once the blocks are read off."""
-    pair = operator_pair(d, "tensor", N, L=L)
-    blocks, ell = chain_blocks(pair), pair.ell
-    del pair
-    return [_reduce(blk) for blk in blocks if not blk.trivial], ell
+    once for every kappa, and the wavenumber scale 2 pi / L; no operator
+    of size N is assembled."""
+    ell = 2.0 * math.pi / L
+    return [_reduce(blk) for blk in chain_blocks(d, N) if not blk.trivial], ell
 
 
 def _mode_gap(reduced, s: float):

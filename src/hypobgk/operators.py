@@ -296,8 +296,9 @@ class ChainBlock:
         return np.concatenate(xs), np.vstack(us)
 
 
-def chain_blocks(pair: OperatorPair) -> tuple:
-    """Diagonal blocks of T^-1 C_kappa T, the same for every kappa.
+def chain_blocks(d: int, N: int) -> tuple:
+    """Diagonal blocks of T^-1 C_kappa T in the tensor basis, the same
+    for every kappa and torus length.
 
     Multiplication by v_1 only changes m_1, so L1 links each index to
     its neighbours in one chain with m_2, ..., m_d fixed.  The degree
@@ -306,27 +307,30 @@ def chain_blocks(pair: OperatorPair) -> tuple:
     smallest truncation holds; there it is diagonal except for the
     projector that couples the chains holding (2, 0, 0), (0, 2, 0) and
     (0, 0, 2).  The blocks are the chains, with those linked by L2
-    merged.  They are read off the index table and the low-degree
-    corner of the assembled L2, and keep no array of size N.
+    merged.  They are read off the index table of N and the L2 of the
+    smallest truncation, which is the low-degree corner of every L2, so
+    no array of size N is assembled or kept.
 
     Parameters
     ----------
-    pair : OperatorPair
-        Operators in the tensor basis (any basis for d = 1).
+    d : int
+        Velocity dimension.
+    N : int
+        Truncation size, from ``DIMENSIONS[d].min_N`` to
+        ``MAX_TRUNCATION``.
 
     Returns
     -------
     tuple of ChainBlock
         Ordered by their first index.
     """
-    if pair.d > 1 and pair.variant != "tensor":
-        raise ValueError("the chain split needs the tensor basis")
-    idx = _index_table(pair.d, pair.N)
+    _check_size(d, "tensor", N)
+    idx = _index_table(d, N)
     chains: dict = {}
     for i, m in enumerate(idx):
         chains.setdefault(m[1:], []).append(i)
-    n_low = DIMENSIONS[pair.d].min_N
-    L2 = pair.L2[:n_low, :n_low]
+    n_low = DIMENSIONS[d].min_N
+    L2 = operator_pair(d, "tensor", n_low).L2
     parent = {tail: tail for tail in chains}
 
     def root(tail):

@@ -64,8 +64,11 @@ def alpha_plus_oracle(d, ell, dps=40):
     with mp.workdps(dps):
         l = mp.mpf(ell)
         if d == 1:
-            A, B, C = 72 * l**3, 48 * l**2 + 6, 8 * l
-            return float((B - mp.sqrt(B * B - 4 * A * C)) / (2 * A))
+            # B**2 - 4 A C = 576 l**2 + 36, written cancelled: its two
+            # terms of size 2304 l**4 would cancel on tiny tori.  The
+            # smaller root 2 C / (B + sqrt D) subtracts nothing
+            B, C = 48 * l**2 + 6, 8 * l
+            return float(2 * C / (B + mp.sqrt(576 * l**2 + 36)))
         scale = 4 * l / (4 * l**2 + 1)
         best = mp.mpf(1) / mp.mpf(chain_spec(d).theta)
         for f in _FACTORS[d].values():

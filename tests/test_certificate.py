@@ -244,6 +244,15 @@ def test_batched_thresholds_match_the_oracles(d):
         assert cert.mu == chain_spec(d).mu(cert.alpha_star, ell), L
 
 
+def test_1d_threshold_matches_the_oracle_down_to_tiny_tori():
+    # every 5th of 4550 lengths from 1e-30 to 1e8, among them the tiny
+    # tori where a discriminant formed as B**2 - 4 A C cancels; the
+    # worst distance seen is 2 ulp
+    Ls = np.geomspace(1e-30, 1e8, 4550)[::5]
+    for L, cert in zip(Ls, certify_many(1, Ls.tolist())):
+        assert _ulps(cert.alpha_plus, alpha_plus_oracle(1, TWO_PI / L)) <= 512, L
+
+
 def test_batch_names_its_first_bad_length_in_grid_order():
     with pytest.raises(ValueError, match=r"^torus length 1e-70 is too small: "):
         certify_many(3, [1.0, 1e-70, math.inf, 1e75])

@@ -78,6 +78,28 @@ def test_output_is_deterministic():
     assert c.stdout == d.stdout
 
 
+def _artifacts(argvs, path):
+    texts = []
+    for argv in argvs:
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        texts.append(path.read_text())
+    return texts
+
+
+def test_one_parser_serves_every_call(monkeypatch, tmp_path):
+    # the handlers write resolved values back to their namespace, never
+    # to the parser that main keeps: --kappa of one call must not leak
+    # into the defaults of the next
+    argvs = [["spectrum", "--kappa", "1", "2", "--trunc", "30"], ["spectrum", "--trunc", "30"]]
+    parser = cli._parser()
+    shared = _artifacts(argvs, tmp_path / "shared.csv")
+    assert cli._parser() is parser
+    assert "# kappa = [1.0, 2.0]\n" in shared[0]
+    assert "# kappa = [1.0, 2.0, 3.0, 4.0, 5.0]\n" in shared[1]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == _artifacts(argvs, tmp_path / "fresh.csv")
+
+
 def test_spectrum_subcommand():
     r = _run("spectrum", "--dim", "1", "--kappa", "1", "2", "3", "--trunc", "60", "--format", "csv")
     assert r.returncode == 0

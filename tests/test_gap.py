@@ -4,12 +4,14 @@ spectral-gap reports."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import hypobgk.gap as gap
+import hypobgk.operators as operators
 from hypobgk import (
     EigenvalueFailure,
     VerificationFailure,
@@ -142,7 +144,7 @@ def test_blocks_reproduce_the_phased_generator(d, N):
     C = modal_generator(pair, kappa)
     t = PHASES[[m[0] % 4 for m in _index_table(d, N)]]
     phased = t.conj()[:, None] * C * t[None, :]
-    blocks = chain_blocks(pair)
+    blocks = chain_blocks(d, N)
     assert sorted(np.concatenate([blk.index for blk in blocks])) == list(range(N))
     full = np.zeros((N, N))
     for blk in blocks:
@@ -159,11 +161,16 @@ def test_blocks_reproduce_the_phased_generator(d, N):
             assert not (np.triu(B, 2).any() or np.tril(B, -2).any())
 
 
-def test_chain_split_needs_the_tensor_basis():
-    with pytest.raises(ValueError, match="tensor"):
-        chain_blocks(operator_pair(2, "energy", 15))
-    # in d = 1 the two variants are the same basis
-    assert len(chain_blocks(operator_pair(1, "energy", 15))) == 1
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_chain_blocks_reject_truncations_out_of_range(d):
+    min_N = DIMENSIONS[d].min_N
+    with pytest.raises(ValueError, match=f"need N >= {min_N}"):
+        chain_blocks(d, min_N - 1)
+    with pytest.raises(ValueError, match="exceeds limit"):
+        chain_blocks(d, MAX_TRUNCATION + 1)
+    for N in (min_N, MAX_TRUNCATION):
+        blocks = chain_blocks(d, N)
+        assert sum(len(blk.index) for blk in blocks) == N
 
 
 def test_eigenvalues_without_vectors_match_the_dense_solver():
@@ -217,8 +224,38 @@ def test_only_nontrivial_blocks_are_solved(monkeypatch):
 
     monkeypatch.setattr(gap, "eigvals", counting)
     spectral_gap(3, TWO_PI, [1.0], 220)
-    assert len(chain_blocks(operator_pair(3, "tensor", 220))) == 53
+    assert len(chain_blocks(3, 220)) == 53
     assert len(sizes) == 3 and max(sizes) == 26
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaps_assemble_operators_of_the_smallest_truncation_only(monkeypatch, d):
+    # the blocks read the low-degree corner of L2 off the smallest
+    # truncation; no operator of size N is assembled
+    sizes = []
+    real = operators.operator_pair
+
+    def recording(d_, variant, N, *args, **kwargs):
+        sizes.append(N)
+        return real(d_, variant, N, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "operator_pair", recording)
+    spectral_gap(d, TWO_PI, [1.0, 2.0], 200)
+    convergence_study(d, 3.0, 1.0, [60, 200])
+    assert sizes == [DIMENSIONS[d].min_N] * 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gap_at_the_largest_truncation_allocates_less_than_one_square(d):
+    # one N x N float64 array at N = 2000 is 30.5 MiB, and a dense
+    # operator pair holds two of them
+    tracemalloc.start()
+    try:
+        spectral_gap(d, TWO_PI, [1.0], MAX_TRUNCATION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_TRUNCATION**2 * 8
 
 
 @pytest.mark.parametrize("sampled", [True, False])
@@ -293,7 +330,7 @@ def test_deflated_gap_matches_dense_eigensolve(N):
 
 
 def test_deflation_drops_at_most_eps_squared():
-    (blk,) = chain_blocks(operator_pair(1, "tensor", 500))
+    (blk,) = chain_blocks(1, 500)
     x, U = blk.eigenbasis()
     reduced = gap._reduce(blk)
     kept = np.zeros(len(x), dtype=bool)
@@ -314,7 +351,7 @@ def test_eigenbasis_form_is_similar_to_the_block(d, N):
     # rank at most d + 2 in all and orthonormal columns
     s = 1.3
     ranks = 0
-    for blk in chain_blocks(operator_pair(d, "tensor", N)):
+    for blk in chain_blocks(d, N):
         if blk.trivial:
             continue
         x, U = blk.eigenbasis()
@@ -332,7 +369,7 @@ MIRROR_CASES = [(1, 40), (1, 41), (2, 60), (2, 61), (3, 84), (3, 85)]
 
 
 def _nontrivial(d, N):
-    return [blk for blk in chain_blocks(operator_pair(d, "tensor", N)) if not blk.trivial]
+    return [blk for blk in chain_blocks(d, N) if not blk.trivial]
 
 
 @pytest.mark.parametrize("d,N", MIRROR_CASES)
@@ -406,7 +443,7 @@ def test_wrong_real_form_fails_verification(monkeypatch, d, N):
 
 
 def test_asymmetric_eigenbasis_is_refused(monkeypatch):
-    (blk,) = chain_blocks(operator_pair(1, "tensor", 40))
+    (blk,) = chain_blocks(1, 40)
     x, U = blk.eigenbasis()
     U = U.copy()
     U[0, 1] *= 1.0 + 1e-15
@@ -436,7 +473,7 @@ def test_wrong_reduction_fails_verification_on_the_block(monkeypatch, d, N):
 def test_verification_survives_huge_inverse_iterates():
     # banded inverse iteration at some eigenvalues of a 1D chain
     # (N = 300, s = 5) grows to where the squared norm overflows
-    (blk,) = chain_blocks(operator_pair(1, "tensor", 300))
+    (blk,) = chain_blocks(1, 300)
     op = gap._banded(blk.bands(5.0))
     assert (gap._backward_errors(op, np.linalg.eigvals(blk.matrix(5.0))) <= 1e-8).all()
 
