@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hermite import _check_dim
 from .index import _check_pair
 
 DEFAULT_TOL = 1e-10
@@ -464,8 +465,7 @@ def bgk_coupling(d: int, kappa: float, alpha: float, N: int | None = None) -> np
     equal -i * ratio * alpha / kappa; in two and three dimensions the
     positions refer to the energy basis ordering.
     """
-    if d not in _BGK_COUPLINGS:
-        raise ValueError("dimension must be 1, 2 or 3")
+    _check_dim(d)
     if kappa < 1:
         raise ValueError("mode modulus must be at least 1")
     if alpha < 0:
@@ -497,7 +497,8 @@ def bgk_P(d: int, kappa: float, alpha: float, N: int | None = None) -> np.ndarra
         Coupling amplitude.
     N : int, optional
         Matrix size, padded with the identity beyond the coupled block;
-        defaults to the block size 4, 7 or 11.
+        defaults to the coupled size 4, 7 or 11, the smallest that holds
+        the couplings.
 
     Returns
     -------

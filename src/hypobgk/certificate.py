@@ -51,7 +51,7 @@ import numpy as np
 
 from .ansatz import bgk_P
 from .gap import VerificationFailure
-from .hermite import DIMENSIONS
+from .hermite import DIMENSIONS, _check_dim
 from .operators import _check_length, modal_generator, mode_moduli, operator_pair
 
 R2 = math.sqrt(2.0)
@@ -572,8 +572,7 @@ _CHAINS = {
 
 def chain_spec(d: int) -> ChainSpec:
     """The :class:`ChainSpec` of dimension d."""
-    if d not in _CHAINS:
-        raise ValueError("dimension must be 1, 2 or 3")
+    _check_dim(d)
     return _CHAINS[d]
 
 
@@ -697,10 +696,12 @@ class DecayCertificate:
 
 
 def _first_moduli(d: int, count: int):
+    """The ``count`` smallest mode moduli.  The box of sup-norm kmax
+    holds every modulus up to kmax, but not every one beyond it."""
     kmax = 8 if d > 1 else count
     while True:
         mods = mode_moduli(d, kmax)
-        if len(mods) >= count:
+        if len(mods) >= count and mods[count - 1][0] <= kmax:
             return [m for m, _ in mods[:count]]
         kmax *= 2
 

@@ -36,7 +36,13 @@ from .gap import EigenvalueFailure, VerificationFailure, spectral_gap
 from .hermite import DIMENSIONS
 from .index import hypocoercivity_index
 from .operators import mode_moduli, operator_pair
-from .sim import concentrated_initial_data, decay_envelope, run_trajectory, t_init
+from .sim import (
+    _bump_square_norm,
+    concentrated_initial_data,
+    decay_envelope,
+    run_trajectory,
+    t_init,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,7 +53,7 @@ TWO_PI = 2.0 * math.pi
 #: argparse settings of every flag, by its key in the configuration
 #: echo; the option string is "--" + key with "_" written as "-"
 _FLAGS = {
-    "dim": dict(type=int, choices=(1, 2, 3), default=1),
+    "dim": dict(type=int, choices=tuple(DIMENSIONS), default=1),
     "L": dict(type=float, default=TWO_PI),
     "basis": dict(choices=("tensor", "energy")),
     "trunc": dict(type=int),
@@ -182,8 +188,8 @@ def _run_spectrum(args):
         if any(k <= 0 for k in args.kappa):
             raise ValueError("mode moduli must be positive")
     else:
-        args.kappa = [m for m, _ in mode_moduli(args.dim, args.kmax or 5)]
-    args.kmax = args.kmax or None
+        kmax = 5 if args.kmax is None else args.kmax
+        args.kappa = [m for m, _ in mode_moduli(args.dim, kmax)]
     rep = spectral_gap(args.dim, args.L, args.kappa, args.trunc)
     header = ("kappa", "N", "gap")
     rows = rep.rows()
@@ -255,7 +261,8 @@ def _columns(derived: dict, cols: dict) -> _Artifact:
 def _run_simulate(args):
     if args.dim != 1:
         raise ValueError("simulation reconstruction requires --dim 1")
-    args.kmax = args.kmax or 128
+    if args.kmax is None:
+        args.kmax = 128
     n = _simulation_grid(args)
     cert = certify(1, args.L, n_verify=0, alpha=args.alpha)
     args.alpha = cert.alpha_star
@@ -283,8 +290,11 @@ def _run_simulate(args):
 
 
 def _run_sweep(args):
-    if args.sweep_from <= 0 or args.sweep_to <= args.sweep_from:
-        raise ValueError("sweep range must satisfy 0 < from < to")
+    if not 0.0 < args.sweep_from < args.sweep_to < math.inf:
+        raise ValueError(
+            "sweep range must satisfy 0 < from < to, both finite, "
+            f"got {args.sweep_from} and {args.sweep_to}"
+        )
     if args.points < 2:
         raise ValueError("need at least two sweep points")
     Ls = np.geomspace(args.sweep_from, args.sweep_to, args.points).tolist()
@@ -301,7 +311,7 @@ def _run_envelope(args):
     n = _simulation_grid(args)
     cert = certify(1, args.L, n_verify=0, alpha=args.alpha)
     args.alpha = cert.alpha_star
-    E0 = 3.0 / (2.0 * args.epsilon) - 1.0
+    E0 = _bump_square_norm(args.epsilon)
     ts = np.linspace(0.0, args.tmax, n)
     env = decay_envelope(ts, cert.C_d, E0, cert.lam)
     derived = {
@@ -409,8 +419,8 @@ def main(argv=None) -> int:
     spec = DIMENSIONS[args.dim]
     if "basis" in flags:
         args.basis = args.basis or spec.variant
-    if "trunc" in flags:
-        args.trunc = args.trunc or 4 * spec.block
+    if "trunc" in flags and args.trunc is None:
+        args.trunc = 4 * spec.block
     try:
         art = _SUBCOMMANDS[args.subcommand].run(args)
     except (EigenvalueFailure, VerificationFailure) as exc:

@@ -287,7 +287,9 @@ def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
     its determinant taken as (z - root) (z + root), z = sigma - (p + w)
     / 2 and root**2 = ((p - w) / 2)**2 + q t, so that it keeps its
     accuracy where sigma nears an eigenvalue of the block.  A sigma that
-    is an eigenvalue of D to the last bit makes its row of E infinite.
+    is an eigenvalue of D to the last bit makes its row of E infinite,
+    and that row of the solve non-finite; :func:`_backward_errors`
+    shifts by eps scale off such exact hits, 1 + i s x_j among them.
     The product and the scale are those of the dense M.
     """
     n = len(M)
@@ -358,35 +360,21 @@ def _start(n: int) -> np.ndarray:
     return (np.arange(1, n + 1) * 0.6180339887498949 % 1.0 - 0.5).astype(complex)
 
 
-def _step_off(lams: np.ndarray, scale: float) -> np.ndarray:
-    """The shifts that replace lams, eigenvalues to the last bit (often
-    1 + i s x_j itself), for the rest of their inverse iteration."""
-    return lams + _EPS * scale
-
-
 def _backward_errors(op: _Operator, lams) -> np.ndarray:
     """||B x - lam x|| / (scale ||x||) for each shift lam, with x from two
-    steps of inverse iteration at lam from :func:`_start`, all shifts as
-    one stack.  A shift whose solve is not finite moves by
-    :func:`_step_off` for the rest of its iteration; the others keep
-    theirs."""
+    steps of inverse iteration from :func:`_start`, all shifts as one
+    stack.  The stack is factored once, at lam + eps scale: lam is often
+    an eigenvalue to the last bit (1 + i s x_j itself), and any vector
+    certifies lam through its residual, which is still measured at lam."""
     lams = np.asarray(lams, dtype=complex)
     X = np.tile(_start(op.n), (len(lams), 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        solvers = [(slice(None), op.factor(lams))]
-    for _ in range(2):
-        Y = np.empty_like(X)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for rows, solve in solvers:
-                Y[rows] = solve(X[rows])
-        hit = np.flatnonzero(~np.isfinite(Y).all(axis=1))
-        if len(hit):
-            step = op.factor(_step_off(lams[hit], op.scale))
-            Y[hit] = step(X[hit])
-            solvers.append((hit, step))
-        # near an eigenvalue Y can be so large that its norm overflows
-        Y /= np.abs(Y).max(axis=1, keepdims=True)
-        X = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+        solve = op.factor(lams + _EPS * op.scale)
+        for _ in range(2):
+            Y = solve(X)
+            # near an eigenvalue Y can be so large that its norm overflows
+            Y /= np.abs(Y).max(axis=1, keepdims=True)
+            X = Y / np.linalg.norm(Y, axis=1, keepdims=True)
     return np.linalg.norm(op.apply(X) - lams[:, None] * X, axis=1) / op.scale
 
 

@@ -58,9 +58,13 @@ DIMENSIONS = {
 _VARIANTS = ("tensor", "energy")
 
 
-def _check_variant(d: int, variant: str) -> None:
+def _check_dim(d: int) -> None:
     if d not in DIMENSIONS:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
+        raise ValueError(f"dimension must be one of {tuple(DIMENSIONS)}, got {d!r}")
+
+
+def _check_variant(d: int, variant: str) -> None:
+    _check_dim(d)
     if variant not in _VARIANTS:
         raise ValueError(f"unknown basis variant {variant!r}")
 
@@ -89,6 +93,7 @@ def lex_index(m, d: int | None = None) -> int:
     m = tuple(int(c) for c in m)
     if d is not None and d != len(m):
         raise ValueError(f"multi-index {m} does not have dimension {d}")
+    _check_dim(len(m))
     if any(c < 0 for c in m):
         raise ValueError(f"multi-index {m} has a negative component")
     n = sum(m)
@@ -96,17 +101,16 @@ def lex_index(m, d: int | None = None) -> int:
         return n
     if len(m) == 2:
         return n * (n + 1) // 2 + m[1]
-    if len(m) == 3:
-        offset = n * (n + 1) * (n + 2) // 6
-        q = n - m[0]
-        return offset + q * (q + 1) // 2 + (q - m[1])
-    raise ValueError("only dimensions 1, 2, 3 are supported")
+    offset = n * (n + 1) * (n + 2) // 6
+    q = n - m[0]
+    return offset + q * (q + 1) // 2 + (q - m[1])
 
 
 def multi_index(i: int, d: int):
     """Inverse of :func:`lex_index`: the i-th multi-index in dimension d."""
     if i < 0:
         raise ValueError("flat index must be nonnegative")
+    _check_dim(d)
     if d == 1:
         return (i,)
     if d == 2:
@@ -115,19 +119,23 @@ def multi_index(i: int, d: int):
             n += 1
         m2 = i - n * (n + 1) // 2
         return (n - m2, m2)
-    if d == 3:
-        n = 0
-        while (n + 1) * (n + 2) * (n + 3) // 6 <= i:
-            n += 1
-        r = i - n * (n + 1) * (n + 2) // 6
-        q = 0
-        while (q + 1) * (q + 2) // 2 <= r:
-            q += 1
-        s = r - q * (q + 1) // 2
-        m1 = n - q
-        m2 = q - s
-        return (m1, m2, n - m1 - m2)
-    raise ValueError("only dimensions 1, 2, 3 are supported")
+    n = 0
+    while (n + 1) * (n + 2) * (n + 3) // 6 <= i:
+        n += 1
+    r = i - n * (n + 1) * (n + 2) // 6
+    q = 0
+    while (q + 1) * (q + 2) // 2 <= r:
+        q += 1
+    s = r - q * (q + 1) // 2
+    m1 = n - q
+    m2 = q - s
+    return (m1, m2, n - m1 - m2)
+
+
+def _degree_two(d: int) -> slice:
+    """Flat positions of the degree-two level in dimension d: its
+    d (d + 1) / 2 indices follow the 1 + d of degree 0 and 1."""
+    return slice(1 + d, 1 + d + d * (d + 1) // 2)
 
 
 @lru_cache(maxsize=64)
@@ -346,10 +354,9 @@ def basis_change_matrix(d: int, N: int) -> np.ndarray:
     """
     if d not in (2, 3):
         raise ValueError("basis change is defined for d = 2 or 3")
-    lo = lex_index(tuple([2] + [0] * (d - 1)))
-    hi = lo + d * (d + 1) // 2
-    if N < hi:
-        raise ValueError(f"need N >= {hi} to hold the degree-two level, got {N}")
+    level = _degree_two(d)
+    if N < level.stop:
+        raise ValueError(f"need N >= {level.stop} to hold the degree-two level, got {N}")
     S = np.eye(N)
-    S[lo:hi, lo:hi] = _energy_block(d)
+    S[level, level] = _energy_block(d)
     return S

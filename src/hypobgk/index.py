@@ -52,6 +52,8 @@ class _Pair:
 
 
 def _check_pair(C1, C2, tol: float) -> _Pair:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"rank tolerance must be finite and positive, got {tol}")
     C1 = _as_square(C1, "C1")
     C2 = _as_square(C2, "C2")
     if C1.shape != C2.shape:

@@ -21,7 +21,9 @@ import numpy as np
 from .hermite import (
     DIMENSIONS,
     SQRT2PI,
+    _check_dim,
     _check_variant,
+    _degree_two,
     _energy_block,
     _index_table,
     gauss_hermite,
@@ -82,11 +84,10 @@ def build_L1(d: int, variant: str, N: int) -> np.ndarray:
         # identity off the degree-two level, and every entry of the
         # rotated rows and columns has at most one nonzero term, so
         # this equals the dense product to the last bit
-        lo = lex_index(tuple([2] + [0] * (d - 1)))
-        hi = lo + d * (d + 1) // 2
+        level = _degree_two(d)
         B = _energy_block(d)
-        L1[lo:hi] = B @ L1[lo:hi]
-        L1[:, lo:hi] = L1[:, lo:hi] @ B
+        L1[level] = B @ L1[level]
+        L1[:, level] = L1[:, level] @ B
     return L1
 
 
@@ -98,14 +99,13 @@ def _collision_projector_block(d: int) -> np.ndarray:
     with a single component equal to 2; the collision operator acts as
     I - e e^T there.
     """
-    k = d * (d + 1) // 2
-    e = np.zeros(k)
-    lo = lex_index(tuple([2] + [0] * (d - 1)))
+    level = _degree_two(d)
+    e = np.zeros(level.stop - level.start)
     for a in range(d):
         mm = tuple(2 if j == a else 0 for j in range(d))
-        e[lex_index(mm) - lo] = 1.0
+        e[lex_index(mm) - level.start] = 1.0
     e /= np.linalg.norm(e)
-    return np.eye(k) - np.outer(e, e)
+    return np.eye(len(e)) - np.outer(e, e)
 
 
 def build_L2(d: int, variant: str, N: int) -> np.ndarray:
@@ -130,18 +130,14 @@ def build_L2(d: int, variant: str, N: int) -> np.ndarray:
     _check_size(d, variant, N)
     idx = _index_table(d, N)
     degrees = np.array([sum(m) for m in idx])
+    level = _degree_two(d)
     if variant == "energy" or d == 1:
         diag = (degrees >= 2).astype(float)
-        if d >= 2:
-            # one extra conserved direction inside the degree-two level
-            diag[lex_index(tuple([2] + [0] * (d - 1)))] = 0.0
-        else:
-            diag[2] = 0.0
+        # one extra conserved direction, first in the degree-two level
+        diag[level.start] = 0.0
         return np.diag(diag)
     L2 = np.diag((degrees >= 2).astype(float))
-    lo = lex_index(tuple([2] + [0] * (d - 1)))
-    k = d * (d + 1) // 2
-    L2[lo : lo + k, lo : lo + k] = _collision_projector_block(d)
+    L2[level, level] = _collision_projector_block(d)
     return L2
 
 
@@ -384,8 +380,7 @@ def mode_moduli(d: int, kmax: int):
     list of (float, int)
         Sorted ``(modulus, multiplicity)`` pairs.
     """
-    if d not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2 or 3")
+    _check_dim(d)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     squares = np.arange(-kmax, kmax + 1) ** 2

@@ -16,9 +16,9 @@ conj(C_k) because L1 and L2 are real, so the conjugate modes carry no
 information of their own.
 
 The propagators are computed in real arithmetic.  With T = diag(i**m),
-T^-1 C_kappa T = L2 + kappa ell K is real, where K holds -sqrt(m + 1)
-above the diagonal and +sqrt(m + 1) below it (the identity of
-:meth:`hypobgk.operators.ChainBlock.matrix`).  Its exponential is taken
+T^-1 C_kappa T is real: in 1D it is the one block of
+:func:`hypobgk.operators.chain_blocks`, built by
+:meth:`hypobgk.operators.ChainBlock.matrix`.  Its exponential is taken
 by the [13/13] Pade approximant with scaling and squaring (Higham, SIAM
 J. Matrix Anal. Appl. 26 (2005) 1179-1193), and multiplying back by
 the powers of i is exact.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .ansatz import bgk_P
 from .hermite import SQRT2PI, gauss_hermite, hermite_phi
-from .operators import _check_length, build_L1, build_L2
+from .operators import _check_length, _check_size, chain_blocks
 
 #: points of the x grid and of the Gauss rule in v of the L1 distance
 _NX, _NV = 512, 160
@@ -121,16 +121,15 @@ def _expm(A: np.ndarray) -> np.ndarray:
 def _propagators(N: int, L: float, kappa: tuple, dt: float) -> np.ndarray:
     """The stack exp(-C_kappa dt) over the moduli ``kappa``.
 
-    The exponential is taken of the real B_kappa = T^-1 C_kappa T =
-    L2 + kappa ell K, T = diag(i**m), and exp(-C_kappa dt) = T
-    exp(-B_kappa dt) T^-1 multiplies entry (p, q) by i**(p - q), which
-    is exact.
+    The exponential is taken of the real B_kappa = T^-1 C_kappa T, T =
+    diag(i**m), which is the one chain block of the 1D generator, affine
+    in s = kappa ell; exp(-C_kappa dt) = T exp(-B_kappa dt) T^-1
+    multiplies entry (p, q) by i**(p - q), which is exact.
     """
-    ell = 2.0 * math.pi / L
-    L1 = build_L1(1, "tensor", N)
-    K = np.tril(L1) - np.triu(L1)
-    B = (np.asarray(kappa) * ell)[:, None, None] * K
-    B += build_L2(1, "tensor", N)
+    (blk,) = chain_blocks(1, N)
+    B0 = blk.matrix(0.0)
+    s = np.asarray(kappa) * (2.0 * math.pi / L)
+    B = s[:, None, None] * (blk.matrix(1.0) - B0) + B0
     B *= -dt
     m = np.arange(N)
     E = _expm(B) * np.array([1, 1j, -1, -1j])[(m[:, None] - m) % 4]
@@ -167,10 +166,14 @@ def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
     the same real value as h_k.  With alpha = 0 this reduces to the
     squared coefficient norm.  The homogeneous mode always uses P = I.
     """
+    with np.errstate(over="ignore"):
+        scale = (1.0 + state.kappa**2) ** gamma
+    if not (math.isfinite(gamma) and np.isfinite(scale).all()):
+        raise ValueError(f"entropy weights (1 + kappa^2)^gamma must be finite, got gamma = {gamma}")
     P = _transformations(tuple(state.kappa.tolist()), alpha, state.N)
     h = state.coeffs
     q = (h.conj() * (P @ h[..., None])[..., 0]).sum(axis=1).real
-    return float(np.sum(state.weights * (1.0 + state.kappa**2) ** gamma * q))
+    return float(np.sum(state.weights * scale * q))
 
 
 def h_norm(state: ModalState) -> float:
@@ -254,6 +257,17 @@ def _hann_transform(u):
     return np.where(safe, np.sinc(u) / np.where(safe, denom, 1.0), 0.5)
 
 
+def _bump_square_norm(epsilon: float) -> float:
+    """Squared norm 3 / (2 epsilon) - 1 of the untruncated deviation
+    state of a raised-cosine bump of width epsilon in (0, 1]."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    norm = 3.0 / (2.0 * epsilon) - 1.0
+    if math.isinf(norm):
+        raise ValueError(f"epsilon {epsilon} is so small that 3 / (2 epsilon) overflows")
+    return norm
+
+
 def concentrated_initial_data(
     epsilon: float,
     kmax: int = 128,
@@ -267,14 +281,14 @@ def concentrated_initial_data(
     |x - 1/2| < epsilon / 2 (relative coordinates), multiplied by the
     Maxwellian.  Only the mass component of each mode is populated; the
     homogeneous mode is zero since the bump carries no excess mass.
-    The squared norm of the untruncated state is 3 / (2 epsilon) - 1;
-    the part lost to the wavenumber cutoff is recorded in
-    ``info["truncation_tail"]``.
+    The squared norm of the untruncated state is
+    :func:`_bump_square_norm`; the part lost to the wavenumber cutoff is
+    recorded in ``info["truncation_tail"]``.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
+    exact = _bump_square_norm(epsilon)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    _check_size(1, "tensor", N)
     _check_length(L)
     kappa = np.arange(kmax + 1, dtype=float)
     weights = np.where(kappa == 0, 1.0, 2.0)
@@ -282,7 +296,6 @@ def concentrated_initial_data(
     chat[0] = 0.0
     coeffs = np.zeros((kmax + 1, N), dtype=complex)
     coeffs[:, 0] = chat * np.exp(-1j * math.pi * kappa)
-    exact = 3.0 / (2.0 * epsilon) - 1.0
     return ModalState(
         L=L,
         N=N,

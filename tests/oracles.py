@@ -150,10 +150,16 @@ def alpha_star_oracle(d, ell, start, dps=40):
     """The critical point of the certified rate mu(alpha) nearest to
     ``start``: mpmath's findroot on the numerical derivative of mu at
     ``dps`` digits.  mu is evaluated directly, not through the
-    polynomial whose root the program takes.
+    polynomial whose root the program takes.  The root is sought in
+    y = alpha / start, and the derivative divided by mu(start), so that
+    findroot's absolute tolerance means the same on every torus: on
+    small tori mu and alpha are tiny, and mu' in alpha lost it.
     """
     import mpmath as mp
 
     with mp.workdps(dps):
         mu = _mu(d, ell)
-        return float(mp.findroot(lambda a: mp.diff(mu, a), mp.mpf(start)))
+        a0 = mp.mpf(start)
+        m0 = mu(a0)
+        y = mp.findroot(lambda y: mp.diff(lambda t: mu(a0 * t), y) / m0, mp.mpf(1))
+        return float(a0 * y)

@@ -14,10 +14,12 @@ from hypobgk import (
     minors_1d,
     minors_2d,
     minors_3d,
+    mode_moduli,
     mu_limits_1d,
 )
 from hypobgk.certificate import (
     _FACTORS,
+    _first_moduli,
     _sign_changes,
     _thresholds,
     chain_spec,
@@ -231,17 +233,29 @@ def _ulps(x, ref):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_batched_thresholds_match_the_oracles(d):
-    # one certify_many call over the whole default sweep grid.  The
-    # worst distances seen are 2 / 113 / 280 ulp for alpha_plus, 6 / 33 /
-    # 157 for alpha_star and 4 / 15 / 19 for mu (d = 1 / 2 / 3): a root
-    # inherits the rounding of its coefficients times its condition
+    # one certify_many call over the whole default sweep grid and 13
+    # small tori from 1e-4 to 1e-1, where mu and alpha_star are tiny.
+    # The worst distances seen are 2 / 113 / 280 ulp for alpha_plus, 6 /
+    # 33 / 173 for alpha_star and 4 / 15 / 21 for mu (d = 1 / 2 / 3): a
+    # root inherits the rounding of its coefficients times its condition
     # number, mu only the rounding of its products
-    for L, cert in zip(SWEEP_LENGTHS, certify_many(d, SWEEP_LENGTHS)):
+    Ls = SWEEP_LENGTHS + np.geomspace(1e-4, 1e-1, 13).tolist()
+    for L, cert in zip(Ls, certify_many(d, Ls)):
         ell = TWO_PI / L
         assert _ulps(cert.alpha_plus, alpha_plus_oracle(d, ell)) <= 512, L
         assert _ulps(cert.alpha_star, alpha_star_oracle(d, ell, cert.alpha_star)) <= 256, L
         assert _ulps(cert.mu, mu_oracle(d, ell, cert.alpha_star)) <= 64, L
         assert cert.mu == chain_spec(d).mu(cert.alpha_star, ell), L
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_verified_moduli_are_the_smallest(d):
+    # the box of sup-norm kmax holds every modulus up to kmax, but not
+    # every one beyond it: 36 moduli in 2D once ended at 9.22, not 9.
+    # The reference box holds all moduli up to 60, and 150 of them
+    ref = mode_moduli(d, 150 if d == 1 else 60)
+    for count in range(1, 151):
+        assert _first_moduli(d, count) == [m for m, _ in ref[:count]], count
 
 
 def test_1d_threshold_matches_the_oracle_down_to_tiny_tori():

@@ -451,3 +451,47 @@ def test_non_finite_kappa_or_alpha_exits_one(argv, word, capsys):
         cli.main(argv)
     assert exc.value.code == 1
     assert word in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--gamma", "nan"], "gamma must be finite"),
+        (["simulate", "--gamma", "inf"], "gamma must be finite"),
+        # finite, but (1 + kappa^2)^gamma overflows at kappa = 4
+        (["simulate", "--gamma", "400"], "gamma must be finite"),
+        (["simulate", "--epsilon", "nan"], "epsilon must lie in (0, 1]"),
+        (["envelope", "--epsilon", "nan"], "epsilon must lie in (0, 1]"),
+        (["envelope", "--epsilon", "0"], "epsilon must lie in (0, 1]"),
+        (["envelope", "--epsilon", "2"], "epsilon must lie in (0, 1]"),
+        (["envelope", "--epsilon", "1e-320"], "3 / (2 epsilon) overflows"),
+        (["index", "--tol-rank", "nan"], "rank tolerance must be finite and positive"),
+        (["index", "--tol-rank", "0"], "rank tolerance must be finite and positive"),
+        (["index", "--tol-rank", "-1"], "rank tolerance must be finite and positive"),
+        (["index", "--trunc", "0"], "need N >= 5 in dimension 1, got 0"),
+        (["spectrum", "--trunc", "0"], "need N >= 5 in dimension 1, got 0"),
+        (["simulate", "--trunc", "0"], "need N >= 5 in dimension 1, got 0"),
+        (["spectrum", "--kmax", "0"], "kmax must be at least 1"),
+        (["simulate", "--kmax", "0"], "kmax must be at least 1"),
+        (["sweep-L", "--to", "inf"], "sweep range must satisfy 0 < from < to, both finite"),
+        (["sweep-L", "--from", "nan"], "sweep range must satisfy 0 < from < to, both finite"),
+    ],
+)
+def test_out_of_range_flag_values_exit_one(argv, message, capsys):
+    # rejected where the value is consumed, never replaced by a default
+    # and never leaking a floating-point warning
+    sub, *rest = argv
+    small = _SMALL[sub] if sub in ("simulate", "envelope") else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, *small, *rest])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_spectrum_echoes_an_omitted_kmax_as_none(tmp_path):
+    path = tmp_path / "s.csv"
+    assert cli.main(["spectrum", "--dim", "3", "--trunc", "30", "--out", str(path)]) == 0
+    assert "# kmax = none\n" in path.read_text()

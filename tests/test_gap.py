@@ -503,24 +503,34 @@ def dense_backward_error(M, lam):
     return np.linalg.norm(M @ x - lam * x) / scale
 
 
-def recording_step_off(monkeypatch):
-    """Patches the step-off hook to record the shifts that it moves."""
-    moved = []
-    real = gap._step_off
+def recording_checks(monkeypatch):
+    """Patches the backward error check to record its operators and
+    shifts."""
+    seen = []
+    real = gap._backward_errors
 
-    def recording(lams, scale):
-        moved.extend(lams)
-        return real(lams, scale)
+    def recording(op, lams):
+        seen.append((op, np.asarray(lams, dtype=complex)))
+        return real(op, lams)
 
-    monkeypatch.setattr(gap, "_step_off", recording)
-    return moved
+    monkeypatch.setattr(gap, "_backward_errors", recording)
+    return seen
+
+
+def exact_hits(op, lams):
+    """The shifts among lams at which a solve with op is not finite:
+    eigenvalues to the last bit, or a singular capacitance matrix."""
+    lams = np.asarray(lams, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Y = op.factor(lams)(np.tile(gap._start(op.n), (len(lams), 1)))
+    return lams[~np.isfinite(Y).all(axis=1)].tolist()
 
 
 def test_gaps_raise_no_floating_point_warnings(monkeypatch):
     # eigvals often returns a diagonal entry 1 + i s x_j of a reduced
     # matrix, or an eigenvalue of a chain, to the last bit; inverse
-    # iteration must step off such an exact hit without a RuntimeWarning
-    moved = recording_step_off(monkeypatch)
+    # iteration must verify such an exact hit without a RuntimeWarning
+    seen = recording_checks(monkeypatch)
     kappas = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -529,7 +539,7 @@ def test_gaps_raise_no_floating_point_warnings(monkeypatch):
             study = convergence_study(d, TWO_PI, 1.0, Ns)
             assert 0.0 < rep.backward_error <= 1e-8
             assert 0.0 < study.backward_error <= 1e-8
-    assert moved
+    assert any(exact_hits(op, lams) for op, lams in seen)
 
 
 @pytest.mark.parametrize("d,N", [(1, 150), (1, 151), (1, 500), (2, 60), (3, 84)])
@@ -559,12 +569,12 @@ def test_structured_backward_errors_agree_with_dense_solves(d, N):
                 assert np.abs(e_d - ref).max() <= 1e-13, (s, e_d, ref)
 
 
-def test_step_off_moves_only_the_exact_hit(monkeypatch):
+def test_exact_hits_verify_in_a_stack_of_ordinary_shifts():
     # at the outermost kept node of a 1D chain V is so small that
     # 1 + i s x_j is an eigenvalue of the reduced matrix to the last bit;
     # it is one of D exactly, so its row of E is infinite.  In a stack
-    # with ordinary shifts it alone steps off, and every other shift
-    # keeps its error to the last bit
+    # with ordinary shifts it gets the error of a dense solve, and every
+    # other shift keeps its error to the last bit
     (r,), ell = gap._split(1, 60, TWO_PI)
     s = 2.0 * ell
     M = r.matrix(s)
@@ -573,21 +583,19 @@ def test_step_off_moves_only_the_exact_hit(monkeypatch):
     # ordinary shifts: the eigenvalues farthest from D's, which lie on Re = 1
     ordinary = vals[np.argsort(vals.real)[:8]]
     hit = 1.0 + 1j * s * r.x.max()
-    moved = recording_step_off(monkeypatch)
+    assert exact_hits(op, np.insert(ordinary, 3, hit)) == [hit]
     alone = gap._backward_errors(op, ordinary)
-    assert not moved
     mixed = gap._backward_errors(op, np.insert(ordinary, 3, hit))
-    assert moved == [hit]
     assert np.array_equal(np.delete(mixed, 3), alone)
     assert (mixed <= 1e-8).all()
     assert abs(mixed[3] - dense_backward_error(M, hit)) <= 1e-13
     # M = diag(1, 3, 5) as D = diag(2, 3, 5) minus U U^T: at sigma = 1
     # the capacitance matrix is exactly 0, a singular solve in the stack
-    moved.clear()
+    # whose row alone comes back nan, and the pair is still verified
     U = np.array([[1.0], [0.0], [0.0]])
     op = gap._low_rank(np.diag([1.0, 3.0, 5.0]), U)
+    assert exact_hits(op, [1.0, 4.0]) == [1.0]
     errs = gap._backward_errors(op, [1.0, 4.0])
-    assert moved == [1.0]
     assert errs[0] <= 1e-15
     assert errs[1] == gap._backward_errors(op, [4.0])[0]
 
