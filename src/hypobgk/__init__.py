@@ -54,7 +54,6 @@ from .certificate import (
 )
 from .gap import (
     ConvergenceStudy,
-    EigenvalueFailure,
     GapReport,
     VerificationFailure,
     complex_eigenvalues,
@@ -80,7 +79,6 @@ __all__ = [
     "ChainBlock",
     "ConvergenceStudy",
     "DecayCertificate",
-    "EigenvalueFailure",
     "GapReport",
     "IndexReport",
     "MinorTable",

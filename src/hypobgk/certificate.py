@@ -51,7 +51,7 @@ import numpy as np
 
 from .ansatz import bgk_P
 from .gap import VerificationFailure
-from .hermite import DIMENSIONS, _check_dim
+from .hermite import _check_dim
 from .operators import _check_length, modal_generator, mode_moduli, operator_pair
 
 R2 = math.sqrt(2.0)
@@ -319,9 +319,9 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
     (size 5, 11 or 21).
     """
     _check_params(kappa, alpha, ell)
-    N = chain_spec(d).assembly_N
-    b = DIMENSIONS[d].block
-    pair = operator_pair(d, DIMENSIONS[d].variant, N, L=2.0 * math.pi / ell)
+    spec = chain_spec(d)
+    N, b = spec.assembly_N, spec.block
+    pair = operator_pair(d, spec.variant, N, L=2.0 * math.pi / ell)
     C = modal_generator(pair, kappa)
     P = bgk_P(d, kappa, alpha, N)
     F = C.conj().T @ P + P @ C
@@ -547,6 +547,10 @@ class ChainSpec:
     amgm : float or None
         Arithmetic-geometric mean prefactor (n / tr D)**n of the lowest
         eigenvalue bound lambda_min >= (n / tr D)**n det D, for d >= 2.
+    block : int
+        Size n of the leading block of D that differs from 2 I.
+    variant : str
+        Basis variant in which the certificate is written.
     assembly_N : int
         Truncation with margin at which D is assembled and verified.
     """
@@ -556,17 +560,18 @@ class ChainSpec:
     mu: Callable
     theta: float
     amgm: float | None
+    block: int
+    variant: str
     assembly_N: int
 
 
 _CHAINS = {
-    1: ChainSpec(minors_1d, partial(_alpha_plus, 1), _mu_1d, math.sqrt(3.0 + R6), None, 8),
-    2: ChainSpec(
-        minors_2d, partial(_alpha_plus, 2), partial(_mu_chain, 2), R6, (10.0 / 14.0) ** 10, 15
-    ),
-    3: ChainSpec(
-        minors_3d, partial(_alpha_plus, 3), partial(_mu_chain, 3), 2.0, (20.0 / 32.0) ** 20, 35
-    ),
+    d: ChainSpec(minors, partial(_alpha_plus, d), mu, theta, amgm, block, variant, assembly_N)
+    for d, minors, mu, theta, amgm, block, variant, assembly_N in (
+        (1, minors_1d, _mu_1d, math.sqrt(3.0 + R6), None, 5, "tensor", 8),
+        (2, minors_2d, partial(_mu_chain, 2), R6, (10.0 / 14.0) ** 10, 11, "energy", 15),
+        (3, minors_3d, partial(_mu_chain, 3), 2.0, (20.0 / 32.0) ** 20, 21, "energy", 35),
+    )
 }
 
 
@@ -762,7 +767,7 @@ def certify_many(
         failed = None
         if n_verify > 0:
             N = spec.assembly_N
-            pair = operator_pair(d, DIMENSIONS[d].variant, N, L=L)
+            pair = operator_pair(d, spec.variant, N, L=L)
         for kappa in _first_moduli(d, n_verify) if n_verify > 0 else []:
             C = modal_generator(pair, kappa)
             P = bgk_P(d, kappa, a_star, N)

@@ -13,9 +13,10 @@ configuration, so a stored output identifies the run that produced
 it.  Identical configurations produce byte-identical artifacts.
 
 Exit status: 0 on success, 1 on usage errors (bad flags or
-out-of-range parameters) and on arithmetic errors such as a numerical
-overflow, 2 when a verification step fails (an invalid certificate, a
-rejected eigensolve or a ``VerificationFailure``).
+out-of-range parameters), on arithmetic errors such as a numerical
+overflow and on sizes too large to allocate, 2 when a verification step
+fails (an invalid certificate, or a ``VerificationFailure`` such as a
+rejected eigensolve).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .certificate import certify, certify_many, chain_spec
-from .gap import EigenvalueFailure, VerificationFailure, spectral_gap
-from .hermite import DIMENSIONS
+from .gap import VerificationFailure, spectral_gap
+from .hermite import MIN_N
 from .index import hypocoercivity_index
 from .operators import mode_moduli, operator_pair
 from .sim import (
@@ -53,7 +54,7 @@ TWO_PI = 2.0 * math.pi
 #: argparse settings of every flag, by its key in the configuration
 #: echo; the option string is "--" + key with "_" written as "-"
 _FLAGS = {
-    "dim": dict(type=int, choices=tuple(DIMENSIONS), default=1),
+    "dim": dict(type=int, choices=tuple(MIN_N), default=1),
     "L": dict(type=float, default=TWO_PI),
     "basis": dict(choices=("tensor", "energy")),
     "trunc": dict(type=int),
@@ -154,6 +155,10 @@ def _run_index(args):
         rep = hypocoercivity_index(C1, C2, tol=args.tol_rank)
     except VerificationFailure as exc:
         raise VerificationFailure(f"torus length {args.L!r}: {exc}") from exc
+    except OverflowError as exc:
+        raise OverflowError(
+            f"mode modulus kappa {args.kappa!r} on torus length {args.L!r}: {exc}"
+        ) from exc
     tau = rep.tau if rep.tau is not None else -1
     cc = rep.coercivity_constant if rep.coercivity_constant is not None else float("nan")
     return _Artifact(
@@ -283,7 +288,7 @@ def _run_simulate(args):
         "C_d": cert.C_d,
         "E0": E0,
         "t_init": t_init(cert.C_d, E0, cert.lam),
-        "truncation_tail": state.info["truncation_tail"],
+        "truncation_tail": state.truncation_tail,
         "envelope": "L2-bound",
     }
     return _columns(derived, {h: data[h] for h in ("t", "entropy", "h_norm", "l1", "envelope")})
@@ -416,17 +421,17 @@ def main(argv=None) -> int:
         parser.error(f"torus length must be finite and positive, got {args.L}")
     # defaults that depend on --dim: the basis and four times the block
     # of the certificates
-    spec = DIMENSIONS[args.dim]
+    spec = chain_spec(args.dim)
     if "basis" in flags:
         args.basis = args.basis or spec.variant
     if "trunc" in flags and args.trunc is None:
         args.trunc = 4 * spec.block
     try:
         art = _SUBCOMMANDS[args.subcommand].run(args)
-    except (EigenvalueFailure, VerificationFailure) as exc:
+    except VerificationFailure as exc:
         sys.stderr.write(f"hypobgk: verification failure: {exc}\n")
         return EXIT_VERIFY
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         parser.error(str(exc))
     _emit(_render(args, art), args.out)
     if art.code == EXIT_VERIFY:

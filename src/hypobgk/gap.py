@@ -80,22 +80,12 @@ _TOL = 1e-8
 _EPS = np.finfo(float).eps
 
 
-class EigenvalueFailure(RuntimeError):
-    """Eigenvalue computation failed or exceeded the residual tolerance.
-
-    The ``partial`` attribute carries whatever the solver produced, or
-    None when it did not converge at all.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class VerificationFailure(RuntimeError):
-    """A computed result failed its independent check: an assembled
-    dissipation matrix that is not 2 I outside its block, or two routes
-    to the hypocoercivity index that disagree."""
+    """A computed result failed its independent check: an eigensolve
+    that did not converge or whose backward error exceeds its bound, an
+    assembled dissipation matrix that is not 2 I outside its block, two
+    routes to the hypocoercivity index that disagree, or a coercivity
+    constant lost to rounding."""
 
 
 def _sample(n: int) -> np.ndarray:
@@ -105,7 +95,7 @@ def _sample(n: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(10, n)).astype(int)
 
 
-def complex_eigenvalues(M, tol: float = _TOL, *, U=None):
+def complex_eigenvalues(M, *, U=None):
     """Verified eigenvalues of a general real or complex matrix.
 
     No eigenvectors are computed, and a real M goes to the real solver.
@@ -113,15 +103,13 @@ def complex_eigenvalues(M, tol: float = _TOL, *, U=None):
     part are verified with eigenvectors from inverse iteration, through
     the backward error ||M x - lam x|| / ||M||, with ||M|| taken as the
     largest column norm of M, a lower bound of ||M||_2; failure raises
-    :class:`EigenvalueFailure`.
+    :class:`VerificationFailure`.
 
     Parameters
     ----------
     M : array_like
         Square matrix of size at most ``MAX_EIG_SIZE``, with finite
         entries.
-    tol : float
-        Relative backward error bound for the verified eigenvalues.
     U : array_like, optional
         A real (n, r) factor that describes M as a block diagonal
         matrix, with blocks of order 1 and 2 along the diagonal, minus
@@ -144,18 +132,18 @@ def complex_eigenvalues(M, tol: float = _TOL, *, U=None):
     if n > MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds limit {MAX_EIG_SIZE}")
     if not np.isfinite(M).all():
-        raise EigenvalueFailure("matrix has non-finite entries")
+        raise VerificationFailure("matrix has non-finite entries")
     try:
         vals = eigvals(M).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
-        raise EigenvalueFailure(f"eigensolver did not converge: {exc}") from exc
+        raise VerificationFailure(f"eigensolver did not converge: {exc}") from exc
     op = _dense(M) if U is None else _low_rank(M, np.asarray(U, dtype=float))
     if op.scale == 0.0:
         return vals, 0.0
     picks = np.zeros(n, dtype=bool)
     picks[_sample(n)] = True
     picks[np.argmin(vals.real)] = True
-    return vals, _verified(op, vals[picks], tol, vals)
+    return vals, _verified(op, vals[picks])
 
 
 @dataclass(frozen=True)
@@ -343,12 +331,12 @@ def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
     return _Operator(n, lambda X: X @ M.T, factor, float(np.linalg.norm(M, axis=0).max()))
 
 
-def _verified(op: _Operator, lams, tol: float, vals=None) -> float:
+def _verified(op: _Operator, lams) -> float:
     """The worst relative backward error of the shifts lams on op; above
-    tol it raises :class:`EigenvalueFailure` carrying vals."""
+    _TOL it raises :class:`VerificationFailure`."""
     err = float(_backward_errors(op, lams).max())
-    if not err <= tol:
-        raise EigenvalueFailure(f"backward error {err:.3e} exceeds {tol:.1e}", partial=vals)
+    if not err <= _TOL:
+        raise VerificationFailure(f"backward error {err:.3e} exceeds {_TOL:.1e}")
     return err
 
 
@@ -486,7 +474,7 @@ def _mode_gap(reduced, s: float):
         # the pair that sets the block's minimum, on the block itself
         blk = r.block
         op = _banded(blk.bands(s)) if blk.tridiagonal else _dense(blk.matrix(s))
-        err = max(err, _verified(op, vals[p : p + 1], _TOL))
+        err = max(err, _verified(op, vals[p : p + 1]))
         gap = min(gap, float(vals[p].real))
         worst = max(worst, err)
     return gap, worst

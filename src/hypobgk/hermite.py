@@ -20,7 +20,6 @@ matrix returned by :func:`basis_change_matrix`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,39 +27,16 @@ import numpy as np
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class DimensionSpec:
-    """The facts about velocity dimension d that several modules read.
-
-    Attributes
-    ----------
-    min_N : int
-        Smallest truncation accepted: the degree-two level must be
-        complete so that the collision projector is well defined.
-    block : int
-        Size of the coupled low-order block of the decay certificates,
-        the smallest truncation that contains it.
-    variant : str
-        Basis variant in which the certificates are written.
-    """
-
-    min_N: int
-    block: int
-    variant: str
-
-
-DIMENSIONS = {
-    1: DimensionSpec(min_N=5, block=5, variant="tensor"),
-    2: DimensionSpec(min_N=6, block=11, variant="energy"),
-    3: DimensionSpec(min_N=10, block=21, variant="energy"),
-}
+#: smallest truncation of each velocity dimension, which holds the whole
+#: degree-two level so that the collision projector is well defined
+MIN_N = {1: 5, 2: 6, 3: 10}
 
 _VARIANTS = ("tensor", "energy")
 
 
 def _check_dim(d: int) -> None:
-    if d not in DIMENSIONS:
-        raise ValueError(f"dimension must be one of {tuple(DIMENSIONS)}, got {d!r}")
+    if d not in MIN_N:
+        raise ValueError(f"dimension must be one of {tuple(MIN_N)}, got {d!r}")
 
 
 def _check_variant(d: int, variant: str) -> None:
@@ -205,12 +181,12 @@ def eval_basis(m, v, variant: str = "tensor", weighted: bool = True):
 
     if variant == "energy" and d >= 2 and sum(m) == 2 and max(m) == 2:
         # Degree-two diagonal functions recombine among themselves; read the
-        # mixing row off the orthogonal basis-change matrix.
+        # mixing row off the orthogonal block of the degree-two level.
+        start = _degree_two(d).start
+        row = _energy_block(d)[lex_index(m) - start]
         block = [tuple(2 if j == a else 0 for j in range(d)) for a in range(d)]
-        S = basis_change_matrix(d, DIMENSIONS[d].block)
-        i = lex_index(m)
         vals = sum(
-            S[i, lex_index(b)] * eval_basis(b, v, "tensor", weighted) for b in block
+            row[lex_index(b) - start] * eval_basis(b, v, "tensor", weighted) for b in block
         )
         return vals if vals.shape else float(vals)
 

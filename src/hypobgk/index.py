@@ -136,7 +136,8 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
     They must agree; disagreement raises.  The coercivity constant is
     sigma_min(B)**2 for the stack B of sqrt(C2) C1^j, j <= tau, whose
     Gram matrix is the sum; a sigma_min(B) that is not above its
-    rounding bound n eps ||B||_2 raises too.
+    rounding bound n eps ||B||_2 raises too, and a B that leaves the
+    floating-point range raises OverflowError.
 
     Parameters
     ----------
@@ -206,9 +207,15 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
     # sigma_min(B) to within about n eps ||B||_2; an eigensolve of the
     # sum would lose its smallest eigenvalue to n eps ||B||_2**2
     stack = [np.sqrt(pair.w)[:, None] * pair.V.conj().T]
-    for _ in range(tau_rank):
-        stack.append(stack[-1] @ C1)
-    s = np.linalg.svd(np.vstack(stack), compute_uv=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tau_rank):
+            stack.append(stack[-1] @ C1)
+    B = np.vstack(stack)
+    if not np.isfinite(B).all():
+        raise OverflowError(
+            f"the index-{tau_rank} family sqrt(C2) C1^j leaves the floating-point range"
+        )
+    s = np.linalg.svd(B, compute_uv=False)
     bound = n * np.finfo(float).eps * s[0]
     if not s[-1] > bound:
         raise VerificationFailure(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import (
-    DIMENSIONS,
+    MIN_N,
     SQRT2PI,
     _check_dim,
     _check_variant,
@@ -38,9 +38,8 @@ def _check_size(d: int, variant: str, N: int) -> None:
     _check_variant(d, variant)
     if N > MAX_TRUNCATION:
         raise ValueError(f"truncation {N} exceeds limit {MAX_TRUNCATION}")
-    min_N = DIMENSIONS[d].min_N
-    if N < min_N:
-        raise ValueError(f"need N >= {min_N} in dimension {d}, got {N}")
+    if N < MIN_N[d]:
+        raise ValueError(f"need N >= {MIN_N[d]} in dimension {d}, got {N}")
 
 
 def _check_length(L: float) -> None:
@@ -312,7 +311,7 @@ def chain_blocks(d: int, N: int) -> tuple:
     d : int
         Velocity dimension.
     N : int
-        Truncation size, from ``DIMENSIONS[d].min_N`` to
+        Truncation size, from ``MIN_N[d]`` to
         ``MAX_TRUNCATION``.
 
     Returns
@@ -325,8 +324,7 @@ def chain_blocks(d: int, N: int) -> tuple:
     chains: dict = {}
     for i, m in enumerate(idx):
         chains.setdefault(m[1:], []).append(i)
-    n_low = DIMENSIONS[d].min_N
-    L2 = operator_pair(d, "tensor", n_low).L2
+    L2 = operator_pair(d, "tensor", MIN_N[d]).L2
     parent = {tail: tail for tail in chains}
 
     def root(tail):
@@ -339,7 +337,7 @@ def chain_blocks(d: int, N: int) -> tuple:
     groups: dict = {}
     for tail in chains:
         groups.setdefault(root(tail), []).append(chains[tail])
-    low = np.flatnonzero((L2 != np.eye(n_low)).any(axis=1))
+    low = np.flatnonzero((L2 != np.eye(len(L2))).any(axis=1))
     blocks = []
     for group in groups.values():
         index = np.sort(np.concatenate(group))

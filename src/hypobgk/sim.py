@@ -1,7 +1,7 @@
 """Modal simulation of the linearized dynamics and entropy diagnostics.
 
-A state is a stack of Hermite coefficient vectors, one row per spatial
-mode modulus, evolved exactly by matrix exponentials of the modal
+A state is a stack of Hermite coefficient vectors, one row per
+wavenumber, evolved exactly by matrix exponentials of the modal
 generators.  The entropy functional weights each mode with the
 certified transformation matrix, so its decay at the certified rate
 can be checked against the simulated trajectory, along with the L1
@@ -13,7 +13,9 @@ The simulation is one-dimensional and stores the half spectrum: one
 row per wavenumber kappa = 0, 1, ..., kmax, with weight 1 for kappa = 0
 and 2 otherwise.  Real data has h_{-k} = conj(h_k), and C_{-k} =
 conj(C_k) because L1 and L2 are real, so the conjugate modes carry no
-information of their own.
+information of their own.  The wavenumbers and weights follow from the
+number of rows, so the propagators, the transformations P_kappa and the
+L1 grid are cached by kmax, not by the list of moduli.
 
 The propagators are computed in real arithmetic.  With T = diag(i**m),
 T^-1 C_kappa T is real: in 1D it is the one block of
@@ -42,35 +44,50 @@ _NX, _NV = 512, 160
 
 @dataclass
 class ModalState:
-    """Hermite coefficients per spatial mode modulus at one instant.
+    """The half spectrum of a one-dimensional state at one instant.
+
+    Row kappa of ``coeffs`` holds the Hermite coefficients of the mode
+    of wavenumber kappa = 0, 1, ..., kmax; the conjugate modes are
+    implied by h_{-k} = conj(h_k).  The moduli, their weights and the
+    truncation are read off the shape of ``coeffs``.
 
     Attributes
     ----------
     L : float
         Torus side length.
-    N : int
-        Truncation size.
-    kappa : ndarray, shape (K,)
-        Mode moduli, nonnegative.
-    coeffs : ndarray, shape (K, N)
-        Complex coefficient vector of one representative mode per
-        modulus; row i belongs to ``kappa[i]``.
-    weights : ndarray, shape (K,)
-        Lattice multiplicity of each modulus, the weight of its row in
-        quadratic functionals and in the reconstruction.
+    coeffs : ndarray, shape (kmax + 1, N)
+        Complex coefficient vectors of the modes kappa = 0, ..., kmax.
     t : float
         Current time.
-    info : dict
-        Free-form metadata (e.g. truncation tail of initial data).
+    truncation_tail : float
+        Squared norm of the initial data lost to the wavenumber cutoff.
     """
 
     L: float
-    N: int
-    kappa: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
     t: float = 0.0
-    info: dict = field(default_factory=dict, repr=False)
+    truncation_tail: float = 0.0
+
+    @property
+    def N(self) -> int:
+        """Truncation size."""
+        return self.coeffs.shape[1]
+
+    @property
+    def kmax(self) -> int:
+        """Largest stored wavenumber."""
+        return self.coeffs.shape[0] - 1
+
+    @property
+    def kappa(self) -> np.ndarray:
+        """Wavenumbers 0, 1, ..., kmax of the rows."""
+        return np.arange(self.coeffs.shape[0], dtype=float)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Weight of each row in quadratic functionals and in the
+        reconstruction: 1 for kappa = 0, 2 for kappa and -kappa."""
+        return np.where(self.kappa == 0, 1.0, 2.0)
 
     @property
     def ell(self) -> float:
@@ -118,8 +135,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _propagators(N: int, L: float, kappa: tuple, dt: float) -> np.ndarray:
-    """The stack exp(-C_kappa dt) over the moduli ``kappa``.
+def _propagators(N: int, L: float, kmax: int, dt: float) -> np.ndarray:
+    """The stack exp(-C_kappa dt) over kappa = 0, 1, ..., kmax.
 
     The exponential is taken of the real B_kappa = T^-1 C_kappa T, T =
     diag(i**m), which is the one chain block of the 1D generator, affine
@@ -128,7 +145,7 @@ def _propagators(N: int, L: float, kappa: tuple, dt: float) -> np.ndarray:
     """
     (blk,) = chain_blocks(1, N)
     B0 = blk.matrix(0.0)
-    s = np.asarray(kappa) * (2.0 * math.pi / L)
+    s = np.arange(kmax + 1, dtype=float) * (2.0 * math.pi / L)
     B = s[:, None, None] * (blk.matrix(1.0) - B0) + B0
     B *= -dt
     m = np.arange(N)
@@ -143,16 +160,16 @@ def evolve(state: ModalState, dt: float) -> ModalState:
         raise ValueError("time step must be nonnegative")
     if dt == 0.0:
         return replace(state, coeffs=state.coeffs.copy())
-    E = _propagators(state.N, state.L, tuple(state.kappa.tolist()), float(dt))
+    E = _propagators(state.N, state.L, state.kmax, float(dt))
     return replace(state, coeffs=(E @ state.coeffs[..., None])[..., 0], t=state.t + dt)
 
 
 @lru_cache(maxsize=8)
-def _transformations(kappa: tuple, alpha: float, N: int) -> np.ndarray:
-    """The stack of P_kappa over the moduli ``kappa``; P = I for the
+def _transformations(kmax: int, alpha: float, N: int) -> np.ndarray:
+    """The stack of P_kappa over kappa = 0, 1, ..., kmax; P = I for the
     homogeneous mode and for alpha = 0."""
     eye = np.eye(N, dtype=complex)
-    P = np.stack([eye if k == 0 or alpha == 0 else bgk_P(1, k, alpha, N) for k in kappa])
+    P = np.stack([eye if k == 0 or alpha == 0 else bgk_P(1, k, alpha, N) for k in range(kmax + 1)])
     P.flags.writeable = False
     return P
 
@@ -170,7 +187,7 @@ def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
         scale = (1.0 + state.kappa**2) ** gamma
     if not (math.isfinite(gamma) and np.isfinite(scale).all()):
         raise ValueError(f"entropy weights (1 + kappa^2)^gamma must be finite, got gamma = {gamma}")
-    P = _transformations(tuple(state.kappa.tolist()), alpha, state.N)
+    P = _transformations(state.kmax, alpha, state.N)
     h = state.coeffs
     q = (h.conj() * (P @ h[..., None])[..., 0]).sum(axis=1).real
     return float(np.sum(state.weights * scale * q))
@@ -197,29 +214,27 @@ class L1Grid:
     every ``kmax`` is exact.
     """
 
-    kappa: tuple
+    kmax: int
     cos_sin: np.ndarray = field(repr=False)
     phi_even: np.ndarray = field(repr=False)
     phi_odd: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, kappa: tuple, N: int) -> "L1Grid":
-        """Grid for the moduli ``kappa`` (integers >= 0) and truncation N."""
-        k = np.asarray(kappa, dtype=float)
-        if not np.all(np.isfinite(k) & (k >= 0)) or np.any(k % 1):
-            raise ValueError("L1 grid moduli must be nonnegative integers")
+    def build(cls, kmax: int, N: int) -> "L1Grid":
+        """Grid for the wavenumbers 0, 1, ..., kmax and truncation N."""
+        k = np.arange(kmax + 1, dtype=float)
         theta = 2.0 * math.pi * np.outer((np.arange(_NX // 2) + 0.5) / _NX, k)
         nodes, wts = gauss_hermite(_NV)
         phi = hermite_phi(N - 1, nodes[_NV // 2 :])
         cos_sin = np.stack((np.cos(theta), np.sin(theta)))
-        grid = cls(kappa, cos_sin, phi[0::2], phi[1::2], wts[_NV // 2 :] * (2.0 / SQRT2PI))
+        grid = cls(kmax, cos_sin, phi[0::2], phi[1::2], wts[_NV // 2 :] * (2.0 / SQRT2PI))
         for a in (grid.cos_sin, grid.phi_even, grid.phi_odd, grid.weights):
             a.flags.writeable = False
         return grid
 
     def distance(self, state: ModalState) -> float:
-        """:func:`l1_distance_1d` of a state with this grid's moduli and
+        """:func:`l1_distance_1d` of a state with this grid's kmax and
         truncation.  With h_{-k} = conj(h_k), h(x) is the real part of the
         half-spectrum sum H weighted by the multiplicities 1 and 2."""
         H = state.weights[:, None] * state.coeffs
@@ -243,10 +258,10 @@ def l1_distance_1d(state: ModalState) -> float:
     Reconstructs h(x, v) on a uniform-by-Gauss grid and integrates
     |h| dv dx against the normalized torus measure.  The velocity
     integral uses the quadrature of the Gaussian weight, exact for the
-    polynomial part of the basis.  The grid is built once per set of
-    moduli and truncation, and reused.
+    polynomial part of the basis.  The grid is built once per kmax and
+    truncation, and reused.
     """
-    return _l1_grid(tuple(state.kappa.tolist()), state.N).distance(state)
+    return _l1_grid(state.kmax, state.N).distance(state)
 
 
 def _hann_transform(u):
@@ -283,7 +298,7 @@ def concentrated_initial_data(
     homogeneous mode is zero since the bump carries no excess mass.
     The squared norm of the untruncated state is
     :func:`_bump_square_norm`; the part lost to the wavenumber cutoff is
-    recorded in ``info["truncation_tail"]``.
+    recorded in ``truncation_tail``.
     """
     exact = _bump_square_norm(epsilon)
     if kmax < 1:
@@ -291,23 +306,13 @@ def concentrated_initial_data(
     _check_size(1, "tensor", N)
     _check_length(L)
     kappa = np.arange(kmax + 1, dtype=float)
-    weights = np.where(kappa == 0, 1.0, 2.0)
     chat = _hann_transform(kappa * epsilon)
     chat[0] = 0.0
     coeffs = np.zeros((kmax + 1, N), dtype=complex)
     coeffs[:, 0] = chat * np.exp(-1j * math.pi * kappa)
-    return ModalState(
-        L=L,
-        N=N,
-        kappa=kappa,
-        coeffs=coeffs,
-        weights=weights,
-        t=0.0,
-        info={
-            "epsilon": epsilon,
-            "truncation_tail": exact - math.fsum(weights * chat * chat),
-        },
-    )
+    state = ModalState(L, coeffs)
+    state.truncation_tail = exact - math.fsum(state.weights * chat * chat)
+    return state
 
 
 def decay_envelope(t, C_d: float, E0: float, lam: float):

@@ -11,7 +11,6 @@ PUBLIC = [
     "ChainBlock",
     "ConvergenceStudy",
     "DecayCertificate",
-    "EigenvalueFailure",
     "GapReport",
     "IndexReport",
     "MinorTable",
@@ -81,12 +80,17 @@ def test_all_holds_exactly_the_public_names():
         ("certificate", "mu_value"),
         ("certificate", "rational_monotone_check"),
         ("sim", "moments"),
+        ("hermite", "DimensionSpec"),
+        ("hermite", "DIMENSIONS"),
+        ("gap", "EigenvalueFailure"),
     ],
 )
 def test_second_names_do_not_resolve(module, name):
-    # each quantity has one name: the block size is DIMENSIONS[d].block,
-    # theta, amgm, alpha_plus and mu are fields of chain_spec(d), and the
-    # two conditions of rational_monotone_check are roots that
-    # certificate._thresholds solves in closed form
+    # each quantity has one name: the smallest truncation is
+    # hermite.MIN_N[d]; the block size, basis variant, theta, amgm,
+    # alpha_plus and mu are fields of chain_spec(d); a failed check is a
+    # VerificationFailure; and the two conditions of
+    # rational_monotone_check are roots that certificate._thresholds
+    # solves in closed form
     assert not hasattr(hypobgk, name)
     assert not hasattr(importlib.import_module(f"hypobgk.{module}"), name)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -406,6 +407,46 @@ def test_only_verification_failures_exit_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "hypocoercivity_index", disagreeing)
     assert cli.main(["index"]) == 2
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kappa,code,message",
+    [
+        # the index-3 family sqrt(C2) C1^j leaves the floating-point range
+        ("1e150", 1, "error: mode modulus kappa 1e+150 on torus length 6.283185307179586: "),
+        ("1e200", 1, "error: mode modulus kappa 1e+200 on torus length 6.283185307179586: "),
+        # finite, but the coercivity constant is lost to rounding
+        ("1e20", 2, "verification failure: torus length 6.283185307179586: the coercivity"),
+    ],
+)
+def test_index_at_huge_kappa_names_kappa_and_length(kappa, code, message):
+    # a separate process, since LAPACK writes its own complaints to the
+    # process's streams; no warning may escape as a traceback
+    r = subprocess.run(
+        [sys.executable, "-m", "hypobgk.cli", "index", "--kappa", kappa],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning"),
+    )
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr and "On entry to" not in r.stderr
+    assert message in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep-L", "--points", "1000000000000000000"], ["envelope", "--tmax", "1e18", "--dt", "1"]],
+)
+def test_oversized_requests_exit_one(argv, capsys):
+    # about 7 EiB each: the allocation fails before any memory is touched
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: Unable to allocate 6.94 EiB" in captured.err
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -13,7 +13,6 @@ import pytest
 import hypobgk.gap as gap
 import hypobgk.operators as operators
 from hypobgk import (
-    EigenvalueFailure,
     VerificationFailure,
     certify,
     chain_blocks,
@@ -24,7 +23,7 @@ from hypobgk import (
     operator_pair,
     spectral_gap,
 )
-from hypobgk.hermite import DIMENSIONS, _index_table
+from hypobgk.hermite import MIN_N, _index_table
 from hypobgk.operators import MAX_TRUNCATION
 
 from oracles import dispersion_root
@@ -49,7 +48,7 @@ def test_reduces_to_hermitian_solver():
 
 
 def test_eigensolver_guards():
-    with pytest.raises(EigenvalueFailure):
+    with pytest.raises(VerificationFailure, match="non-finite"):
         complex_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         complex_eigenvalues(np.ones((2, 3)))
@@ -120,7 +119,7 @@ def _gap_cases(n=80, seed=20240603):
     for _ in range(n):
         d = int(rng.integers(1, 4))
         variant = "tensor" if d == 1 else str(rng.choice(["tensor", "energy"]))
-        N = int(rng.integers(DIMENSIONS[d].min_N, 121))
+        N = int(rng.integers(MIN_N[d], 121))
         L = float(rng.choice(lengths))
         kappa = float(rng.choice([m for m, _ in mode_moduli(d, 3)]))
         cases.append(
@@ -163,12 +162,11 @@ def test_blocks_reproduce_the_phased_generator(d, N):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_chain_blocks_reject_truncations_out_of_range(d):
-    min_N = DIMENSIONS[d].min_N
-    with pytest.raises(ValueError, match=f"need N >= {min_N}"):
-        chain_blocks(d, min_N - 1)
+    with pytest.raises(ValueError, match=f"need N >= {MIN_N[d]}"):
+        chain_blocks(d, MIN_N[d] - 1)
     with pytest.raises(ValueError, match="exceeds limit"):
         chain_blocks(d, MAX_TRUNCATION + 1)
-    for N in (min_N, MAX_TRUNCATION):
+    for N in (MIN_N[d], MAX_TRUNCATION):
         blocks = chain_blocks(d, N)
         assert sum(len(blk.index) for blk in blocks) == N
 
@@ -186,7 +184,7 @@ def test_eigenvalues_without_vectors_match_the_dense_solver():
             assert np.abs(vals[:, None] - dense[None, :]).min(axis=0).max() < 1e-10
     vals, err = complex_eigenvalues(np.zeros((3, 3)))
     assert not vals.any() and err == 0.0
-    with pytest.raises(EigenvalueFailure, match="non-finite"):
+    with pytest.raises(VerificationFailure, match="non-finite"):
         complex_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         complex_eigenvalues(np.ones((2, 3)))
@@ -242,7 +240,7 @@ def test_gaps_assemble_operators_of_the_smallest_truncation_only(monkeypatch, d)
     monkeypatch.setattr(operators, "operator_pair", recording)
     spectral_gap(d, TWO_PI, [1.0, 2.0], 200)
     convergence_study(d, 3.0, 1.0, [60, 200])
-    assert sizes == [DIMENSIONS[d].min_N] * 3
+    assert sizes == [MIN_N[d]] * 3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -277,7 +275,7 @@ def test_shifted_eigenvalue_fails_verification(monkeypatch, d, N, sampled):
     monkeypatch.setattr(gap, "eigvals", shifted)
     if not sampled:
         monkeypatch.setattr(gap, "_sample", lambda n: np.array([], dtype=int))
-    with pytest.raises(EigenvalueFailure):
+    with pytest.raises(VerificationFailure, match="backward error"):
         spectral_gap(d, TWO_PI, [1.0], N)
 
 
@@ -427,7 +425,7 @@ def test_wrong_real_form_fails_verification(monkeypatch, d, N):
         return M
 
     monkeypatch.setattr(gap._Reduced, "matrix", symmetric)
-    with pytest.raises(EigenvalueFailure):
+    with pytest.raises(VerificationFailure, match="backward error"):
         spectral_gap(d, TWO_PI, [1.0], N)
     monkeypatch.setattr(gap._Reduced, "matrix", real)
 
@@ -438,7 +436,7 @@ def test_wrong_real_form_fails_verification(monkeypatch, d, N):
         return dataclasses.replace(r, V=r.V * (1.0 + 1e-4))
 
     monkeypatch.setattr(gap, "_reduce", scaled)
-    with pytest.raises(EigenvalueFailure):
+    with pytest.raises(VerificationFailure, match="backward error"):
         spectral_gap(d, TWO_PI, [1.0], N)
 
 
@@ -466,7 +464,7 @@ def test_wrong_reduction_fails_verification_on_the_block(monkeypatch, d, N):
         return dataclasses.replace(r, V=V, base=np.eye(len(V)) - V @ V.T)
 
     monkeypatch.setattr(gap, "_reduce", wrong)
-    with pytest.raises(EigenvalueFailure):
+    with pytest.raises(VerificationFailure, match="backward error"):
         spectral_gap(d, TWO_PI, [1.0], N)
 
 

@@ -13,7 +13,8 @@ from hypobgk import (
     lex_index,
     multi_index,
 )
-from hypobgk.hermite import DIMENSIONS, SQRT2PI, hermite_phi
+from hypobgk.certificate import chain_spec
+from hypobgk.hermite import SQRT2PI, hermite_phi
 
 
 def test_quadrature_normalization_and_symmetry():
@@ -164,11 +165,23 @@ def test_energy_variant_recombines_degree_two():
         a = eval_basis(m, pts, variant="energy")
         b = eval_basis(m, pts, variant="tensor")
         assert np.abs(a - b).max() < 1e-13
-    S = basis_change_matrix(2, DIMENSIONS[2].block)
+    S = basis_change_matrix(2, chain_spec(2).block)
     i20, i02 = lex_index((2, 0)), lex_index((0, 2))
     mixed = eval_basis((2, 0), pts, variant="energy")
     manual = S[i20, i20] * eval_basis((2, 0), pts) + S[i20, i02] * eval_basis((0, 2), pts)
     assert np.abs(mixed - manual).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_energy_functions_are_rows_of_the_basis_change(d):
+    # each degree-two energy function is its row of the basis change
+    # applied to the tensor functions, summed over the whole row in
+    # index order
+    pts = np.random.default_rng(d).uniform(-2.0, 2.0, size=(8, d))
+    S = basis_change_matrix(d, 21)
+    for i in range(1 + d, 1 + d + d * (d + 1) // 2):
+        want = sum(S[i, j] * eval_basis(multi_index(j, d), pts) for j in range(21))
+        assert np.array_equal(eval_basis(multi_index(i, d), pts, variant="energy"), want), i
 
 
 @pytest.mark.parametrize("d,n", [(2, 66), (3, 120)])
@@ -199,4 +212,4 @@ def test_basis_spec():
 
 
 def test_min_certificate_sizes():
-    assert {d: spec.block for d, spec in DIMENSIONS.items()} == {1: 5, 2: 11, 3: 21}
+    assert {d: chain_spec(d).block for d in (1, 2, 3)} == {1: 5, 2: 11, 3: 21}

@@ -13,7 +13,7 @@ from hypobgk import (
     operator_pair,
 )
 from hypobgk.ansatz import bgk_coupling
-from hypobgk.hermite import DIMENSIONS
+from hypobgk.certificate import chain_spec
 from hypobgk.index import commutator_condition
 
 
@@ -38,7 +38,7 @@ def test_model_indices(d, variant, tau, kerdim):
 def test_tensor_and_energy_bases_give_the_same_index(d):
     # the bases are orthogonally similar; in the tensor basis the kernel
     # eigenvalues of C2 come out at rounding level instead of zero
-    for N in (20, 4 * DIMENSIONS[d].block):
+    for N in (20, 4 * chain_spec(d).block):
         tensor, energy = (
             hypocoercivity_index(p.ell * p.L1, p.L2)
             for p in (operator_pair(d, v, N) for v in ("tensor", "energy"))

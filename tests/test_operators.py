@@ -18,7 +18,7 @@ from hypobgk import (
     multi_index,
     operator_pair,
 )
-from hypobgk.hermite import DIMENSIONS
+from hypobgk.hermite import MIN_N
 from hypobgk.operators import MAX_TRUNCATION
 
 
@@ -70,7 +70,7 @@ def test_energy_variant_is_orthogonal_conjugation(d):
     assert build_L1(2, "energy", 15)[3, 6] == pytest.approx(math.sqrt(1.5), abs=1e-15)
     # L1 rotates only the degree-two rows and columns; each entry of the
     # dense product has at most one nonzero term, so they agree exactly
-    for n in (DIMENSIONS[d].min_N, 84, 500):
+    for n in (MIN_N[d], 84, 500):
         S = basis_change_matrix(d, n)
         assert np.array_equal(build_L1(d, "energy", n), S @ build_L1(d, "tensor", n) @ S)
 

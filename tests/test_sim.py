@@ -1,5 +1,6 @@
 """Tests for the modal simulation, entropy functional and envelopes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+import hypobgk.sim as sim
 from hypobgk import (
+    ModalState,
     bgk_P,
     certify,
     concentrated_initial_data,
@@ -36,7 +39,7 @@ def test_initial_entropy_matches_closed_form():
         st = _initial(eps)
         exact = 3.0 / (2.0 * eps) - 1.0
         E0 = entropy(st, 0.0)
-        tail = st.info["truncation_tail"]
+        tail = st.truncation_tail
         # the retained modes and the reported tail account for the
         # exact entropy of the bump, to rounding
         assert abs(E0 + tail - exact) < 1e-9 * exact
@@ -178,16 +181,8 @@ def test_l1_grid_matches_full_grid_formula(N, kmax):
     phi = hermite_phi(N - 1, nodes)
     full = np.mean(np.abs((np.exp(2j * math.pi * np.outer(xs, st.kappa)) @ H).real @ phi) @ w)
     full /= math.sqrt(2.0 * math.pi)
-    got = L1Grid.build(tuple(st.kappa), N).distance(st)
+    got = L1Grid.build(kmax, N).distance(st)
     assert abs(got - full) < 1e-13 * full
-
-
-def test_l1_grid_rejects_non_integer_moduli():
-    # the x-mirror exp(2 pi i kappa (1 - x)) = exp(-2 pi i kappa x) needs
-    # integer kappa
-    for kappa in ((0.0, 0.5, 1.0), (0.0, -1.0), (0.0, float("nan")), (0.0, float("inf"))):
-        with pytest.raises(ValueError, match="nonnegative integers"):
-            L1Grid.build(kappa, 5)
 
 
 def test_l1_initial_value_is_deterministic():
@@ -201,7 +196,7 @@ def test_trajectory_l1_equals_reconstruction_of_each_state():
     traj = run_trajectory(st, 1.5, 4, 0.0)
     cur, expected = st, []
     for _ in range(4):
-        expected.append(L1Grid.build(tuple(st.kappa), st.N).distance(cur))
+        expected.append(L1Grid.build(st.kmax, st.N).distance(cur))
         cur = evolve(cur, 0.5)
     assert list(traj["l1"]) == expected
 
@@ -285,11 +280,55 @@ def test_run_trajectory_validation():
 def test_propagators_match_scipy_expm(N, L):
     # the real-form Pade path agrees with exp(-C dt) of the complex
     # generator entry by entry, to rounding relative to ||C dt||_1
-    kappa = (0.0, 1.0, 2.0, 7.0, 33.0, 128.0)
     pair = operator_pair(1, "tensor", N, L=L)
     for dt in (0.01, 0.5, 5.0):
-        E = _propagators(N, L, kappa, dt)
-        for k, Ek in zip(kappa, E):
+        E = _propagators(N, L, 128, dt)
+        for k in (0, 1, 2, 7, 33, 128):
             C = (1j * k * pair.ell * pair.L1 + pair.L2) * dt
             tol = 10.0 * np.finfo(float).eps * max(1.0, np.abs(C).sum(axis=0).max())
-            assert np.abs(Ek - expm(-C)).max() <= tol, (k, dt)
+            assert np.abs(E[k] - expm(-C)).max() <= tol, (k, dt)
+
+
+def test_modal_state_reads_its_moduli_off_the_coefficients():
+    st = concentrated_initial_data(0.05, kmax=33, N=31, L=0.37)
+    assert [f.name for f in dataclasses.fields(ModalState)] == [
+        "L", "coeffs", "t", "truncation_tail"
+    ]
+    assert (st.N, st.kmax) == (31, 33)
+    assert np.array_equal(st.kappa, np.arange(34.0))
+    assert np.array_equal(st.weights, np.r_[1.0, np.full(33, 2.0)])
+    assert st.truncation_tail > 0.0
+    later = evolve(evolve(st, 0.0), 0.3)
+    assert (later.L, later.t, later.truncation_tail) == (0.37, 0.3, st.truncation_tail)
+
+
+def test_cache_keys_tell_apart_every_state_and_parameter():
+    # states that differ only in L, then only in N, then one state at two
+    # time steps and couplings, evaluated in turn through the shared
+    # caches; each result must equal, to the bit, one computed with the
+    # caches emptied
+    rng = np.random.default_rng(11)
+
+    def state(N, L=TWO_PI):
+        st = concentrated_initial_data(0.05, kmax=17, N=N, L=L)
+        st.coeffs = rng.standard_normal(st.coeffs.shape) + 1j * rng.standard_normal(st.coeffs.shape)
+        return st
+
+    a = state(20)
+    cases = [
+        (a, 0.5, 0.05),
+        (dataclasses.replace(a, L=0.37), 0.5, 0.05),
+        (a, 0.5, 0.05),
+        (state(31), 0.5, 0.05),
+        (a, 0.25, 0.02),
+    ]
+
+    def run(st, dt, alpha):
+        return evolve(st, dt).coeffs, entropy(st, alpha), l1_distance_1d(st)
+
+    interleaved = [run(*case) for case in cases]
+    for case, (coeffs, ent, l1) in zip(cases, interleaved):
+        for cache in (sim._propagators, sim._transformations, sim._l1_grid):
+            cache.cache_clear()
+        want = run(*case)
+        assert np.array_equal(coeffs, want[0]) and (ent, l1) == want[1:], case[1:]
