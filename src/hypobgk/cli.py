@@ -149,9 +149,12 @@ def _run_index(args):
     if not (math.isfinite(args.kappa) and args.kappa > 0):
         raise ValueError(f"mode modulus kappa must be finite and positive, got {args.kappa}")
     pair = operator_pair(args.dim, args.basis, args.trunc, L=args.L)
-    C1 = args.kappa * pair.ell * np.asarray(pair.L1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C1 = args.kappa * pair.ell * np.asarray(pair.L1, dtype=float)
     C2 = np.asarray(pair.L2, dtype=float)
     try:
+        if not np.isfinite(C1).all():
+            raise OverflowError("C1 = kappa ell L1 leaves the floating-point range")
         rep = hypocoercivity_index(C1, C2, tol=args.tol_rank)
     except VerificationFailure as exc:
         raise VerificationFailure(f"torus length {args.L!r}: {exc}") from exc

@@ -14,8 +14,8 @@ row per wavenumber kappa = 0, 1, ..., kmax, with weight 1 for kappa = 0
 and 2 otherwise.  Real data has h_{-k} = conj(h_k), and C_{-k} =
 conj(C_k) because L1 and L2 are real, so the conjugate modes carry no
 information of their own.  The wavenumbers and weights follow from the
-number of rows, so the propagators, the transformations P_kappa and the
-L1 grid are cached by kmax, not by the list of moduli.
+number of rows, so the propagators, the couplings A_kappa = P_kappa - I
+and the L1 grid are cached by kmax, not by the list of moduli.
 
 The propagators are computed in real arithmetic.  With T = diag(i**m),
 T^-1 C_kappa T is real: in 1D it is the one block of
@@ -34,12 +34,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import bgk_P
+from .ansatz import bgk_coupling
 from .hermite import SQRT2PI, gauss_hermite, hermite_phi
 from .operators import _check_length, _check_size, chain_blocks
 
-#: points of the x grid and of the Gauss rule in v of the L1 distance
-_NX, _NV = 512, 160
+#: points of the x grid and of the Gauss rule in v of the L1 distance,
+#: the x points of a block of :meth:`L1Grid.distance`, and the bytes of
+#: a (b, N, N) real temporary of a block of :func:`_propagators`
+_NX, _NV, _ROWS, _BLOCK_BYTES = 512, 160, 128, 1 << 16
 
 
 @dataclass
@@ -141,23 +143,31 @@ def _propagators(N: int, L: float, kmax: int, dt: float) -> np.ndarray:
     The exponential is taken of the real B_kappa = T^-1 C_kappa T, T =
     diag(i**m), which is the one chain block of the 1D generator, affine
     in s = kappa ell; exp(-C_kappa dt) = T exp(-B_kappa dt) T^-1
-    multiplies entry (p, q) by i**(p - q), which is exact.
+    multiplies entry (p, q) by i**(p - q), which is exact.  Blocks of b
+    modes keep the temporaries of :func:`_expm` near ``_BLOCK_BYTES``;
+    each mode is scaled on its own, so the bits are those of one block.
     """
     (blk,) = chain_blocks(1, N)
     B0 = blk.matrix(0.0)
+    K = blk.matrix(1.0) - B0
     s = np.arange(kmax + 1, dtype=float) * (2.0 * math.pi / L)
-    B = s[:, None, None] * (blk.matrix(1.0) - B0) + B0
-    B *= -dt
     m = np.arange(N)
-    E = _expm(B) * np.array([1, 1j, -1, -1j])[(m[:, None] - m) % 4]
+    phase = np.array([1, 1j, -1, -1j])[(m[:, None] - m) % 4]
+    E = np.empty((kmax + 1, N, N), dtype=complex)
+    b = max(1, _BLOCK_BYTES // (8 * N * N))
+    for lo in range(0, kmax + 1, b):
+        B = s[lo : lo + b, None, None] * K + B0
+        B *= -dt
+        np.multiply(_expm(B), phase, out=E[lo : lo + b])
     E.flags.writeable = False
     return E
 
 
 def evolve(state: ModalState, dt: float) -> ModalState:
     """Advance every mode by dt with the exact modal propagators."""
-    if dt < 0:
-        raise ValueError("time step must be nonnegative")
+    if not (math.isfinite(dt) and dt >= 0):
+        raise ValueError(f"time step must be finite and nonnegative, got {dt}")
+    _check_length(state.L)
     if dt == 0.0:
         return replace(state, coeffs=state.coeffs.copy())
     E = _propagators(state.N, state.L, state.kmax, float(dt))
@@ -165,13 +175,17 @@ def evolve(state: ModalState, dt: float) -> ModalState:
 
 
 @lru_cache(maxsize=8)
-def _transformations(kmax: int, alpha: float, N: int) -> np.ndarray:
-    """The stack of P_kappa over kappa = 0, 1, ..., kmax; P = I for the
-    homogeneous mode and for alpha = 0."""
-    eye = np.eye(N, dtype=complex)
-    P = np.stack([eye if k == 0 or alpha == 0 else bgk_P(1, k, alpha, N) for k in range(kmax + 1)])
-    P.flags.writeable = False
-    return P
+def _couplings(kmax: int, alpha: float, N: int):
+    """Rows i, columns j and values, shape (kmax + 1, len(i)), of the
+    nonzeros of A_kappa = P_kappa - I above the diagonal, kappa = 0, ...,
+    kmax; A = 0 for kappa = 0 and for alpha = 0.  The values -i r alpha /
+    kappa come from the kappa = 1 table of :func:`bgk_coupling`."""
+    A = bgk_coupling(1, 1.0, alpha, N) if alpha and kmax else np.zeros((N, N), dtype=complex)
+    i, j = np.nonzero(np.triu(A))
+    vals = np.zeros((kmax + 1, len(i)), dtype=complex)
+    vals.imag[1:] = A[i, j].imag / np.arange(1.0, kmax + 1)[:, None]
+    vals.flags.writeable = False
+    return i, j, vals
 
 
 def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
@@ -180,16 +194,19 @@ def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
     The sum runs over the stored half spectrum, which is the full
     lattice sum: a conjugate mode h_{-k} = conj(h_k) evolves under
     conj(C_kappa) and is weighted by conj(P_kappa), so it contributes
-    the same real value as h_k.  With alpha = 0 this reduces to the
-    squared coefficient norm.  The homogeneous mode always uses P = I.
+    the same real value as h_k.  <h, P h> = ||h||^2 + 2 Re sum_{i < j}
+    conj(h_i) A_ij h_j over the couplings of A = P - I.  With alpha = 0
+    this is the squared coefficient norm; kappa = 0 always uses P = I.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"coupling amplitude alpha must be finite, got {alpha}")
     with np.errstate(over="ignore"):
         scale = (1.0 + state.kappa**2) ** gamma
     if not (math.isfinite(gamma) and np.isfinite(scale).all()):
         raise ValueError(f"entropy weights (1 + kappa^2)^gamma must be finite, got gamma = {gamma}")
-    P = _transformations(state.kmax, alpha, state.N)
+    i, j, a = _couplings(state.kmax, alpha, state.N)
     h = state.coeffs
-    q = (h.conj() * (P @ h[..., None])[..., 0]).sum(axis=1).real
+    q = (h.real**2 + h.imag**2).sum(axis=1) + 2.0 * (h[:, i].conj() * a * h[:, j]).sum(axis=1).real
     return float(np.sum(state.weights * scale * q))
 
 
@@ -211,7 +228,8 @@ class L1Grid:
     parts e and o at the 80 positive nodes, |h(v)| + |h(-v)| =
     |e + o| + |e - o| = 2 max(|e|, |o|).  Every state of a trajectory
     shares the grid; its phases are explicit, not from an FFT, so that
-    every ``kmax`` is exact.
+    every ``kmax`` is exact.  Blocks of ``_ROWS`` x points keep the
+    (rows, 80) temporaries below glibc's default 128 KB mmap threshold.
     """
 
     kmax: int
@@ -223,11 +241,13 @@ class L1Grid:
     @classmethod
     def build(cls, kmax: int, N: int) -> "L1Grid":
         """Grid for the wavenumbers 0, 1, ..., kmax and truncation N."""
-        k = np.arange(kmax + 1, dtype=float)
-        theta = 2.0 * math.pi * np.outer((np.arange(_NX // 2) + 0.5) / _NX, k)
+        cos_sin = np.empty((2, _NX // 2, kmax + 1))
+        theta = np.outer((np.arange(_NX // 2) + 0.5) / _NX, np.arange(kmax + 1.0), out=cos_sin[0])
+        theta *= 2.0 * math.pi
+        np.sin(theta, out=cos_sin[1])
+        np.cos(theta, out=theta)
         nodes, wts = gauss_hermite(_NV)
         phi = hermite_phi(N - 1, nodes[_NV // 2 :])
-        cos_sin = np.stack((np.cos(theta), np.sin(theta)))
         grid = cls(kmax, cos_sin, phi[0::2], phi[1::2], wts[_NV // 2 :] * (2.0 / SQRT2PI))
         for a in (grid.cos_sin, grid.phi_even, grid.phi_odd, grid.weights):
             a.flags.writeable = False
@@ -237,14 +257,17 @@ class L1Grid:
         """:func:`l1_distance_1d` of a state with this grid's kmax and
         truncation.  With h_{-k} = conj(h_k), h(x) is the real part of the
         half-spectrum sum H weighted by the multiplicities 1 and 2."""
-        H = state.weights[:, None] * state.coeffs
-        A, B = self.cos_sin @ np.stack((H.real, H.imag))
-        total = 0.0
-        # one half at a time keeps the (256, 80) temporaries small
-        for vals in (A - B, A + B):
-            E = vals[:, 0::2] @ self.phi_even
-            O = vals[:, 1::2] @ self.phi_odd
-            total += (np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=E) @ self.weights).sum()
+        h = state.coeffs
+        A, B = self.cos_sin @ (np.stack((h.real, h.imag)) * state.weights[:, None])
+        total, row = 0.0, np.empty(_NX // 2)
+        for half in (np.subtract, np.add):
+            for lo in range(0, _NX // 2, _ROWS):
+                vals = half(A[lo : lo + _ROWS], B[lo : lo + _ROWS])
+                E = vals[:, 0::2] @ self.phi_even
+                O = vals[:, 1::2] @ self.phi_odd
+                np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=E)
+                np.matmul(E, self.weights, out=row[lo : lo + _ROWS])
+            total += row.sum()
         return float(total) / _NX
 
 
@@ -348,8 +371,8 @@ def run_trajectory(
     ``h_norm``, ``l1`` and ``envelope`` (when ``C_d`` and ``lam`` are
     given).
     """
-    if n_samples < 2:
-        raise ValueError("need at least two sample points")
+    if n_samples < 2 or not (math.isfinite(tmax) and tmax >= 0):
+        raise ValueError(f"need n_samples >= 2 and a finite tmax >= 0, got {n_samples} and {tmax}")
     ts = np.linspace(0.0, tmax, n_samples)
     dt = float(ts[1] - ts[0])
     ent, nrm, l1 = np.empty((3, n_samples))

@@ -415,6 +415,8 @@ def test_only_verification_failures_exit_two(monkeypatch, capsys):
         # the index-3 family sqrt(C2) C1^j leaves the floating-point range
         ("1e150", 1, "error: mode modulus kappa 1e+150 on torus length 6.283185307179586: "),
         ("1e200", 1, "error: mode modulus kappa 1e+200 on torus length 6.283185307179586: "),
+        # C1 = kappa ell L1 itself overflows, before the index is computed
+        ("1e308", 1, "error: mode modulus kappa 1e+308 on torus length 6.283185307179586: C1"),
         # finite, but the coercivity constant is lost to rounding
         ("1e20", 2, "verification failure: torus length 6.283185307179586: the coercivity"),
     ],

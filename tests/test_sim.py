@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+import hypobgk.cli as cli
 import hypobgk.sim as sim
 from hypobgk import (
     ModalState,
@@ -25,6 +27,7 @@ from hypobgk import (
 )
 from hypobgk.certificate import chain_spec
 from hypobgk.hermite import gauss_hermite, hermite_phi
+from hypobgk.operators import chain_blocks
 from hypobgk.sim import L1Grid, _propagators
 
 TWO_PI = 2.0 * math.pi
@@ -129,6 +132,39 @@ def test_entropy_matches_signed_spectrum_oracle(t):
     assert Eg > 1.1 * E
 
 
+@pytest.mark.parametrize(
+    "N,alpha,gamma", [(20, "star", 0.0), (20, "star", 0.5), (20, 0.0, 0.0), (31, "star", 0.0)]
+)
+def test_coupling_entropy_matches_dense_transformations(N, alpha, gamma):
+    # the three couplings of A_kappa give the quadratic form of the dense
+    # P_kappa = I + A_kappa on states that populate every moment
+    if alpha == "star":
+        alpha = certify(1, TWO_PI, n_verify=0).alpha_star
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        st = _initial(0.05, kmax=40, N=N)
+        st.coeffs = rng.standard_normal(st.coeffs.shape) + 1j * rng.standard_normal(st.coeffs.shape)
+        dense = 0.0
+        for k, w, h in zip(st.kappa, st.weights, st.coeffs):
+            P = np.eye(N) if k == 0 else bgk_P(1, k, alpha, N)
+            dense += w * (1.0 + k * k) ** gamma * np.vdot(h, P @ h).real
+        assert abs(entropy(st, alpha, gamma) - dense) <= 1e-14 * dense
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected_by_name(bad):
+    st = _initial(0.05, kmax=8)
+    with pytest.raises(ValueError, match=f"time step must be finite and nonnegative, got {bad}"):
+        evolve(st, bad)
+    with pytest.raises(ValueError, match=f"torus length must be finite and positive, got {bad}"):
+        evolve(dataclasses.replace(st, L=bad), 0.5)
+    with pytest.raises(ValueError, match=f"finite tmax >= 0, got 3 and {bad}"):
+        run_trajectory(st, bad, 3, 0.1)
+    with pytest.raises(ValueError, match=f"coupling amplitude alpha must be finite, got {bad}"):
+        entropy(st, bad)
+
+
 def test_homogeneous_mode_is_conserved():
     st = _initial(0.05, kmax=8)
     vec = np.zeros(st.N, dtype=complex)
@@ -183,6 +219,17 @@ def test_l1_grid_matches_full_grid_formula(N, kmax):
     full /= math.sqrt(2.0 * math.pi)
     got = L1Grid.build(kmax, N).distance(st)
     assert abs(got - full) < 1e-13 * full
+
+
+@pytest.mark.parametrize("N", [5, 20, 31])
+def test_l1_row_blocks_give_the_bits_of_one_block(N, monkeypatch):
+    rng = np.random.default_rng(N)
+    st = _initial(kmax=33, N=N)
+    st.coeffs = rng.standard_normal(st.coeffs.shape) + 1j * rng.standard_normal(st.coeffs.shape)
+    grid = L1Grid.build(st.kmax, N)
+    blocked = grid.distance(st)
+    monkeypatch.setattr(sim, "_ROWS", sim._NX // 2)
+    assert grid.distance(st) == blocked
 
 
 def test_l1_initial_value_is_deterministic():
@@ -328,7 +375,71 @@ def test_cache_keys_tell_apart_every_state_and_parameter():
 
     interleaved = [run(*case) for case in cases]
     for case, (coeffs, ent, l1) in zip(cases, interleaved):
-        for cache in (sim._propagators, sim._transformations, sim._l1_grid):
+        for cache in (sim._propagators, sim._couplings, sim._l1_grid):
             cache.cache_clear()
         want = run(*case)
         assert np.array_equal(coeffs, want[0]) and (ent, l1) == want[1:], case[1:]
+
+
+def _one_shot_propagators(N, L, kmax, dt):
+    """Oracle for :func:`sim._propagators`: every mode in one ``_expm``
+    call."""
+    (blk,) = chain_blocks(1, N)
+    B0 = blk.matrix(0.0)
+    s = np.arange(kmax + 1, dtype=float) * (2.0 * math.pi / L)
+    B = s[:, None, None] * (blk.matrix(1.0) - B0) + B0
+    B *= -dt
+    m = np.arange(N)
+    return sim._expm(B) * np.array([1, 1j, -1, -1j])[(m[:, None] - m) % 4]
+
+
+def _block_cases():
+    """(N, kmax) at one block, a block and a mode, and across many
+    blocks, for the block size b of each truncation."""
+    cases = set()
+    for N in (5, 20, 31, 160):
+        b = max(1, sim._BLOCK_BYTES // (8 * N * N))
+        cases.update((N, kmax) for kmax in (1, b - 1, b, b + 1, 128))
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("N,kmax", _block_cases())
+def test_blocked_propagators_equal_one_shot_evaluation(N, kmax):
+    for L in (TWO_PI, 0.37):
+        for dt in (0.5, 0.02):
+            E = sim._propagators.__wrapped__(N, L, kmax, dt)
+            assert np.array_equal(E, _one_shot_propagators(N, L, kmax, dt)), (L, dt)
+
+
+def _heap_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_heap_peak_at_the_defaults(tmp_path):
+    # 4.6 MB when the stacks of P_kappa and of the Pade temporaries were
+    # dense over all 129 modes
+    for cache in (sim._propagators, sim._couplings, sim._l1_grid):
+        cache.cache_clear()
+    code, peak = _heap_peak(cli.main, ["simulate", "--out", str(tmp_path / "s.csv")])
+    assert code == 0 and peak < 2.5e6
+
+
+def test_propagator_heap_peak_stays_near_its_output():
+    # 59.4 MB for the 16.8 MB stack when all 41 modes were one block
+    E, peak = _heap_peak(sim._propagators.__wrapped__, 160, TWO_PI, 40, 0.05)
+    assert peak < 1.25 * E.nbytes
+
+
+def test_l1_heap_peak_of_a_warm_call():
+    # 0.70 MB with (256, 80) temporaries
+    st = _initial()
+    later = evolve(st, 0.5)
+    l1_distance_1d(st)
+    _, peak = _heap_peak(l1_distance_1d, later)
+    assert peak < 0.4e6
