@@ -692,9 +692,7 @@ class DecayCertificate:
             "lambda": self.lam,
             "c_d": self.c_d,
             "C_d": self.C_d,
-            "verified": [
-                {"kappa": k, "min_eig": m} for k, m in self.verification
-            ],
+            "verified": [{"kappa": k, "min_eig": m} for k, m in self.verification],
             "valid": self.valid,
             "failed_kappa": self.failed_kappa,
         }
@@ -711,12 +709,7 @@ def _first_moduli(d: int, count: int):
         kmax *= 2
 
 
-def certify_many(
-    d: int,
-    Ls,
-    n_verify: int = 0,
-    alpha: float | None = None,
-) -> list:
+def certify_many(d: int, Ls, n_verify: int = 0, alpha: float | None = None) -> list:
     """Evaluate the decay certificates for dimension d on a grid of torus
     lengths.
 
@@ -756,27 +749,21 @@ def certify_many(
             )
         if alpha is not None:
             if not 0.0 < alpha < a_plus:
-                raise ValueError(
-                    "coupling amplitude must lie in (0, %.6g)" % a_plus
-                )
+                raise ValueError("coupling amplitude must lie in (0, %.6g)" % a_plus)
             a_star = float(alpha)
             mu = float(spec.mu(a_star, ell))
         theta = spec.theta * a_star
         checks = []
-        valid = True
-        failed = None
         if n_verify > 0:
             N = spec.assembly_N
             pair = operator_pair(d, spec.variant, N, L=L)
-        for kappa in _first_moduli(d, n_verify) if n_verify > 0 else []:
-            C = modal_generator(pair, kappa)
-            P = bgk_P(d, kappa, a_star, N)
-            F = C.conj().T @ P + P @ C - 2.0 * mu * P
-            m = float(np.linalg.eigvalsh(0.5 * (F + F.conj().T)).min())
-            checks.append((float(kappa), m))
-            if m < -1e-9 and valid:
-                valid = False
-                failed = float(kappa)
+            for kappa in _first_moduli(d, n_verify):
+                C = modal_generator(pair, kappa)
+                P = bgk_P(d, kappa, a_star, N)
+                F = C.conj().T @ P + P @ C - 2.0 * mu * P
+                m = float(np.linalg.eigvalsh(0.5 * (F + F.conj().T)).min())
+                checks.append((float(kappa), m))
+        failed = next((kappa for kappa, m in checks if m < -1e-9), None)
         certs.append(
             DecayCertificate(
                 d=d,
@@ -789,7 +776,7 @@ def certify_many(
                 c_d=1.0 / (1.0 + theta),
                 C_d=1.0 / (1.0 - theta),
                 verification=tuple(checks),
-                valid=valid,
+                valid=failed is None,
                 failed_kappa=failed,
             )
         )
@@ -797,10 +784,7 @@ def certify_many(
 
 
 def certify(
-    d: int,
-    L: float = 2.0 * math.pi,
-    n_verify: int = 50,
-    alpha: float | None = None,
+    d: int, L: float = 2.0 * math.pi, n_verify: int = 50, alpha: float | None = None
 ) -> DecayCertificate:
     """Evaluate the decay certificate for dimension d and torus length L:
     :func:`certify_many` on the one length.

@@ -35,28 +35,26 @@ with B also 1 on a node x = 0 (a chain of odd length), and V carrying
 sqrt 2 U_j, the even columns on e and the odd ones on o.  Its
 eigenvalues come in conjugate pairs, as the dispersion relation's do,
 and the real solver costs less than the complex one.  Mirror pairs
-whose squared norms in U sum to at most eps**2 are dropped whole.
-Since ||U||_2 <= 1 this perturbs the matrix by at most 3 eps in the
-2-norm, a backward error at the level of rounding, and leaves each
-dropped pair as the exact eigenvalues 1 +- i s x_j, whose real part is
-1.  The tail weights of a 1D chain decay like exp(-x**2 / 2), so its
-500 rows shrink to 178 at N = 500 and its 2000 to 358 at N = 2000; the
-chains of 2D and 3D are short, and lose few or no rows.
+whose squared norms in U sum to at most eps**2 are dropped whole
+(:func:`_reduce`), a backward error at the level of rounding.  The
+tail weights of a 1D chain decay like exp(-x**2 / 2), so its 500 rows
+shrink to 178 at N = 500 and its 2000 to 358 at N = 2000; the chains
+of 2D and 3D are short, and lose few or no rows.
 
 The real form goes to :func:`complex_eigenvalues` together with V;
 it computes no eigenvectors, and verifies its sampled pairs and the
-pair with the smallest real part.  Its inverse iteration runs for all
-of these shifts sigma at once, from one fixed deterministic start, and
-solves with B - sigma - V V^T by the Sherman-Morrison-Woodbury formula:
-the 2 x 2 blocks of B are inverted in closed form, elementwise in
-sigma, and the r x r capacitance matrices of all shifts form one
-stacked solve, O(n r**2) per shift for V of rank r instead of an
-O(n**3) LU.  The pair with the smallest real part is
-verified once more against the block itself: a lone chain is
-tridiagonal and solved by a tridiagonal LU with partial pivoting
-(LAPACK's gttrf / gttrs scheme), the coupled block by a dense solve.
-Only numpy is needed.  The energy basis differs from the tensor basis
-by an orthogonal involution, so it has the same spectrum.
+pair with the smallest real part by inverse iteration, all shifts sigma
+at once from one fixed start.  It solves with B - sigma - V V^T by the
+Sherman-Morrison-Woodbury formula: the 2 x 2 blocks of B inverted in
+closed form, and the r x r capacitance matrices of all shifts in one
+stacked solve, O(n r**2) per shift instead of an O(n**3) LU.  The pair
+with the smallest real part is verified once more on the block itself,
+without Q, and by one operator for every block (:func:`_chains`): T +
+E C E^T, with T tridiagonal on each chain and solved by LU with partial
+pivoting (LAPACK's gttrf / gttrs scheme), and C the collision coupling
+between chains, a Woodbury term.  Only numpy is needed.  The energy
+basis differs from the tensor basis by an orthogonal involution, so it
+has the same spectrum.
 """
 
 from __future__ import annotations
@@ -111,13 +109,10 @@ def complex_eigenvalues(M, *, U=None):
         Square matrix of size at most ``MAX_EIG_SIZE``, with finite
         entries.
     U : array_like, optional
-        A real (n, r) factor that describes M as a block diagonal
-        matrix, with blocks of order 1 and 2 along the diagonal, minus
-        U U^T.  The inverse iteration then solves by the
-        Sherman-Morrison-Woodbury formula, with each 2 x 2 block
-        inverted in closed form, in O(n r**2) instead of an LU of M.
-        Backward errors are still measured on M itself, so a U that
-        does not describe M can only fail the check.
+        A real (n, r) factor with M = D - U U^T, D block diagonal in
+        blocks of order 1 and 2: inverse iteration then solves in
+        O(n r**2) (:func:`_low_rank`).  Backward errors are still
+        measured on M, so a U that does not describe M can only fail.
 
     Returns
     -------
@@ -150,13 +145,10 @@ def complex_eigenvalues(M, *, U=None):
 class _Operator:
     """Size, product, shifted solves and largest column norm (a lower
     bound of the 2-norm) of a matrix B, for inverse iteration on a stack
-    of shifts.
-
-    ``apply(X)`` multiplies each row of an (S, n) stack by B, and
-    ``factor(sigmas)`` returns a solver that takes such a stack and
-    solves its row i with B - sigmas[i] I; a row whose shifted matrix is
-    singular comes back non-finite.
-    """
+    of shifts: ``apply(X)`` multiplies each row of an (S, n) stack by B,
+    and ``factor(sigmas)`` returns a solver of such a stack, row i with
+    B - sigmas[i] I; a row whose shifted matrix is singular comes back
+    non-finite."""
 
     n: int
     apply: Callable
@@ -222,29 +214,72 @@ def _gttrs(dl: list, d: list, du: list, du2: list, swap: list, b: list) -> list:
     return b
 
 
-def _banded(ab: np.ndarray) -> _Operator:
-    """A tridiagonal matrix held in the (3, n) form of
-    :meth:`ChainBlock.bands`, solved by :func:`_gttrf` and :func:`_gttrs`."""
+def _chains(blk: ChainBlock, s: float) -> _Operator:
+    """:meth:`ChainBlock.matrix` at s = kappa ell as T + E C E^T, its
+    chains laid end to end.  T is tridiagonal: 1 on the diagonal but for
+    l2's diagonal on ``low``, and -+ s sqrt(m_1) beside it, which is 0
+    between chains, so one LU of T - sigma (:func:`_gttrf`) per shift is
+    the LUs of the chains.  C and its hubs, the columns of E, are
+    :attr:`ChainBlock.coupling`, at most one hub per chain.  Where C is
+    not empty the solve adds the Woodbury term of
+
+        (T_s + E C E^T)^-1 = T_s^-1 - T_s^-1 E (I + C E^T T_s^-1 E)^-1 C E^T T_s^-1,
+
+    T_s = T - sigma, with its capacitance matrices in one stacked solve.
+    """
+    order = np.concatenate(blk.chains)
+    at = np.argsort(order)
+    m1 = np.concatenate([np.arange(len(chain)) for chain in blk.chains])
+    n, (hubs, C) = len(m1), blk.coupling
+    hubs = at[hubs]
+    # column j of ab holds column j of T: ab[0] above, ab[1] on, ab[2] below the diagonal
+    w = s * np.sqrt(m1)
+    ab = np.array([-w, np.ones(n), np.roll(w, -1)])
+    ab[1, at[blk.low]] = np.diagonal(blk.l2)
+    col = (ab**2).sum(axis=0)
+    col[hubs] += (C**2).sum(axis=0)
 
     def apply(X):
+        X = X[:, order]
         Y = ab[1] * X
-        Y[..., 1:] += ab[2, :-1] * X[..., :-1]
-        Y[..., :-1] += ab[0, 1:] * X[..., 1:]
-        return Y
+        Y[:, 1:] += ab[2, :-1] * X[:, :-1]
+        Y[:, :-1] += ab[0, 1:] * X[:, 1:]
+        Y[:, hubs] += X[:, hubs] @ C.T
+        return Y[:, at]
 
     def lu(sigma):
-        dl = ab[2, :-1].astype(complex).tolist()
-        d = (ab[1] - sigma).astype(complex).tolist()
-        du = ab[0, 1:].astype(complex).tolist()
+        dl, d, du = (ab[2, :-1] + 0j).tolist(), (ab[1] - sigma).tolist(), (ab[0, 1:] + 0j).tolist()
         du2, swap = _gttrf(dl, d, du)
         return lambda x: _gttrs(dl, d, du, du2, swap, x.tolist())
 
     def factor(sigmas):
-        return partial(_rows, [lu(sigma) for sigma in sigmas])
+        inverse = partial(_rows, [lu(sigma) for sigma in sigmas])
+        if not len(hubs):
+            return lambda X: inverse(X[:, order])[:, at]
+        units = np.tile(np.isin(np.arange(n), hubs) + 0j, (len(sigmas), 1))
+        # one solve gives T_s^-1 E: column j is the part on hub j's chain
+        chain = np.cumsum(m1 == 0)
+        G = np.where(chain[:, None] == chain[hubs], inverse(units)[..., None], 0.0)
+        cap = np.eye(len(hubs)) + C @ G[:, hubs]
 
-    # column j of ab holds the entries of column j of the matrix
-    scale = float(np.sqrt((np.abs(ab) ** 2).sum(axis=0)).max())
-    return _Operator(ab.shape[1], apply, factor, scale)
+        def solve(X):
+            Y = inverse(X[:, order])
+            Z = _capacitance(cap, C @ Y[:, hubs, None])
+            return (Y - (G @ Z)[..., 0])[:, at]
+
+        return solve
+
+    return _Operator(n, apply, factor, float(np.sqrt(col.max())))
+
+
+def _capacitance(cap: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """cap[i]^-1 W[i] for a stack of capacitance matrices, one per shift;
+    a singular one leaves its own row nan."""
+    try:
+        return np.linalg.solve(cap, W)
+    except np.linalg.LinAlgError:
+        # a singular capacitance matrix fails the whole stack
+        return _rows([partial(np.linalg.solve, c) for c in cap], W)
 
 
 def _dense(B: np.ndarray) -> _Operator:
@@ -266,19 +301,17 @@ def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
 
         (D - sigma - U U^T)^-1 = E + E U (I - U^T E U)^-1 U^T E,
 
-    E = (D - sigma)^-1, for a stack of shifts at once: E is an (S, n)
-    array on each of its three diagonals, and the capacitance matrices
-    I - U^T E U form one (S, r, r) stack of solves.  D is read off the
+    E = (D - sigma)^-1, for a stack of shifts at once, with E an (S, n)
+    array on each of its three diagonals.  D is read off the
     three central diagonals of M + U U^T: a 2 x 2 block starts at each
     nonzero entry next to the diagonal that does not close the block
     above it.  Each block [[p, q], [t, w]] is inverted in closed form,
     its determinant taken as (z - root) (z + root), z = sigma - (p + w)
     / 2 and root**2 = ((p - w) / 2)**2 + q t, so that it keeps its
     accuracy where sigma nears an eigenvalue of the block.  A sigma that
-    is an eigenvalue of D to the last bit makes its row of E infinite,
-    and that row of the solve non-finite; :func:`_backward_errors`
-    shifts by eps scale off such exact hits, 1 + i s x_j among them.
-    The product and the scale are those of the dense M.
+    is an eigenvalue of D to the last bit, such as 1 + i s x_j, makes its
+    row of the solve non-finite, and :func:`_backward_errors` shifts off
+    it.  The product and the scale are those of the dense M.
     """
     n = len(M)
     uu = np.einsum("ij,ij->i", U[:-1], U[1:])
@@ -318,13 +351,7 @@ def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
 
         def solve(X):
             Y = inverse(X[..., None])
-            W = U.T @ Y
-            try:
-                Z = np.linalg.solve(cap, W)
-            except np.linalg.LinAlgError:
-                # a singular capacitance matrix fails the whole stack
-                Z = _rows([partial(np.linalg.solve, c) for c in cap], W)
-            return (Y + EU @ Z)[..., 0]
+            return (Y + EU @ _capacitance(cap, U.T @ Y))[..., 0]
 
         return solve
 
@@ -353,16 +380,24 @@ def _backward_errors(op: _Operator, lams) -> np.ndarray:
     steps of inverse iteration from :func:`_start`, all shifts as one
     stack.  The stack is factored once, at lam + eps scale: lam is often
     an eigenvalue to the last bit (1 + i s x_j itself), and any vector
-    certifies lam through its residual, which is still measured at lam."""
+    certifies lam through its residual, which is still measured at lam.
+    A row whose iterate is not finite, as where lam + eps scale lands on
+    the 1 of a node 0 to the last bit, is redone at lam + 2 eps scale."""
     lams = np.asarray(lams, dtype=complex)
-    X = np.tile(_start(op.n), (len(lams), 1))
+    X = np.full((len(lams), op.n), np.nan, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        solve = op.factor(lams + _EPS * op.scale)
-        for _ in range(2):
-            Y = solve(X)
-            # near an eigenvalue Y can be so large that its norm overflows
-            Y /= np.abs(Y).max(axis=1, keepdims=True)
-            X = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+        for step in (1.0, 2.0):
+            redo = ~np.isfinite(X).all(axis=1)
+            if not redo.any():
+                break
+            solve = op.factor(lams[redo] + step * _EPS * op.scale)
+            Z = np.tile(_start(op.n), (redo.sum(), 1))
+            for _ in range(2):
+                Y = solve(Z)
+                # near an eigenvalue Y can be so large that its norm overflows
+                Y /= np.abs(Y).max(axis=1, keepdims=True)
+                Z = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+            X[redo] = Z
     return np.linalg.norm(op.apply(X) - lams[:, None] * X, axis=1) / op.scale
 
 
@@ -398,27 +433,18 @@ class _Reduced:
 
 
 def _reduce(block: ChainBlock) -> _Reduced:
-    """The real form of a block, without the mirror pairs and nodes 0
-    whose squared norms in U sum to at most eps**2.
+    """The real form B - V V^T of a block (see the module docstring),
+    without the mirror pairs and nodes 0 whose squared norms in U sum to
+    at most eps**2, dropped whole, the smallest first.
 
-    The Gauss-Hermite nodes of a chain of n are symmetric: node
-    n - 1 - j is the mirror x_j' = -x_j of node j.  The conserved
-    moments have a parity in v_1, so each column of U is even or odd
-    under j -> j'.  Both hold to the last bit and are checked.  In the
-    basis e = (d_j + d_j') / sqrt 2, o = i (d_j - d_j') / sqrt 2 of each
-    pair with x_j > 0, diag(1 + i s x) - U U^T is therefore the real
-    matrix B - V V^T: B is 1 on each node 0 and [[1, -s x_j],
-    [s x_j, 1]] on (e, o), and V carries sqrt 2 U_j, the even columns
-    on e and the odd ones on o.  Its eigenvalues come in conjugate
-    pairs.
-
-    The pairs and the nodes 0 are dropped whole, the smallest first.
-    With E the dropped rows of U and ||U||_2 <= 1, setting them to zero
-    changes U U^T by at most 2 ||E|| + ||E||**2 <= 3 eps in the 2-norm:
-    a backward perturbation at the level of rounding.  The perturbed
-    matrix has the exact eigenvalues 1 +- i s x_j for each dropped
-    pair and 1 for a dropped node 0, with real part 1, and the rest
-    forms the reduced block.
+    Node n - 1 - j of a chain of n is the mirror x_j' = -x_j of node j,
+    and each column of U is even or odd under j -> j'; both hold to the
+    last bit and are checked.  With E the dropped rows of U and
+    ||U||_2 <= 1, setting them to zero changes U U^T by at most
+    2 ||E|| + ||E||**2 <= 3 eps in the 2-norm, a backward perturbation
+    at the level of rounding.  The perturbed matrix has the exact
+    eigenvalues 1 +- i s x_j for each dropped pair and 1 for a dropped
+    node 0, with real part 1, and the rest forms the reduced block.
     """
     x, U = block.eigenbasis()
     sizes = np.array([len(chain) for chain in block.chains])
@@ -472,11 +498,8 @@ def _mode_gap(reduced, s: float):
         vals, err = complex_eigenvalues(r.matrix(s), U=r.V)
         p = np.argmin(vals.real)
         # the pair that sets the block's minimum, on the block itself
-        blk = r.block
-        op = _banded(blk.bands(s)) if blk.tridiagonal else _dense(blk.matrix(s))
-        err = max(err, _verified(op, vals[p : p + 1]))
+        worst = max(worst, err, _verified(_chains(r.block, s), vals[p : p + 1]))
         gap = min(gap, float(vals[p].real))
-        worst = max(worst, err)
     return gap, worst
 
 
@@ -539,15 +562,9 @@ def spectral_gap(d: int, L: float, kappa_list, N: int) -> GapReport:
         g, err = _mode_gap(reduced, kappa * ell)
         entries.append((kappa, N, g))
         worst = max(worst, err)
-    gaps = [g for _, _, g in entries]
-    i = int(np.argmin(gaps))
+    kappa, _, gap = entries[int(np.argmin([g for _, _, g in entries]))]
     return GapReport(
-        d=d,
-        L=L,
-        entries=tuple(entries),
-        gap=gaps[i],
-        argmin_kappa=entries[i][0],
-        backward_error=worst,
+        d=d, L=L, entries=tuple(entries), gap=gap, argmin_kappa=kappa, backward_error=worst
     )
 
 

@@ -272,7 +272,8 @@ def _gauss_hermite(n: int):
         i = np.arange(1.0, 2 * (n // 2), 2.0)
         diag = np.where(i < n - 1, 2.0 * i + 1.0, i)
         off = np.sqrt((i[:-1] + 1.0) * (i[:-1] + 2.0))
-        square = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        square = np.diag(diag)
+        square.flat[1 :: len(i) + 1] = square.flat[len(i) :: len(i) + 1] = off
         pos = np.sqrt(np.clip(np.linalg.eigvalsh(square), 0.0, None))
         nodes = np.concatenate([-pos[::-1], np.zeros(n % 2), pos])
         p, q, e = _hermite_top(n, nodes)

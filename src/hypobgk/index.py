@@ -41,7 +41,7 @@ class _Pair:
 
     ``V`` is unitary with V* C2 V = diag(w), ``w`` ascending and
     clipped at zero; its first ``kdim`` columns span ker C2, the
-    eigenvalues at most tol * max(||C2||, 1).
+    eigenvalues at most tol * max(||C2||, 1).  ``norm1`` is ||C1||_2.
     """
 
     C1: np.ndarray
@@ -49,6 +49,7 @@ class _Pair:
     V: np.ndarray
     w: np.ndarray
     kdim: int
+    norm1: float
 
 
 def _check_pair(C1, C2, tol: float) -> _Pair:
@@ -58,8 +59,8 @@ def _check_pair(C1, C2, tol: float) -> _Pair:
     C2 = _as_square(C2, "C2")
     if C1.shape != C2.shape:
         raise ValueError("C1 and C2 must have the same shape")
-    scale1 = max(np.linalg.norm(C1, 2), 1.0)
-    if np.linalg.norm(C1 - C1.conj().T, 2) > 1e-12 * scale1:
+    norm1 = float(np.linalg.norm(C1, 2))
+    if _defect(C1) > 1e-12 * max(norm1, 1.0):
         raise ValueError("C1 must be Hermitian")
     diag = np.diag(C2).real
     if np.any(C2 - np.diag(diag)):
@@ -69,12 +70,18 @@ def _check_pair(C1, C2, tol: float) -> _Pair:
         order = np.argsort(diag, kind="stable")
         w, V = diag[order], np.eye(len(diag), dtype=complex)[:, order]
     scale2 = max(np.abs(w).max(), 1.0)  # ||C2||_2 for a Hermitian C2
-    if np.linalg.norm(C2 - C2.conj().T, 2) > 1e-12 * scale2:
+    if _defect(C2) > 1e-12 * scale2:
         raise ValueError("C2 must be Hermitian")
     if w.min() < -1e-10 * scale2:
         raise ValueError("C2 must be positive semidefinite")
     w = np.clip(w, 0.0, None)
-    return _Pair(C1, C2, V, w, int(np.sum(w <= tol * scale2)))
+    return _Pair(C1, C2, V, w, int(np.sum(w <= tol * scale2)), norm1)
+
+
+def _defect(A: np.ndarray) -> float:
+    """||A - A*||_2, with no SVD where A is exactly Hermitian."""
+    D = A - A.conj().T
+    return float(np.linalg.norm(D, 2)) if D.any() else 0.0
 
 
 def _rank(M: np.ndarray, tol: float) -> int:
@@ -157,8 +164,7 @@ def hypocoercivity_index(C1, C2, tol: float = DEFAULT_TOL) -> IndexReport:
     R = pair.V[:, pair.kdim :].conj().T
     # tau does not change under C1 -> c C1, and with ||C1||_2 = 1 the
     # powers of C1 neither vanish nor overflow against R
-    norm1 = np.linalg.norm(C1, 2)
-    S = C1 / norm1 if norm1 > 0.0 else C1
+    S = C1 / pair.norm1 if pair.norm1 > 0.0 else C1
 
     # route one: ranks of the stacked family
     blocks = [R]
@@ -234,13 +240,12 @@ def is_hypocoercive_spectral(C1, C2, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.min(vals.real) > tol)
 
 
-def _invariant_subspace_in_kernel(C1, K0, tol: float) -> int:
+def _invariant_subspace_in_kernel(C1, K0, tol: float, scale: float) -> int:
     """Dimension of the largest C1-invariant subspace inside span(K0)."""
     # Residuals must be measured against the scale of C1, not against
     # their own largest singular value: once the iteration reaches an
     # exactly invariant subspace the residual matrix is numerically
     # zero, and a relative cutoff would read noise as full rank.
-    scale = max(np.linalg.norm(C1, 2), 1.0)
     W = K0
     while W.shape[1] > 0:
         n = W.shape[0]
@@ -278,10 +283,10 @@ def check_invariance_conditions(C1, C2, tol: float = DEFAULT_TOL) -> dict:
     if pair.kdim == 0:
         return {"B3": True, "B4": True}
 
-    b3 = _invariant_subspace_in_kernel(C1, pair.V[:, : pair.kdim], tol) == 0
+    scale = max(pair.norm1, 1.0)
+    b3 = _invariant_subspace_in_kernel(C1, pair.V[:, : pair.kdim], tol, scale) == 0
 
     R = pair.V[:, pair.kdim :].conj().T
-    scale = max(np.linalg.norm(C1, 2), 1.0)
     w, V = np.linalg.eigh(C1)
     b4 = True
     i = 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -195,7 +196,9 @@ class ChainBlock:
     of its members in the order m_1 = 0, 1, 2, ...; multiplication by
     v_1 links consecutive members.  ``low`` holds the local positions at
     which L2 differs from the identity, and ``l2`` the restriction of L2
-    to them, so no array of the block's size is kept.
+    to them, so no array of the block's size is kept.  L2 is diagonal
+    within a chain, so the block is tridiagonal on each chain but for
+    :attr:`coupling`, the collision coupling between chains.
     """
 
     index: np.ndarray
@@ -207,11 +210,6 @@ class ChainBlock:
     def trivial(self) -> bool:
         """L2 restricts to the identity: every real part is exactly 1."""
         return len(self.low) == 0
-
-    @property
-    def tridiagonal(self) -> bool:
-        """A lone chain, whose block is tridiagonal in local order."""
-        return len(self.chains) == 1
 
     def _m1(self) -> np.ndarray:
         m1 = np.empty(len(self.index), dtype=int)
@@ -239,21 +237,16 @@ class ChainBlock:
             B[chain[1:], chain[:-1]] = w
         return B
 
-    def bands(self, s: float) -> np.ndarray:
-        """:meth:`matrix` of a lone chain in the (3, n) diagonal-ordered
-        form: ``ab[0, 1:]`` above the diagonal, ``ab[1]`` on it and
-        ``ab[2, :-1]`` below it, so that column j of ``ab`` holds the
-        entries of column j of the matrix."""
-        if not self.tridiagonal:
-            raise ValueError("only a lone chain is tridiagonal")
-        n = len(self.index)
-        ab = np.zeros((3, n))
-        w = s * np.sqrt(np.arange(1.0, n))
-        ab[0, 1:] = -w
-        ab[1] = 1.0
-        ab[1, self.low] = np.diagonal(self.l2)
-        ab[2, :-1] = w
-        return ab
+    @cached_property
+    def coupling(self):
+        """The off-diagonal part of c l2 c in :meth:`matrix`, which links
+        different chains only: the local positions ``hubs`` of its
+        nonzero rows and its restriction C there, empty for a lone chain."""
+        c = _SIGN[self._m1()[self.low] % 4]
+        P = c[:, None] * self.l2 * c
+        np.fill_diagonal(P, 0.0)
+        on = P.any(axis=1)
+        return self.low[on], P[np.ix_(on, on)]
 
     def eigenbasis(self):
         """The block in the eigenbasis of its chains, for every kappa.

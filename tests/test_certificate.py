@@ -1,5 +1,6 @@
 """Tests for the closed-form decay certificates and their minor chains."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypobgk import (
 )
 from hypobgk.certificate import (
     _FACTORS,
+    _LAST_MINOR,
     _first_moduli,
     _sign_changes,
     _thresholds,
@@ -72,6 +74,49 @@ def test_minors_match_assembled_determinants(d):
         for got, ref in zip(table.values, brute):
             scale = max(abs(got), abs(ref), 1e-30)
             assert abs(got - ref) / scale < 1e-9
+
+
+def _mp_minor_error(d, j, points):
+    """The largest relative distance, over (kappa, fraction of alpha_plus,
+    ell), of the j-th leading minor of the closed form from the 50-digit
+    mpmath determinant of the same minor of the float block."""
+    import mpmath as mp
+
+    worst = 0.0
+    for kappa, frac, ell in points:
+        alpha = frac * chain_spec(d).alpha_plus(ell)
+        D = assemble_D_block(d, kappa, alpha, ell)[:j, :j]
+        with mp.workdps(50):
+            ref = mp.det(mp.matrix([[mp.mpc(complex(z)) for z in row] for row in D])).real
+            got = MINORS[d](kappa, alpha, ell).values[j - 1]
+            worst = max(worst, float(abs(mp.mpf(got) - ref) / abs(ref)))
+    return worst
+
+
+#: 2D: the prefactor 32 of the last minor d11; 3D: the cubic coefficient
+#: of p14 in the kappa-free row, which d14 carries
+_BY_EXPANSION = {
+    2: (11, [(1.0, 0.6, 0.5), (1.7, 0.3, 1.0), (3.0, 0.9, 4.0)]),
+    3: (14, [(1.0, 0.9, 2.0), (1.7, 0.6, 4.0), (3.0, 0.9, 4.0)]),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_coefficients_fixed_by_expansion_match_exact_determinants(monkeypatch, d):
+    # the float block's minors agree with the closed form to about 1e-14;
+    # either coefficient moved by 1e-9 relative moves them by more than
+    # 1e-10 at these points, well past the bound
+    j, points = _BY_EXPANSION[d]
+    assert _mp_minor_error(d, j, points) <= 1e-12
+    if d == 2:
+        const, power, names = _LAST_MINOR[2]
+        monkeypatch.setitem(_LAST_MINOR, 2, (const * (1.0 + 1e-9), power, names))
+    else:
+        p14 = _FACTORS[3]["p14"]
+        rows = p14.rows.copy()
+        rows[0, 3] *= 1.0 + 1e-9
+        monkeypatch.setitem(_FACTORS[3], "p14", dataclasses.replace(p14, rows=rows))
+    assert _mp_minor_error(d, j, points) > 1e-12
 
 
 @pytest.mark.parametrize("d,trace", [(2, 14.0), (3, 32.0)])

@@ -261,7 +261,7 @@ def test_gap_at_the_largest_truncation_allocates_less_than_one_square(d):
 def test_shifted_eigenvalue_fails_verification(monkeypatch, d, N, sampled):
     # moves the gap by 1e-6; a complex pair moves together, so that its
     # unshifted partner cannot set the gap instead.  In d = 3 the first
-    # block solved is the dense coupled one.  At N = 150 the error is
+    # block solved is the coupled one.  At N = 150 the error is
     # 5.8e-8 relative to the largest column norm of C_kappa, but would
     # pass relative to its Frobenius norm.  Without the evenly spaced
     # sample, only the pair that sets the gap is checked.
@@ -454,7 +454,7 @@ def test_asymmetric_eigenbasis_is_refused(monkeypatch):
 def test_wrong_reduction_fails_verification_on_the_block(monkeypatch, d, N):
     # the reduced matrix's own pairs verify, so only the check of the
     # gap-setting pair against the block itself can see the error; in
-    # d = 3 the first block reduced is the dense coupled one
+    # d = 3 the first block reduced is the coupled one
     real = gap._reduce
 
     def wrong(block):
@@ -469,15 +469,15 @@ def test_wrong_reduction_fails_verification_on_the_block(monkeypatch, d, N):
 
 
 def test_verification_survives_huge_inverse_iterates():
-    # banded inverse iteration at some eigenvalues of a 1D chain
+    # tridiagonal inverse iteration at some eigenvalues of a 1D chain
     # (N = 300, s = 5) grows to where the squared norm overflows
     (blk,) = chain_blocks(1, 300)
-    op = gap._banded(blk.bands(5.0))
+    op = gap._chains(blk, 5.0)
     assert (gap._backward_errors(op, np.linalg.eigvals(blk.matrix(5.0))) <= 1e-8).all()
 
 
-# -- structured verification: Woodbury on the reduced matrix, a
-# tridiagonal LU on a lone chain
+# -- structured verification: Woodbury on the reduced matrix, and chain
+# LUs plus a Woodbury term for the cross-chain coupling on the block
 
 
 def dense_backward_error(M, lam):
@@ -540,31 +540,85 @@ def test_gaps_raise_no_floating_point_warnings(monkeypatch):
     assert any(exact_hits(op, lams) for op, lams in seen)
 
 
-@pytest.mark.parametrize("d,N", [(1, 150), (1, 151), (1, 500), (2, 60), (3, 84)])
+def check_like_dense_solves(reduced, s):
+    """The stacked Woodbury solve on each reduced real form, and the
+    chain operator on each block, give the backward errors of inverse
+    iteration with a dense solve, one shift at a time."""
+    for r in reduced:
+        M = r.matrix(s)
+        vals = np.linalg.eigvals(M)
+        p = np.argmin(vals.real)
+        picks = vals[sorted({p, *gap._sample(len(vals))})]
+        B = r.block.matrix(s)
+        checks = [(gap._low_rank(M, r.V), M, picks), (gap._chains(r.block, s), B, vals[p : p + 1])]
+        for structured, A, lams in checks:
+            e_s = gap._backward_errors(structured, lams)
+            e_d = gap._backward_errors(gap._dense(A), lams)
+            ref = np.array([dense_backward_error(A, lam) for lam in lams])
+            assert (ref <= 1e-8).all()
+            assert np.abs(e_s - ref).max() <= 1e-13, (s, e_s, ref)
+            assert np.abs(e_d - ref).max() <= 1e-13, (s, e_d, ref)
+
+
+@pytest.mark.parametrize("d,N", [(1, 150), (1, 151), (1, 500), (2, 60), (3, 84), (2, 2000)])
 def test_structured_backward_errors_agree_with_dense_solves(d, N):
-    # the stacked Woodbury solve on the reduced real form, with its
-    # 2 x 2 blocks and its 1 x 1 rows at the nodes 0 (N = 151, and two in
-    # d = 2), and the tridiagonal LU on a chain give the backward errors
-    # of inverse iteration with a dense solve, one shift at a time
+    # the reduced forms have 2 x 2 blocks and 1 x 1 rows at the nodes 0
+    # (N = 151, and two in d = 2); the coupled blocks of d = 2 and 3 have
+    # two and three chains, the one of 2D at N = 2000 has 124 rows
     reduced, ell = gap._split(d, N, TWO_PI)
     for s in (0.3 * ell, ell, 5.0 * ell):
-        for r in reduced:
-            M = r.matrix(s)
-            vals = np.linalg.eigvals(M)
-            p = np.argmin(vals.real)
-            picks = vals[sorted({p, *gap._sample(len(vals))})]
-            checks = [(gap._low_rank(M, r.V), gap._dense(M), M, picks)]
-            blk = r.block
-            B = blk.matrix(s)
-            block_op = gap._banded(blk.bands(s)) if blk.tridiagonal else gap._dense(B)
-            checks.append((block_op, gap._dense(B), B, vals[p : p + 1]))
-            for structured, dense, A, lams in checks:
-                e_s = gap._backward_errors(structured, lams)
-                e_d = gap._backward_errors(dense, lams)
-                ref = np.array([dense_backward_error(A, lam) for lam in lams])
-                assert (ref <= 1e-8).all()
-                assert np.abs(e_s - ref).max() <= 1e-13, (s, e_s, ref)
-                assert np.abs(e_d - ref).max() <= 1e-13, (s, e_d, ref)
+        check_like_dense_solves(reduced, s)
+
+
+def test_chain_operator_keeps_the_diagonal_of_l2_in_its_lu():
+    # the case d2-energy-N91-L25.07-k2.828 of the dense eigensolve
+    # comparison: the chain LUs carry l2's diagonal, and only the
+    # off-diagonal coupling between chains goes into the Woodbury term
+    reduced, ell = gap._split(2, 91, 25.07)
+    check_like_dense_solves(reduced, 2.0 * math.sqrt(2.0) * ell)
+    assert 0.0 < spectral_gap(2, 25.07, [2.0 * math.sqrt(2.0)], 91).backward_error <= 1e-8
+
+
+@pytest.mark.parametrize("d,N", [(2, 60), (3, 84), (2, 2000)])
+@pytest.mark.parametrize("mutation", ["sign", "drop"])
+def test_wrong_cross_chain_coupling_fails_verification(monkeypatch, d, N, mutation):
+    # the reduced matrix comes from the chains' eigenbasis, not from C, so
+    # only the check on the block can see a wrong C.  "sign": the phase
+    # of one entry enters with the wrong sign; "drop": one link between
+    # two chains is lost.  (A phase flipped on a whole row and column of
+    # C is the similarity that flips its hub's chain, and leaves the
+    # spectrum alone.)
+    real = operators.ChainBlock.coupling.func
+
+    def wrong(blk):
+        hubs, C = real(blk)
+        C = C.copy()
+        if len(hubs):
+            C[0, 1] = -C[0, 1] if mutation == "sign" else 0.0
+            C[1, 0] = C[1, 0] if mutation == "sign" else 0.0
+        return hubs, C
+
+    monkeypatch.setattr(operators.ChainBlock, "coupling", property(wrong))
+    with pytest.raises(VerificationFailure, match="backward error"):
+        spectral_gap(d, TWO_PI, [1.0, 2.0], N)
+
+
+def test_coupled_block_check_allocates_less_than_one_square():
+    # the 124 rows of the 2D coupled block at N = 2000 are checked
+    # without an n x n array: the bands, C and a few (n, r) stacks
+    reduced, ell = gap._split(2, 2000, TWO_PI)
+    (r,) = [r for r in reduced if len(r.block.chains) > 1]
+    n = len(r.block.index)
+    vals = np.linalg.eigvals(r.matrix(ell))
+    lam = vals[np.argmin(vals.real)]
+    tracemalloc.start()
+    try:
+        err = gap._verified(gap._chains(r.block, ell), [lam])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err <= 1e-8
+    assert peak < n * n * 16
 
 
 def test_exact_hits_verify_in_a_stack_of_ordinary_shifts():
@@ -598,22 +652,41 @@ def test_exact_hits_verify_in_a_stack_of_ordinary_shifts():
     assert errs[1] == gap._backward_errors(op, [4.0])[0]
 
 
+def test_a_shift_that_lands_on_an_eigenvalue_is_redone():
+    # M = diag(1, 3, 5) as D = diag(2, 3, 5) minus U U^T: lam + eps scale
+    # is the eigenvalue 3 of D to the last bit, so the first solve is not
+    # finite, and the second, at lam + 2 eps scale, verifies the pair
+    op = gap._low_rank(np.diag([1.0, 3.0, 5.0]), np.array([[1.0], [0.0], [0.0]]))
+    lam = 3.0 - gap._EPS * op.scale
+    assert exact_hits(op, [lam + gap._EPS * op.scale]) == [3.0]
+    assert gap._backward_errors(op, [lam, 4.0])[0] <= 2.0 * gap._EPS
+    # here eigvals gives the eigenvalue 1 of the coupled block, whose two
+    # nodes 0 have equal rows in V, as 1 - 3e-16, and the first shift
+    # lands on the 1 of those nodes in D
+    assert spectral_gap(3, 25.07, [math.sqrt(2.0)], 84).backward_error <= 1e-8
+
+
 def test_tridiagonal_lu_solves_like_a_dense_solve():
     # small pivots force row interchanges; n = 1 and 2 have no third
-    # diagonal
+    # diagonal, and a zero link splits the matrix in two
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 7, 40):
-        ab = rng.standard_normal((3, n))
-        ab[1, ::2] *= 1e-3
-        B = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-        # one row per shift; a shift at the eigenvalue of B when n = 1
-        # makes it singular, and its row nan
-        sigmas = np.array([0.3 + 0.2j, -0.1 + 0.5j, ab[1, 0]])
-        X = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        Y = gap._banded(ab).factor(sigmas)(X)
-        for sigma, x, y in zip(sigmas, X, Y):
-            if n == 1 and sigma == ab[1, 0]:
-                assert np.isnan(y).all()
-                continue
-            ref = np.linalg.solve(B - sigma * np.eye(n), x)
-            assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+        dl, d, du = rng.standard_normal((3, n)) + 0j
+        d[::2] *= 1e-3
+        dl[n // 2] = du[n // 2] = 0.0
+        B = np.diag(d) + np.diag(du[:-1], 1) + np.diag(dl[:-1], -1)
+        lists = [dl[:-1].tolist(), d.tolist(), du[:-1].tolist()]
+        factors = gap._gttrf(*lists)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = np.array(gap._gttrs(*lists, *factors, x.tolist()))
+        ref = np.linalg.solve(B, x)
+        assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+    # a singular matrix, here a zero pivot, raises; in a stack of shifts
+    # on a block it leaves its own row nan: at s = 0 the 1D chain of 5
+    # is diag(0, 0, 0, 1, 1), singular at sigma = 1
+    lists = [[0j], [1 + 0j, 0j], [0j]]
+    with pytest.raises(ZeroDivisionError):
+        gap._gttrs(*lists, *gap._gttrf(*lists), [1 + 0j, 1 + 0j])
+    (blk,) = chain_blocks(1, 5)
+    Y = gap._chains(blk, 0.0).factor(np.array([1.0, 0.5]))(np.ones((2, 5), dtype=complex))
+    assert np.isnan(Y[0]).all() and np.array_equal(Y[1], [-2, -2, -2, 2, 2])
