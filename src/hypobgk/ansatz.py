@@ -37,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import _check_dim
-from .index import _check_pair
+from .index import DEFAULT_TOL, _check_pair
 
-DEFAULT_TOL = 1e-10
 DEFECTIVE_COND = 1e8
 
 _BGK_COUPLINGS = {

@@ -310,6 +310,17 @@ def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     )
 
 
+def _dissipation(d: int, L: float, kappas, alpha: float):
+    """C_kappa* P + P C_kappa and the closed-form P for each kappa, from
+    the operators at the assembly truncation, assembled once."""
+    spec = chain_spec(d)
+    pair = operator_pair(d, spec.variant, spec.assembly_N, L=L)
+    for kappa in kappas:
+        C = modal_generator(pair, kappa)
+        P = bgk_P(d, kappa, alpha, pair.N)
+        yield C.conj().T @ P + P @ C, P
+
+
 def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np.ndarray:
     """The dissipation block C* P + P C, assembled from the operators.
 
@@ -319,15 +330,11 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
     (size 5, 11 or 21).
     """
     _check_params(kappa, alpha, ell)
-    spec = chain_spec(d)
-    N, b = spec.assembly_N, spec.block
-    pair = operator_pair(d, spec.variant, N, L=2.0 * math.pi / ell)
-    C = modal_generator(pair, kappa)
-    P = bgk_P(d, kappa, alpha, N)
-    F = C.conj().T @ P + P @ C
+    b = chain_spec(d).block
+    F, _ = next(_dissipation(d, 2.0 * math.pi / ell, [kappa], alpha))
     tail = F.copy()
     tail[:b, :b] = 0.0
-    tail[b:, b:] -= 2.0 * np.eye(N - b)
+    tail[b:, b:] -= 2.0 * np.eye(len(F) - b)
     resid = np.abs(tail).max()
     if resid > 1e-10:
         raise VerificationFailure(
@@ -755,12 +762,9 @@ def certify_many(d: int, Ls, n_verify: int = 0, alpha: float | None = None) -> l
         theta = spec.theta * a_star
         checks = []
         if n_verify > 0:
-            N = spec.assembly_N
-            pair = operator_pair(d, spec.variant, N, L=L)
-            for kappa in _first_moduli(d, n_verify):
-                C = modal_generator(pair, kappa)
-                P = bgk_P(d, kappa, a_star, N)
-                F = C.conj().T @ P + P @ C - 2.0 * mu * P
+            kappas = _first_moduli(d, n_verify)
+            for kappa, (F, P) in zip(kappas, _dissipation(d, L, kappas, a_star)):
+                F = F - 2.0 * mu * P
                 m = float(np.linalg.eigvalsh(0.5 * (F + F.conj().T)).min())
                 checks.append((float(kappa), m))
         failed = next((kappa for kappa, m in checks if m < -1e-9), None)

@@ -35,7 +35,7 @@ from . import __version__
 from .certificate import certify, certify_many, chain_spec
 from .gap import VerificationFailure, spectral_gap
 from .hermite import MIN_N
-from .index import hypocoercivity_index
+from .index import DEFAULT_TOL, hypocoercivity_index
 from .operators import mode_moduli, operator_pair
 from .sim import (
     _bump_square_norm,
@@ -65,7 +65,7 @@ _FLAGS = {
     "tmax": dict(type=float, default=40.0),
     "dt": dict(type=float, default=0.5),
     "gamma": dict(type=float, default=0.0),
-    "tol_rank": dict(type=float, default=1e-10),
+    "tol_rank": dict(type=float, default=DEFAULT_TOL),
     "format": dict(choices=("csv", "json")),
     "from": dict(type=float, default=0.1, dest="sweep_from"),
     "to": dict(type=float, default=50.0, dest="sweep_to"),

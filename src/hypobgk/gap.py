@@ -6,14 +6,14 @@ C_kappa = i kappa ell L1 + L2.  This module computes those spectra and
 aggregates them into per-torus gap reports used to validate the
 certificates.
 
-In the tensor basis C_kappa splits into blocks
-(:func:`hypobgk.operators.chain_blocks`): one per chain of
+In the tensor basis C_kappa splits into one block per chain of
 multi-indices with m_2, ..., m_d fixed, except that the degree-two
 collision projector couples the chains holding (2, 0, 0), (0, 2, 0)
 and (0, 0, 2) into one block.  A block on which L2 is the identity has
-real parts exactly 1 and needs no eigensolve.
+real parts exactly 1, so only the other blocks, at most three, are
+built (:func:`hypobgk.operators.chain_blocks`).
 
-Each other block is solved in the eigenbasis of its chains
+Each block is solved in the eigenbasis of its chains
 (:meth:`hypobgk.operators.ChainBlock.eigenbasis`).  The Gauss-Hermite
 rule of a chain's length diagonalizes its Jacobi matrix of v_1, and
 I - L2 = W W^T projects onto the block's share of the conserved
@@ -215,9 +215,9 @@ def _gttrs(dl: list, d: list, du: list, du2: list, swap: list, b: list) -> list:
 
 
 def _chains(blk: ChainBlock, s: float) -> _Operator:
-    """:meth:`ChainBlock.matrix` at s = kappa ell as T + E C E^T, its
-    chains laid end to end.  T is tridiagonal: 1 on the diagonal but for
-    l2's diagonal on ``low``, and -+ s sqrt(m_1) beside it, which is 0
+    """:meth:`ChainBlock.matrix` at s = kappa ell as T + E C E^T, in the
+    block's order.  T is tridiagonal: 1 on the diagonal but for l2's
+    diagonal on ``low``, and -+ s sqrt(m_1) beside it, which is 0
     between chains, so one LU of T - sigma (:func:`_gttrf`) per shift is
     the LUs of the chains.  C and its hubs, the columns of E, are
     :attr:`ChainBlock.coupling`, at most one hub per chain.  Where C is
@@ -227,25 +227,20 @@ def _chains(blk: ChainBlock, s: float) -> _Operator:
 
     T_s = T - sigma, with its capacitance matrices in one stacked solve.
     """
-    order = np.concatenate(blk.chains)
-    at = np.argsort(order)
-    m1 = np.concatenate([np.arange(len(chain)) for chain in blk.chains])
-    n, (hubs, C) = len(m1), blk.coupling
-    hubs = at[hubs]
+    m1, (hubs, C) = blk.m1, blk.coupling
     # column j of ab holds column j of T: ab[0] above, ab[1] on, ab[2] below the diagonal
     w = s * np.sqrt(m1)
-    ab = np.array([-w, np.ones(n), np.roll(w, -1)])
-    ab[1, at[blk.low]] = np.diagonal(blk.l2)
+    ab = np.array([-w, np.ones_like(w), np.roll(w, -1)])
+    ab[1, blk.low] = np.diagonal(blk.l2)
     col = (ab**2).sum(axis=0)
     col[hubs] += (C**2).sum(axis=0)
 
     def apply(X):
-        X = X[:, order]
         Y = ab[1] * X
         Y[:, 1:] += ab[2, :-1] * X[:, :-1]
         Y[:, :-1] += ab[0, 1:] * X[:, 1:]
         Y[:, hubs] += X[:, hubs] @ C.T
-        return Y[:, at]
+        return Y
 
     def lu(sigma):
         dl, d, du = (ab[2, :-1] + 0j).tolist(), (ab[1] - sigma).tolist(), (ab[0, 1:] + 0j).tolist()
@@ -255,21 +250,21 @@ def _chains(blk: ChainBlock, s: float) -> _Operator:
     def factor(sigmas):
         inverse = partial(_rows, [lu(sigma) for sigma in sigmas])
         if not len(hubs):
-            return lambda X: inverse(X[:, order])[:, at]
-        units = np.tile(np.isin(np.arange(n), hubs) + 0j, (len(sigmas), 1))
+            return inverse
+        units = np.tile(np.isin(np.arange(len(m1)), hubs) + 0j, (len(sigmas), 1))
         # one solve gives T_s^-1 E: column j is the part on hub j's chain
         chain = np.cumsum(m1 == 0)
         G = np.where(chain[:, None] == chain[hubs], inverse(units)[..., None], 0.0)
         cap = np.eye(len(hubs)) + C @ G[:, hubs]
 
         def solve(X):
-            Y = inverse(X[:, order])
+            Y = inverse(X)
             Z = _capacitance(cap, C @ Y[:, hubs, None])
-            return (Y - (G @ Z)[..., 0])[:, at]
+            return Y - (G @ Z)[..., 0]
 
         return solve
 
-    return _Operator(n, apply, factor, float(np.sqrt(col.max())))
+    return _Operator(len(m1), apply, factor, float(np.sqrt(col.max())))
 
 
 def _capacitance(cap: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -403,8 +398,8 @@ def _backward_errors(op: _Operator, lams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Reduced:
-    """A nontrivial block in the real form of its chains' eigenbasis,
-    deflated (:func:`_reduce`).
+    """A chain block in the real form of its chains' eigenbasis, deflated
+    (:func:`_reduce`).
 
     ``pairs`` holds the kept mirror pairs, rows (j, j') of
     :meth:`ChainBlock.eigenbasis` with x_j > 0 and x_j' = -x_j, and
@@ -447,9 +442,7 @@ def _reduce(block: ChainBlock) -> _Reduced:
     node 0, with real part 1, and the rest forms the reduced block.
     """
     x, U = block.eigenbasis()
-    sizes = np.array([len(chain) for chain in block.chains])
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    mirror = 2 * start + np.repeat(sizes, sizes) - 1 - np.arange(len(x))
+    mirror = np.arange(len(x)) + np.repeat(block.chains, block.chains) - 1 - 2 * block.m1
     parity = (U[mirror] == U).all(axis=0) | (U[mirror] == -U).all(axis=0)
     if not (np.array_equal(x[mirror], -x) and parity.all()):
         raise VerificationFailure("the eigenbasis of a chain block is not mirror-symmetric")
@@ -476,25 +469,34 @@ def _reduce(block: ChainBlock) -> _Reduced:
     )
 
 
-def _split(d: int, N: int, L: float):
-    """The nontrivial blocks of the tensor-basis generators, reduced
-    once for every kappa, and the wavenumber scale 2 pi / L; no operator
-    of size N is assembled."""
-    ell = 2.0 * math.pi / L
-    return [_reduce(blk) for blk in chain_blocks(d, N) if not blk.trivial], ell
+def _split(d: int, N: int):
+    """The blocks of the tensor-basis generators on which L2 is not the
+    identity, reduced once for every kappa; no operator of size N is
+    assembled."""
+    return [_reduce(blk) for blk in chain_blocks(d, N)]
 
 
-def _mode_gap(reduced, s: float):
-    """Smallest real part over the spectrum of C_kappa, s = kappa ell,
-    and the worst relative backward error among the verified pairs."""
+def _mode_gap(reduced, kappa: float, L: float):
+    """Smallest real part over the spectrum of C_kappa on a torus of
+    length L, and the worst relative backward error among the verified
+    pairs."""
+    s = kappa * (2.0 * math.pi / L)
     if s == 0:
         # the homogeneous mode relaxes at the collision rate on the
         # complement of the conserved moments
         return 1.0, 0.0
-    # trivial blocks and deflated rows have real parts exactly 1, and
-    # L2 <= I bounds every real part by 1
+    # the chains outside the blocks and the deflated rows have real parts
+    # exactly 1, and L2 <= I bounds every real part by 1
     gap, worst = 1.0, 0.0
     for r in reduced:
+        # verification squares s x_j (the 2 x 2 blocks of _low_rank), and
+        # adds the squares of s sqrt(m_1) and s sqrt(m_1 + 1) (_chains)
+        top, n = s * float(r.x.max(initial=0.0)), max(r.block.chains)
+        if not (math.isfinite(top * top) and math.isfinite(s * s * (2 * n - 3))):
+            raise OverflowError(
+                f"mode modulus kappa {kappa!r} on torus length {L!r}: the squares of"
+                " kappa ell x_j and kappa ell sqrt(m_1) leave the floating-point range"
+            )
         vals, err = complex_eigenvalues(r.matrix(s), U=r.V)
         p = np.argmin(vals.real)
         # the pair that sets the block's minimum, on the block itself
@@ -556,10 +558,10 @@ def spectral_gap(d: int, L: float, kappa_list, N: int) -> GapReport:
     """
     kappas = [float(k) for k in kappa_list]
     _check_inputs(d, L, kappas, [N])
-    reduced, ell = _split(d, N, L)
+    reduced = _split(d, N)
     entries, worst = [], 0.0
     for kappa in kappas:
-        g, err = _mode_gap(reduced, kappa * ell)
+        g, err = _mode_gap(reduced, kappa, L)
         entries.append((kappa, N, g))
         worst = max(worst, err)
     kappa, _, gap = entries[int(np.argmin([g for _, _, g in entries]))]
@@ -596,8 +598,7 @@ def convergence_study(d: int, L: float, kappa: float, N_list) -> ConvergenceStud
     _check_inputs(d, L, [kappa], Ns)
     out, worst = [], 0.0
     for N in Ns:
-        reduced, ell = _split(d, N, L)
-        g, err = _mode_gap(reduced, kappa * ell)
+        g, err = _mode_gap(_split(d, N), kappa, L)
         out.append((N, g))
         worst = max(worst, err)
     return ConvergenceStudy(d=d, L=L, kappa=kappa, entries=tuple(out), backward_error=worst)

@@ -27,8 +27,11 @@ import numpy as np
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-#: smallest truncation of each velocity dimension, which holds the whole
-#: degree-two level so that the collision projector is well defined
+#: smallest truncation of each velocity dimension.  In 2D and 3D it
+#: holds the whole degree-two level, on which the collision projector
+#: acts.  In 1D that level ends at N = 3, ``sim._couplings`` needs N >= 4
+#: for the entropy couplings of m = 0..3, and transport carries them to
+#: m = 4, into the 1D dissipation block of size 5
 MIN_N = {1: 5, 2: 6, 3: 10}
 
 _VARIANTS = ("tensor", "energy")
@@ -72,6 +75,12 @@ def lex_index(m, d: int | None = None) -> int:
     _check_dim(len(m))
     if any(c < 0 for c in m):
         raise ValueError(f"multi-index {m} has a negative component")
+    return _position(m)
+
+
+def _position(m):
+    """:func:`lex_index` without its checks; components that are integer
+    arrays of one shape give the positions of many multi-indices."""
     n = sum(m)
     if len(m) == 1:
         return n

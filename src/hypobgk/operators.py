@@ -27,6 +27,7 @@ from .hermite import (
     _degree_two,
     _energy_block,
     _index_table,
+    _position,
     gauss_hermite,
     hermite_phi,
     lex_index,
@@ -69,16 +70,12 @@ def build_L1(d: int, variant: str, N: int) -> np.ndarray:
         graded ordering.
     """
     _check_size(d, variant, N)
-    idx = _index_table(d, N)
-    pos = {m: i for i, m in enumerate(idx)}
+    m = np.array(_index_table(d, N)).T
+    # the flat position of m + e_1, past N where the table ends
+    up = _position((m[0] + 1, *m[1:]))
+    j = np.flatnonzero(up < N)
     L1 = np.zeros((N, N))
-    for j, m in enumerate(idx):
-        up = tuple((m[0] + 1,) + m[1:])
-        i = pos.get(up)
-        if i is not None:
-            w = math.sqrt(m[0] + 1.0)
-            L1[i, j] = w
-            L1[j, i] = w
+    L1[up[j], j] = L1[j, up[j]] = np.sqrt(m[0, j] + 1.0)
     if variant == "energy" and d >= 2:
         # S @ L1 @ S with S = basis_change_matrix(d, N): S is the
         # identity off the degree-two level, and every entry of the
@@ -128,15 +125,14 @@ def build_L2(d: int, variant: str, N: int) -> np.ndarray:
         Real symmetric positive semidefinite ``(N, N)`` matrix.
     """
     _check_size(d, variant, N)
-    idx = _index_table(d, N)
-    degrees = np.array([sum(m) for m in idx])
     level = _degree_two(d)
+    # the graded order puts degrees 0 and 1 before the degree-two level
+    diag = (np.arange(N) >= level.start).astype(float)
     if variant == "energy" or d == 1:
-        diag = (degrees >= 2).astype(float)
         # one extra conserved direction, first in the degree-two level
         diag[level.start] = 0.0
         return np.diag(diag)
-    L2 = np.diag((degrees >= 2).astype(float))
+    L2 = np.diag(diag)
     L2[level, level] = _collision_projector_block(d)
     return L2
 
@@ -189,16 +185,16 @@ _SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 @dataclass(frozen=True)
 class ChainBlock:
     """One diagonal block of T^-1 C_kappa T, T = diag(i**m_1), in the
-    tensor basis.
+    tensor basis, on which L2 is not the identity.
 
-    ``index`` holds the ascending flat positions of its multi-indices.
-    ``chains`` holds, for each chain of the block, the local positions
-    of its members in the order m_1 = 0, 1, 2, ...; multiplication by
-    v_1 links consecutive members.  ``low`` holds the local positions at
-    which L2 differs from the identity, and ``l2`` the restriction of L2
-    to them, so no array of the block's size is kept.  L2 is diagonal
-    within a chain, so the block is tridiagonal on each chain but for
-    :attr:`coupling`, the collision coupling between chains.
+    The block lays its chains end to end: ``chains`` holds their
+    lengths, and each chain holds m_1 = 0, 1, 2, ... in turn, so that
+    multiplication by v_1 links consecutive members.  ``index`` holds
+    the flat positions of the members in that order.  ``low`` holds the
+    local positions at which L2 differs from the identity, and ``l2``
+    the restriction of L2 to them, so no array of the block's size is
+    kept.  L2 is diagonal within a chain, so the block is tridiagonal
+    but for :attr:`coupling`, the collision coupling between chains.
     """
 
     index: np.ndarray
@@ -206,35 +202,30 @@ class ChainBlock:
     low: np.ndarray = field(repr=False)
     l2: np.ndarray = field(repr=False)
 
-    @property
-    def trivial(self) -> bool:
-        """L2 restricts to the identity: every real part is exactly 1."""
-        return len(self.low) == 0
-
-    def _m1(self) -> np.ndarray:
-        m1 = np.empty(len(self.index), dtype=int)
-        for chain in self.chains:
-            m1[chain] = np.arange(len(chain))
-        return m1
+    @cached_property
+    def m1(self) -> np.ndarray:
+        """m_1 at each local position."""
+        return np.concatenate([np.arange(n) for n in self.chains])
 
     def matrix(self, s: float) -> np.ndarray:
         """The real block l2 + s K of T^-1 C_kappa T, s = kappa ell.
 
         Entry (p, q) of T^-1 A T is i**(m_1q - m_1p) A_pq.  L2 only
         links indices whose m_1 have equal parity, so its entries become
-        c_p c_q L2_pq with i**m = c_m i**(m % 2), c_m = +-1; i L1 links
-        m_1 to m_1 + 1 with i sqrt(m_1 + 1), which becomes -sqrt(m_1 + 1)
-        above the diagonal and +sqrt(m_1 + 1) below.  The block is
-        therefore real, and equal to the phased generator to the last
-        bit.
+        c_p c_q L2_pq with i**m = c_m i**(m % 2), c_m = +-1: its diagonal
+        and :attr:`coupling`.  i L1 links m_1 to m_1 + 1 with
+        i sqrt(m_1 + 1), which becomes -sqrt(m_1 + 1) above the diagonal
+        and +sqrt(m_1 + 1) below.  The block is therefore real, and equal
+        to the phased generator to the last bit.
         """
         B = np.eye(len(self.index))
-        c = _SIGN[self._m1()[self.low] % 4]
-        B[np.ix_(self.low, self.low)] = c[:, None] * self.l2 * c
-        for chain in self.chains:
-            w = s * np.sqrt(np.arange(1.0, len(chain)))
-            B[chain[:-1], chain[1:]] = -w
-            B[chain[1:], chain[:-1]] = w
+        B[self.low, self.low] = np.diagonal(self.l2)
+        hubs, C = self.coupling
+        B[np.ix_(hubs, hubs)] += C
+        k = np.flatnonzero(self.m1)
+        w = s * np.sqrt(self.m1[k])
+        B[k - 1, k] = -w
+        B[k, k - 1] = w
         return B
 
     @cached_property
@@ -242,7 +233,7 @@ class ChainBlock:
         """The off-diagonal part of c l2 c in :meth:`matrix`, which links
         different chains only: the local positions ``hubs`` of its
         nonzero rows and its restriction C there, empty for a lone chain."""
-        c = _SIGN[self._m1()[self.low] % 4]
+        c = _SIGN[self.m1[self.low] % 4]
         P = c[:, None] * self.l2 * c
         np.fill_diagonal(P, 0.0)
         on = P.any(axis=1)
@@ -273,11 +264,12 @@ class ChainBlock:
         # a projector's eigenvalues are 0 and 1
         vals, vecs = np.linalg.eigh(np.eye(len(self.low)) - self.l2)
         W = vecs[:, vals > 0.5]
-        m1 = self._m1()[self.low]
+        m1 = self.m1[self.low]
+        chain = np.repeat(np.arange(len(self.chains)), self.chains)[self.low]
         xs, us = [], []
-        for chain in self.chains:
-            x, w = gauss_hermite(len(chain))
-            on = np.isin(self.low, chain)
+        for j, n in enumerate(self.chains):
+            x, w = gauss_hermite(n)
+            on = chain == j
             phi = hermite_phi(int(m1[on].max(initial=0)), x)[m1[on]]
             xs.append(x)
             us.append(np.sqrt(w / SQRT2PI)[:, None] * (phi.T @ W[on]))
@@ -285,19 +277,20 @@ class ChainBlock:
 
 
 def chain_blocks(d: int, N: int) -> tuple:
-    """Diagonal blocks of T^-1 C_kappa T in the tensor basis, the same
-    for every kappa and torus length.
+    """The diagonal blocks of T^-1 C_kappa T in the tensor basis on
+    which L2 is not the identity, the same for every kappa and torus
+    length.
 
     Multiplication by v_1 only changes m_1, so L1 links each index to
-    its neighbours in one chain with m_2, ..., m_d fixed.  The degree
-    grows with m_1, so a chain holds m_1 = 0, 1, ..., n - 1 in flat
-    order.  L2 is the identity beyond the degree-two level, which the
-    smallest truncation holds; there it is diagonal except for the
-    projector that couples the chains holding (2, 0, 0), (0, 2, 0) and
-    (0, 0, 2).  The blocks are the chains, with those linked by L2
-    merged.  They are read off the index table of N and the L2 of the
-    smallest truncation, which is the low-degree corner of every L2, so
-    no array of size N is assembled or kept.
+    its neighbours in one chain with the tail m_2, ..., m_d fixed.  L2
+    is the identity beyond the degree-two level, and diagonal but for
+    the projector that couples the chains of (2, 0, 0), (0, 2, 0) and
+    (0, 0, 2).  So the blocks are the one chain in 1D, the coupled
+    chains m_2 = 0, 2 and the chain m_2 = 1 in 2D, and the coupled
+    chains 00, 20, 02 and the chains 10, 01 in 3D; every other chain
+    has real parts exactly 1.  The tails and L2 are read off the
+    smallest truncation, whose L2 is the low-degree corner of every L2,
+    and the members off the graded order: no array of size N is built.
 
     Parameters
     ----------
@@ -313,37 +306,30 @@ def chain_blocks(d: int, N: int) -> tuple:
         Ordered by their first index.
     """
     _check_size(d, "tensor", N)
-    idx = _index_table(d, N)
-    chains: dict = {}
-    for i, m in enumerate(idx):
-        chains.setdefault(m[1:], []).append(i)
     L2 = operator_pair(d, "tensor", MIN_N[d]).L2
-    parent = {tail: tail for tail in chains}
-
-    def root(tail):
-        while parent[tail] != tail:
-            tail = parent[tail]
-        return tail
-
-    for p, q in zip(*np.nonzero(L2)):
-        parent[root(idx[p][1:])] = root(idx[q][1:])
-    groups: dict = {}
-    for tail in chains:
-        groups.setdefault(root(tail), []).append(chains[tail])
+    corner = _index_table(d, MIN_N[d])
     low = np.flatnonzero((L2 != np.eye(len(L2))).any(axis=1))
+    # the tails of the chains through low, in the order of their first
+    # members, each labelled by the first tail that L2 links it to
+    label = {tail: i for i, tail in enumerate(dict.fromkeys(corner[p][1:] for p in low))}
+    for p, q in zip(*np.nonzero(L2[np.ix_(low, low)])):
+        a, b = sorted((label[corner[low[p]][1:]], label[corner[low[q]][1:]]))
+        label = {tail: a if i == b else i for tail, i in label.items()}
     blocks = []
-    for group in groups.values():
-        index = np.sort(np.concatenate(group))
-        mine = low[np.isin(low, index)]
+    for first in sorted(set(label.values())):
+        members = [_position((np.arange(N),) + tail) for tail, i in label.items() if i == first]
+        members = [at[at < N] for at in members]
+        index = np.concatenate(members)
+        mine = np.flatnonzero(np.isin(index, low))
         blocks.append(
             ChainBlock(
                 index=index,
-                chains=tuple(np.searchsorted(index, chain) for chain in group),
-                low=np.searchsorted(index, mine),
-                l2=L2[np.ix_(mine, mine)],
+                chains=tuple(len(at) for at in members),
+                low=mine,
+                l2=L2[np.ix_(index[mine], index[mine])],
             )
         )
-    return tuple(sorted(blocks, key=lambda blk: blk.index[0]))
+    return tuple(blocks)
 
 
 def modal_generator(pair: OperatorPair, kappa: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,42 @@ def test_index_at_huge_kappa_names_kappa_and_length(kappa, code, message):
     assert r.stdout == ""
     assert "Traceback" not in r.stderr and "On entry to" not in r.stderr
     assert message in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the reduced matrix itself holds infinite entries
+        ["--kappa", "1e308"],
+        # (kappa ell x_j)**2 overflows in the verification of the gaps
+        ["--dim", "1", "--kappa", "1e160"],
+        ["--dim", "2", "--kappa", "1e160"],
+        ["--dim", "3", "--kappa", "1e200"],
+    ],
+)
+def test_spectrum_at_huge_kappa_names_kappa_and_length(argv):
+    r = subprocess.run(
+        [sys.executable, "-m", "hypobgk.cli", "spectrum", *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning"),
+    )
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    kappa = float(argv[-1])
+    assert f"error: mode modulus kappa {kappa!r} on torus length 6.283185307179586: " in r.stderr
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spectrum_at_the_largest_working_kappa(d, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["spectrum", "--dim", str(d), "--kappa", "1e153", "--format", "json"]) == 0
+    # a real part of order 1 is lost to rounding against kappa ell x_j
+    # of order 1e154, so only a finite gap is asked for
+    assert math.isfinite(json.loads(capsys.readouterr().out)["gap"])
 
 
 @pytest.mark.parametrize(

@@ -135,29 +135,58 @@ def test_chain_gap_matches_dense_eigensolve(d, variant, N, L, kappa):
     assert abs(spectral_gap(d, L, [kappa], N).gap - dense) <= 1e-12
 
 
-@pytest.mark.parametrize("d,N", [(1, 5), (1, 37), (2, 6), (2, 23), (3, 10), (3, 47)])
+@pytest.mark.parametrize(
+    "d,N", [(1, 5), (1, 37), (1, 2000), (2, 6), (2, 23), (2, 2000), (3, 10), (3, 47), (3, 2000)]
+)
 def test_blocks_reproduce_the_phased_generator(d, N):
-    # N = 37, 23 and 47 end inside a degree level
+    # N = 37, 23 and 47 end inside a degree level.  The blocks equal the
+    # phased generator on their rows and columns; every other row is the
+    # identity plus the links -+ s sqrt(m_1) of its chain, and no entry
+    # links it to a block
     pair = operator_pair(d, "tensor", N, L=3.0)
-    kappa = 1.7
-    C = modal_generator(pair, kappa)
-    t = PHASES[[m[0] % 4 for m in _index_table(d, N)]]
-    phased = t.conj()[:, None] * C * t[None, :]
+    kappa, s = 1.7, 1.7 * pair.ell
+    phased = modal_generator(pair, kappa)
+    del pair
+    idx = _index_table(d, N)
+    t = PHASES[[m[0] % 4 for m in idx]]
+    phased *= t.conj()[:, None]
+    phased *= t
+    assert not phased.imag.any()
     blocks = chain_blocks(d, N)
-    assert sorted(np.concatenate([blk.index for blk in blocks])) == list(range(N))
+    assert len(blocks) == d
     full = np.zeros((N, N))
     for blk in blocks:
-        full[np.ix_(blk.index, blk.index)] = blk.matrix(kappa * pair.ell)
-    assert not phased.imag.any()
+        full[np.ix_(blk.index, blk.index)] = blk.matrix(s)
+    rest = np.ones(N, dtype=bool)
+    rest[np.concatenate([blk.index for blk in blocks])] = False
+    pos = {m: i for i, m in enumerate(idx)}
+    for i in np.flatnonzero(rest):
+        m = idx[i]
+        full[i, i] = 1.0
+        if (up := pos.get((m[0] + 1,) + m[1:])) is not None:
+            full[i, up] = -s * math.sqrt(m[0] + 1)
+        if m[0]:
+            full[i, pos[(m[0] - 1,) + m[1:]]] = s * math.sqrt(m[0])
     assert np.array_equal(phased.real, full)
-    # one coupled block in d >= 2; every other block is a lone chain
-    # with m_2, ..., m_d fixed, so it is tridiagonal
-    tails = [{_index_table(d, N)[i][1:] for i in blk.index} for blk in blocks]
-    assert sum(len(t) > 1 for t in tails) == (d > 1)
-    for blk, tail in zip(blocks, tails):
-        if len(tail) == 1:
-            B = blk.matrix(kappa)
-            assert not (np.triu(B, 2).any() or np.tril(B, -2).any())
+    # each block lays its chains end to end, each chain with all of its
+    # members below N in the order m_1 = 0, 1, ...; one block couples
+    # chains in d >= 2
+    for blk in blocks:
+        members = [idx[i] for i in blk.index]
+        assert [m[0] for m in members] == blk.m1.tolist()
+        for a, n in zip(np.cumsum((0,) + blk.chains[:-1]), blk.chains):
+            tail = members[a][1:]
+            assert [m[1:] for m in members[a : a + n]] == [tail] * n
+            assert n == sum(m[1:] == tail for m in idx)
+    assert sum(len(blk.chains) > 1 for blk in blocks) == (d > 1)
+
+
+#: the tails m_2, ..., m_d of the chains of each block, in order
+BLOCK_TAILS = {
+    1: [[()]],
+    2: [[(0,), (2,)], [(1,)]],
+    3: [[(0, 0), (2, 0), (0, 2)], [(1, 0)], [(0, 1)]],
+}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -167,8 +196,11 @@ def test_chain_blocks_reject_truncations_out_of_range(d):
     with pytest.raises(ValueError, match="exceeds limit"):
         chain_blocks(d, MAX_TRUNCATION + 1)
     for N in (MIN_N[d], MAX_TRUNCATION):
-        blocks = chain_blocks(d, N)
-        assert sum(len(blk.index) for blk in blocks) == N
+        idx = _index_table(d, N)
+        tails = [
+            [idx[i][1:] for i in blk.index[blk.m1 == 0]] for blk in chain_blocks(d, N)
+        ]
+        assert tails == BLOCK_TAILS[d]
 
 
 def test_eigenvalues_without_vectors_match_the_dense_solver():
@@ -222,7 +254,7 @@ def test_only_nontrivial_blocks_are_solved(monkeypatch):
 
     monkeypatch.setattr(gap, "eigvals", counting)
     spectral_gap(3, TWO_PI, [1.0], 220)
-    assert len(chain_blocks(3, 220)) == 53
+    assert len(chain_blocks(3, 220)) == 3
     assert len(sizes) == 3 and max(sizes) == 26
 
 
@@ -241,6 +273,23 @@ def test_gaps_assemble_operators_of_the_smallest_truncation_only(monkeypatch, d)
     spectral_gap(d, TWO_PI, [1.0, 2.0], 200)
     convergence_study(d, 3.0, 1.0, [60, 200])
     assert sizes == [MIN_N[d]] * 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaps_read_the_index_table_of_the_smallest_truncation_only(monkeypatch, d):
+    # the members of each chain come from the graded order, not from a
+    # scan of the index table of N
+    sizes = set()
+    real = operators._index_table
+
+    def recording(d_, N):
+        sizes.add(N)
+        return real(d_, N)
+
+    monkeypatch.setattr(operators, "_index_table", recording)
+    spectral_gap(d, TWO_PI, [1.0, 2.0], 200)
+    convergence_study(d, 3.0, 1.0, [60, MAX_TRUNCATION])
+    assert sizes == {MIN_N[d]}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -350,8 +399,6 @@ def test_eigenbasis_form_is_similar_to_the_block(d, N):
     s = 1.3
     ranks = 0
     for blk in chain_blocks(d, N):
-        if blk.trivial:
-            continue
         x, U = blk.eigenbasis()
         ranks += U.shape[1]
         assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-13)
@@ -366,20 +413,16 @@ def test_eigenbasis_form_is_similar_to_the_block(d, N):
 MIRROR_CASES = [(1, 40), (1, 41), (2, 60), (2, 61), (3, 84), (3, 85)]
 
 
-def _nontrivial(d, N):
-    return [blk for blk in chain_blocks(d, N) if not blk.trivial]
-
-
 @pytest.mark.parametrize("d,N", MIRROR_CASES)
 def test_eigenbasis_is_mirror_symmetric_to_the_last_bit(d, N):
     # the real form rests on both: node n - 1 - j of a chain of n is
     # -x_j, and each column of U is even or odd under that mirror
-    for blk in _nontrivial(d, N):
+    for blk in chain_blocks(d, N):
         x, U = blk.eigenbasis()
         mirror, start = [], 0
-        for chain in blk.chains:
-            mirror.extend(range(start + len(chain) - 1, start - 1, -1))
-            start += len(chain)
+        for n in blk.chains:
+            mirror.extend(range(start + n - 1, start - 1, -1))
+            start += n
         assert np.array_equal(x[mirror], -x)
         for u in U.T:
             assert np.array_equal(u[mirror], u) or np.array_equal(u[mirror], -u)
@@ -391,7 +434,7 @@ def test_real_form_is_similar_to_the_block(d, N):
     # and nodes 0 has the block's whole spectrum
     s = 1.3
     nodes_0 = 0
-    for blk in _nontrivial(d, N):
+    for blk in chain_blocks(d, N):
         r = gap._reduce(blk)
         nodes_0 += len(r.single)
         M = r.matrix(s)
@@ -565,8 +608,9 @@ def test_structured_backward_errors_agree_with_dense_solves(d, N):
     # the reduced forms have 2 x 2 blocks and 1 x 1 rows at the nodes 0
     # (N = 151, and two in d = 2); the coupled blocks of d = 2 and 3 have
     # two and three chains, the one of 2D at N = 2000 has 124 rows
-    reduced, ell = gap._split(d, N, TWO_PI)
-    for s in (0.3 * ell, ell, 5.0 * ell):
+    # ell = 1 on the torus of length 2 pi
+    reduced = gap._split(d, N)
+    for s in (0.3, 1.0, 5.0):
         check_like_dense_solves(reduced, s)
 
 
@@ -574,8 +618,8 @@ def test_chain_operator_keeps_the_diagonal_of_l2_in_its_lu():
     # the case d2-energy-N91-L25.07-k2.828 of the dense eigensolve
     # comparison: the chain LUs carry l2's diagonal, and only the
     # off-diagonal coupling between chains goes into the Woodbury term
-    reduced, ell = gap._split(2, 91, 25.07)
-    check_like_dense_solves(reduced, 2.0 * math.sqrt(2.0) * ell)
+    reduced = gap._split(2, 91)
+    check_like_dense_solves(reduced, 2.0 * math.sqrt(2.0) * (TWO_PI / 25.07))
     assert 0.0 < spectral_gap(2, 25.07, [2.0 * math.sqrt(2.0)], 91).backward_error <= 1e-8
 
 
@@ -606,14 +650,14 @@ def test_wrong_cross_chain_coupling_fails_verification(monkeypatch, d, N, mutati
 def test_coupled_block_check_allocates_less_than_one_square():
     # the 124 rows of the 2D coupled block at N = 2000 are checked
     # without an n x n array: the bands, C and a few (n, r) stacks
-    reduced, ell = gap._split(2, 2000, TWO_PI)
-    (r,) = [r for r in reduced if len(r.block.chains) > 1]
+    # at s = kappa ell = 1
+    (r,) = [r for r in gap._split(2, 2000) if len(r.block.chains) > 1]
     n = len(r.block.index)
-    vals = np.linalg.eigvals(r.matrix(ell))
+    vals = np.linalg.eigvals(r.matrix(1.0))
     lam = vals[np.argmin(vals.real)]
     tracemalloc.start()
     try:
-        err = gap._verified(gap._chains(r.block, ell), [lam])
+        err = gap._verified(gap._chains(r.block, 1.0), [lam])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -627,8 +671,8 @@ def test_exact_hits_verify_in_a_stack_of_ordinary_shifts():
     # it is one of D exactly, so its row of E is infinite.  In a stack
     # with ordinary shifts it gets the error of a dense solve, and every
     # other shift keeps its error to the last bit
-    (r,), ell = gap._split(1, 60, TWO_PI)
-    s = 2.0 * ell
+    (r,) = gap._split(1, 60)
+    s = 2.0
     M = r.matrix(s)
     op = gap._low_rank(M, r.V)
     vals = np.linalg.eigvals(M)
