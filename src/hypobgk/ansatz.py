@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,26 +67,37 @@ class _Frame:
     """Coordinates in which the ansatz patterns are written.
 
     The columns of the unitary ``T`` diagonalize C2 with its kernel
-    first: T* C2 T = diag(c2) and c = T* C1 T.  ``kdim`` is dim ker C2.
+    first: T* C2 T = diag(c2) and c = T* C1 T.  ``kdim`` is dim ker C2,
+    and ``scale`` is max(||c||_2, 1), taken before any permutation or
+    rotation, the reference of the patterns' thresholds.
     """
 
     T: np.ndarray
     c: np.ndarray
     c2: np.ndarray
     kdim: int
+    scale: float
 
     @classmethod
-    def of(cls, C1, C2, tol: float) -> "_Frame":
+    def of(cls, C1, C2, tol: float, kdim: int | None = None) -> "_Frame":
+        """The frame of (C1, C2); a pattern passes the kernel dimension
+        it needs, and gets at least one coercive coordinate beside it."""
         pair = _check_pair(C1, C2, tol)
         Q = pair.V
-        return cls(Q, Q.conj().T @ pair.C1 @ Q, pair.w, pair.kdim)
+        c = Q.conj().T @ pair.C1 @ Q
+        if kdim is not None:
+            if pair.kdim != kdim:
+                raise AnsatzError(f"pattern needs dim ker C2 = {kdim}, got {pair.kdim}")
+            if len(c) <= kdim:
+                raise AnsatzError("need at least one coercive coordinate")
+        return cls(Q, c, pair.w, pair.kdim, max(float(np.linalg.norm(c, 2)), 1.0))
 
     @property
     def C(self) -> np.ndarray:
         return 1j * self.c + np.diag(self.c2).astype(complex)
 
     def permuted(self, perm) -> "_Frame":
-        return _Frame(self.T[:, perm], self.c[np.ix_(perm, perm)], self.c2[perm], self.kdim)
+        return replace(self, T=self.T[:, perm], c=self.c[np.ix_(perm, perm)], c2=self.c2[perm])
 
 
 def _coupling(n: int, entries) -> np.ndarray:
@@ -252,14 +263,11 @@ def ansatz_dimker1(C1, C2, tol: float = DEFAULT_TOL):
         The final coupling value and the transformation matrix in the
         input coordinates.
     """
-    frame = _Frame.of(C1, C2, tol)
-    if frame.kdim != 1:
-        raise AnsatzError(f"pattern needs dim ker C2 = 1, got {frame.kdim}")
+    frame = _Frame.of(C1, C2, tol, kdim=1)
     n = frame.c.shape[0]
-    scale = max(np.linalg.norm(frame.c, 2), 1.0)
     couplings = np.abs(frame.c[0, 1:])
     j = int(np.argmax(couplings)) + 1
-    if couplings[j - 1] <= tol * scale:
+    if couplings[j - 1] <= tol * frame.scale:
         raise AnsatzError("kernel coordinate decoupled; not hypocoercive in this pattern")
     perm = np.arange(n)
     perm[[1, j]] = perm[[j, 1]]
@@ -331,14 +339,8 @@ def ansatz_dimker2(C1, C2, tol: float = DEFAULT_TOL):
         Case label, dict of final coupling values, kernel rotation in
         input coordinates (None unless case 2B2), and the matrix P.
     """
-    frame = _Frame.of(C1, C2, tol)
-    if frame.kdim != 2:
-        raise AnsatzError(f"pattern needs dim ker C2 = 2, got {frame.kdim}")
-    n = frame.c.shape[0]
-    if n < 3:
-        raise AnsatzError("need at least one coercive coordinate")
-    c = frame.c
-    scale = max(np.linalg.norm(c, 2), 1.0)
+    frame = _Frame.of(C1, C2, tol, kdim=2)
+    n, c, scale = frame.c.shape[0], frame.c, frame.scale
     B = c[:2, 2:]
     sv = np.linalg.svd(B, compute_uv=False)
     rank = int(np.sum(sv > tol * scale)) if sv.size else 0
@@ -397,7 +399,7 @@ def ansatz_dimker2(C1, C2, tol: float = DEFAULT_TOL):
         U[:2, :2] = [[np.conj(p) / nrm, a / nrm], [-np.conj(a) / nrm, p / nrm]]
         U_rot = frame.T @ U @ frame.T.conj().T
         # U acts inside the kernel, where T* C2 T stays diag(c2)
-        frame = _Frame(frame.T @ U, U.conj().T @ frame.c @ U, frame.c2, 2)
+        frame = replace(frame, T=frame.T @ U, c=U.conj().T @ frame.c @ U)
 
     c = frame.c
     if abs(c[1, 2]) <= tol * scale:
@@ -424,14 +426,8 @@ def ansatz_chain3(C1, C2, tol: float = DEFAULT_TOL):
     -------
     (lambda1, lambda2, lambda3, P)
     """
-    frame = _Frame.of(C1, C2, tol)
-    if frame.kdim != 3:
-        raise AnsatzError(f"pattern needs dim ker C2 = 3, got {frame.kdim}")
-    c = frame.c
-    n = c.shape[0]
-    if n < 4:
-        raise AnsatzError("need at least one coercive coordinate")
-    scale = max(np.linalg.norm(c, 2), 1.0)
+    frame = _Frame.of(C1, C2, tol, kdim=3)
+    n, c, scale = frame.c.shape[0], frame.c, frame.scale
     atol = 1e-8 * scale
 
     d1, d2, d3 = c[0, 1], c[1, 2], c[2, 3]

@@ -44,17 +44,17 @@ of 2D and 3D are short, and lose few or no rows.
 The real form goes to :func:`complex_eigenvalues` together with V;
 it computes no eigenvectors, and verifies its sampled pairs and the
 pair with the smallest real part by inverse iteration, all shifts sigma
-at once from one fixed start.  It solves with B - sigma - V V^T by the
-Sherman-Morrison-Woodbury formula: the 2 x 2 blocks of B inverted in
-closed form, and the r x r capacitance matrices of all shifts in one
-stacked solve, O(n r**2) per shift instead of an O(n**3) LU.  The pair
-with the smallest real part is verified once more on the block itself,
-without Q, and by one operator for every block (:func:`_chains`): T +
-E C E^T, with T tridiagonal on each chain and solved by LU with partial
-pivoting (LAPACK's gttrf / gttrs scheme), and C the collision coupling
-between chains, a Woodbury term.  Only numpy is needed.  The energy
-basis differs from the tensor basis by an orthogonal involution, so it
-has the same spectrum.
+at once from one fixed start.  The pair with the smallest real part is
+verified once more on the block itself, without Q (:func:`_chains`).
+Both checks solve with a base matrix plus a term of low rank, by one
+Sherman-Morrison-Woodbury solve (:func:`_woodbury`): B - sigma - V V^T
+with the 2 x 2 blocks of B, at the fixed rows where :func:`_reduce`
+lays them, inverted in closed form, O(n r**2) per shift instead of an
+O(n**3) LU; and T + W C W^T, with T tridiagonal on each chain and
+solved by LU with partial pivoting (LAPACK's gttrf / gttrs scheme), and
+C the collision coupling between chains.  Only numpy is needed.  The
+energy basis differs from the tensor basis by an orthogonal involution,
+so it has the same spectrum.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ def complex_eigenvalues(M, *, U=None):
         entries.
     U : array_like, optional
         A real (n, r) factor with M = D - U U^T, D block diagonal in
-        blocks of order 1 and 2: inverse iteration then solves in
-        O(n r**2) (:func:`_low_rank`).  Backward errors are still
-        measured on M, so a U that does not describe M can only fail.
+        2 x 2 blocks at rows (2k, 2k + 1) and a 1 x 1 last row for an
+        odd n: inverse iteration then solves in O(n r**2)
+        (:func:`_low_rank`).  Backward errors are still measured on M,
+        so a U or a layout that does not describe M can only fail.
 
     Returns
     -------
@@ -214,18 +215,42 @@ def _gttrs(dl: list, d: list, du: list, du2: list, swap: list, b: list) -> list:
     return b
 
 
+def _woodbury(inverse: Callable, W: np.ndarray, C: np.ndarray) -> Callable:
+    """The solver of an (S, n) stack, row i with A_s + W C W^T, A_s =
+    A - sigma_i, by the Sherman-Morrison-Woodbury formula (Hager, SIAM
+    Rev. 31 (1989) 221-239)
+
+        (A_s + W C W^T)^-1 = A_s^-1 - A_s^-1 W (I + C W^T A_s^-1 W)^-1 C W^T A_s^-1.
+
+    ``inverse`` solves with A_s on an (S, n, k) stack, and broadcasts an
+    (n, k) array over the shifts.  The r x r capacitance matrices of all
+    shifts go into one stacked solve; a singular one leaves its row nan.
+    """
+    G = inverse(W)
+    cap = np.eye(len(C)) + C @ (W.T @ G)
+
+    def solve(X):
+        Y = inverse(X[..., None])
+        Z = C @ (W.T @ Y)
+        try:
+            Z = np.linalg.solve(cap, Z)
+        except np.linalg.LinAlgError:
+            # a singular capacitance matrix fails the whole stack
+            Z = _rows([partial(np.linalg.solve, c) for c in cap], Z)
+        return (Y - G @ Z)[..., 0]
+
+    return solve
+
+
 def _chains(blk: ChainBlock, s: float) -> _Operator:
-    """:meth:`ChainBlock.matrix` at s = kappa ell as T + E C E^T, in the
+    """:meth:`ChainBlock.matrix` at s = kappa ell as T + W C W^T, in the
     block's order.  T is tridiagonal: 1 on the diagonal but for l2's
     diagonal on ``low``, and -+ s sqrt(m_1) beside it, which is 0
     between chains, so one LU of T - sigma (:func:`_gttrf`) per shift is
-    the LUs of the chains.  C and its hubs, the columns of E, are
-    :attr:`ChainBlock.coupling`, at most one hub per chain.  Where C is
-    not empty the solve adds the Woodbury term of
-
-        (T_s + E C E^T)^-1 = T_s^-1 - T_s^-1 E (I + C E^T T_s^-1 E)^-1 C E^T T_s^-1,
-
-    T_s = T - sigma, with its capacitance matrices in one stacked solve.
+    the LUs of the chains.  C and its hubs are
+    :attr:`ChainBlock.coupling`, at most one hub per chain, and W holds
+    the unit columns at the hubs; :func:`_woodbury` adds the coupling,
+    with the chain LUs solving each column.
     """
     m1, (hubs, C) = blk.m1, blk.coupling
     # column j of ab holds column j of T: ab[0] above, ab[1] on, ab[2] below the diagonal
@@ -234,6 +259,7 @@ def _chains(blk: ChainBlock, s: float) -> _Operator:
     ab[1, blk.low] = np.diagonal(blk.l2)
     col = (ab**2).sum(axis=0)
     col[hubs] += (C**2).sum(axis=0)
+    W = np.equal.outer(np.arange(len(m1)), hubs).astype(float)
 
     def apply(X):
         Y = ab[1] * X
@@ -245,36 +271,14 @@ def _chains(blk: ChainBlock, s: float) -> _Operator:
     def lu(sigma):
         dl, d, du = (ab[2, :-1] + 0j).tolist(), (ab[1] - sigma).tolist(), (ab[0, 1:] + 0j).tolist()
         du2, swap = _gttrf(dl, d, du)
-        return lambda x: _gttrs(dl, d, du, du2, swap, x.tolist())
+        # an (n, k) array, one column at a time
+        return lambda X: np.array([_gttrs(dl, d, du, du2, swap, x) for x in X.T.tolist()]).T
 
     def factor(sigmas):
-        inverse = partial(_rows, [lu(sigma) for sigma in sigmas])
-        if not len(hubs):
-            return inverse
-        units = np.tile(np.isin(np.arange(len(m1)), hubs) + 0j, (len(sigmas), 1))
-        # one solve gives T_s^-1 E: column j is the part on hub j's chain
-        chain = np.cumsum(m1 == 0)
-        G = np.where(chain[:, None] == chain[hubs], inverse(units)[..., None], 0.0)
-        cap = np.eye(len(hubs)) + C @ G[:, hubs]
-
-        def solve(X):
-            Y = inverse(X)
-            Z = _capacitance(cap, C @ Y[:, hubs, None])
-            return Y - (G @ Z)[..., 0]
-
-        return solve
+        lus = [lu(sigma) for sigma in sigmas]
+        return _woodbury(lambda X: _rows(lus, np.broadcast_to(X, (len(lus), *X.shape[-2:]))), W, C)
 
     return _Operator(len(m1), apply, factor, float(np.sqrt(col.max())))
-
-
-def _capacitance(cap: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """cap[i]^-1 W[i] for a stack of capacitance matrices, one per shift;
-    a singular one leaves its own row nan."""
-    try:
-        return np.linalg.solve(cap, W)
-    except np.linalg.LinAlgError:
-        # a singular capacitance matrix fails the whole stack
-        return _rows([partial(np.linalg.solve, c) for c in cap], W)
 
 
 def _dense(B: np.ndarray) -> _Operator:
@@ -291,64 +295,45 @@ def _dense(B: np.ndarray) -> _Operator:
 
 
 def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
-    """M = D - U U^T with D block diagonal in blocks of order 1 and 2,
-    solved by the Sherman-Morrison-Woodbury formula
-
-        (D - sigma - U U^T)^-1 = E + E U (I - U^T E U)^-1 U^T E,
-
-    E = (D - sigma)^-1, for a stack of shifts at once, with E an (S, n)
-    array on each of its three diagonals.  D is read off the
-    three central diagonals of M + U U^T: a 2 x 2 block starts at each
-    nonzero entry next to the diagonal that does not close the block
-    above it.  Each block [[p, q], [t, w]] is inverted in closed form,
-    its determinant taken as (z - root) (z + root), z = sigma - (p + w)
-    / 2 and root**2 = ((p - w) / 2)**2 + q t, so that it keeps its
-    accuracy where sigma nears an eigenvalue of the block.  A sigma that
-    is an eigenvalue of D to the last bit, such as 1 + i s x_j, makes its
-    row of the solve non-finite, and :func:`_backward_errors` shifts off
-    it.  The product and the scale are those of the dense M.
+    """M = D - U U^T, solved by :func:`_woodbury` with W = U and C = -I.
+    D = M + U U^T is read, as :func:`_reduce` lays it out, at its 2 x 2
+    blocks on rows (2k, 2k + 1), two neighbouring nodes 0 forming a
+    diagonal one, and a 1 x 1 last row when n is odd.  (D - sigma)^-1
+    is an (S, n) array on each of its three diagonals: each block
+    [[p, q], [t, w]] is inverted in closed form, its determinant taken
+    as (z - root) (z + root), z = sigma - (p + w) / 2 and root**2 =
+    ((p - w) / 2)**2 + q t, so that it keeps its accuracy where sigma
+    nears an eigenvalue of the block.  A sigma that is an eigenvalue of
+    D to the last bit, such as 1 + i s x_j, makes its row of the solve
+    non-finite, and :func:`_backward_errors` shifts off it.  The product
+    and the scale are those of the dense M.
     """
     n = len(M)
-    uu = np.einsum("ij,ij->i", U[:-1], U[1:])
+    # the rows (even, odd) of the 2 x 2 blocks, and the 1 x 1 rows after them
+    ev, od, lone = slice(0, n - 1, 2), slice(1, n, 2), slice(n - n % 2, n)
+    uu = np.einsum("ij,ij->i", U[:-1], U[1:])[::2]
     diag = np.diagonal(M) + np.einsum("ij,ij->i", U, U)
-    upper = np.diagonal(M, 1) + uu
-    lower = np.diagonal(M, -1) + uu
-    first = (upper != 0) | (lower != 0)
-    first[1:] &= ~first[:-1]
-    # b: the first rows of the 2 x 2 blocks; lone: the 1 x 1 blocks
-    b = np.flatnonzero(first)
-    lone = np.ones(n, dtype=bool)
-    lone[b] = lone[b + 1] = False
-    mid = (diag[b] + diag[b + 1]) / 2
-    q, t = upper[b], lower[b]
-    root = np.sqrt((((diag[b] - diag[b + 1]) / 2) ** 2 + q * t).astype(complex))
+    q, t = np.diagonal(M, 1)[::2] + uu, np.diagonal(M, -1)[::2] + uu
+    mid = (diag[ev] + diag[od]) / 2
+    root = np.sqrt((((diag[ev] - diag[od]) / 2) ** 2 + q * t).astype(complex))
 
     def factor(sigmas):
         sigma = sigmas[:, None]
         a = diag - sigma
         z = sigma - mid
         det = (z - root) * (z + root)
-        # E on, above and below the diagonal, one row per shift
+        # (D - sigma)^-1 on, above and below the diagonal, one row per shift
         e = np.empty(a.shape, dtype=complex)
-        e[:, lone] = 1.0 / a[:, lone]
-        e[:, b], e[:, b + 1] = a[:, b + 1] / det, a[:, b] / det
-        eu, el = np.zeros((2, len(a), n - 1), dtype=complex)
-        eu[:, b], el[:, b] = -q / det, -t / det
+        e[:, ev], e[:, od], e[:, lone] = a[:, od] / det, a[:, ev] / det, 1.0 / a[:, lone]
+        eu, el = -q / det, -t / det
 
         def inverse(Y):
             out = e[..., None] * Y
-            out[:, :-1] += eu[..., None] * Y[..., 1:, :]
-            out[:, 1:] += el[..., None] * Y[..., :-1, :]
+            out[:, ev] += eu[..., None] * Y[..., od, :]
+            out[:, od] += el[..., None] * Y[..., ev, :]
             return out
 
-        EU = inverse(U)
-        cap = np.eye(U.shape[1]) - U.T @ EU
-
-        def solve(X):
-            Y = inverse(X[..., None])
-            return (Y + EU @ _capacitance(cap, U.T @ Y))[..., 0]
-
-        return solve
+        return _woodbury(inverse, U, -np.eye(U.shape[1]))
 
     return _Operator(n, lambda X: X @ M.T, factor, float(np.linalg.norm(M, axis=0).max()))
 
@@ -485,18 +470,19 @@ def _mode_gap(reduced, kappa: float, L: float):
         # the homogeneous mode relaxes at the collision rate on the
         # complement of the conserved moments
         return 1.0, 0.0
+    # real parts of order 1 are resolved to about eps s x_max against the
+    # imaginary parts, and a backward error relative to s x_max cannot
+    # see them lost; long before s x_j or s sqrt(m_1) could overflow
+    top = s * max(float(r.x.max(initial=0.0)) for r in reduced)
+    if not _EPS * top <= _TOL:
+        raise ValueError(
+            f"mode modulus kappa {kappa!r} on torus length {L!r}: eps kappa ell x_max ="
+            f" {_EPS * top:.1e} exceeds {_TOL:.0e}, so the real parts are lost to rounding"
+        )
     # the chains outside the blocks and the deflated rows have real parts
     # exactly 1, and L2 <= I bounds every real part by 1
     gap, worst = 1.0, 0.0
     for r in reduced:
-        # verification squares s x_j (the 2 x 2 blocks of _low_rank), and
-        # adds the squares of s sqrt(m_1) and s sqrt(m_1 + 1) (_chains)
-        top, n = s * float(r.x.max(initial=0.0)), max(r.block.chains)
-        if not (math.isfinite(top * top) and math.isfinite(s * s * (2 * n - 3))):
-            raise OverflowError(
-                f"mode modulus kappa {kappa!r} on torus length {L!r}: the squares of"
-                " kappa ell x_j and kappa ell sqrt(m_1) leave the floating-point range"
-            )
         vals, err = complex_eigenvalues(r.matrix(s), U=r.V)
         p = np.argmin(vals.real)
         # the pair that sets the block's minimum, on the block itself

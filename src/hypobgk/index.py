@@ -32,6 +32,8 @@ def _as_square(M, name: str) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} must have finite entries")
     return A
 
 

@@ -30,7 +30,6 @@ from .hermite import (
     _position,
     gauss_hermite,
     hermite_phi,
-    lex_index,
 )
 
 MAX_TRUNCATION = 2000
@@ -96,12 +95,8 @@ def _collision_projector_block(d: int) -> np.ndarray:
     with a single component equal to 2; the collision operator acts as
     I - e e^T there.
     """
-    level = _degree_two(d)
-    e = np.zeros(level.stop - level.start)
-    for a in range(d):
-        mm = tuple(2 if j == a else 0 for j in range(d))
-        e[lex_index(mm) - level.start] = 1.0
-    e /= np.linalg.norm(e)
+    # the first row of the energy basis change
+    e = _energy_block(d)[0]
     return np.eye(len(e)) - np.outer(e, e)
 
 

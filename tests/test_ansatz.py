@@ -166,6 +166,16 @@ def test_dimker2_wrong_kernel_size():
         ansatz_dimker2(np.eye(3), np.diag([0.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("pattern", [ansatz_dimker1, ansatz_dimker2, ansatz_chain3])
+def test_patterns_need_a_coercive_coordinate(pattern):
+    # a kernel that fills the whole space: C2 = 0, with as many
+    # dimensions as the pattern's kernel
+    kdim = {ansatz_dimker1: 1, ansatz_dimker2: 2, ansatz_chain3: 3}[pattern]
+    zero = np.zeros((kdim, kdim))
+    with pytest.raises(AnsatzError, match="need at least one coercive coordinate"):
+        pattern(zero, zero)
+
+
 def test_chain3_on_model_couplings():
     pair = operator_pair(1, "tensor", 6)
     C1 = pair.ell * pair.L1

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hypobgk.cli as cli
-from hypobgk import certify, concentrated_initial_data, entropy
+from hypobgk import certify, chain_blocks, concentrated_initial_data, entropy, spectral_gap
 
 
 def _run(*args):
@@ -441,9 +441,10 @@ def test_index_at_huge_kappa_names_kappa_and_length(kappa, code, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the reduced matrix itself holds infinite entries
+        # kappa ell x_j itself would overflow in the reduced matrix
         ["--kappa", "1e308"],
-        # (kappa ell x_j)**2 overflows in the verification of the gaps
+        # (kappa ell x_j)**2 would overflow in the verification of the gaps;
+        # the resolution of the real parts is lost long before
         ["--dim", "1", "--kappa", "1e160"],
         ["--dim", "2", "--kappa", "1e160"],
         ["--dim", "3", "--kappa", "1e200"],
@@ -465,13 +466,36 @@ def test_spectrum_at_huge_kappa_names_kappa_and_length(argv):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_spectrum_at_the_largest_working_kappa(d, capsys):
+@pytest.mark.parametrize("kappa", ["1e15", "1e17", "1e153"])
+def test_spectrum_beyond_the_resolved_kappa_exits_one(d, kappa, capsys):
+    # eps kappa ell x_max above the backward error bound: real parts of
+    # order 1 are lost to rounding against the imaginary parts (at 1e17
+    # the gaps read negative), and no backward error could see it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["spectrum", "--dim", str(d), "--kappa", "1e153", "--format", "json"]) == 0
-    # a real part of order 1 is lost to rounding against kappa ell x_j
-    # of order 1e154, so only a finite gap is asked for
-    assert math.isfinite(json.loads(capsys.readouterr().out)["gap"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--dim", str(d), "--kappa", kappa])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = f"error: mode modulus kappa {float(kappa)!r} on torus length 6.283185307179586: "
+    assert prefix + "eps kappa ell x_max = " in captured.err
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spectrum_at_a_resolved_huge_kappa(d, capsys):
+    # kappa = 1e6 stays below the bound at the default truncations; the
+    # gap is that of a dense eigensolve of the blocks, to the resolution
+    # eps kappa ell x_max <= 1e-8 of both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["spectrum", "--dim", str(d), "--kappa", "1e6", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    N = doc["config"]["trunc"]
+    assert doc["gap"] == spectral_gap(d, 2.0 * math.pi, [1e6], N).gap
+    dense = min(np.linalg.eigvals(b.matrix(1e6)).real.min() for b in chain_blocks(d, N))
+    assert 0.0 < doc["gap"] < 1.0
+    assert abs(doc["gap"] - dense) <= 1e-8
 
 
 @pytest.mark.parametrize(

@@ -710,6 +710,23 @@ def test_a_shift_that_lands_on_an_eigenvalue_is_redone():
     assert spectral_gap(3, 25.07, [math.sqrt(2.0)], 84).backward_error <= 1e-8
 
 
+def test_low_rank_form_reads_its_pairs_at_fixed_rows():
+    # M = D - U U^T with the 2 x 2 block of D at rows (1, 2), not at the
+    # rows (0, 1) where the reduced forms lay their pairs: the structured
+    # solve reads D as the identity, and the check fails rather than
+    # accept the eigenvalues.  The same matrix, permuted so that the block
+    # sits at (0, 1), verifies
+    D = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -5.0], [0.0, 5.0, 1.0]])
+    U = np.array([[0.6], [0.3], [0.2]])
+    M = D - U @ U.T
+    with pytest.raises(VerificationFailure, match="backward error"):
+        complex_eigenvalues(M, U=U)
+    perm = [1, 2, 0]
+    vals, err = complex_eigenvalues(M[np.ix_(perm, perm)], U=U[perm])
+    assert err <= 1e-8
+    assert np.allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(M)))
+
+
 def test_tridiagonal_lu_solves_like_a_dense_solve():
     # small pivots force row interchanges; n = 1 and 2 have no third
     # diagonal, and a zero link splits the matrix in two

@@ -1,5 +1,7 @@
 """Tests for the hypocoercivity index and its equivalent characterizations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,24 @@ def test_input_validation():
         hypocoercivity_index(np.eye(2), -np.eye(2))
     with pytest.raises(ValueError):
         hypocoercivity_index(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["C1", "C2"])
+@pytest.mark.parametrize(
+    "check",
+    [hypocoercivity_index, is_hypocoercive_spectral, check_invariance_conditions, kato_slopes],
+)
+def test_non_finite_pairs_are_rejected_by_name(check, which, bad):
+    # rejected before any decomposition: no RuntimeWarning, no LAPACK error
+    pair = operator_pair(1, "tensor", 8)
+    C = {"C1": pair.ell * pair.L1, "C2": pair.L2.copy()}
+    C[which][2, 2] = bad
+    args = (C["C1"], C["C2"]) + ((np.zeros((8, 8)),) if check is kato_slopes else ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{which} must have finite entries$"):
+            check(*args)
 
 
 def test_commutator_condition_on_model():
