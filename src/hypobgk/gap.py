@@ -309,7 +309,7 @@ def _low_rank(M: np.ndarray, U: np.ndarray) -> _Operator:
     and the scale are those of the dense M.
     """
     n = len(M)
-    # the rows (even, odd) of the 2 x 2 blocks, and the 1 x 1 rows after them
+    # the rows (even, odd) of the 2 x 2 blocks, and the 1 x 1 last row of an odd n
     ev, od, lone = slice(0, n - 1, 2), slice(1, n, 2), slice(n - n % 2, n)
     uu = np.einsum("ij,ij->i", U[:-1], U[1:])[::2]
     diag = np.diagonal(M) + np.einsum("ij,ij->i", U, U)
