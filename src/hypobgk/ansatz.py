@@ -461,10 +461,10 @@ def bgk_coupling(d: int, kappa: float, alpha: float, N: int | None = None) -> np
     positions refer to the energy basis ordering.
     """
     _check_dim(d)
-    if kappa < 1:
-        raise ValueError("mode modulus must be at least 1")
-    if alpha < 0:
-        raise ValueError("coupling amplitude must be nonnegative")
+    if not (math.isfinite(kappa) and kappa >= 1):
+        raise ValueError(f"mode modulus must be finite and at least 1, got {kappa}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"coupling amplitude must be finite and nonnegative, got {alpha}")
     couplings = _BGK_COUPLINGS[d]
     n0 = 1 + max(j for _, j, _ in couplings)
     if N is None:

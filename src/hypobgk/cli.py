@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .certificate import certify, certify_many, chain_spec
 from .gap import VerificationFailure, spectral_gap
-from .hermite import MIN_N
+from .hermite import MIN_N, _VARIANTS
 from .index import DEFAULT_TOL, hypocoercivity_index
 from .operators import mode_moduli, operator_pair
 from .sim import (
@@ -56,7 +56,7 @@ TWO_PI = 2.0 * math.pi
 _FLAGS = {
     "dim": dict(type=int, choices=tuple(MIN_N), default=1),
     "L": dict(type=float, default=TWO_PI),
-    "basis": dict(choices=("tensor", "energy")),
+    "basis": dict(choices=_VARIANTS),
     "trunc": dict(type=int),
     "kappa": dict(type=float),
     "kmax": dict(type=int),

@@ -68,9 +68,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import eigvals
 
-from .operators import ChainBlock, _check_length, _check_size, chain_blocks
-
-MAX_EIG_SIZE = 2000
+from .operators import MAX_TRUNCATION, ChainBlock, _check_length, _check_size, chain_blocks
 
 #: relative backward error bound for the verified eigenpairs
 _TOL = 1e-8
@@ -106,7 +104,7 @@ def complex_eigenvalues(M, *, U=None):
     Parameters
     ----------
     M : array_like
-        Square matrix of size at most ``MAX_EIG_SIZE``, with finite
+        Square matrix of size 1 to ``MAX_TRUNCATION``, with finite
         entries.
     U : array_like, optional
         A real (n, r) factor with M = D - U U^T, D block diagonal in
@@ -125,8 +123,10 @@ def complex_eigenvalues(M, *, U=None):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     n = M.shape[0]
-    if n > MAX_EIG_SIZE:
-        raise ValueError(f"matrix size {n} exceeds limit {MAX_EIG_SIZE}")
+    if n == 0:
+        raise ValueError("matrix must not be empty")
+    if n > MAX_TRUNCATION:
+        raise ValueError(f"matrix size {n} exceeds limit {MAX_TRUNCATION}")
     if not np.isfinite(M).all():
         raise VerificationFailure("matrix has non-finite entries")
     try:
@@ -580,7 +580,7 @@ class ConvergenceStudy:
 def convergence_study(d: int, L: float, kappa: float, N_list) -> ConvergenceStudy:
     """Gap of one mode across truncations."""
     kappa = float(kappa)
-    Ns = [int(N) for N in N_list]
+    Ns = list(N_list)
     _check_inputs(d, L, [kappa], Ns)
     out, worst = [], 0.0
     for N in Ns:

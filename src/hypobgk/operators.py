@@ -37,6 +37,8 @@ MAX_TRUNCATION = 2000
 
 def _check_size(d: int, variant: str, N: int) -> None:
     _check_variant(d, variant)
+    if not isinstance(N, (int, np.integer)):
+        raise ValueError(f"truncation must be an integer, got {N}")
     if N > MAX_TRUNCATION:
         raise ValueError(f"truncation {N} exceeds limit {MAX_TRUNCATION}")
     if N < MIN_N[d]:

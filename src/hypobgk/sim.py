@@ -6,8 +6,8 @@ generators.  The entropy functional weights each mode with the
 certified transformation matrix, so its decay at the certified rate
 can be checked against the simulated trajectory, along with the L1
 distance of the reconstructed density from equilibrium and its L2
-envelope bound.  :class:`L1Grid` evaluates the
-L1 distance on half its grid, by the symmetries x -> 1 - x and v -> -v.
+envelope bound.  :func:`l1_distance_1d` evaluates the L1 distance on
+half its grid, by the symmetries x -> 1 - x and v -> -v.
 
 The simulation is one-dimensional and stores the half spectrum: one
 row per wavenumber kappa = 0, 1, ..., kmax, with weight 1 for kappa = 0
@@ -39,7 +39,7 @@ from .hermite import SQRT2PI, gauss_hermite, hermite_phi
 from .operators import _check_length, _check_size, chain_blocks
 
 #: points of the x grid and of the Gauss rule in v of the L1 distance,
-#: the x points of a block of :meth:`L1Grid.distance`, and the bytes of
+#: the x points of a block of :func:`l1_distance_1d`, and the bytes of
 #: a (b, N, N) real temporary of a block of :func:`_propagators`
 _NX, _NV, _ROWS, _BLOCK_BYTES = 512, 160, 128, 1 << 16
 
@@ -90,10 +90,6 @@ class ModalState:
         """Weight of each row in quadratic functionals and in the
         reconstruction: 1 for kappa = 0, 2 for kappa and -kappa."""
         return np.where(self.kappa == 0, 1.0, 2.0)
-
-    @property
-    def ell(self) -> float:
-        return 2.0 * math.pi / self.L
 
 
 #: coefficients b_j = (26 - j)! / (j! (13 - j)!) of the numerator
@@ -215,76 +211,60 @@ def h_norm(state: ModalState) -> float:
     return math.sqrt(float(state.weights @ (np.abs(state.coeffs) ** 2).sum(axis=1)))
 
 
-@dataclass(frozen=True)
-class L1Grid:
-    """Reconstruction grid of :func:`l1_distance_1d`: 512 points in x
-    and the 160-point Gauss rule in v, evaluated on half of each.
-
-    x-mirror: x_{511-j} = 1 - x_j and exp(2 pi i kappa (1 - x)) =
-    exp(-2 pi i kappa x) for integer kappa, so with A = cos @ Re H and
-    B = sin @ Im H at the 256 points x < 1/2, Re h is A - B at x and
-    A + B at 1 - x.  v-parity: phi_m(-v) = (-1)**m phi_m(v) and the
-    Gauss rule is symmetric to the bit, so with the even- and odd-degree
-    parts e and o at the 80 positive nodes, |h(v)| + |h(-v)| =
-    |e + o| + |e - o| = 2 max(|e|, |o|).  Every state of a trajectory
-    shares the grid; its phases are explicit, not from an FFT, so that
-    every ``kmax`` is exact.  Blocks of ``_ROWS`` x points keep the
-    (rows, 80) temporaries below glibc's default 128 KB mmap threshold.
-    """
-
-    kmax: int
-    cos_sin: np.ndarray = field(repr=False)
-    phi_even: np.ndarray = field(repr=False)
-    phi_odd: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, kmax: int, N: int) -> "L1Grid":
-        """Grid for the wavenumbers 0, 1, ..., kmax and truncation N."""
-        cos_sin = np.empty((2, _NX // 2, kmax + 1))
-        theta = np.outer((np.arange(_NX // 2) + 0.5) / _NX, np.arange(kmax + 1.0), out=cos_sin[0])
-        theta *= 2.0 * math.pi
-        np.sin(theta, out=cos_sin[1])
-        np.cos(theta, out=theta)
-        nodes, wts = gauss_hermite(_NV)
-        phi = hermite_phi(N - 1, nodes[_NV // 2 :])
-        grid = cls(kmax, cos_sin, phi[0::2], phi[1::2], wts[_NV // 2 :] * (2.0 / SQRT2PI))
-        for a in (grid.cos_sin, grid.phi_even, grid.phi_odd, grid.weights):
-            a.flags.writeable = False
-        return grid
-
-    def distance(self, state: ModalState) -> float:
-        """:func:`l1_distance_1d` of a state with this grid's kmax and
-        truncation.  With h_{-k} = conj(h_k), h(x) is the real part of the
-        half-spectrum sum H weighted by the multiplicities 1 and 2."""
-        h = state.coeffs
-        A, B = self.cos_sin @ (np.stack((h.real, h.imag)) * state.weights[:, None])
-        total, row = 0.0, np.empty(_NX // 2)
-        for half in (np.subtract, np.add):
-            for lo in range(0, _NX // 2, _ROWS):
-                vals = half(A[lo : lo + _ROWS], B[lo : lo + _ROWS])
-                E = vals[:, 0::2] @ self.phi_even
-                O = vals[:, 1::2] @ self.phi_odd
-                np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=E)
-                np.matmul(E, self.weights, out=row[lo : lo + _ROWS])
-            total += row.sum()
-        return float(total) / _NX
-
-
-#: grids are shared by the samples of a trajectory
-_l1_grid = lru_cache(maxsize=4)(L1Grid.build)
+@lru_cache(maxsize=4)
+def _l1_grid(kmax: int, N: int):
+    """The grid of :func:`l1_distance_1d` for the wavenumbers 0, 1, ...,
+    kmax and truncation N: the stacked cos and sin of 2 pi kappa x at the
+    256 points x < 1/2, shape (2, 256, kmax + 1), the even- and odd-degree
+    rows of phi_m at the 80 positive Gauss nodes, and their weights."""
+    cos_sin = np.empty((2, _NX // 2, kmax + 1))
+    theta = np.outer((np.arange(_NX // 2) + 0.5) / _NX, np.arange(kmax + 1.0), out=cos_sin[0])
+    theta *= 2.0 * math.pi
+    np.sin(theta, out=cos_sin[1])
+    np.cos(theta, out=theta)
+    nodes, wts = gauss_hermite(_NV)
+    phi = hermite_phi(N - 1, nodes[_NV // 2 :])
+    grid = cos_sin, phi[0::2], phi[1::2], wts[_NV // 2 :] * (2.0 / SQRT2PI)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 def l1_distance_1d(state: ModalState) -> float:
     """L1 distance of the reconstructed deviation from zero.
 
-    Reconstructs h(x, v) on a uniform-by-Gauss grid and integrates
-    |h| dv dx against the normalized torus measure.  The velocity
-    integral uses the quadrature of the Gaussian weight, exact for the
-    polynomial part of the basis.  The grid is built once per kmax and
-    truncation, and reused.
+    Reconstructs h(x, v) on 512 uniform points in x by the 160-point
+    Gauss rule in v and integrates |h| dv dx against the normalized torus
+    measure.  The velocity integral uses the quadrature of the Gaussian
+    weight, exact for the polynomial part of the basis.  With h_{-k} =
+    conj(h_k), h(x) is the real part of the half-spectrum sum H weighted
+    by the multiplicities 1 and 2.
+
+    Half of each grid is evaluated.  x-mirror: x_{511-j} = 1 - x_j and
+    exp(2 pi i kappa (1 - x)) = exp(-2 pi i kappa x) for integer kappa,
+    so with A = cos @ Re H and B = sin @ Im H at the 256 points x < 1/2,
+    Re h is A - B at x and A + B at 1 - x.  v-parity: phi_m(-v) =
+    (-1)**m phi_m(v) and the Gauss rule is symmetric to the bit, so with
+    the even- and odd-degree parts e and o at the 80 positive nodes,
+    |h(v)| + |h(-v)| = |e + o| + |e - o| = 2 max(|e|, |o|).  The grid is
+    built once per kmax and truncation and shared by the states of a
+    trajectory; its phases are explicit, not from an FFT, so that every
+    kmax is exact.  Blocks of ``_ROWS`` x points keep the (rows, 80)
+    temporaries below glibc's default 128 KB mmap threshold.
     """
-    return _l1_grid(state.kmax, state.N).distance(state)
+    cos_sin, phi_even, phi_odd, weights = _l1_grid(state.kmax, state.N)
+    h = state.coeffs
+    A, B = cos_sin @ (np.stack((h.real, h.imag)) * state.weights[:, None])
+    total, row = 0.0, np.empty(_NX // 2)
+    for half in (np.subtract, np.add):
+        for lo in range(0, _NX // 2, _ROWS):
+            vals = half(A[lo : lo + _ROWS], B[lo : lo + _ROWS])
+            E = vals[:, 0::2] @ phi_even
+            O = vals[:, 1::2] @ phi_odd
+            np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=E)
+            np.matmul(E, weights, out=row[lo : lo + _ROWS])
+        total += row.sum()
+    return float(total) / _NX
 
 
 def _hann_transform(u):

@@ -231,6 +231,18 @@ def test_bgk_P_default_size_and_wrapper():
         bgk_P(1, 1.0, 0.1, 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [bgk_coupling, bgk_P])
+def test_bgk_transformations_reject_non_finite_parameters(fn, bad):
+    # nan fails neither kappa < 1 nor alpha < 0, and inf passes both;
+    # either way the matrix would be full of nan
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"mode modulus must be finite and at least 1, got {bad}"):
+            fn(d, bad, 0.1)
+        with pytest.raises(ValueError, match=f"coupling amplitude must be finite and nonnegative, got {bad}"):
+            fn(d, 1.0, bad)
+
+
 def test_bgk_coupling_scales_inversely_with_mode():
     A1 = bgk_coupling(1, 1.0, 0.1, 6)
     A2 = bgk_coupling(1, 2.0, 0.1, 6)

@@ -345,6 +345,16 @@ def test_non_finite_or_nonpositive_length_rejected(L):
         convergence_study(1, L, 1.0, [40])
 
 
+def test_eigenvalue_sizes_out_of_range_are_rejected():
+    # a 0 x 0 matrix has no gap and no backward error to report
+    with pytest.raises(ValueError, match="matrix must not be empty"):
+        complex_eigenvalues(np.zeros((0, 0)))
+    # one limit for the truncations and the eigensolves; the broadcast
+    # view allocates nothing
+    with pytest.raises(ValueError, match=f"matrix size {MAX_TRUNCATION + 1} exceeds limit {MAX_TRUNCATION}"):
+        complex_eigenvalues(np.broadcast_to(0.0, (MAX_TRUNCATION + 1,) * 2))
+
+
 def test_non_finite_modulus_and_empty_truncations_rejected():
     for kappa in (math.inf, math.nan):
         with pytest.raises(ValueError, match="mode moduli"):

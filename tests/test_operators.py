@@ -13,10 +13,12 @@ from hypobgk import (
     build_L1,
     build_L2,
     concentrated_initial_data,
+    convergence_study,
     modal_generator,
     mode_moduli,
     multi_index,
     operator_pair,
+    spectral_gap,
 )
 from hypobgk.hermite import MIN_N
 from hypobgk.operators import MAX_TRUNCATION
@@ -131,3 +133,27 @@ def test_truncation_guards():
         build_L1(2, "spherical", 10)
     with pytest.raises(ValueError):
         operator_pair(1, "tensor", 10, L=0.0)
+
+
+@pytest.mark.parametrize("N", [10.5, 20.5, 50.7, np.float64(50.0), 50.0])
+def test_non_integral_truncations_are_rejected_by_name(N):
+    # every entry point that takes a truncation rejects a float, even an
+    # integral one, instead of indexing with it, rounding it down or
+    # failing inside range()
+    msg = f"truncation must be an integer, got {N}"
+    with pytest.raises(ValueError, match=msg):
+        spectral_gap(1, 2.0 * math.pi, [1.0], N)
+    with pytest.raises(ValueError, match=msg):
+        convergence_study(1, 2.0 * math.pi, 1.0, [40, N])
+    with pytest.raises(ValueError, match=msg):
+        operator_pair(1, "tensor", N)
+    with pytest.raises(ValueError, match=msg):
+        concentrated_initial_data(0.02, N=N)
+
+
+def test_numpy_integer_truncations_are_accepted():
+    N = np.int64(50)
+    assert spectral_gap(1, 2.0 * math.pi, [1.0], N).gap == spectral_gap(1, 2.0 * math.pi, [1.0], 50).gap
+    assert convergence_study(1, 2.0 * math.pi, 1.0, [N]).entries[0][0] == 50
+    assert np.array_equal(operator_pair(1, "tensor", N).L1, operator_pair(1, "tensor", 50).L1)
+    assert concentrated_initial_data(0.02, N=np.int32(20)).N == 20

@@ -28,7 +28,7 @@ from hypobgk import (
 from hypobgk.certificate import chain_spec
 from hypobgk.hermite import gauss_hermite, hermite_phi
 from hypobgk.operators import chain_blocks
-from hypobgk.sim import L1Grid, _propagators
+from hypobgk.sim import _propagators
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,7 +217,7 @@ def test_l1_grid_matches_full_grid_formula(N, kmax):
     phi = hermite_phi(N - 1, nodes)
     full = np.mean(np.abs((np.exp(2j * math.pi * np.outer(xs, st.kappa)) @ H).real @ phi) @ w)
     full /= math.sqrt(2.0 * math.pi)
-    got = L1Grid.build(kmax, N).distance(st)
+    got = l1_distance_1d(st)
     assert abs(got - full) < 1e-13 * full
 
 
@@ -226,10 +226,9 @@ def test_l1_row_blocks_give_the_bits_of_one_block(N, monkeypatch):
     rng = np.random.default_rng(N)
     st = _initial(kmax=33, N=N)
     st.coeffs = rng.standard_normal(st.coeffs.shape) + 1j * rng.standard_normal(st.coeffs.shape)
-    grid = L1Grid.build(st.kmax, N)
-    blocked = grid.distance(st)
+    blocked = l1_distance_1d(st)
     monkeypatch.setattr(sim, "_ROWS", sim._NX // 2)
-    assert grid.distance(st) == blocked
+    assert l1_distance_1d(st) == blocked
 
 
 def test_l1_initial_value_is_deterministic():
@@ -243,7 +242,8 @@ def test_trajectory_l1_equals_reconstruction_of_each_state():
     traj = run_trajectory(st, 1.5, 4, 0.0)
     cur, expected = st, []
     for _ in range(4):
-        expected.append(L1Grid.build(st.kmax, st.N).distance(cur))
+        sim._l1_grid.cache_clear()
+        expected.append(l1_distance_1d(cur))
         cur = evolve(cur, 0.5)
     assert list(traj["l1"]) == expected
 
@@ -306,7 +306,6 @@ def test_envelope_and_crossover_time():
 
 def test_state_helpers():
     st = _initial(0.05, kmax=8)
-    assert st.ell == 1.0
     assert st.kappa[3] == 3.0
     assert list(st.weights[:3]) == [1.0, 2.0, 2.0]
     cp = evolve(st, 0.0)
