@@ -13,11 +13,10 @@ and (0, 0, 2) into one block.  A block on which L2 is the identity has
 real parts exactly 1, so only the other blocks, at most three, are
 built (:func:`hypobgk.operators.chain_blocks`).
 
-Each block is solved in the eigenbasis of its chains
-(:meth:`hypobgk.operators.ChainBlock.eigenbasis`).  The Gauss-Hermite
-rule of a chain's length diagonalizes its Jacobi matrix of v_1, and
-I - L2 = W W^T projects onto the block's share of the conserved
-moments, so the block is unitarily similar to
+Each block is solved in the eigenbasis of its chains (:func:`_eigenbasis`).
+The Gauss-Hermite rule of a chain's length diagonalizes its Jacobi
+matrix of v_1, and I - L2 = W W^T projects onto the block's share of
+the conserved moments, so the block is unitarily similar to
 
     diag(1 + i s x) - U U^T,    U = Q^T W,  s = kappa ell,
 
@@ -68,6 +67,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import eigvals
 
+from .hermite import SQRT2PI, gauss_hermite, hermite_phi
 from .operators import MAX_TRUNCATION, ChainBlock, _check_length, _check_size, chain_blocks
 
 #: relative backward error bound for the verified eigenpairs
@@ -247,12 +247,12 @@ def _chains(blk: ChainBlock, s: float) -> _Operator:
     block's order.  T is tridiagonal: 1 on the diagonal but for l2's
     diagonal on ``low``, and -+ s sqrt(m_1) beside it, which is 0
     between chains, so one LU of T - sigma (:func:`_gttrf`) per shift is
-    the LUs of the chains.  C and its hubs are
-    :attr:`ChainBlock.coupling`, at most one hub per chain, and W holds
-    the unit columns at the hubs; :func:`_woodbury` adds the coupling,
-    with the chain LUs solving each column.
+    the LUs of the chains.  C is the block's ``coupling`` at its
+    ``hubs``, at most one hub per chain, and W holds the unit columns at
+    the hubs; :func:`_woodbury` adds the coupling, with the chain LUs
+    solving each column.
     """
-    m1, (hubs, C) = blk.m1, blk.coupling
+    m1, hubs, C = blk.m1, blk.hubs, blk.coupling
     # column j of ab holds column j of T: ab[0] above, ab[1] on, ab[2] below the diagonal
     w = s * np.sqrt(m1)
     ab = np.array([-w, np.ones_like(w), np.roll(w, -1)])
@@ -387,7 +387,7 @@ class _Reduced:
     (:func:`_reduce`).
 
     ``pairs`` holds the kept mirror pairs, rows (j, j') of
-    :meth:`ChainBlock.eigenbasis` with x_j > 0 and x_j' = -x_j, and
+    :func:`_eigenbasis` with x_j > 0 and x_j' = -x_j, and
     ``single`` the kept rows with x_j = 0.  Pair k is row 2k (its even
     vector e) and row 2k + 1 (its odd vector o) of the real form, and
     the single rows follow.  ``x`` holds x_j for each pair, ``V`` the
@@ -412,6 +412,43 @@ class _Reduced:
         return M
 
 
+def _eigenbasis(block: ChainBlock):
+    """The block in the eigenbasis of its chains, for every kappa.
+
+    Each chain's Jacobi matrix of v_1 is diagonalized by the
+    Gauss-Hermite rule of its length: nodes x_j, and eigenvectors
+    with components Q[m, j] = sqrt(w_j / sqrt(2 pi)) phi_m(x_j).
+    I - L2 is the orthogonal projector W W^T onto the block's share
+    of the conserved moments.  So with C the block of C_kappa before
+    the phase T, Q^T C Q is
+
+        diag(1 + i s x) - U U^T,    U = Q^T W,  s = kappa ell,
+
+    a diagonal minus an update of rank at most d + 2.  W lives on
+    the few ``low`` positions, so U needs phi_m at the nodes only
+    for the m_1 found there.
+
+    Returns
+    -------
+    (x, U) : ndarray, ndarray
+        The nodes of all chains, concatenated, and U with one row
+        per node; ||U||_2 <= 1.
+    """
+    # a projector's eigenvalues are 0 and 1
+    vals, vecs = np.linalg.eigh(np.eye(len(block.low)) - block.l2)
+    W = vecs[:, vals > 0.5]
+    m1 = block.m1[block.low]
+    chain = np.repeat(np.arange(len(block.chains)), block.chains)[block.low]
+    xs, us = [], []
+    for j, n in enumerate(block.chains):
+        x, w = gauss_hermite(n)
+        on = chain == j
+        phi = hermite_phi(int(m1[on].max(initial=0)), x)[m1[on]]
+        xs.append(x)
+        us.append(np.sqrt(w / SQRT2PI)[:, None] * (phi.T @ W[on]))
+    return np.concatenate(xs), np.vstack(us)
+
+
 def _reduce(block: ChainBlock) -> _Reduced:
     """The real form B - V V^T of a block (see the module docstring),
     without the mirror pairs and nodes 0 whose squared norms in U sum to
@@ -426,7 +463,7 @@ def _reduce(block: ChainBlock) -> _Reduced:
     eigenvalues 1 +- i s x_j for each dropped pair and 1 for a dropped
     node 0, with real part 1, and the rest forms the reduced block.
     """
-    x, U = block.eigenbasis()
+    x, U = _eigenbasis(block)
     mirror = np.arange(len(x)) + np.repeat(block.chains, block.chains) - 1 - 2 * block.m1
     parity = (U[mirror] == U).all(axis=0) | (U[mirror] == -U).all(axis=0)
     if not (np.array_equal(x[mirror], -x) and parity.all()):

@@ -15,21 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .hermite import (
     MIN_N,
-    SQRT2PI,
     _check_dim,
     _check_variant,
     _degree_two,
     _energy_block,
     _index_table,
     _position,
-    gauss_hermite,
-    hermite_phi,
 )
 
 MAX_TRUNCATION = 2000
@@ -185,24 +181,24 @@ class ChainBlock:
     tensor basis, on which L2 is not the identity.
 
     The block lays its chains end to end: ``chains`` holds their
-    lengths, and each chain holds m_1 = 0, 1, 2, ... in turn, so that
-    multiplication by v_1 links consecutive members.  ``index`` holds
-    the flat positions of the members in that order.  ``low`` holds the
-    local positions at which L2 differs from the identity, and ``l2``
-    the restriction of L2 to them, so no array of the block's size is
-    kept.  L2 is diagonal within a chain, so the block is tridiagonal
-    but for :attr:`coupling`, the collision coupling between chains.
+    lengths, and each chain holds m_1 = 0, 1, 2, ... in turn, the local
+    ``m1``, so that multiplication by v_1 links consecutive members.
+    ``index`` holds the flat positions of the members in that order.
+    ``low`` holds the local positions at which L2 differs from the
+    identity, and ``l2`` the restriction of L2 to them.  L2 is diagonal
+    within a chain, so the block is tridiagonal but for the collision
+    coupling between chains: ``coupling`` is C, the off-diagonal part of
+    c l2 c in :meth:`matrix`, restricted to ``hubs``, the local
+    positions of its nonzero rows; both are empty for a lone chain.
     """
 
     index: np.ndarray
     chains: tuple = field(repr=False)
+    m1: np.ndarray = field(repr=False)
     low: np.ndarray = field(repr=False)
     l2: np.ndarray = field(repr=False)
-
-    @cached_property
-    def m1(self) -> np.ndarray:
-        """m_1 at each local position."""
-        return np.concatenate([np.arange(n) for n in self.chains])
+    hubs: np.ndarray = field(repr=False)
+    coupling: np.ndarray = field(repr=False)
 
     def matrix(self, s: float) -> np.ndarray:
         """The real block l2 + s K of T^-1 C_kappa T, s = kappa ell.
@@ -210,67 +206,19 @@ class ChainBlock:
         Entry (p, q) of T^-1 A T is i**(m_1q - m_1p) A_pq.  L2 only
         links indices whose m_1 have equal parity, so its entries become
         c_p c_q L2_pq with i**m = c_m i**(m % 2), c_m = +-1: its diagonal
-        and :attr:`coupling`.  i L1 links m_1 to m_1 + 1 with
+        and ``coupling``.  i L1 links m_1 to m_1 + 1 with
         i sqrt(m_1 + 1), which becomes -sqrt(m_1 + 1) above the diagonal
         and +sqrt(m_1 + 1) below.  The block is therefore real, and equal
         to the phased generator to the last bit.
         """
         B = np.eye(len(self.index))
         B[self.low, self.low] = np.diagonal(self.l2)
-        hubs, C = self.coupling
-        B[np.ix_(hubs, hubs)] += C
+        B[np.ix_(self.hubs, self.hubs)] += self.coupling
         k = np.flatnonzero(self.m1)
         w = s * np.sqrt(self.m1[k])
         B[k - 1, k] = -w
         B[k, k - 1] = w
         return B
-
-    @cached_property
-    def coupling(self):
-        """The off-diagonal part of c l2 c in :meth:`matrix`, which links
-        different chains only: the local positions ``hubs`` of its
-        nonzero rows and its restriction C there, empty for a lone chain."""
-        c = _SIGN[self.m1[self.low] % 4]
-        P = c[:, None] * self.l2 * c
-        np.fill_diagonal(P, 0.0)
-        on = P.any(axis=1)
-        return self.low[on], P[np.ix_(on, on)]
-
-    def eigenbasis(self):
-        """The block in the eigenbasis of its chains, for every kappa.
-
-        Each chain's Jacobi matrix of v_1 is diagonalized by the
-        Gauss-Hermite rule of its length: nodes x_j, and eigenvectors
-        with components Q[m, j] = sqrt(w_j / sqrt(2 pi)) phi_m(x_j).
-        I - L2 is the orthogonal projector W W^T onto the block's share
-        of the conserved moments.  So with C the block of C_kappa before
-        the phase T, Q^T C Q is
-
-            diag(1 + i s x) - U U^T,    U = Q^T W,  s = kappa ell,
-
-        a diagonal minus an update of rank at most d + 2.  W lives on
-        the few ``low`` positions, so U needs phi_m at the nodes only
-        for the m_1 found there.
-
-        Returns
-        -------
-        (x, U) : ndarray, ndarray
-            The nodes of all chains, concatenated, and U with one row
-            per node; ||U||_2 <= 1.
-        """
-        # a projector's eigenvalues are 0 and 1
-        vals, vecs = np.linalg.eigh(np.eye(len(self.low)) - self.l2)
-        W = vecs[:, vals > 0.5]
-        m1 = self.m1[self.low]
-        chain = np.repeat(np.arange(len(self.chains)), self.chains)[self.low]
-        xs, us = [], []
-        for j, n in enumerate(self.chains):
-            x, w = gauss_hermite(n)
-            on = chain == j
-            phi = hermite_phi(int(m1[on].max(initial=0)), x)[m1[on]]
-            xs.append(x)
-            us.append(np.sqrt(w / SQRT2PI)[:, None] * (phi.T @ W[on]))
-        return np.concatenate(xs), np.vstack(us)
 
 
 def chain_blocks(d: int, N: int) -> tuple:
@@ -317,15 +265,16 @@ def chain_blocks(d: int, N: int) -> tuple:
         members = [_position((np.arange(N),) + tail) for tail, i in label.items() if i == first]
         members = [at[at < N] for at in members]
         index = np.concatenate(members)
+        m1 = np.concatenate([np.arange(len(at)) for at in members])
         mine = np.flatnonzero(np.isin(index, low))
-        blocks.append(
-            ChainBlock(
-                index=index,
-                chains=tuple(len(at) for at in members),
-                low=mine,
-                l2=L2[np.ix_(index[mine], index[mine])],
-            )
-        )
+        l2 = L2[np.ix_(index[mine], index[mine])]
+        # the phased c l2 c off its diagonal, which links different chains only
+        c = _SIGN[m1[mine] % 4]
+        P = c[:, None] * l2 * c
+        np.fill_diagonal(P, 0.0)
+        on = P.any(axis=1)
+        chains = tuple(len(at) for at in members)
+        blocks.append(ChainBlock(index, chains, m1, mine, l2, mine[on], P[np.ix_(on, on)]))
     return tuple(blocks)
 
 
