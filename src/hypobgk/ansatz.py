@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hermite import _check_dim
+from .hermite import _check_dim, _check_int
 from .index import DEFAULT_TOL, _check_pair
 
 DEFECTIVE_COND = 1e8
@@ -469,8 +469,7 @@ def bgk_coupling(d: int, kappa: float, alpha: float, N: int | None = None) -> np
     n0 = 1 + max(j for _, j, _ in couplings)
     if N is None:
         N = n0
-    if N < n0:
-        raise ValueError(f"need N >= {n0} in dimension {d}")
+    _check_int(N, "N", n0)
     A = np.zeros((N, N), dtype=complex)
     for i, j, ratio in couplings:
         z = -1j * ratio * alpha / kappa

@@ -51,7 +51,7 @@ import numpy as np
 
 from .ansatz import bgk_P
 from .gap import VerificationFailure
-from .hermite import _check_dim
+from .hermite import _check_dim, _check_int
 from .operators import _check_length, modal_generator, mode_moduli, operator_pair
 
 R2 = math.sqrt(2.0)
@@ -729,7 +729,8 @@ def certify_many(d: int, Ls, n_verify: int = 0, alpha: float | None = None) -> l
     stacked computation; the value at each length does not depend on the
     other lengths of the grid.
 
-    Raises ValueError for the first length, in grid order, that is not
+    Raises ValueError for an ``n_verify`` that is not an integer of at
+    least 0, and for the first length, in grid order, that is not
     finite and positive, or at which the certificate leaves the
     floating-point range, or for which ``alpha`` lies outside (0,
     alpha_plus).
@@ -739,6 +740,7 @@ def certify_many(d: int, Ls, n_verify: int = 0, alpha: float | None = None) -> l
     list of DecayCertificate, one per length
     """
     spec = chain_spec(d)
+    _check_int(n_verify, "n_verify", 0)
     Ls = np.asarray(Ls)
     if Ls.ndim != 1:
         raise ValueError("torus lengths must form a one-dimensional sequence")

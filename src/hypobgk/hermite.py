@@ -42,6 +42,14 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be one of {tuple(MIN_N)}, got {d!r}")
 
 
+def _check_int(value, name: str, low: int) -> None:
+    """Reject a count that is not an int or a numpy integer, or is below low."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def _check_variant(d: int, variant: str) -> None:
     _check_dim(d)
     if variant not in _VARIANTS:
@@ -265,8 +273,7 @@ def gauss_hermite(n: int):
     tuple of ndarray
         ``(nodes, weights)``, nodes ascending and symmetric about 0.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
+    _check_int(n, "number of nodes", 1)
     return _gauss_hermite(n)
 
 

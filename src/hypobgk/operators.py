@@ -21,6 +21,7 @@ import numpy as np
 from .hermite import (
     MIN_N,
     _check_dim,
+    _check_int,
     _check_variant,
     _degree_two,
     _energy_block,
@@ -33,8 +34,8 @@ MAX_TRUNCATION = 2000
 
 def _check_size(d: int, variant: str, N: int) -> None:
     _check_variant(d, variant)
-    if not isinstance(N, (int, np.integer)):
-        raise ValueError(f"truncation must be an integer, got {N}")
+    # the smallest truncation depends on d, and its message says so
+    _check_int(N, "truncation", 0)
     if N > MAX_TRUNCATION:
         raise ValueError(f"truncation {N} exceeds limit {MAX_TRUNCATION}")
     if N < MIN_N[d]:
@@ -304,8 +305,7 @@ def mode_moduli(d: int, kmax: int):
         Sorted ``(modulus, multiplicity)`` pairs.
     """
     _check_dim(d)
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+    _check_int(kmax, "kmax", 1)
     squares = np.arange(-kmax, kmax + 1) ** 2
     n2 = squares
     for _ in range(d - 1):

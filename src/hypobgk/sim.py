@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import bgk_coupling
-from .hermite import SQRT2PI, gauss_hermite, hermite_phi
+from .hermite import SQRT2PI, _check_int, gauss_hermite, hermite_phi
 from .operators import _check_length, _check_size, chain_blocks
 
 #: points of the x grid and of the Gauss rule in v of the L1 distance,
@@ -304,8 +304,7 @@ def concentrated_initial_data(
     recorded in ``truncation_tail``.
     """
     exact = _bump_square_norm(epsilon)
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+    _check_int(kmax, "kmax", 1)
     _check_size(1, "tensor", N)
     _check_length(L)
     kappa = np.arange(kmax + 1, dtype=float)
@@ -318,10 +317,17 @@ def concentrated_initial_data(
     return state
 
 
+def _check_envelope(C_d: float, E0: float, lam: float) -> None:
+    for name, value in (("C_d", C_d), ("E0", E0), ("lam", lam)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def decay_envelope(t, C_d: float, E0: float, lam: float):
     """Pointwise L1 bound sqrt(C_d E0) exp(-lam t / 2): by Cauchy-Schwarz
     the L2 norm bounds the L1 distance even of a signed density, which the
     linearized flow can make of M (1 + h); the cap 2 holds only for f >= 0."""
+    _check_envelope(C_d, E0, lam)
     t = np.asarray(t, dtype=float)
     out = np.sqrt(C_d * E0) * np.exp(-0.5 * lam * t)
     return out if out.shape else float(out)
@@ -329,10 +335,7 @@ def decay_envelope(t, C_d: float, E0: float, lam: float):
 
 def t_init(C_d: float, E0: float, lam: float) -> float:
     """Time at which the envelope drops below 2."""
-    if lam <= 0:
-        raise ValueError("decay rate must be positive")
-    if C_d * E0 <= 0:
-        raise ValueError("C_d and E0 must be positive")
+    _check_envelope(C_d, E0, lam)
     return max(0.0, (math.log(C_d) + math.log(E0) - 2.0 * math.log(2.0)) / lam)
 
 
@@ -351,7 +354,8 @@ def run_trajectory(
     ``h_norm``, ``l1`` and ``envelope`` (when ``C_d`` and ``lam`` are
     given).
     """
-    if n_samples < 2 or not (math.isfinite(tmax) and tmax >= 0):
+    _check_int(n_samples, "n_samples", 2)
+    if not (math.isfinite(tmax) and tmax >= 0):
         raise ValueError(f"need n_samples >= 2 and a finite tmax >= 0, got {n_samples} and {tmax}")
     ts = np.linspace(0.0, tmax, n_samples)
     dt = float(ts[1] - ts[0])

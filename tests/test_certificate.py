@@ -18,6 +18,7 @@ from hypobgk import (
     mode_moduli,
     mu_limits_1d,
 )
+from hypobgk.ansatz import bgk_coupling
 from hypobgk.certificate import (
     _FACTORS,
     _LAST_MINOR,
@@ -475,3 +476,15 @@ def test_json_payload_shape():
     assert len(payload["verified"]) == 2
     assert set(payload["verified"][0]) == {"kappa", "min_eig"}
     assert isinstance(cert, DecayCertificate)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_theta_is_the_spectral_radius_of_the_coupling_table(d):
+    # chain_spec(d).theta is a literal, and ansatz._BGK_COUPLINGS the
+    # table behind P = I + A: at kappa = alpha = 1 the extreme
+    # eigenvalues of A are +-theta
+    theta = chain_spec(d).theta
+    eigs = np.linalg.eigvalsh(bgk_coupling(d, 1.0, 1.0))
+    tol = 4.0 * np.finfo(float).eps * theta
+    assert abs(eigs[-1] - theta) <= tol
+    assert abs(eigs[0] + theta) <= tol

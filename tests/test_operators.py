@@ -10,17 +10,21 @@ import pytest
 from hypobgk import (
     alpha3_1d,
     basis_change_matrix,
+    bgk_P,
     build_L1,
     build_L2,
+    certify_many,
     concentrated_initial_data,
     convergence_study,
     modal_generator,
     mode_moduli,
     multi_index,
     operator_pair,
+    run_trajectory,
     spectral_gap,
 )
-from hypobgk.hermite import MIN_N
+from hypobgk.ansatz import bgk_coupling
+from hypobgk.hermite import MIN_N, gauss_hermite
 from hypobgk.operators import MAX_TRUNCATION
 
 
@@ -157,3 +161,54 @@ def test_numpy_integer_truncations_are_accepted():
     assert convergence_study(1, 2.0 * math.pi, 1.0, [N]).entries[0][0] == 50
     assert np.array_equal(operator_pair(1, "tensor", N).L1, operator_pair(1, "tensor", 50).L1)
     assert concentrated_initial_data(0.02, N=np.int32(20)).N == 20
+
+
+def _state():
+    return concentrated_initial_data(0.05, kmax=8)
+
+
+# (call, name in the message, the value it rejects)
+COUNTS = [
+    (lambda: bgk_P(1, 1.0, 0.1, 4.5), "N", 4.5),
+    (lambda: bgk_coupling(1, 1.0, 0.1, np.float64(8)), "N", 8.0),
+    (lambda: concentrated_initial_data(0.02, kmax=10.5), "kmax", 10.5),
+    (lambda: run_trajectory(_state(), 1.0, 3.5, 0.1), "n_samples", 3.5),
+    (lambda: mode_moduli(1, 2.5), "kmax", 2.5),
+    (lambda: gauss_hermite(4.5), "number of nodes", 4.5),
+    (lambda: certify_many(1, [6.28], 2.5), "n_verify", 2.5),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call,name,value", COUNTS)
+def test_non_integral_counts_are_rejected_by_name(call, name, value):
+    # a float where a count is expected is refused by name, instead of a
+    # TypeError from inside numpy or range()
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        call()
+
+
+# (call, name in the message, its lower bound, the value it rejects)
+BOUNDS = [
+    (lambda: bgk_P(1, 1.0, 0.1, 3), "N", 4, 3),
+    (lambda: concentrated_initial_data(0.02, kmax=0), "kmax", 1, 0),
+    (lambda: run_trajectory(_state(), 1.0, 1, 0.1), "n_samples", 2, 1),
+    (lambda: mode_moduli(1, 0), "kmax", 1, 0),
+    (lambda: gauss_hermite(0), "number of nodes", 1, 0),
+    # verified nothing, and reported valid = True, before
+    (lambda: certify_many(1, [6.28], n_verify=-1), "n_verify", 0, -1),
+]
+
+
+@pytest.mark.parametrize("call,name,low,value", BOUNDS)
+def test_counts_below_their_bound_are_rejected_by_name(call, name, low, value):
+    with pytest.raises(ValueError, match=f"^{name} must be at least {low}, got {value}$"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert mode_moduli(2, np.int64(3)) == mode_moduli(2, 3)
+    assert np.array_equal(gauss_hermite(np.int32(7))[0], gauss_hermite(7)[0])
+    assert np.array_equal(bgk_P(2, 1.0, 0.1, np.int64(9)), bgk_P(2, 1.0, 0.1, 9))
+    assert concentrated_initial_data(0.02, kmax=np.int16(6)).kmax == 6
+    assert len(certify_many(1, [6.28], np.int64(2))[0].verification) == 2

@@ -304,6 +304,26 @@ def test_envelope_and_crossover_time():
     assert abs(math.sqrt(C_d * E0) * math.exp(-lam * ti / 2.0) - 2.0) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["C_d", "E0", "lam"])
+def test_envelope_parameters_must_be_finite_and_positive(name, bad):
+    # max(0, nan) is 0, so t_init returned 0.0 for a nan, and the
+    # envelope took the square root of a negative C_d E0
+    args = {"C_d": 1.27, "E0": 74.0, "lam": 0.084}
+    args[name] = bad
+    msg = f"^{name} must be finite and positive, got {bad}$"
+    with pytest.raises(ValueError, match=msg):
+        t_init(**args)
+    with pytest.raises(ValueError, match=msg):
+        decay_envelope(1.0, **args)
+    if name != "E0":
+        # E0 is the initial entropy of the run
+        st = _initial(0.05, kmax=8)
+        with pytest.raises(ValueError, match=msg):
+            run_trajectory(st, 1.0, 3, 0.1, C_d=args["C_d"], lam=args["lam"])
+
+
 def test_state_helpers():
     st = _initial(0.05, kmax=8)
     assert st.kappa[3] == 3.0
