@@ -101,8 +101,7 @@ def _position(m):
 
 def multi_index(i: int, d: int):
     """Inverse of :func:`lex_index`: the i-th multi-index in dimension d."""
-    if i < 0:
-        raise ValueError("flat index must be nonnegative")
+    _check_int(i, "flat index", 0)
     _check_dim(d)
     if d == 1:
         return (i,)
@@ -154,6 +153,7 @@ def hermite_phi(nmax: int, v):
     ndarray
         Shape ``(nmax + 1,) + shape(v)``; row m holds phi_m(v).
     """
+    _check_int(nmax, "nmax", 0)
     v = np.asarray(v, dtype=float)
     out = np.empty((nmax + 1,) + v.shape, dtype=float)
     out[0] = 1.0
@@ -348,8 +348,7 @@ def basis_change_matrix(d: int, N: int) -> np.ndarray:
     if d not in (2, 3):
         raise ValueError("basis change is defined for d = 2 or 3")
     level = _degree_two(d)
-    if N < level.stop:
-        raise ValueError(f"need N >= {level.stop} to hold the degree-two level, got {N}")
+    _check_int(N, "N", level.stop)
     S = np.eye(N)
     S[level, level] = _energy_block(d)
     return S

@@ -24,7 +24,7 @@ from hypobgk import (
     spectral_gap,
 )
 from hypobgk.ansatz import bgk_coupling
-from hypobgk.hermite import MIN_N, gauss_hermite
+from hypobgk.hermite import MIN_N, gauss_hermite, hermite_phi
 from hypobgk.operators import MAX_TRUNCATION
 
 
@@ -176,6 +176,10 @@ COUNTS = [
     (lambda: mode_moduli(1, 2.5), "kmax", 2.5),
     (lambda: gauss_hermite(4.5), "number of nodes", 4.5),
     (lambda: certify_many(1, [6.28], 2.5), "n_verify", 2.5),
+    (lambda: hermite_phi(4.5, [0.1]), "nmax", 4.5),
+    (lambda: basis_change_matrix(2, 10.5), "N", 10.5),
+    # returned the multi-index (2.5,) before
+    (lambda: multi_index(2.5, 1), "flat index", 2.5),
 ]
 
 
@@ -197,6 +201,9 @@ BOUNDS = [
     (lambda: gauss_hermite(0), "number of nodes", 1, 0),
     # verified nothing, and reported valid = True, before
     (lambda: certify_many(1, [6.28], n_verify=-1), "n_verify", 0, -1),
+    (lambda: hermite_phi(-1, [0.1]), "nmax", 0, -1),
+    (lambda: basis_change_matrix(3, 9), "N", 10, 9),
+    (lambda: multi_index(-1, 2), "flat index", 0, -1),
 ]
 
 
