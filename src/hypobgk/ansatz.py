@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hermite import _check_dim, _check_int
-from .index import DEFAULT_TOL, _check_pair
+from .index import DEFAULT_TOL, _as_square, _check_pair
 
 DEFECTIVE_COND = 1e8
 
@@ -199,7 +199,9 @@ def kato_slopes(C1, C2, A, tol: float = DEFAULT_TOL) -> np.ndarray:
         The slopes xi_j, sorted ascending.
     """
     frame = _Frame.of(C1, C2, tol)
-    A = np.asarray(A, dtype=complex)
+    A = _as_square(A, "A")
+    if A.shape != frame.T.shape:
+        raise ValueError("A must have the shape of C1")
     if np.linalg.norm(A - A.conj().T, 2) > 1e-10 * max(np.linalg.norm(A, 2), 1.0):
         raise ValueError("A must be Hermitian")
     T = frame.T
@@ -227,9 +229,7 @@ def optimal_P(C, weights=None) -> np.ndarray:
     ndarray
         Hermitian positive definite P.
     """
-    C = np.asarray(C, dtype=complex)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("C must be square")
+    C = _as_square(C, "C")
     n = C.shape[0]
     w, V = np.linalg.eig(C)
     cond = np.linalg.cond(V)

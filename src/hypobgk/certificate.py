@@ -812,11 +812,11 @@ def mu_limits_1d(L_small: float = 1e-3) -> dict:
     r13 = math.sqrt(13.0)
     mu_limit = 3.0 * (4.0 - r13) * ((3.0 - r13) * (3.0 - r13)) / ((1.0 - r13) * (1.0 - r13))
     ratio_limit = (4.0 - r13) / (6.0 * math.pi)
-    _, (a_star,), (mu,) = _optimize(1, np.array([2.0 * math.pi / L_small]))
+    cert = certify(1, L_small, n_verify=0)
     return {
         "mu_limit": mu_limit,
         "alpha_over_L_limit": ratio_limit,
         "L_small": L_small,
-        "mu_at_L_small": mu,
-        "alpha_over_L_at_L_small": a_star / L_small,
+        "mu_at_L_small": cert.mu,
+        "alpha_over_L_at_L_small": cert.alpha_star / L_small,
     }

@@ -255,8 +255,30 @@ def _simulation_grid(args):
     return n
 
 
-def _columns(derived: dict, cols: dict) -> _Artifact:
-    """A table of named columns below the derived scalars."""
+def _certified_grid(args, workflow: str):
+    """The number of samples and the 1D certificate of ``simulate`` and
+    ``envelope``; writes the effective alpha back to args."""
+    if args.dim != 1:
+        raise ValueError(f"{workflow} requires --dim 1")
+    n = _simulation_grid(args)
+    cert = certify(1, args.L, n_verify=0, alpha=args.alpha)
+    args.alpha = cert.alpha_star
+    return n, cert
+
+
+def _enveloped(cert, E0: float, cols: dict, **extra) -> _Artifact:
+    """A table of the columns ``cols`` and the L2 envelope column below
+    the derived scalars, with ``extra`` among them."""
+    derived = {
+        "mu": cert.mu,
+        "lambda": cert.lam,
+        "C_d": cert.C_d,
+        "E0": E0,
+        "t_init": t_init(cert.C_d, E0, cert.lam),
+        **extra,
+        "envelope": "L2-bound",
+    }
+    cols = {**cols, "envelope": decay_envelope(cols["t"], cert.C_d, E0, cert.lam)}
     cols = {h: [float(x) for x in c] for h, c in cols.items()}
     return _Artifact(
         header=tuple(cols),
@@ -267,34 +289,13 @@ def _columns(derived: dict, cols: dict) -> _Artifact:
 
 
 def _run_simulate(args):
-    if args.dim != 1:
-        raise ValueError("simulation reconstruction requires --dim 1")
+    n, cert = _certified_grid(args, "simulation reconstruction")
     if args.kmax is None:
         args.kmax = 128
-    n = _simulation_grid(args)
-    cert = certify(1, args.L, n_verify=0, alpha=args.alpha)
-    args.alpha = cert.alpha_star
     state = concentrated_initial_data(args.epsilon, kmax=args.kmax, N=args.trunc, L=args.L)
-    data = run_trajectory(
-        state,
-        args.tmax,
-        n,
-        alpha=cert.alpha_star,
-        gamma=args.gamma,
-        C_d=cert.C_d,
-        lam=cert.lam,
-    )
+    data = run_trajectory(state, args.tmax, n, alpha=cert.alpha_star, gamma=args.gamma)
     E0 = float(data["entropy"][0])
-    derived = {
-        "mu": cert.mu,
-        "lambda": cert.lam,
-        "C_d": cert.C_d,
-        "E0": E0,
-        "t_init": t_init(cert.C_d, E0, cert.lam),
-        "truncation_tail": state.truncation_tail,
-        "envelope": "L2-bound",
-    }
-    return _columns(derived, {h: data[h] for h in ("t", "entropy", "h_norm", "l1", "envelope")})
+    return _enveloped(cert, E0, data, truncation_tail=state.truncation_tail)
 
 
 def _run_sweep(args):
@@ -314,23 +315,9 @@ def _run_sweep(args):
 
 
 def _run_envelope(args):
-    if args.dim != 1:
-        raise ValueError("the envelope workflow requires --dim 1")
-    n = _simulation_grid(args)
-    cert = certify(1, args.L, n_verify=0, alpha=args.alpha)
-    args.alpha = cert.alpha_star
+    n, cert = _certified_grid(args, "the envelope workflow")
     E0 = _bump_square_norm(args.epsilon)
-    ts = np.linspace(0.0, args.tmax, n)
-    env = decay_envelope(ts, cert.C_d, E0, cert.lam)
-    derived = {
-        "mu": cert.mu,
-        "lambda": cert.lam,
-        "C_d": cert.C_d,
-        "E0": E0,
-        "t_init": t_init(cert.C_d, E0, cert.lam),
-        "envelope": "L2-bound",
-    }
-    return _columns(derived, {"t": ts, "envelope": env})
+    return _enveloped(cert, E0, {"t": np.linspace(0.0, args.tmax, n)})
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ DEFAULT_TOL = 1e-10
 
 def _as_square(M, name: str) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"{name} must be a nonempty square matrix")
     if not np.isfinite(A).all():
         raise ValueError(f"{name} must have finite entries")
     return A

@@ -281,8 +281,8 @@ def chain_blocks(d: int, N: int) -> tuple:
 
 def modal_generator(pair: OperatorPair, kappa: float) -> np.ndarray:
     """Generator C_kappa = i kappa (2 pi / L) L1 + L2 for modulus kappa."""
-    if kappa < 0:
-        raise ValueError("mode modulus must be nonnegative")
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"mode modulus kappa must be finite and nonnegative, got {kappa}")
     return 1j * kappa * pair.ell * pair.L1 + pair.L2.astype(complex)
 
 

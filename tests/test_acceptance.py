@@ -23,6 +23,7 @@ from hypobgk import (
     certify,
     concentrated_initial_data,
     convergence_study,
+    decay_envelope,
     entropy,
     hypocoercivity_index,
     kato_slopes,
@@ -81,9 +82,8 @@ def trajectory():
     cert = certify(1, TWO_PI, n_verify=0)
     state = concentrated_initial_data(0.02, kmax=128, N=20)
     E0 = entropy(state, cert.alpha_star)
-    traj = run_trajectory(
-        state, 40.0, 50, cert.alpha_star, C_d=cert.C_d, lam=cert.lam
-    )
+    traj = run_trajectory(state, 40.0, 50, cert.alpha_star)
+    traj["envelope"] = decay_envelope(traj["t"], cert.C_d, E0, cert.lam)
     return cert, E0, traj, time.perf_counter() - t0
 
 

@@ -456,6 +456,23 @@ def test_small_torus_limits():
     assert abs(out["alpha_over_L_at_L_small"] - out["alpha_over_L_limit"]) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "L,reason",
+    [
+        (-1.0, "must be finite and positive"),
+        (0.0, "must be finite and positive"),
+        (math.nan, "must be finite and positive"),
+        (math.inf, "must be finite and positive"),
+        (1e-200, "is too small"),
+    ],
+)
+def test_small_torus_limits_reject_bad_lengths(L, reason):
+    # a negative torus gave a rate, nan and 1e-200 gave nan and 0 a
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match=f"^torus length .*{reason}"):
+        mu_limits_1d(L)
+
+
 def test_minor_input_validation():
     with pytest.raises(ValueError):
         minors_1d(0.5, 0.1)

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 import hypobgk.cli as cli
-from hypobgk import certify, chain_blocks, concentrated_initial_data, entropy, spectral_gap
+from hypobgk import (
+    certify,
+    chain_blocks,
+    concentrated_initial_data,
+    decay_envelope,
+    entropy,
+    spectral_gap,
+    t_init,
+)
 
 
 def _run(*args):
@@ -143,6 +151,28 @@ def test_envelope_subcommand():
     assert derived["envelope"] == "L2-bound"
     C_d, E0 = float(derived["C_d"]), float(derived["E0"])
     assert rows[0][1] == "%.15g" % math.sqrt(C_d * E0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_envelope_of_the_narrowest_bump_is_finite(capsys):
+    # E0 = 3 / (2 eps) - 1 = 1.5e308 and C_d = 1.27: C_d E0 overflows,
+    # but the amplitude sqrt(C_d E0) is about 1.4e154
+    assert cli.main(["envelope", "--epsilon", "1e-308", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    amp = math.sqrt(obj["derived"]["C_d"]) * math.sqrt(obj["derived"]["E0"])
+    assert obj["envelope"][0] == pytest.approx(amp, rel=1e-15)
+    assert np.isfinite(obj["envelope"]).all()
+
+
+@pytest.mark.parametrize("sub", ["simulate", "envelope"])
+def test_envelope_column_is_the_decay_envelope_of_the_derived_scalars(sub, capsys):
+    # JSON keeps every bit, so the artifact's own C_d, E0 and lambda
+    # reproduce its envelope column and t_init exactly
+    assert cli.main([sub, "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    C_d, E0, lam = (obj["derived"][k] for k in ("C_d", "E0", "lambda"))
+    assert obj["envelope"] == decay_envelope(np.array(obj["t"]), C_d, E0, lam).tolist()
+    assert obj["derived"]["t_init"] == t_init(C_d, E0, lam)
 
 
 def test_simulate_columns():

@@ -12,7 +12,9 @@ from hypobgk import (
     hypocoercivity_index,
     is_hypocoercive_spectral,
     kato_slopes,
+    modal_generator,
     operator_pair,
+    optimal_P,
 )
 from hypobgk.ansatz import bgk_coupling
 from hypobgk.certificate import chain_spec
@@ -194,6 +196,36 @@ def test_non_finite_pairs_are_rejected_by_name(check, which, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{which} must have finite entries$"):
+            check(*args)
+
+
+_PAIR8 = operator_pair(1, "tensor", 8)
+_EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "check,args,msg",
+    [
+        (modal_generator, (_PAIR8, np.nan), "mode modulus kappa must be finite and nonnegative, got nan"),
+        (modal_generator, (_PAIR8, np.inf), "mode modulus kappa must be finite and nonnegative, got inf"),
+        (optimal_P, (np.array([[1.0, np.inf], [0.0, 2.0]]),), "C must have finite entries"),
+        (optimal_P, (np.ones((2, 3)),), "C must be a nonempty square matrix"),
+        (optimal_P, (_EMPTY,), "C must be a nonempty square matrix"),
+        (kato_slopes, (_PAIR8.L1, _PAIR8.L2, np.full((8, 8), np.nan)), "A must have finite entries"),
+        (kato_slopes, (_PAIR8.L1, _PAIR8.L2, np.zeros((8, 7))), "A must be a nonempty square matrix"),
+        (kato_slopes, (_PAIR8.L1, _PAIR8.L2, np.zeros((6, 6))), "A must have the shape of C1"),
+        (hypocoercivity_index, (_EMPTY, _EMPTY), "C1 must be a nonempty square matrix"),
+        (is_hypocoercive_spectral, (_EMPTY, _EMPTY), "C1 must be a nonempty square matrix"),
+        (check_invariance_conditions, (_EMPTY, _EMPTY), "C1 must be a nonempty square matrix"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_bad_matrix_inputs_are_rejected_by_name(check, args, msg):
+    # rejected before numpy or LAPACK sees them: no nan result, no
+    # LinAlgError, no broadcast or zero-size reduction error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{msg}$"):
             check(*args)
 
 
