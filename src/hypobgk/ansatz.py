@@ -222,7 +222,7 @@ def optimal_P(C, weights=None) -> np.ndarray:
     C : array_like
         Square matrix.
     weights : array_like, optional
-        Positive weights b, default all ones.
+        Finite positive weights b, default all ones.
 
     Returns
     -------
@@ -231,6 +231,15 @@ def optimal_P(C, weights=None) -> np.ndarray:
     """
     C = _as_square(C, "C")
     n = C.shape[0]
+    if weights is None:
+        b = np.ones(n)
+    else:
+        b = np.asarray(weights, dtype=float)
+        if b.shape != (n,):
+            raise ValueError("weights must match the size of C")
+        bad = b[~(np.isfinite(b) & (b > 0))]
+        if bad.size:
+            raise ValueError(f"weights must be finite and positive, got {bad.tolist()}")
     w, V = np.linalg.eig(C)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > DEFECTIVE_COND:
@@ -238,12 +247,6 @@ def optimal_P(C, weights=None) -> np.ndarray:
             f"eigenvector condition number {cond:.3e} exceeds {DEFECTIVE_COND:.0e}; "
             "matrix is too close to defective"
         )
-    if weights is None:
-        b = np.ones(n)
-    else:
-        b = np.asarray(weights, dtype=float)
-        if b.shape != (n,) or np.any(b <= 0):
-            raise ValueError("weights must be positive and match the size of C")
     Vinv = np.linalg.inv(V)
     P = Vinv.conj().T @ np.diag(b) @ Vinv
     return _hermitian_part(P)

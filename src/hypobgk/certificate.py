@@ -38,6 +38,14 @@ goes through the C library's pow, numpy's power kernel or BLAS.
 Minor conventions: the one-dimensional block is ordered so that the
 natural chain runs from the lower-right corner, hence trailing minors;
 the two- and three-dimensional chains use leading minors.
+
+The verification sweep checks D - 2 mu P >= 0 on the first moduli from
+the operators themselves, in real arithmetic.  In the phased basis T =
+diag(i**(m_1 mod 2)) the kappa L1 terms cancel, and T^-1 (D - 2 mu P) T
+= G0 + G1 / kappa with two real symmetric matrices, built once per
+certificate, that vanish outside the leading block but for the diagonal
+2 (1 - mu).  So each modulus costs one real eigensolve of the block.
+:func:`assemble_D_block` keeps the dense complex assembly as the oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import numpy as np
 
 from .ansatz import bgk_P
 from .gap import VerificationFailure
-from .hermite import _check_dim, _check_int
+from .hermite import _check_dim, _check_int, _index_table
 from .operators import _check_length, modal_generator, mode_moduli, operator_pair
 
 R2 = math.sqrt(2.0)
@@ -310,28 +318,22 @@ def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     )
 
 
-def _dissipation(d: int, L: float, kappas, alpha: float):
-    """C_kappa* P + P C_kappa and the closed-form P for each kappa, from
-    the operators at the assembly truncation, assembled once."""
-    spec = chain_spec(d)
-    pair = operator_pair(d, spec.variant, spec.assembly_N, L=L)
-    for kappa in kappas:
-        C = modal_generator(pair, kappa)
-        P = bgk_P(d, kappa, alpha, pair.N)
-        yield C.conj().T @ P + P @ C, P
-
-
 def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np.ndarray:
     """The dissipation block C* P + P C, assembled from the operators.
 
     Builds the operators at a truncation with margin, forms
-    C_kappa* P + P C_kappa with the closed-form P, verifies that the
-    result equals 2 I outside the leading block, and returns the block
-    (size 5, 11 or 21).
+    C_kappa* P + P C_kappa in complex arithmetic with the closed-form P,
+    verifies that the result equals 2 I outside the leading block, and
+    returns the block (size 5, 11 or 21).  It is the dense oracle of the
+    minor chains and of the verification sweep of :func:`certify_many`.
     """
     _check_params(kappa, alpha, ell)
-    b = chain_spec(d).block
-    F, _ = next(_dissipation(d, 2.0 * math.pi / ell, [kappa], alpha))
+    spec = chain_spec(d)
+    b = spec.block
+    pair = operator_pair(d, spec.variant, spec.assembly_N, L=2.0 * math.pi / ell)
+    C = modal_generator(pair, kappa)
+    P = bgk_P(d, kappa, alpha, pair.N)
+    F = C.conj().T @ P + P @ C
     tail = F.copy()
     tail[:b, :b] = 0.0
     tail[b:, b:] -= 2.0 * np.eye(len(F) - b)
@@ -341,6 +343,65 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
             f"dissipation matrix deviates from 2 I outside the block by {resid:.3e}"
         )
     return F[:b, :b]
+
+
+def _phased(M: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """T^-1 M T for T = diag(t), t_p = 1 or i, as a real matrix; it must be
+    real, and the phases make this exact."""
+    R = t.conj()[:, None] * M * t
+    if R.imag.any():
+        raise VerificationFailure("the phased matrix is not real")
+    return R.real
+
+
+def _dissipation_terms(d: int, L: float, alpha: float, mu: float):
+    """The real symmetric G0 and G1 with
+
+        T^-1 (C_kappa* P_kappa + P_kappa C_kappa - 2 mu P_kappa) T = G0 + G1 / kappa
+
+    for every modulus kappa, at the assembly truncation.  T = diag(i**(m_1
+    mod 2)) makes K = T^-1 (i ell L1) T real antisymmetric and A =
+    T^-1 bgk_P(d, 1, alpha) T - I real symmetric, and leaves L2 alone
+    (the energy rotation mixes even m_1 only).  With C = kappa K + L2
+    and P = I + A / kappa the kappa K terms cancel, so
+
+        G0 = 2 L2 + (X + X^T) - 2 mu I,    X = A K,
+        G1 = (Y + Y^T) - 2 mu A,           Y = L2 A,
+
+    each written as a sum with its transpose, which is exactly symmetric.
+    """
+    spec = _CHAINS[d]
+    pair = operator_pair(d, spec.variant, spec.assembly_N, L=L)
+    t = np.array([1.0, 1j])[[m[0] % 2 for m in _index_table(d, pair.N)]]
+    K = _phased(1j * pair.ell * pair.L1, t)
+    A = _phased(bgk_P(d, 1.0, alpha, pair.N), t) - np.eye(pair.N)
+    X = A @ K
+    Y = pair.L2 @ A
+    G0 = 2.0 * pair.L2 + (X + X.T) - 2.0 * mu * np.eye(pair.N)
+    G1 = (Y + Y.T) - 2.0 * mu * A
+    return G0, G1
+
+
+def _sweep(G0: np.ndarray, G1: np.ndarray, b: int, kappas) -> list:
+    """``(kappa, min eig of G0 + G1 / kappa)`` for each modulus.
+
+    Outside the leading b x b block, G1 and G0 but for its diagonal must
+    vanish exactly, or VerificationFailure is raised; the trailing
+    diagonal of G0 (2 (1 - mu) for the BGK operators) then holds the
+    remaining eigenvalues.  So each modulus costs one real symmetric
+    eigensolve of size b.
+    """
+    n = len(G0)
+    floor = float(np.diagonal(G0)[b:].min(initial=np.inf))
+    rest = np.stack([G0, G1])
+    rest[:, :b, :b] = 0.0
+    rest[0, range(b, n), range(b, n)] = 0.0
+    if rest.any():
+        raise VerificationFailure(
+            f"the dissipation terms do not vanish outside the leading {b} x {b} block"
+        )
+    G0, G1 = G0[:b, :b], G1[:b, :b]
+    return [(float(k), min(float(np.linalg.eigvalsh(G0 + G1 / k)[0]), floor)) for k in kappas]
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +785,12 @@ def certify_many(d: int, Ls, n_verify: int = 0, alpha: float | None = None) -> l
     amplitude (or evaluates at ``alpha`` when given), forms the norm
     equivalence constants, and verifies the matrix inequality
     C* P + P C >= 2 mu P on the first ``n_verify`` mode moduli at an
-    assembly truncation with margin.  The thresholds alpha_plus, the
-    maximizers alpha_star and the rates mu of all lengths come from one
-    stacked computation; the value at each length does not depend on the
-    other lengths of the grid.
+    assembly truncation with margin: the smallest eigenvalue at kappa is
+    that of the real block G0 + G1 / kappa, or the diagonal 2 (1 - mu)
+    beyond it (see :func:`_dissipation_terms`).  The thresholds
+    alpha_plus, the maximizers alpha_star and the rates mu of all lengths
+    come from one stacked computation; the value at each length does not
+    depend on the other lengths of the grid.
 
     Raises ValueError for an ``n_verify`` that is not an integer of at
     least 0, and for the first length, in grid order, that is not
@@ -764,11 +827,8 @@ def certify_many(d: int, Ls, n_verify: int = 0, alpha: float | None = None) -> l
         theta = spec.theta * a_star
         checks = []
         if n_verify > 0:
-            kappas = _first_moduli(d, n_verify)
-            for kappa, (F, P) in zip(kappas, _dissipation(d, L, kappas, a_star)):
-                F = F - 2.0 * mu * P
-                m = float(np.linalg.eigvalsh(0.5 * (F + F.conj().T)).min())
-                checks.append((float(kappa), m))
+            G0, G1 = _dissipation_terms(d, L, a_star, mu)
+            checks = _sweep(G0, G1, spec.block, _first_moduli(d, n_verify))
         failed = next((kappa for kappa, m in checks if m < -1e-9), None)
         certs.append(
             DecayCertificate(

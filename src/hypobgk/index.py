@@ -29,7 +29,10 @@ DEFAULT_TOL = 1e-10
 
 
 def _as_square(M, name: str) -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
+    """M as a float or complex array: real input stays real, so that the
+    solvers run in the input's arithmetic, as numpy's own do."""
+    A = np.asarray(M)
+    A = np.asarray(A, dtype=float if A.dtype.kind in "biuf" else complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"{name} must be a nonempty square matrix")
     if not np.isfinite(A).all():
@@ -70,7 +73,7 @@ def _check_pair(C1, C2, tol: float) -> _Pair:
     else:
         # permuted, never rotated: structured examples keep their entries
         order = np.argsort(diag, kind="stable")
-        w, V = diag[order], np.eye(len(diag), dtype=complex)[:, order]
+        w, V = diag[order], np.eye(len(diag), dtype=C2.dtype)[:, order]
     scale2 = max(np.abs(w).max(), 1.0)  # ||C2||_2 for a Hermitian C2
     if _defect(C2) > 1e-12 * scale2:
         raise ValueError("C2 must be Hermitian")
@@ -101,7 +104,7 @@ def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
     to the largest singular value would read a matrix of pure rounding
     as full rank."""
     if M.shape[0] == 0:
-        return np.eye(M.shape[1], dtype=complex)
+        return np.eye(M.shape[1], dtype=M.dtype)
     U, s, Vh = np.linalg.svd(M)
     return Vh[int(np.sum(s > tol)) :].conj().T
 
@@ -251,7 +254,7 @@ def _invariant_subspace_in_kernel(C1, K0, tol: float, scale: float) -> int:
     W = K0
     while W.shape[1] > 0:
         n = W.shape[0]
-        proj_out = np.eye(n, dtype=complex) - W @ W.conj().T
+        proj_out = np.eye(n, dtype=W.dtype) - W @ W.conj().T
         B = proj_out @ (C1 @ W)
         _, s, Vh = np.linalg.svd(B)
         r = int(np.sum(s > tol * scale))
@@ -315,6 +318,8 @@ def commutator_condition(C1, C2, K, tol: float = DEFAULT_TOL) -> bool:
     pair = _check_pair(C1, C2, tol)
     C1, C2 = pair.C1, pair.C2
     K = _as_square(K, "K")
+    if K.shape != C1.shape:
+        raise ValueError("K must have the shape of C1")
     scale = max(np.linalg.norm(K, 2), 1.0)
     if np.linalg.norm(K + K.conj().T, 2) > 1e-10 * scale:
         raise ValueError("K must be skew-Hermitian")

@@ -1,6 +1,7 @@
 """Tests for the transformation-matrix constructions P = I + A."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,8 +75,14 @@ def test_optimal_P_weights():
     C = np.diag([1.0, 2.0]) + 0j
     P = optimal_P(C, weights=[2.0, 3.0])
     assert np.abs(P - np.diag([2.0, 3.0])).max() < 1e-14
-    with pytest.raises(ValueError):
-        optimal_P(C, weights=[1.0, -1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_optimal_P_rejects_bad_weights_by_name(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^weights must be finite and positive, got \[{bad}\]$"):
+            optimal_P(np.diag([1.0, 2.0]), weights=[bad, 1.0])
 
 
 def test_optimal_P_refuses_defective():

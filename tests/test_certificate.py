@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import hypobgk.certificate as certificate
 from hypobgk import (
     DecayCertificate,
+    VerificationFailure,
     alpha3_1d,
     assemble_D_block,
     certify,
@@ -15,13 +17,17 @@ from hypobgk import (
     minors_1d,
     minors_2d,
     minors_3d,
+    modal_generator,
     mode_moduli,
     mu_limits_1d,
+    multi_index,
+    operator_pair,
 )
-from hypobgk.ansatz import bgk_coupling
+from hypobgk.ansatz import bgk_coupling, bgk_P
 from hypobgk.certificate import (
     _FACTORS,
     _LAST_MINOR,
+    _dissipation_terms,
     _first_moduli,
     _sign_changes,
     _thresholds,
@@ -505,3 +511,93 @@ def test_theta_is_the_spectral_radius_of_the_coupling_table(d):
     tol = 4.0 * np.finfo(float).eps * theta
     assert abs(eigs[-1] - theta) <= tol
     assert abs(eigs[0] + theta) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the verification sweep against the dense complex assembly
+
+
+def _dense_terms(d, L, kappa, alpha, mu):
+    """T^-1 (C* P + P C - 2 mu P) T, assembled densely in complex
+    arithmetic at the assembly truncation, T = diag(i**(m_1 mod 2)), and
+    the rounding eps ||kappa ell L1||_2 of its kappa ell L1 terms, which
+    cancel in exact arithmetic."""
+    spec = chain_spec(d)
+    pair = operator_pair(d, spec.variant, spec.assembly_N, L=L)
+    C = modal_generator(pair, kappa)
+    P = bgk_P(d, kappa, alpha, pair.N)
+    F = C.conj().T @ P + P @ C - 2.0 * mu * P
+    t = np.array([1.0, 1j])[[multi_index(i, d)[0] % 2 for i in range(pair.N)]]
+    cancel = np.finfo(float).eps * kappa * pair.ell * np.linalg.norm(pair.L1, 2)
+    return t.conj()[:, None] * F * t, cancel
+
+
+def _dense_sweep(d, L, alpha, mu, kappas):
+    """``(kappa, min eig)`` of C* P + P C - 2 mu P from the block of
+    :func:`assemble_D_block`; the rest of the matrix is (2 - 2 mu) I."""
+    out = []
+    for kappa in kappas:
+        D = assemble_D_block(d, kappa, alpha, TWO_PI / L)
+        F = D - 2.0 * mu * bgk_P(d, kappa, alpha, len(D))
+        out.append((kappa, min(float(np.linalg.eigvalsh(F)[0]), 2.0 - 2.0 * mu)))
+    return out
+
+
+def _failed(checks):
+    return next((kappa for kappa, m in checks if m < -1e-9), None)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sweep_matches_the_dense_complex_assembly(d):
+    # every 9th default sweep-L length and the model torus
+    eps = np.finfo(float).eps
+    for L in SWEEP_LENGTHS[::9] + [TWO_PI]:
+        cert = certify(d, L)
+        G0, G1 = _dissipation_terms(d, L, cert.alpha_star, cert.mu)
+        for kappa, m in cert.verification:
+            F, cancel = _dense_terms(d, L, kappa, cert.alpha_star, cert.mu)
+            norm = np.linalg.norm(F, 2)
+            # on small tori the dense kappa ell L1 terms dominate its rounding
+            assert np.abs(F - (G0 + G1 / kappa)).max() <= 1e-13 * norm + 2.0 * cancel, (L, kappa)
+            dense = np.linalg.eigvalsh(F)[0]
+            assert abs(m - dense) <= 64.0 * eps * norm, (L, kappa)
+        assert cert.valid and _failed(cert.verification) is None, L
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [0.58, TWO_PI])
+def test_sweep_rejects_a_raised_rate_like_the_dense_oracle(monkeypatch, d, L):
+    # the certified mu lies far below the rate its own P proves, so mu
+    # raised by 10 % still verifies; mu 10 % above the rate P proves at
+    # kappa = 1, from the dense assembly, must fail there
+    cert = certify(d, L)
+    a = cert.alpha_star
+    D = assemble_D_block(d, 1.0, a, TWO_PI / L)
+    root = np.linalg.inv(np.linalg.cholesky(bgk_P(d, 1.0, a, len(D))))
+    proved = 0.5 * np.linalg.eigvalsh(root @ D @ root.conj().T)[0]
+    for factor, valid in ((1.1, True), (1.1 * proved / cert.mu, False)):
+        spec = chain_spec(d)
+        raised = dataclasses.replace(spec, mu=lambda a, l, f=spec.mu: factor * f(a, l))
+        monkeypatch.setitem(certificate._CHAINS, d, raised)
+        got = certify(d, L)
+        monkeypatch.undo()
+        assert got.alpha_star == a and got.valid is valid
+        dense = _dense_sweep(d, L, a, got.mu, _first_moduli(d, 50))
+        assert got.failed_kappa == _failed(dense) == (None if valid else 1.0)
+
+
+@pytest.mark.parametrize("which,at", [(1, "block"), (1, "tail"), (0, "block"), (0, "tail")])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sweep_refuses_terms_outside_the_block(monkeypatch, d, which, at):
+    # one nonzero entry of G0 or G1 off the leading block, next to it or
+    # off the trailing diagonal, is refused, not ignored
+    b, terms = chain_spec(d).block, certificate._dissipation_terms
+
+    def spoiled(*args):
+        G = list(terms(*args))
+        G[which][(b, 0) if at == "block" else (b, len(G[which]) - 1)] = 1e-300
+        return tuple(G)
+
+    monkeypatch.setattr(certificate, "_dissipation_terms", spoiled)
+    with pytest.raises(VerificationFailure, match="outside the leading"):
+        certify(d)

@@ -1,10 +1,12 @@
 """Tests for the hypocoercivity index and its equivalent characterizations."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import hypobgk.cli as cli
 import hypobgk.index as index_module
 from hypobgk import (
     VerificationFailure,
@@ -217,6 +219,7 @@ _EMPTY = np.zeros((0, 0))
         (hypocoercivity_index, (_EMPTY, _EMPTY), "C1 must be a nonempty square matrix"),
         (is_hypocoercive_spectral, (_EMPTY, _EMPTY), "C1 must be a nonempty square matrix"),
         (check_invariance_conditions, (_EMPTY, _EMPTY), "C1 must be a nonempty square matrix"),
+        (commutator_condition, (_PAIR8.L1, _PAIR8.L2, np.zeros((6, 6))), "K must have the shape of C1"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -239,3 +242,45 @@ def test_commutator_condition_on_model():
     assert not commutator_condition(C1, C2, np.zeros((8, 8)))
     with pytest.raises(ValueError):
         commutator_condition(C1, C2, np.eye(8))  # not skew-Hermitian
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_index_of_the_cli_pair_runs_real_svds(monkeypatch, tmp_path, d):
+    # the CLI's pair (kappa ell L1, L2) is real, and so is its arithmetic
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert cli.main(["index", "--dim", str(d), "--out", str(tmp_path / "index.json")]) == 0
+    assert seen and not any(np.issubdtype(t, np.complexfloating) for t in seen)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1e-3, 0.1, 2.0 * math.pi, 50.0])
+def test_phased_complex_pair_has_the_index_of_the_real_pair(d, L):
+    # (D C1 D*, D C2 D*) with D = diag(exp(i theta_j)) is unitarily
+    # similar to the real pair: the complex route must find the same
+    # index, and a coercivity constant within the rounding bound
+    # 2 n eps sigma_max / sigma_min of the SVD of the stack
+    # the CLI's defaults: the certificate's basis and four times its block
+    spec = chain_spec(d)
+    pair = operator_pair(d, spec.variant, 4 * spec.block, L=L)
+    C1, C2 = pair.ell * pair.L1, pair.L2
+    D = np.exp(1j * np.random.default_rng(d).uniform(0.0, 2.0 * math.pi, len(C1)))
+    real = hypocoercivity_index(C1, C2)
+    phased = hypocoercivity_index(D[:, None] * C1 * D.conj(), D[:, None] * C2 * D.conj())
+    assert (phased.tau, phased.rank_profile, phased.dim_ker_C2, phased.hypocoercive) == (
+        real.tau, real.rank_profile, real.dim_ker_C2, real.hypocoercive
+    )
+    root = np.sqrt(np.diagonal(C2))[:, None]
+    s = np.linalg.svd(
+        np.vstack([root * np.linalg.matrix_power(C1, j) for j in range(real.tau + 1)]),
+        compute_uv=False,
+    )
+    bound = 2.0 * len(C1) * np.finfo(float).eps * s[0] / s[-1]
+    rel = abs(phased.coercivity_constant - real.coercivity_constant) / real.coercivity_constant
+    assert rel <= bound
