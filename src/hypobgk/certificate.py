@@ -39,13 +39,10 @@ Minor conventions: the one-dimensional block is ordered so that the
 natural chain runs from the lower-right corner, hence trailing minors;
 the two- and three-dimensional chains use leading minors.
 
-The verification sweep checks D - 2 mu P >= 0 on the first moduli from
-the operators themselves, in real arithmetic.  In the phased basis T =
-diag(i**(m_1 mod 2)) the kappa L1 terms cancel, and T^-1 (D - 2 mu P) T
-= G0 + G1 / kappa with two real symmetric matrices, built once per
-certificate, that vanish outside the leading block but for the diagonal
-2 (1 - mu).  So each modulus costs one real eigensolve of the block.
-:func:`assemble_D_block` keeps the dense complex assembly as the oracle.
+The verification sweep checks D - 2 mu P >= 0 on the first moduli in
+the phased basis T = diag(i**(m_1 mod 2)), where it is real and equals
+G0 + G1 / kappa (:func:`_dissipation_terms`): one real eigensolve of the
+leading block per modulus.  :func:`assemble_D_block` is the dense oracle.
 """
 
 from __future__ import annotations
@@ -322,10 +319,9 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
     """The dissipation block C* P + P C, assembled from the operators.
 
     Builds the operators at a truncation with margin, forms
-    C_kappa* P + P C_kappa in complex arithmetic with the closed-form P,
-    verifies that the result equals 2 I outside the leading block, and
-    returns the block (size 5, 11 or 21).  It is the dense oracle of the
-    minor chains and of the verification sweep of :func:`certify_many`.
+    C_kappa* P + P C_kappa densely with the closed-form P, verifies that
+    it equals 2 I outside the leading block, and returns the block (size
+    5, 11 or 21): the oracle of the minor chains and of the sweep.
     """
     _check_params(kappa, alpha, ell)
     spec = chain_spec(d)
@@ -345,36 +341,24 @@ def assemble_D_block(d: int, kappa: float, alpha: float, ell: float = 1.0) -> np
     return F[:b, :b]
 
 
-def _phased(M: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """T^-1 M T for T = diag(t), t_p = 1 or i, as a real matrix; it must be
-    real, and the phases make this exact."""
-    R = t.conj()[:, None] * M * t
-    if R.imag.any():
-        raise VerificationFailure("the phased matrix is not real")
-    return R.real
-
-
 def _dissipation_terms(d: int, L: float, alpha: float, mu: float):
-    """The real symmetric G0 and G1 with
+    """Real symmetric G0, G1 with T^-1 (C* P + P C - 2 mu P) T = G0 + G1 / kappa
+    at every modulus kappa, at the assembly truncation.
 
-        T^-1 (C_kappa* P_kappa + P_kappa C_kappa - 2 mu P_kappa) T = G0 + G1 / kappa
-
-    for every modulus kappa, at the assembly truncation.  T = diag(i**(m_1
-    mod 2)) makes K = T^-1 (i ell L1) T real antisymmetric and A =
-    T^-1 bgk_P(d, 1, alpha) T - I real symmetric, and leaves L2 alone
-    (the energy rotation mixes even m_1 only).  With C = kappa K + L2
-    and P = I + A / kappa the kappa K terms cancel, so
-
-        G0 = 2 L2 + (X + X^T) - 2 mu I,    X = A K,
-        G1 = (Y + Y^T) - 2 mu A,           Y = L2 A,
-
-    each written as a sum with its transpose, which is exactly symmetric.
+    T = diag(i**(m_1 mod 2)) makes K = T^-1 (i ell L1) T and A = T^-1 P T - I
+    at kappa = 1 real, and leaves L2 alone (the energy rotation mixes even
+    m_1 only).  C = kappa K + L2 and P = I + A / kappa, so the kappa K terms
+    cancel: G0 = 2 L2 + (X + X^T) - 2 mu I with X = A K, and
+    G1 = (Y + Y^T) - 2 mu A with Y = L2 A, exactly symmetric as written.
     """
     spec = _CHAINS[d]
     pair = operator_pair(d, spec.variant, spec.assembly_N, L=L)
     t = np.array([1.0, 1j])[[m[0] % 2 for m in _index_table(d, pair.N)]]
-    K = _phased(1j * pair.ell * pair.L1, t)
-    A = _phased(bgk_P(d, 1.0, alpha, pair.N), t) - np.eye(pair.N)
+    P = bgk_P(d, 1.0, alpha, pair.N)
+    K, P = (t.conj()[:, None] * M * t for M in (1j * pair.ell * pair.L1, P))
+    if K.imag.any() or P.imag.any():
+        raise VerificationFailure("the phased operators are not real")
+    K, A = K.real, P.real - np.eye(pair.N)
     X = A @ K
     Y = pair.L2 @ A
     G0 = 2.0 * pair.L2 + (X + X.T) - 2.0 * mu * np.eye(pair.N)
@@ -383,14 +367,9 @@ def _dissipation_terms(d: int, L: float, alpha: float, mu: float):
 
 
 def _sweep(G0: np.ndarray, G1: np.ndarray, b: int, kappas) -> list:
-    """``(kappa, min eig of G0 + G1 / kappa)`` for each modulus.
-
-    Outside the leading b x b block, G1 and G0 but for its diagonal must
-    vanish exactly, or VerificationFailure is raised; the trailing
-    diagonal of G0 (2 (1 - mu) for the BGK operators) then holds the
-    remaining eigenvalues.  So each modulus costs one real symmetric
-    eigensolve of size b.
-    """
+    """``(kappa, min eig of G0 + G1 / kappa)`` per modulus, from the leading
+    b x b block and the trailing diagonal of G0; raises VerificationFailure
+    unless G0 and G1 vanish exactly elsewhere."""
     n = len(G0)
     floor = float(np.diagonal(G0)[b:].min(initial=np.inf))
     rest = np.stack([G0, G1])
@@ -785,12 +764,11 @@ def certify_many(d: int, Ls, n_verify: int = 0, alpha: float | None = None) -> l
     amplitude (or evaluates at ``alpha`` when given), forms the norm
     equivalence constants, and verifies the matrix inequality
     C* P + P C >= 2 mu P on the first ``n_verify`` mode moduli at an
-    assembly truncation with margin: the smallest eigenvalue at kappa is
-    that of the real block G0 + G1 / kappa, or the diagonal 2 (1 - mu)
-    beyond it (see :func:`_dissipation_terms`).  The thresholds
-    alpha_plus, the maximizers alpha_star and the rates mu of all lengths
-    come from one stacked computation; the value at each length does not
-    depend on the other lengths of the grid.
+    assembly truncation with margin, from G0 + G1 / kappa (see
+    :func:`_dissipation_terms`).  The thresholds alpha_plus, the
+    maximizers alpha_star and the rates mu of all lengths come from one
+    stacked computation; the value at each length does not depend on the
+    other lengths of the grid.
 
     Raises ValueError for an ``n_verify`` that is not an integer of at
     least 0, and for the first length, in grid order, that is not
