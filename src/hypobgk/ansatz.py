@@ -68,8 +68,8 @@ class _Frame:
 
     The columns of the unitary ``T`` diagonalize C2 with its kernel
     first: T* C2 T = diag(c2) and c = T* C1 T.  ``kdim`` is dim ker C2,
-    and ``scale`` is max(||c||_2, 1), taken before any permutation or
-    rotation, the reference of the patterns' thresholds.
+    and ``scale`` is max(||C1||_2, 1), which equals max(||c||_2, 1) up to
+    rounding, the reference of the patterns' thresholds.
     """
 
     T: np.ndarray
@@ -90,7 +90,7 @@ class _Frame:
                 raise AnsatzError(f"pattern needs dim ker C2 = {kdim}, got {pair.kdim}")
             if len(c) <= kdim:
                 raise AnsatzError("need at least one coercive coordinate")
-        return cls(Q, c, pair.w, pair.kdim, max(float(np.linalg.norm(c, 2)), 1.0))
+        return cls(Q, c, pair.w, pair.kdim, max(pair.norm1, 1.0))
 
     @property
     def C(self) -> np.ndarray:
@@ -473,12 +473,7 @@ def bgk_coupling(d: int, kappa: float, alpha: float, N: int | None = None) -> np
     if N is None:
         N = n0
     _check_int(N, "N", n0)
-    A = np.zeros((N, N), dtype=complex)
-    for i, j, ratio in couplings:
-        z = -1j * ratio * alpha / kappa
-        A[i, j] = z
-        A[j, i] = np.conj(z)
-    return A
+    return _coupling(N, [(i, j, -1j * ratio * alpha / kappa) for i, j, ratio in couplings])
 
 
 def bgk_P(d: int, kappa: float, alpha: float, N: int | None = None) -> np.ndarray:

@@ -40,7 +40,7 @@ natural chain runs from the lower-right corner, hence trailing minors;
 the two- and three-dimensional chains use leading minors.
 
 The verification sweep checks D - 2 mu P >= 0 on the first moduli in
-the phased basis T = diag(i**(m_1 mod 2)), where it is real and equals
+the phased basis T = diag(i**|m|), where it is real and equals
 G0 + G1 / kappa (:func:`_dissipation_terms`): one real eigensolve of the
 leading block per modulus.  :func:`assemble_D_block` is the dense oracle.
 """
@@ -56,8 +56,8 @@ import numpy as np
 
 from .ansatz import bgk_P
 from .gap import VerificationFailure
-from .hermite import _check_dim, _check_int, _index_table
-from .operators import _check_length, modal_generator, mode_moduli, operator_pair
+from .hermite import _check_dim, _check_int
+from .operators import _check_length, _phase, modal_generator, mode_moduli, operator_pair
 
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
@@ -345,15 +345,15 @@ def _dissipation_terms(d: int, L: float, alpha: float, mu: float):
     """Real symmetric G0, G1 with T^-1 (C* P + P C - 2 mu P) T = G0 + G1 / kappa
     at every modulus kappa, at the assembly truncation.
 
-    T = diag(i**(m_1 mod 2)) makes K = T^-1 (i ell L1) T and A = T^-1 P T - I
-    at kappa = 1 real, and leaves L2 alone (the energy rotation mixes even
-    m_1 only).  C = kappa K + L2 and P = I + A / kappa, so the kappa K terms
-    cancel: G0 = 2 L2 + (X + X^T) - 2 mu I with X = A K, and
-    G1 = (Y + Y^T) - 2 mu A with Y = L2 A, exactly symmetric as written.
+    T = diag(i**|m|) (:func:`_phase`) makes K = T^-1 (i ell L1) T and
+    A = T^-1 P T - I at kappa = 1 real, and leaves L2 alone.  C = kappa K
+    + L2 and P = I + A / kappa, so the kappa K terms cancel: G0 = 2 L2 +
+    (X + X^T) - 2 mu I with X = A K, and G1 = (Y + Y^T) - 2 mu A with
+    Y = L2 A, exactly symmetric as written.
     """
     spec = _CHAINS[d]
     pair = operator_pair(d, spec.variant, spec.assembly_N, L=L)
-    t = np.array([1.0, 1j])[[m[0] % 2 for m in _index_table(d, pair.N)]]
+    t = _phase(d, pair.N)
     P = bgk_P(d, 1.0, alpha, pair.N)
     K, P = (t.conj()[:, None] * M * t for M in (1j * pair.ell * pair.L1, P))
     if K.imag.any() or P.imag.any():

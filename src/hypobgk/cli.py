@@ -423,7 +423,11 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except (ValueError, ArithmeticError, MemoryError) as exc:
         parser.error(str(exc))
-    _emit(_render(args, art), args.out)
+    try:
+        _emit(_render(args, art), args.out)
+    except OSError as exc:
+        target = repr(args.out) if args.out else "standard output"
+        parser.error(f"cannot write the artifact to {target}: {exc.strerror}")
     if art.code == EXIT_VERIFY:
         sys.stderr.write(
             "hypobgk: certificate verification failed; see the emitted artifact\n"

@@ -247,12 +247,14 @@ def _chains(blk: ChainBlock, s: float) -> _Operator:
     block's order.  T is tridiagonal: 1 on the diagonal but for l2's
     diagonal on ``low``, and -+ s sqrt(m_1) beside it, which is 0
     between chains, so one LU of T - sigma (:func:`_gttrf`) per shift is
-    the LUs of the chains.  C is the block's ``coupling`` at its
-    ``hubs``, at most one hub per chain, and W holds the unit columns at
-    the hubs; :func:`_woodbury` adds the coupling, with the chain LUs
-    solving each column.
+    the LUs of the chains.  C is l2 off its diagonal, which links chains
+    only, at its nonzero rows, the hubs, at most one per chain, and W
+    holds the unit columns at the hubs; :func:`_woodbury` adds C, with
+    the chain LUs solving each column.
     """
-    m1, hubs, C = blk.m1, blk.hubs, blk.coupling
+    m1, C = blk.m1, blk.l2 - np.diag(np.diagonal(blk.l2))
+    on = C.any(axis=1)
+    hubs, C = blk.low[on], C[np.ix_(on, on)]
     # column j of ab holds column j of T: ab[0] above, ab[1] on, ab[2] below the diagonal
     w = s * np.sqrt(m1)
     ab = np.array([-w, np.ones_like(w), np.roll(w, -1)])

@@ -43,8 +43,8 @@ def _check_dim(d: int) -> None:
 
 
 def _check_int(value, name: str, low: int) -> None:
-    """Reject a count that is not an int or a numpy integer, or is below low."""
-    if not isinstance(value, (int, np.integer)):
+    """Reject a count that is not an int or a numpy integer, is a bool, or is below low."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")

@@ -172,13 +172,19 @@ def operator_pair(d: int, variant: str, N: int, L: float = 2.0 * math.pi) -> Ope
     )
 
 
-#: c_m in i**m = c_m i**(m % 2), indexed by m % 4
-_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+def _phase(d: int, N: int) -> np.ndarray:
+    """The diagonal i**|m| of T = diag(i**|m|) over the graded order.
+
+    L1 and the BGK coupling change the degree |m| by one, and L2,
+    energy rotation included, keeps it.  So T^-1 (i L1) T, T^-1 bgk_P T
+    and L2 are real in both variants, and i**|m| = i**m in 1D.
+    """
+    return np.array([1, 1j, -1, -1j])[[sum(m) % 4 for m in _index_table(d, N)]]
 
 
 @dataclass(frozen=True)
 class ChainBlock:
-    """One diagonal block of T^-1 C_kappa T, T = diag(i**m_1), in the
+    """One diagonal block of T^-1 C_kappa T, T = diag(i**|m|), in the
     tensor basis, on which L2 is not the identity.
 
     The block lays its chains end to end: ``chains`` holds their
@@ -186,11 +192,7 @@ class ChainBlock:
     ``m1``, so that multiplication by v_1 links consecutive members.
     ``index`` holds the flat positions of the members in that order.
     ``low`` holds the local positions at which L2 differs from the
-    identity, and ``l2`` the restriction of L2 to them.  L2 is diagonal
-    within a chain, so the block is tridiagonal but for the collision
-    coupling between chains: ``coupling`` is C, the off-diagonal part of
-    c l2 c in :meth:`matrix`, restricted to ``hubs``, the local
-    positions of its nonzero rows; both are empty for a lone chain.
+    identity, and ``l2`` the restriction of L2 to them.
     """
 
     index: np.ndarray
@@ -198,23 +200,18 @@ class ChainBlock:
     m1: np.ndarray = field(repr=False)
     low: np.ndarray = field(repr=False)
     l2: np.ndarray = field(repr=False)
-    hubs: np.ndarray = field(repr=False)
-    coupling: np.ndarray = field(repr=False)
 
     def matrix(self, s: float) -> np.ndarray:
         """The real block l2 + s K of T^-1 C_kappa T, s = kappa ell.
 
-        Entry (p, q) of T^-1 A T is i**(m_1q - m_1p) A_pq.  L2 only
-        links indices whose m_1 have equal parity, so its entries become
-        c_p c_q L2_pq with i**m = c_m i**(m % 2), c_m = +-1: its diagonal
-        and ``coupling``.  i L1 links m_1 to m_1 + 1 with
-        i sqrt(m_1 + 1), which becomes -sqrt(m_1 + 1) above the diagonal
-        and +sqrt(m_1 + 1) below.  The block is therefore real, and equal
-        to the phased generator to the last bit.
+        Within a chain |m| = m_1 + const, so i L1, which links m_1 to
+        m_1 + 1 with i sqrt(m_1 + 1), becomes -sqrt(m_1 + 1) above the
+        diagonal and +sqrt(m_1 + 1) below; L2 keeps |m| and is left
+        alone.  The block is therefore real, and equal to the phased
+        generator to the last bit.
         """
         B = np.eye(len(self.index))
-        B[self.low, self.low] = np.diagonal(self.l2)
-        B[np.ix_(self.hubs, self.hubs)] += self.coupling
+        B[np.ix_(self.low, self.low)] = self.l2
         k = np.flatnonzero(self.m1)
         w = s * np.sqrt(self.m1[k])
         B[k - 1, k] = -w
@@ -231,12 +228,13 @@ def chain_blocks(d: int, N: int) -> tuple:
     its neighbours in one chain with the tail m_2, ..., m_d fixed.  L2
     is the identity beyond the degree-two level, and diagonal but for
     the projector that couples the chains of (2, 0, 0), (0, 2, 0) and
-    (0, 0, 2).  So the blocks are the one chain in 1D, the coupled
-    chains m_2 = 0, 2 and the chain m_2 = 1 in 2D, and the coupled
-    chains 00, 20, 02 and the chains 10, 01 in 3D; every other chain
-    has real parts exactly 1.  The tails and L2 are read off the
-    smallest truncation, whose L2 is the low-degree corner of every L2,
-    and the members off the graded order: no array of size N is built.
+    (0, 0, 2), all of degree 2, which T leaves alone.  So the blocks
+    are the one chain in 1D, the coupled chains m_2 = 0, 2 and the
+    chain m_2 = 1 in 2D, and the coupled chains 00, 20, 02 and the
+    chains 10, 01 in 3D; every other chain has real parts exactly 1.
+    The tails and L2 are read off the smallest truncation, whose L2 is
+    the low-degree corner of every L2, and the members off the graded
+    order: no array of size N is built.
 
     Parameters
     ----------
@@ -269,13 +267,8 @@ def chain_blocks(d: int, N: int) -> tuple:
         m1 = np.concatenate([np.arange(len(at)) for at in members])
         mine = np.flatnonzero(np.isin(index, low))
         l2 = L2[np.ix_(index[mine], index[mine])]
-        # the phased c l2 c off its diagonal, which links different chains only
-        c = _SIGN[m1[mine] % 4]
-        P = c[:, None] * l2 * c
-        np.fill_diagonal(P, 0.0)
-        on = P.any(axis=1)
         chains = tuple(len(at) for at in members)
-        blocks.append(ChainBlock(index, chains, m1, mine, l2, mine[on], P[np.ix_(on, on)]))
+        blocks.append(ChainBlock(index, chains, m1, mine, l2))
     return tuple(blocks)
 
 

@@ -17,9 +17,9 @@ information of their own.  The wavenumbers and weights follow from the
 number of rows, so the propagators, the couplings A_kappa = P_kappa - I
 and the L1 grid are cached by kmax, not by the list of moduli.
 
-The propagators are computed in real arithmetic.  With T = diag(i**m),
-T^-1 C_kappa T is real: in 1D it is the one block of
-:func:`hypobgk.operators.chain_blocks`, built by
+The propagators are computed in real arithmetic.  With T = diag(i**m)
+(:func:`hypobgk.operators._phase`), T^-1 C_kappa T is real: in 1D it
+is the one block of :func:`hypobgk.operators.chain_blocks`, built by
 :meth:`hypobgk.operators.ChainBlock.matrix`.  Its exponential is taken
 by the [13/13] Pade approximant with scaling and squaring (Higham, SIAM
 J. Matrix Anal. Appl. 26 (2005) 1179-1193), and multiplying back by
@@ -36,7 +36,7 @@ import numpy as np
 
 from .ansatz import bgk_coupling
 from .hermite import SQRT2PI, _check_int, gauss_hermite, hermite_phi
-from .operators import _check_length, _check_size, chain_blocks
+from .operators import _check_length, _check_size, _phase, chain_blocks
 
 #: points of the x grid and of the Gauss rule in v of the L1 distance,
 #: the x points of a block of :func:`l1_distance_1d`, and the bytes of
@@ -137,9 +137,9 @@ def _propagators(N: int, L: float, kmax: int, dt: float) -> np.ndarray:
     """The stack exp(-C_kappa dt) over kappa = 0, 1, ..., kmax.
 
     The exponential is taken of the real B_kappa = T^-1 C_kappa T, T =
-    diag(i**m), which is the one chain block of the 1D generator, affine
-    in s = kappa ell; exp(-C_kappa dt) = T exp(-B_kappa dt) T^-1
-    multiplies entry (p, q) by i**(p - q), which is exact.  Blocks of b
+    diag(t), t = _phase(1, N): the one chain block of the 1D generator,
+    affine in s = kappa ell.  exp(-C_kappa dt) = T exp(-B_kappa dt) T^-1
+    multiplies entry (p, q) by t_p conj(t_q), which is exact.  Blocks of b
     modes keep the temporaries of :func:`_expm` near ``_BLOCK_BYTES``;
     each mode is scaled on its own, so the bits are those of one block.
     """
@@ -147,8 +147,8 @@ def _propagators(N: int, L: float, kmax: int, dt: float) -> np.ndarray:
     B0 = blk.matrix(0.0)
     K = blk.matrix(1.0) - B0
     s = np.arange(kmax + 1, dtype=float) * (2.0 * math.pi / L)
-    m = np.arange(N)
-    phase = np.array([1, 1j, -1, -1j])[(m[:, None] - m) % 4]
+    t = _phase(1, N)
+    phase = t[:, None] * t.conj()
     E = np.empty((kmax + 1, N, N), dtype=complex)
     b = max(1, _BLOCK_BYTES // (8 * N * N))
     for lo in range(0, kmax + 1, b):

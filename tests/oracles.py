@@ -7,6 +7,15 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import wofz
 
+from hypobgk import multi_index
+
+
+def degree_phase(d, N):
+    """The diagonal i**|m| of the phase T over the graded order of
+    dimension d, from an exact table of the powers of i (1j**n is not
+    exact)."""
+    return np.array([1, 1j, -1, -1j])[[sum(multi_index(i, d)) % 4 for i in range(N)]]
+
 
 def dispersion_root():
     """Real root in (0.5, 0.6) of the 1D BGK dispersion relation at

@@ -20,7 +20,6 @@ from hypobgk import (
     modal_generator,
     mode_moduli,
     mu_limits_1d,
-    multi_index,
     operator_pair,
 )
 from hypobgk.ansatz import bgk_coupling, bgk_P
@@ -34,7 +33,7 @@ from hypobgk.certificate import (
     chain_spec,
 )
 from hypobgk.cli import build_parser
-from oracles import alpha_plus_oracle, alpha_star_oracle, mu_oracle
+from oracles import alpha_plus_oracle, alpha_star_oracle, degree_phase, mu_oracle
 
 TWO_PI = 2.0 * math.pi
 MINORS = {1: minors_1d, 2: minors_2d, 3: minors_3d}
@@ -519,7 +518,7 @@ def test_theta_is_the_spectral_radius_of_the_coupling_table(d):
 
 def _dense_terms(d, L, kappa, alpha, mu):
     """T^-1 (C* P + P C - 2 mu P) T, assembled densely in complex
-    arithmetic at the assembly truncation, T = diag(i**(m_1 mod 2)), and
+    arithmetic at the assembly truncation, T = diag(i**|m|), and
     the rounding eps ||kappa ell L1||_2 of its kappa ell L1 terms, which
     cancel in exact arithmetic."""
     spec = chain_spec(d)
@@ -527,7 +526,7 @@ def _dense_terms(d, L, kappa, alpha, mu):
     C = modal_generator(pair, kappa)
     P = bgk_P(d, kappa, alpha, pair.N)
     F = C.conj().T @ P + P @ C - 2.0 * mu * P
-    t = np.array([1.0, 1j])[[multi_index(i, d)[0] % 2 for i in range(pair.N)]]
+    t = degree_phase(d, pair.N)
     cancel = np.finfo(float).eps * kappa * pair.ell * np.linalg.norm(pair.L1, 2)
     return t.conj()[:, None] * F * t, cancel
 

@@ -204,6 +204,19 @@ def test_out_file_writing(tmp_path):
     assert obj["valid"] is True
 
 
+@pytest.mark.parametrize(
+    "sub,where,reason",
+    [("certificate", "missing/cert.json", "No such file or directory"), ("spectrum", ".", "Is a directory")],
+)
+def test_unwritable_out_exits_one_with_a_message(sub, where, reason, tmp_path, capsys):
+    target = str(tmp_path / where)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--out", target])
+    assert exc.value.code == 1
+    assert f"cannot write the artifact to {target!r}: {reason}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_usage_errors_exit_one():
     assert _run("certificate", "--dim", "7").returncode == 1
     assert _run("simulate", "--dim", "2").returncode == 1

@@ -26,13 +26,9 @@ from hypobgk import (
 from hypobgk.hermite import MIN_N, _index_table
 from hypobgk.operators import MAX_TRUNCATION
 
-from oracles import dispersion_root
+from oracles import degree_phase, dispersion_root
 
 TWO_PI = 2.0 * math.pi
-
-#: i**m indexed by m % 4, exact (1j**m is not)
-PHASES = np.array([1, 1j, -1, -1j])
-
 
 def test_reduces_to_hermitian_solver():
     rng = np.random.default_rng(5)
@@ -148,7 +144,7 @@ def test_blocks_reproduce_the_phased_generator(d, N):
     phased = modal_generator(pair, kappa)
     del pair
     idx = _index_table(d, N)
-    t = PHASES[[m[0] % 4 for m in idx]]
+    t = degree_phase(d, N)
     phased *= t.conj()[:, None]
     phased *= t
     assert not phased.imag.any()
@@ -636,25 +632,25 @@ def test_chain_operator_keeps_the_diagonal_of_l2_in_its_lu():
 @pytest.mark.parametrize("d,N", [(2, 60), (3, 84), (2, 2000)])
 @pytest.mark.parametrize("mutation", ["sign", "drop"])
 def test_wrong_cross_chain_coupling_fails_verification(monkeypatch, d, N, mutation):
-    # the reduced matrix comes from the chains' eigenbasis, not from C, so
-    # only the check on the block can see a wrong C.  "sign": the phase
-    # of one entry enters with the wrong sign; "drop": one link between
-    # two chains is lost.  (A phase flipped on a whole row and column of
-    # C is the similarity that flips its hub's chain, and leaves the
-    # spectrum alone.)
-    real = gap.chain_blocks
+    # the reduced matrix comes from the chains' eigenbasis, not from the
+    # block check's C, l2 off its diagonal, so only the check on the
+    # block can see a wrong C.  "sign": one entry of l2 between two
+    # chains enters with the wrong sign; "drop": one link between two
+    # chains is lost.  (A sign flipped on a whole row and column of l2
+    # is the similarity that flips one chain, and leaves the spectrum
+    # alone.)
+    real = gap._chains
 
-    def wrong(d, N):
-        blocks = []
-        for blk in real(d, N):
-            C = blk.coupling.copy()
-            if len(blk.hubs):
-                C[0, 1] = -C[0, 1] if mutation == "sign" else 0.0
-                C[1, 0] = C[1, 0] if mutation == "sign" else 0.0
-            blocks.append(dataclasses.replace(blk, coupling=C))
-        return tuple(blocks)
+    def wrong(blk, s):
+        l2 = blk.l2.copy()
+        links = np.argwhere(np.triu(l2, 1))
+        if len(links):
+            p, q = links[0]
+            l2[p, q] = -l2[p, q] if mutation == "sign" else 0.0
+            l2[q, p] = l2[q, p] if mutation == "sign" else 0.0
+        return real(dataclasses.replace(blk, l2=l2), s)
 
-    monkeypatch.setattr(gap, "chain_blocks", wrong)
+    monkeypatch.setattr(gap, "_chains", wrong)
     with pytest.raises(VerificationFailure, match="backward error"):
         spectral_gap(d, TWO_PI, [1.0, 2.0], N)
 

@@ -13,7 +13,9 @@ from hypobgk import (
     bgk_P,
     build_L1,
     build_L2,
+    certify,
     certify_many,
+    chain_blocks,
     concentrated_initial_data,
     convergence_study,
     modal_generator,
@@ -25,7 +27,9 @@ from hypobgk import (
 )
 from hypobgk.ansatz import bgk_coupling
 from hypobgk.hermite import MIN_N, gauss_hermite, hermite_phi
-from hypobgk.operators import MAX_TRUNCATION
+from hypobgk.operators import MAX_TRUNCATION, _phase
+
+from oracles import degree_phase
 
 
 def test_transport_1d_structure():
@@ -79,6 +83,24 @@ def test_energy_variant_is_orthogonal_conjugation(d):
     for n in (MIN_N[d], 84, 500):
         S = basis_change_matrix(d, n)
         assert np.array_equal(build_L1(d, "energy", n), S @ build_L1(d, "tensor", n) @ S)
+
+
+# N at the end of a degree level and inside one
+@pytest.mark.parametrize("d,N", [(1, 5), (1, 20), (2, 21), (2, 23), (3, 35), (3, 47)])
+@pytest.mark.parametrize("variant", ["tensor", "energy"])
+def test_one_phase_makes_every_real_form_real(d, N, variant):
+    # L1 and the BGK coupling change |m| by one and L2 keeps it, so
+    # T = diag(i**|m|) makes the transport and the transformation real
+    # and leaves L2 alone, in both bases
+    t = degree_phase(d, N)
+    assert np.array_equal(_phase(d, N), t)
+    pair = operator_pair(d, variant, N, L=3.0)
+    for M in (1j * pair.ell * pair.L1, bgk_P(d, 1.0, 0.3, N)):
+        assert not (t.conj()[:, None] * M * t).imag.any()
+    assert np.array_equal(t.conj()[:, None] * pair.L2 * t, pair.L2)
+    # the chain blocks are built from l2 itself, with no phased copy
+    for blk in chain_blocks(d, max(N, MIN_N[d])):
+        assert not hasattr(blk, "hubs") and not hasattr(blk, "coupling")
 
 
 def test_operator_pair_and_modal_generator():
@@ -180,14 +202,21 @@ COUNTS = [
     (lambda: basis_change_matrix(2, 10.5), "N", 10.5),
     # returned the multi-index (2.5,) before
     (lambda: multi_index(2.5, 1), "flat index", 2.5),
+    # certify verified one modulus, and reported valid = True, before
+    (lambda: certify(1, n_verify=True), "n_verify", True),
+    (lambda: gauss_hermite(True), "number of nodes", True),
+    (lambda: mode_moduli(1, True), "kmax", True),
+    (lambda: chain_blocks(1, True), "truncation", True),
+    (lambda: chain_blocks(1, np.True_), "truncation", True),
 ]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call,name,value", COUNTS)
 def test_non_integral_counts_are_rejected_by_name(call, name, value):
-    # a float where a count is expected is refused by name, instead of a
-    # TypeError from inside numpy or range()
+    # a float or a bool where a count is expected is refused by name,
+    # instead of a TypeError from inside numpy or range(), or of a bool
+    # taken as the count 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
         call()
 

@@ -29,6 +29,7 @@ from hypobgk.certificate import chain_spec
 from hypobgk.hermite import gauss_hermite, hermite_phi
 from hypobgk.operators import chain_blocks
 from hypobgk.sim import _propagators
+from oracles import degree_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -409,8 +410,8 @@ def _one_shot_propagators(N, L, kmax, dt):
     s = np.arange(kmax + 1, dtype=float) * (2.0 * math.pi / L)
     B = s[:, None, None] * (blk.matrix(1.0) - B0) + B0
     B *= -dt
-    m = np.arange(N)
-    return sim._expm(B) * np.array([1, 1j, -1, -1j])[(m[:, None] - m) % 4]
+    t = degree_phase(1, N)
+    return sim._expm(B) * (t[:, None] * t.conj())
 
 
 def _block_cases():
