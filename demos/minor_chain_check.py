@@ -2,9 +2,7 @@
 
 import numpy as np
 
-from hypobgk import assemble_D_block, minors_1d, minors_2d, minors_3d
-
-MINORS = {1: minors_1d, 2: minors_2d, 3: minors_3d}
+from hypobgk import assemble_D_block, chain_spec
 
 rng = np.random.default_rng(7)
 for d in (1, 2, 3):
@@ -13,7 +11,7 @@ for d in (1, 2, 3):
         kappa = rng.uniform(1.0, 8.0)
         alpha = rng.uniform(0.02, 0.19)
         ell = rng.uniform(0.5, 3.0)
-        table = MINORS[d](kappa, alpha, ell)
+        table = chain_spec(d).minors(kappa, alpha, ell)
         D = assemble_D_block(d, kappa, alpha, ell)
         n = D.shape[0]
         for j, val in enumerate(table.values, start=1):

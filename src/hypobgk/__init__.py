@@ -43,13 +43,10 @@ from .ansatz import (
 from .certificate import (
     DecayCertificate,
     MinorTable,
-    alpha3_1d,
     assemble_D_block,
     certify,
     certify_many,
-    minors_1d,
-    minors_2d,
-    minors_3d,
+    chain_spec,
     mu_limits_1d,
 )
 from .gap import (
@@ -85,7 +82,6 @@ __all__ = [
     "ModalState",
     "OperatorPair",
     "VerificationFailure",
-    "alpha3_1d",
     "ansatz_chain3",
     "ansatz_dimker1",
     "ansatz_dimker2",
@@ -97,6 +93,7 @@ __all__ = [
     "certify",
     "certify_many",
     "chain_blocks",
+    "chain_spec",
     "check_invariance_conditions",
     "complex_eigenvalues",
     "concentrated_initial_data",
@@ -112,9 +109,6 @@ __all__ = [
     "kato_slopes",
     "l1_distance_1d",
     "lex_index",
-    "minors_1d",
-    "minors_2d",
-    "minors_3d",
     "modal_generator",
     "mode_moduli",
     "mu_limits_1d",

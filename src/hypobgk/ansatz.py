@@ -57,11 +57,6 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def _min_eig_transformed(C: np.ndarray, P: np.ndarray) -> float:
-    F = C.conj().T @ P + P @ C
-    return float(np.linalg.eigvalsh(_hermitian_part(F))[0])
-
-
 @dataclass(frozen=True)
 class _Frame:
     """Coordinates in which the ansatz patterns are written.
@@ -115,7 +110,7 @@ def _kernel_slopes(C: np.ndarray, A: np.ndarray, kdim: int) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_part(F[:kdim, :kdim]))
 
 
-def _shrink_r(C: np.ndarray, A: np.ndarray, iters: int = 40) -> float:
+def _shrink_r(C: np.ndarray, A: np.ndarray) -> float:
     """Largest r in (0, 1] with C*(I + rA) + (I + rA)C positive definite.
 
     Found by geometric search for a feasible radius followed by
@@ -127,7 +122,9 @@ def _shrink_r(C: np.ndarray, A: np.ndarray, iters: int = 40) -> float:
     thresh = 1e-13 * (1.0 + 2.0 * np.linalg.norm(C, 2) * (1.0 + np.linalg.norm(A, 2)))
 
     def feasible(r: float) -> bool:
-        return _min_eig_transformed(C, eye + r * A) > thresh
+        P = eye + r * A
+        F = C.conj().T @ P + P @ C
+        return np.linalg.eigvalsh(_hermitian_part(F))[0] > thresh
 
     r = 1.0
     fail = None
@@ -141,7 +138,7 @@ def _shrink_r(C: np.ndarray, A: np.ndarray, iters: int = 40) -> float:
     if fail is None:
         return 1.0
     lo, hi = r, fail
-    for _ in range(iters):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

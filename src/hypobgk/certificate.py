@@ -85,7 +85,7 @@ class MinorTable:
     convention: str
 
 
-def minors_1d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
+def _minors_1d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Trailing principal minors of the 5x5 block for d = 1."""
     k, a, l = _check_params(kappa, alpha, ell)
     with np.errstate(all="ignore"):
@@ -250,7 +250,7 @@ def _last_minor(d, k, a, l):
     return value
 
 
-def minors_2d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
+def _minors_2d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Leading principal minors of the 11x11 block for d = 2."""
     k, a, l = _check_params(kappa, alpha, ell)
     with np.errstate(all="ignore"):
@@ -272,7 +272,7 @@ def minors_2d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     )
 
 
-def minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
+def _minors_3d(kappa: float, alpha: float, ell: float = 1.0) -> MinorTable:
     """Leading principal minors of the 21x21 block for d = 3."""
     k, a, l = _check_params(kappa, alpha, ell)
     with np.errstate(all="ignore"):
@@ -480,16 +480,6 @@ def _sign_changes(C, top):
 # positivity thresholds
 
 
-def alpha3_1d(L: float = 2.0 * math.pi) -> float:
-    """Positivity threshold of the one-dimensional minor chain.
-
-    The third trailing minor at kappa = 1 vanishes at this amplitude;
-    below it the whole chain is positive.
-    """
-    _check_length(L)
-    return float(_alpha_plus(1, 2.0 * math.pi / L))
-
-
 def _kappa1(d, l):
     """The factors of the 2D or 3D chain at kappa = 1, in y = alpha / scale.
 
@@ -577,15 +567,20 @@ def _mu_chain(d, a, l):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """What the certificate of velocity dimension d is built from.
+    """What the certificate of velocity dimension d is built from; the
+    one public name of each of these quantities is a field of
+    ``chain_spec(d)``.
 
     Attributes
     ----------
     minors : callable
-        ``minors(kappa, alpha, ell)``, the closed-form minor chain.
+        ``minors(kappa, alpha, ell)``, the closed-form minor chain, as a
+        :class:`MinorTable`.
     alpha_plus : callable
         ``alpha_plus(ell)``, the positivity threshold of the chain, for a
-        number ell or elementwise for an array.
+        number ell or elementwise for an array; in 1D the closed form
+        8 ell / (3 (1 + 8 ell**2 + sqrt(1 + 16 ell**2))), where the third
+        trailing minor at kappa = 1 vanishes.
     mu : callable
         ``mu(alpha, ell)``, the certified rate at kappa = 1.
     theta : float
@@ -615,15 +610,16 @@ class ChainSpec:
 _CHAINS = {
     d: ChainSpec(minors, partial(_alpha_plus, d), mu, theta, amgm, block, variant, assembly_N)
     for d, minors, mu, theta, amgm, block, variant, assembly_N in (
-        (1, minors_1d, _mu_1d, math.sqrt(3.0 + R6), None, 5, "tensor", 8),
-        (2, minors_2d, partial(_mu_chain, 2), R6, (10.0 / 14.0) ** 10, 11, "energy", 15),
-        (3, minors_3d, partial(_mu_chain, 3), 2.0, (20.0 / 32.0) ** 20, 21, "energy", 35),
+        (1, _minors_1d, _mu_1d, math.sqrt(3.0 + R6), None, 5, "tensor", 8),
+        (2, _minors_2d, partial(_mu_chain, 2), R6, (10.0 / 14.0) ** 10, 11, "energy", 15),
+        (3, _minors_3d, partial(_mu_chain, 3), 2.0, (20.0 / 32.0) ** 20, 21, "energy", 35),
     )
 }
 
 
 def chain_spec(d: int) -> ChainSpec:
-    """The :class:`ChainSpec` of dimension d."""
+    """The :class:`ChainSpec` of dimension d: the only public way to
+    the minor chain, the threshold alpha_plus and the rate mu of d."""
     _check_dim(d)
     return _CHAINS[d]
 

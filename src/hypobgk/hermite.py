@@ -38,6 +38,8 @@ _VARIANTS = ("tensor", "energy")
 
 
 def _check_dim(d: int) -> None:
+    """Reject a dimension that is not an integer (a bool is not) or not in MIN_N."""
+    _check_int(d, "dimension", min(MIN_N))
     if d not in MIN_N:
         raise ValueError(f"dimension must be one of {tuple(MIN_N)}, got {d!r}")
 
@@ -75,15 +77,22 @@ def lex_index(m, d: int | None = None) -> int:
     int
         Position in the flat ordering, starting at 0.
     """
-    if np.isscalar(m):
-        m = (int(m),)
-    m = tuple(int(c) for c in m)
-    if d is not None and d != len(m):
-        raise ValueError(f"multi-index {m} does not have dimension {d}")
-    _check_dim(len(m))
-    if any(c < 0 for c in m):
-        raise ValueError(f"multi-index {m} has a negative component")
+    m = _components(m)
+    if d is not None:
+        _check_dim(d)
+        if d != len(m):
+            raise ValueError(f"multi-index {m} does not have dimension {d}")
     return _position(m)
+
+
+def _components(m) -> tuple:
+    """The multi-index m as a tuple of ints, each component checked to be
+    a nonnegative integer; a bare int is one-dimensional."""
+    m = (m,) if np.isscalar(m) else tuple(m)
+    for c in m:
+        _check_int(c, "multi-index component", 0)
+    _check_dim(len(m))
+    return tuple(int(c) for c in m)
 
 
 def _position(m):
@@ -185,9 +194,7 @@ def eval_basis(m, v, variant: str = "tensor", weighted: bool = True):
     ndarray or float
         Values with the component axis consumed.
     """
-    if np.isscalar(m):
-        m = (int(m),)
-    m = tuple(int(c) for c in m)
+    m = _components(m)
     d = len(m)
     _check_variant(d, variant)
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -345,6 +352,7 @@ def basis_change_matrix(d: int, N: int) -> np.ndarray:
     ndarray
         Dense ``(N, N)`` orthogonal matrix.
     """
+    _check_dim(d)
     if d not in (2, 3):
         raise ValueError("basis change is defined for d = 2 or 3")
     level = _degree_two(d)

@@ -86,19 +86,6 @@ def build_L1(d: int, variant: str, N: int) -> np.ndarray:
     return L1
 
 
-def _collision_projector_block(d: int) -> np.ndarray:
-    """Complement of the energy direction on the degree-two diagonal level.
-
-    In the tensor basis the conserved combination at degree two is the
-    unit vector e proportional to (1, 1, ..., 1) over the d functions
-    with a single component equal to 2; the collision operator acts as
-    I - e e^T there.
-    """
-    # the first row of the energy basis change
-    e = _energy_block(d)[0]
-    return np.eye(len(e)) - np.outer(e, e)
-
-
 def build_L2(d: int, variant: str, N: int) -> np.ndarray:
     """Matrix of the linearized BGK collision operator.
 
@@ -126,8 +113,11 @@ def build_L2(d: int, variant: str, N: int) -> np.ndarray:
         # one extra conserved direction, first in the degree-two level
         diag[level.start] = 0.0
         return np.diag(diag)
+    # I - e e^T on the degree-two level, with e the conserved energy
+    # combination: the first row of the energy basis change
+    e = _energy_block(d)[0]
     L2 = np.diag(diag)
-    L2[level, level] = _collision_projector_block(d)
+    L2[level, level] = np.eye(len(e)) - np.outer(e, e)
     return L2
 
 

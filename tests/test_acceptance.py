@@ -16,11 +16,11 @@ from scipy.optimize import brentq, minimize_scalar
 
 import hypobgk.cli as cli
 from hypobgk import (
-    alpha3_1d,
     assemble_D_block,
     basis_change_matrix,
     bgk_P,
     certify,
+    chain_spec,
     concentrated_initial_data,
     convergence_study,
     decay_envelope,
@@ -28,9 +28,6 @@ from hypobgk import (
     hypocoercivity_index,
     kato_slopes,
     lex_index,
-    minors_1d,
-    minors_2d,
-    minors_3d,
     mode_moduli,
     mu_limits_1d,
     multi_index,
@@ -41,14 +38,11 @@ from hypobgk import (
 )
 from hypobgk import evolve
 from hypobgk.ansatz import bgk_coupling
-from hypobgk.certificate import chain_spec
 from hypobgk.hermite import SQRT2PI, gauss_hermite, hermite_phi
 
 from oracles import dispersion_root
 
 TWO_PI = 2.0 * math.pi
-
-MINORS = {1: minors_1d, 2: minors_2d, 3: minors_3d}
 
 
 # -- shared expensive artifacts, timed once ---------------------------------
@@ -146,7 +140,7 @@ def test_criterion02_1d_certificate():
     cert = certify(1, TWO_PI, n_verify=0)
     elapsed = time.perf_counter() - t0
     assert abs(cert.mu - 0.041812) < 1e-5
-    assert abs(alpha3_1d(TWO_PI) - (9.0 - math.sqrt(17.0)) / 24.0) < 1e-12
+    assert abs(chain_spec(1).alpha_plus(1.0) - (9.0 - math.sqrt(17.0)) / 24.0) < 1e-12
     assert elapsed < 1.0
 
 
@@ -246,7 +240,7 @@ def test_criterion07_minor_oracle(d):
         ell = float(rng.uniform(0.2, 5.0))
         kappa = float(rng.uniform(1.0, 10.0))
         alpha = float(rng.uniform(0.02, 0.98)) * chain_spec(d).alpha_plus(ell)
-        table = MINORS[d](kappa, alpha, ell)
+        table = chain_spec(d).minors(kappa, alpha, ell)
         brute = _brute_minors(d, kappa, alpha, ell, table.convention)
         for got, ref in zip(table.values, brute):
             scale = max(abs(got), abs(ref), 1e-30)

@@ -17,7 +17,6 @@ PUBLIC = [
     "ModalState",
     "OperatorPair",
     "VerificationFailure",
-    "alpha3_1d",
     "ansatz_chain3",
     "ansatz_dimker1",
     "ansatz_dimker2",
@@ -29,6 +28,7 @@ PUBLIC = [
     "certify",
     "certify_many",
     "chain_blocks",
+    "chain_spec",
     "check_invariance_conditions",
     "complex_eigenvalues",
     "concentrated_initial_data",
@@ -44,9 +44,6 @@ PUBLIC = [
     "kato_slopes",
     "l1_distance_1d",
     "lex_index",
-    "minors_1d",
-    "minors_2d",
-    "minors_3d",
     "modal_generator",
     "mode_moduli",
     "mu_limits_1d",
@@ -83,12 +80,16 @@ def test_all_holds_exactly_the_public_names():
         ("hermite", "DimensionSpec"),
         ("hermite", "DIMENSIONS"),
         ("gap", "EigenvalueFailure"),
+        ("certificate", "alpha3_1d"),
+        ("certificate", "minors_1d"),
+        ("certificate", "minors_2d"),
+        ("certificate", "minors_3d"),
     ],
 )
 def test_second_names_do_not_resolve(module, name):
     # each quantity has one name: the smallest truncation is
-    # hermite.MIN_N[d]; the block size, basis variant, theta, amgm,
-    # alpha_plus and mu are fields of chain_spec(d); a failed check is a
+    # hermite.MIN_N[d]; the block size, basis variant, theta, amgm, minor
+    # chain, alpha_plus and mu are fields of chain_spec(d); a failed check is a
     # VerificationFailure; and the two conditions of
     # rational_monotone_check are roots that certificate._thresholds
     # solves in closed form

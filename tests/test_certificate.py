@@ -10,13 +10,10 @@ import hypobgk.certificate as certificate
 from hypobgk import (
     DecayCertificate,
     VerificationFailure,
-    alpha3_1d,
     assemble_D_block,
     certify,
     certify_many,
-    minors_1d,
-    minors_2d,
-    minors_3d,
+    chain_spec,
     modal_generator,
     mode_moduli,
     mu_limits_1d,
@@ -30,13 +27,11 @@ from hypobgk.certificate import (
     _first_moduli,
     _sign_changes,
     _thresholds,
-    chain_spec,
 )
 from hypobgk.cli import build_parser
 from oracles import alpha_plus_oracle, alpha_star_oracle, degree_phase, mu_oracle
 
 TWO_PI = 2.0 * math.pi
-MINORS = {1: minors_1d, 2: minors_2d, 3: minors_3d}
 _SWEEP = build_parser().parse_args(["sweep-L"])
 #: the torus lengths ``hypobgk sweep-L`` evaluates by default
 SWEEP_LENGTHS = [float(L) for L in np.geomspace(_SWEEP.sweep_from, _SWEEP.sweep_to, _SWEEP.points)]
@@ -53,15 +48,15 @@ def _brute_minors(d, kappa, alpha, ell, convention):
 
 
 def test_minor_table_1d_hand_values():
-    t = minors_1d(1.0, 0.1)
+    t = chain_spec(1).minors(1.0, 0.1)
     assert t.convention == "trailing"
     want = (2.0, 2.8, 0.332, 0.0664, 0.01328)
     assert np.abs(np.array(t.values) - want).max() < 1e-14
 
 
 def test_minor_tables_shape():
-    t2 = minors_2d(1.3, 0.1, 0.8)
-    t3 = minors_3d(1.3, 0.1, 0.8)
+    t2 = chain_spec(2).minors(1.3, 0.1, 0.8)
+    t3 = chain_spec(3).minors(1.3, 0.1, 0.8)
     assert t2.convention == t3.convention == "leading"
     assert len(t2.values) == 11 and len(t3.values) == 21
     assert {"p6", "p7", "p8", "p9", "p11"} == set(t2.p_values)
@@ -75,7 +70,7 @@ def test_minors_match_assembled_determinants(d):
         ell = float(rng.uniform(0.2, 5.0))
         kappa = float(rng.uniform(1.0, 10.0))
         alpha = float(rng.uniform(0.02, 0.98)) * chain_spec(d).alpha_plus(ell)
-        table = MINORS[d](kappa, alpha, ell)
+        table = chain_spec(d).minors(kappa, alpha, ell)
         brute = _brute_minors(d, kappa, alpha, ell, table.convention)
         for got, ref in zip(table.values, brute):
             scale = max(abs(got), abs(ref), 1e-30)
@@ -94,7 +89,7 @@ def _mp_minor_error(d, j, points):
         D = assemble_D_block(d, kappa, alpha, ell)[:j, :j]
         with mp.workdps(50):
             ref = mp.det(mp.matrix([[mp.mpc(complex(z)) for z in row] for row in D])).real
-            got = MINORS[d](kappa, alpha, ell).values[j - 1]
+            got = chain_spec(d).minors(kappa, alpha, ell).values[j - 1]
             worst = max(worst, float(abs(mp.mpf(got) - ref) / abs(ref)))
     return worst
 
@@ -144,7 +139,7 @@ def test_trace_identity_1d():
     for _ in range(5):
         ell = float(rng.uniform(0.2, 5.0))
         kappa = float(rng.uniform(1.0, 10.0))
-        alpha = float(rng.uniform(0.02, 0.9)) * alpha3_1d(TWO_PI / ell)
+        alpha = float(rng.uniform(0.02, 0.9)) * chain_spec(1).alpha_plus(ell)
         D = assemble_D_block(1, kappa, alpha, ell)
         assert abs(np.trace(D[2:, 2:]).real - 4.0 * (1.0 - ell * alpha)) < 1e-12
         assert abs(np.trace(D).real - 4.0) < 1e-12
@@ -152,7 +147,7 @@ def test_trace_identity_1d():
 
 def test_admissibility_threshold_1d_closed_form():
     want = (9.0 - math.sqrt(17.0)) / 24.0
-    assert abs(alpha3_1d(TWO_PI) - want) < 1e-15
+    assert abs(chain_spec(1).alpha_plus(1.0) - want) < 1e-15
 
 
 def test_admissibility_thresholds_multi_d():
@@ -174,10 +169,10 @@ def test_minors_positive_inside_admissible_range(d):
     a_plus = chain_spec(d).alpha_plus(1.0)
     for frac in (0.1, 0.5, 0.9, 0.99):
         for kappa in (1.0, 2.0, 3.5):
-            t = MINORS[d](kappa, frac * a_plus, 1.0)
+            t = chain_spec(d).minors(kappa, frac * a_plus, 1.0)
             assert min(t.values) > 0
     # just beyond the threshold the chain loses positivity at kappa = 1
-    t = MINORS[d](1.0, 1.02 * a_plus, 1.0)
+    t = chain_spec(d).minors(1.0, 1.02 * a_plus, 1.0)
     assert min(t.values) <= 0
 
 
@@ -420,21 +415,23 @@ def test_certificate_rejects_underflowing_length(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_minors_reject_non_finite_parameters(d, bad):
     with pytest.raises(ValueError, match="kappa"):
-        MINORS[d](bad, 0.1)
+        chain_spec(d).minors(bad, 0.1)
     with pytest.raises(ValueError, match="alpha"):
-        MINORS[d](1.0, bad)
+        chain_spec(d).minors(1.0, bad)
     with pytest.raises(ValueError, match="wavenumber"):
-        MINORS[d](1.0, 0.1, bad)
+        chain_spec(d).minors(1.0, 0.1, bad)
 
 
 def test_chain_spec_dispatch():
     for d in (1, 2, 3):
         spec = chain_spec(d)
-        assert spec.minors is MINORS[d]
         a, l = 0.01, 0.7
-        minors = spec.minors(1.0, a, l).values
+        table = spec.minors(1.0, a, l)
+        assert table.d == d and len(table.values) == spec.block
+        minors = table.values
         if d == 1:
-            assert spec.alpha_plus(l) == alpha3_1d(TWO_PI / l)
+            closed = 8.0 * l / (3.0 * (1.0 + 8.0 * l * l + math.sqrt(1.0 + 16.0 * l * l)))
+            assert spec.alpha_plus(l) == pytest.approx(closed, rel=1e-15, abs=0.0)
             # the third trailing minor sets the 1D rate
             want = minors[2] / (8.0 * (1.0 - l * a) ** 2)
         else:
@@ -480,11 +477,11 @@ def test_small_torus_limits_reject_bad_lengths(L, reason):
 
 def test_minor_input_validation():
     with pytest.raises(ValueError):
-        minors_1d(0.5, 0.1)
+        chain_spec(1).minors(0.5, 0.1)
     with pytest.raises(ValueError):
-        minors_2d(1.0, -0.1)
+        chain_spec(2).minors(1.0, -0.1)
     with pytest.raises(ValueError):
-        minors_3d(1.0, 0.1, 0.0)
+        chain_spec(3).minors(1.0, 0.1, 0.0)
 
 
 def test_json_payload_shape():

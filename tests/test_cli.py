@@ -575,6 +575,24 @@ def test_index_on_extreme_tori(d, L, tmp_path, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", ["0.1", "6.283185307179586", "50"])
+def test_index_is_the_same_in_both_bases(d, L, tmp_path):
+    # the energy basis is an orthogonal change of the tensor basis, so
+    # the index does not depend on it; in 2D and 3D the tensor basis has
+    # a non-diagonal C2, the collision projector on the degree-two level
+    docs = {}
+    for basis in ("energy", "tensor"):
+        out = tmp_path / f"index-{basis}.json"
+        assert cli.main(["index", "--dim", str(d), "--L", L, "--basis", basis, "--out", str(out)]) == 0
+        docs[basis] = json.loads(out.read_text())
+    energy, tensor = docs["energy"], docs["tensor"]
+    for key in ("tau", "hypocoercive", "dim_ker_C2", "rank_profile"):
+        assert energy[key] == tensor[key], key
+    c = energy["coercivity_constant"]
+    assert c > 0.0 and abs(tensor["coercivity_constant"] - c) <= 1e-6 * c
+
+
 @pytest.mark.parametrize("sub", ["index", "minors"])
 def test_single_value_kappa(sub):
     with pytest.raises(SystemExit) as exc:

@@ -118,10 +118,31 @@ def test_flat_index_roundtrip():
             m = multi_index(i, d)
             assert len(m) == d
             assert lex_index(m, d) == i
+            assert lex_index(np.array(m, dtype=np.int64), np.int64(d)) == i
     # degrees are nondecreasing along the flat order
     for d in (2, 3):
         degs = [sum(multi_index(i, d)) for i in range(200)]
         assert all(b >= a for a, b in zip(degs, degs[1:]))
+
+
+@pytest.mark.parametrize(
+    "m,message",
+    [
+        # each was truncated to an integer before, and -0.5 to 0
+        ((1.5, 1), "must be an integer, got 1.5"),
+        ((1, -0.5), "must be an integer, got -0.5"),
+        (2.7, "must be an integer, got 2.7"),
+        ((True, 1), "must be an integer, got True"),
+        ((np.float64(2.0),), "must be an integer, got 2.0"),
+        # eval_basis failed inside hermite_phi before
+        ((-1,), "must be at least 0, got -1"),
+    ],
+)
+def test_multi_index_components_are_checked_by_name(m, message):
+    with pytest.raises(ValueError, match=f"^multi-index component {message}$"):
+        lex_index(m)
+    with pytest.raises(ValueError, match=f"^multi-index component {message}$"):
+        eval_basis(m, np.zeros(1 if np.isscalar(m) else len(m)))
 
 
 def test_flat_index_validation():

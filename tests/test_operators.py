@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypobgk import (
-    alpha3_1d,
+    assemble_D_block,
     basis_change_matrix,
     bgk_P,
     build_L1,
@@ -16,8 +16,10 @@ from hypobgk import (
     certify,
     certify_many,
     chain_blocks,
+    chain_spec,
     concentrated_initial_data,
     convergence_study,
+    lex_index,
     modal_generator,
     mode_moduli,
     multi_index,
@@ -116,7 +118,6 @@ def test_operator_pair_and_modal_generator():
 def test_torus_length_must_be_finite_and_positive(L):
     for build in (
         lambda: operator_pair(1, "tensor", 10, L=L),
-        lambda: alpha3_1d(L),
         lambda: concentrated_initial_data(0.1, L=L),
     ):
         with pytest.raises(ValueError, match=f"torus length must be finite and positive, got {L}"):
@@ -208,15 +209,33 @@ COUNTS = [
     (lambda: mode_moduli(1, True), "kmax", True),
     (lambda: chain_blocks(1, True), "truncation", True),
     (lambda: chain_blocks(1, np.True_), "truncation", True),
+    # a float dimension equal to an integer failed inside slicing or
+    # range(), or ran as that integer; a bool ran as d = 1
+    (lambda: certify(2.0), "dimension", 2.0),
+    (lambda: certify(True), "dimension", True),
+    (lambda: certify_many(2.0, [1.0]), "dimension", 2.0),
+    (lambda: spectral_gap(2.0, 2.0 * math.pi, [1.0], 44), "dimension", 2.0),
+    (lambda: spectral_gap(True, 2.0 * math.pi, [1.0], 44), "dimension", True),
+    (lambda: operator_pair(np.float64(3.0), "energy", 44), "dimension", 3.0),
+    (lambda: operator_pair(np.True_, "tensor", 44), "dimension", True),
+    (lambda: chain_blocks(2.0, 44), "dimension", 2.0),
+    (lambda: assemble_D_block(np.float64(3.0), 1.0, 0.05), "dimension", 3.0),
+    (lambda: basis_change_matrix(2.0, 11), "dimension", 2.0),
+    (lambda: mode_moduli(2.0, 3), "dimension", 2.0),
+    (lambda: mode_moduli(np.True_, 3), "dimension", True),
+    (lambda: bgk_P(np.float64(3.0), 1.0, 0.1), "dimension", 3.0),
+    (lambda: multi_index(7, 2.0), "dimension", 2.0),
+    (lambda: lex_index((1, 1), d=2.0), "dimension", 2.0),
+    (lambda: chain_spec(True), "dimension", True),
 ]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call,name,value", COUNTS)
 def test_non_integral_counts_are_rejected_by_name(call, name, value):
-    # a float or a bool where a count is expected is refused by name,
-    # instead of a TypeError from inside numpy or range(), or of a bool
-    # taken as the count 1
+    # a float or a bool where a count or a dimension is expected is
+    # refused by name, instead of a TypeError from inside numpy or
+    # range(), or of a bool taken as the count 1 or as d = 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
         call()
 
