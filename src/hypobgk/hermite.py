@@ -87,8 +87,8 @@ def lex_index(m, d: int | None = None) -> int:
 
 def _components(m) -> tuple:
     """The multi-index m as a tuple of ints, each component checked to be
-    a nonnegative integer; a bare int is one-dimensional."""
-    m = (m,) if np.isscalar(m) else tuple(m)
+    a nonnegative integer; a bare int or 0-d array is one-dimensional."""
+    m = (np.asarray(m)[()],) if np.ndim(m) == 0 else tuple(m)
     for c in m:
         _check_int(c, "multi-index component", 0)
     _check_dim(len(m))

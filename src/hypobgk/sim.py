@@ -24,6 +24,12 @@ is the one block of :func:`hypobgk.operators.chain_blocks`, built by
 by the [13/13] Pade approximant with scaling and squaring (Higham, SIAM
 J. Matrix Anal. Appl. 26 (2005) 1179-1193), and multiplying back by
 the powers of i is exact.
+
+Each diagnostic and the propagation step is one private kernel that
+writes into the work arrays of a :class:`_Work`.  The public functions
+make one per call; :func:`run_trajectory` checks its inputs, looks up
+the propagators, couplings and L1 grid and makes its work arrays once
+per trajectory, then runs the same kernels at every sample.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .hermite import SQRT2PI, _check_int, gauss_hermite, hermite_phi
 from .operators import _check_length, _check_size, _phase, chain_blocks
 
 #: points of the x grid and of the Gauss rule in v of the L1 distance,
-#: the x points of a block of :func:`l1_distance_1d`, and the bytes of
+#: the x points of one of its blocks (:class:`_Work`), and the bytes of
 #: a (b, N, N) real temporary of a block of :func:`_propagators`
 _NX, _NV, _ROWS, _BLOCK_BYTES = 512, 160, 128, 1 << 16
 
@@ -159,6 +165,11 @@ def _propagators(N: int, L: float, kmax: int, dt: float) -> np.ndarray:
     return E
 
 
+def _step(E: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
+    """Write the rows E_kappa h_kappa of the propagated state to out."""
+    np.matmul(E, h[..., None], out=out[..., None])
+
+
 def evolve(state: ModalState, dt: float) -> ModalState:
     """Advance every mode by dt with the exact modal propagators."""
     if not (math.isfinite(dt) and dt >= 0):
@@ -167,7 +178,9 @@ def evolve(state: ModalState, dt: float) -> ModalState:
     if dt == 0.0:
         return replace(state, coeffs=state.coeffs.copy())
     E = _propagators(state.N, state.L, state.kmax, float(dt))
-    return replace(state, coeffs=(E @ state.coeffs[..., None])[..., 0], t=state.t + dt)
+    out = np.empty(state.coeffs.shape, dtype=complex)
+    _step(E, state.coeffs, out)
+    return replace(state, coeffs=out, t=state.t + dt)
 
 
 @lru_cache(maxsize=8)
@@ -184,6 +197,47 @@ def _couplings(kmax: int, alpha: float, N: int):
     return i, j, vals
 
 
+class _Work:
+    """Work arrays of the kernels for a state of ``rows`` modes and
+    truncation N with ``pairs`` couplings; the L1 kernel takes its x
+    points in blocks of the rows of ``vals``."""
+
+    def __init__(self, rows: int, N: int, pairs: int = 0):
+        self.sq, self.q = np.empty((2, rows, N)), np.empty(rows)
+        self.pairs = np.empty((2, rows, pairs), dtype=complex)
+        self.c = np.empty(rows, dtype=complex)
+        self.ab, self.row = np.empty((2, _NX // 2, N)), np.empty(_NX // 2)
+        self.vals, self.eo = np.empty((_ROWS, N)), np.empty((2, _ROWS, _NV // 2))
+
+
+def _entropy_weights(state: ModalState, alpha: float, gamma: float) -> np.ndarray:
+    """The weights w_k (1 + kappa^2)^gamma of :func:`entropy`, after its
+    checks of alpha and gamma."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"coupling amplitude alpha must be finite, got {alpha}")
+    with np.errstate(over="ignore"):
+        scale = (1.0 + state.kappa**2) ** gamma
+    if not (math.isfinite(gamma) and np.isfinite(scale).all()):
+        raise ValueError(f"entropy weights (1 + kappa^2)^gamma must be finite, got gamma = {gamma}")
+    return state.weights * scale
+
+
+def _entropy(h, ws, table, work: _Work) -> float:
+    """sum_k ws_k <h_k, P_kappa h_k> over the rows h_k of h, with the
+    coupling table (i, j, a) of :func:`_couplings`."""
+    i, j, a = table
+    sq, q, (g, gj), c = work.sq, work.q, work.pairs, work.c
+    np.add(np.square(h.real, out=sq[0]), np.square(h.imag, out=sq[1]), out=sq[0])
+    sq[0].sum(axis=1, out=q)
+    np.conjugate(np.take(h, i, axis=1, out=g), out=g)
+    g *= a
+    g *= np.take(h, j, axis=1, out=gj)
+    g.sum(axis=1, out=c)
+    q += np.multiply(c.real, 2.0, out=c.real)
+    q *= ws
+    return float(q.sum())
+
+
 def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
     """Modified entropy sum_k w_k (1 + kappa^2)^gamma <h_k, P_kappa h_k>.
 
@@ -194,21 +248,21 @@ def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
     conj(h_i) A_ij h_j over the couplings of A = P - I.  With alpha = 0
     this is the squared coefficient norm; kappa = 0 always uses P = I.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"coupling amplitude alpha must be finite, got {alpha}")
-    with np.errstate(over="ignore"):
-        scale = (1.0 + state.kappa**2) ** gamma
-    if not (math.isfinite(gamma) and np.isfinite(scale).all()):
-        raise ValueError(f"entropy weights (1 + kappa^2)^gamma must be finite, got gamma = {gamma}")
-    i, j, a = _couplings(state.kmax, alpha, state.N)
-    h = state.coeffs
-    q = (h.real**2 + h.imag**2).sum(axis=1) + 2.0 * (h[:, i].conj() * a * h[:, j]).sum(axis=1).real
-    return float(np.sum(state.weights * scale * q))
+    ws = _entropy_weights(state, alpha, gamma)
+    table = _couplings(state.kmax, alpha, state.N)
+    h = np.asarray(state.coeffs, dtype=complex)
+    return _entropy(h, ws, table, _Work(*h.shape, len(table[0])))
+
+
+def _h_norm(h, w, work: _Work) -> float:
+    """sqrt(sum_k w_k ||h_k||^2) over the rows h_k of h."""
+    sq = np.square(np.abs(h, out=work.sq[0]), out=work.sq[0])
+    return math.sqrt(float(w @ sq.sum(axis=1, out=work.q)))
 
 
 def h_norm(state: ModalState) -> float:
     """Plain coefficient norm sqrt(sum_k w_k ||h_k||^2)."""
-    return math.sqrt(float(state.weights @ (np.abs(state.coeffs) ** 2).sum(axis=1)))
+    return _h_norm(state.coeffs, state.weights, _Work(*state.coeffs.shape))
 
 
 @lru_cache(maxsize=4)
@@ -252,17 +306,26 @@ def l1_distance_1d(state: ModalState) -> float:
     kmax is exact.  Blocks of ``_ROWS`` x points keep the (rows, 80)
     temporaries below glibc's default 128 KB mmap threshold.
     """
-    cos_sin, phi_even, phi_odd, weights = _l1_grid(state.kmax, state.N)
-    h = state.coeffs
-    A, B = cos_sin @ (np.stack((h.real, h.imag)) * state.weights[:, None])
-    total, row = 0.0, np.empty(_NX // 2)
+    grid = _l1_grid(state.kmax, state.N)
+    return _l1(state.coeffs, state.weights, grid, _Work(*state.coeffs.shape))
+
+
+def _l1(h, w, grid, work: _Work) -> float:
+    """:func:`l1_distance_1d` of the rows h_k with multiplicities w_k on
+    the grid of :func:`_l1_grid`."""
+    cos_sin, phi_even, phi_odd, weights = grid
+    stack, vals, (E, O), row = work.sq, work.vals, work.eo, work.row
+    np.multiply(h.real, w[:, None], out=stack[0])
+    np.multiply(h.imag, w[:, None], out=stack[1])
+    A, B = np.matmul(cos_sin, stack, out=work.ab)
+    b, total = len(vals), 0.0
     for half in (np.subtract, np.add):
-        for lo in range(0, _NX // 2, _ROWS):
-            vals = half(A[lo : lo + _ROWS], B[lo : lo + _ROWS])
-            E = vals[:, 0::2] @ phi_even
-            O = vals[:, 1::2] @ phi_odd
+        for lo in range(0, _NX // 2, b):
+            half(A[lo : lo + b], B[lo : lo + b], out=vals)
+            np.matmul(vals[:, 0::2], phi_even, out=E)
+            np.matmul(vals[:, 1::2], phi_odd, out=O)
             np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=E)
-            np.matmul(E, weights, out=row[lo : lo + _ROWS])
+            np.matmul(E, weights, out=row[lo : lo + b])
         total += row.sum()
     return float(total) / _NX
 
@@ -349,19 +412,33 @@ def run_trajectory(
 
     Returns a dict of aligned arrays with keys ``t``, ``entropy``,
     ``h_norm`` and ``l1``; :func:`decay_envelope` gives the L2 envelope
-    at the times ``t`` from the initial entropy ``entropy[0]``.
+    at the times ``t`` from the initial entropy ``entropy[0]``.  Each
+    sample equals, bit for bit, :func:`entropy`, :func:`h_norm` and
+    :func:`l1_distance_1d` of the state that repeated :func:`evolve`
+    reaches: the same kernels run on work arrays allocated once per
+    trajectory, after one check of the inputs and one lookup of the
+    propagators, couplings and L1 grid.  The input state is not modified.
     """
     _check_int(n_samples, "n_samples", 2)
     if not (math.isfinite(tmax) and tmax >= 0):
         raise ValueError(f"need n_samples >= 2 and a finite tmax >= 0, got {n_samples} and {tmax}")
+    ws = _entropy_weights(state, alpha, gamma)
+    _check_length(state.L)
     ts = np.linspace(0.0, tmax, n_samples)
     dt = float(ts[1] - ts[0])
+    rows, N = state.coeffs.shape
+    E = _propagators(N, state.L, state.kmax, dt) if dt else None
+    table = _couplings(state.kmax, alpha, N)
+    grid = _l1_grid(state.kmax, N)
+    w, work = state.weights, _Work(rows, N, len(table[0]))
+    h, nxt = np.empty((2, rows, N), dtype=complex)
+    h[...] = state.coeffs
     ent, nrm, l1 = np.empty((3, n_samples))
-    cur = state
-    for i in range(n_samples):
-        ent[i] = entropy(cur, alpha, gamma)
-        nrm[i] = h_norm(cur)
-        l1[i] = l1_distance_1d(cur)
-        if i < n_samples - 1:
-            cur = evolve(cur, dt)
+    for n in range(n_samples):
+        ent[n] = _entropy(h, ws, table, work)
+        nrm[n] = _h_norm(h, w, work)
+        l1[n] = _l1(h, w, grid, work)
+        if E is not None and n < n_samples - 1:
+            _step(E, h, nxt)
+            h, nxt = nxt, h
     return {"t": ts, "entropy": ent, "h_norm": nrm, "l1": l1}

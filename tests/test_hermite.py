@@ -145,6 +145,27 @@ def test_multi_index_components_are_checked_by_name(m, message):
         eval_basis(m, np.zeros(1 if np.isscalar(m) else len(m)))
 
 
+@pytest.mark.parametrize(
+    "m,message",
+    [
+        # a 0-d array was taken for a sequence and failed to iterate
+        (np.array(3), None),
+        (np.array(2, dtype=np.uint8), None),
+        (np.array(2.0), "must be an integer, got 2.0"),
+        (np.array(True), "must be an integer, got True"),
+    ],
+)
+def test_zero_dimensional_multi_index_reads_as_its_scalar(m, message):
+    if message is None:
+        assert lex_index(m) == int(m)
+        assert eval_basis(m, 0.5) == eval_basis(int(m), 0.5)
+        return
+    with pytest.raises(ValueError, match=f"^multi-index component {message}$"):
+        lex_index(m)
+    with pytest.raises(ValueError, match=f"^multi-index component {message}$"):
+        eval_basis(m, 0.5)
+
+
 def test_flat_index_validation():
     with pytest.raises(ValueError):
         lex_index((1, -1))

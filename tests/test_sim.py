@@ -236,17 +236,40 @@ def test_l1_initial_value_is_deterministic():
     assert abs(l1_distance_1d(_initial()) - 1.966686387350289) < 1e-9
 
 
-def test_trajectory_l1_equals_reconstruction_of_each_state():
-    # the grid is built once and reused; the values must be bit-identical
-    # to a reconstruction on a grid built afresh for every state
-    st = _initial(kmax=16)
-    traj = run_trajectory(st, 1.5, 4, 0.0)
-    cur, expected = st, []
+@pytest.mark.parametrize("tmax", [1.5, 0.0])
+@pytest.mark.parametrize("N", [20, 31])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_trajectory_is_its_states(coupled, gamma, N, tmax):
+    # every sample must equal, to the bit, the per-state functions on the
+    # states of repeated evolve, with the couplings and the L1 grid built
+    # afresh for every state; the input state stays as it was
+    alpha = certify(1, TWO_PI, n_verify=0).alpha_star if coupled else 0.0
+    st = _initial(kmax=16, N=N)
+    before = st.coeffs.copy()
+    traj = run_trajectory(st, tmax, 4, alpha, gamma)
+    assert np.array_equal(st.coeffs, before) and st.t == 0.0
+    cur, want = st, {"entropy": [], "h_norm": [], "l1": []}
     for _ in range(4):
+        sim._couplings.cache_clear()
         sim._l1_grid.cache_clear()
-        expected.append(l1_distance_1d(cur))
-        cur = evolve(cur, 0.5)
-    assert list(traj["l1"]) == expected
+        want["entropy"].append(entropy(cur, alpha, gamma))
+        want["h_norm"].append(h_norm(cur))
+        want["l1"].append(l1_distance_1d(cur))
+        cur = evolve(cur, float(traj["t"][1]))
+    for key, values in want.items():
+        assert list(traj[key]) == values, key
+
+
+def test_trajectory_looks_up_its_constants_once():
+    # every sample looked them up again before: 79 hits on the propagators
+    # and 80 on the couplings and on the L1 grid
+    alpha = certify(1, TWO_PI, n_verify=0).alpha_star
+    caches = (sim._propagators, sim._couplings, sim._l1_grid)
+    for cache in caches:
+        cache.cache_clear()
+    run_trajectory(_initial(), 40.0, 81, alpha)
+    assert [cache.cache_info()[:2] for cache in caches] == [(0, 1)] * 3
 
 
 def test_trajectory_decay_and_envelope():
