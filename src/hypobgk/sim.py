@@ -26,10 +26,10 @@ J. Matrix Anal. Appl. 26 (2005) 1179-1193), and multiplying back by
 the powers of i is exact.
 
 Each diagnostic and the propagation step is one private kernel that
-writes into the work arrays of a :class:`_Work`.  The public functions
-make one per call; :func:`run_trajectory` checks its inputs, looks up
-the propagators, couplings and L1 grid and makes its work arrays once
-per trajectory, then runs the same kernels at every sample.
+writes into the work arrays it is given.  The public functions allocate
+them per call; :func:`run_trajectory` looks up the propagators,
+couplings and L1 grid and allocates the work arrays once per
+trajectory, then runs the same kernels at every sample.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .hermite import SQRT2PI, _check_int, gauss_hermite, hermite_phi
 from .operators import _check_length, _check_size, _phase, chain_blocks
 
 #: points of the x grid and of the Gauss rule in v of the L1 distance,
-#: the x points of one of its blocks (:class:`_Work`), and the bytes of
-#: a (b, N, N) real temporary of a block of :func:`_propagators`
+#: the x points of one of its blocks, and the bytes of a (b, N, N) real
+#: temporary of a block of :func:`_propagators`
 _NX, _NV, _ROWS, _BLOCK_BYTES = 512, 160, 128, 1 << 16
 
 
@@ -197,19 +197,6 @@ def _couplings(kmax: int, alpha: float, N: int):
     return i, j, vals
 
 
-class _Work:
-    """Work arrays of the kernels for a state of ``rows`` modes and
-    truncation N with ``pairs`` couplings; the L1 kernel takes its x
-    points in blocks of the rows of ``vals``."""
-
-    def __init__(self, rows: int, N: int, pairs: int = 0):
-        self.sq, self.q = np.empty((2, rows, N)), np.empty(rows)
-        self.pairs = np.empty((2, rows, pairs), dtype=complex)
-        self.c = np.empty(rows, dtype=complex)
-        self.ab, self.row = np.empty((2, _NX // 2, N)), np.empty(_NX // 2)
-        self.vals, self.eo = np.empty((_ROWS, N)), np.empty((2, _ROWS, _NV // 2))
-
-
 def _entropy_weights(state: ModalState, alpha: float, gamma: float) -> np.ndarray:
     """The weights w_k (1 + kappa^2)^gamma of :func:`entropy`, after its
     checks of alpha and gamma."""
@@ -222,16 +209,19 @@ def _entropy_weights(state: ModalState, alpha: float, gamma: float) -> np.ndarra
     return state.weights * scale
 
 
-def _entropy(h, ws, table, work: _Work) -> float:
+def _entropy(h, ws, table, sq, q, pairs, c) -> float:
     """sum_k ws_k <h_k, P_kappa h_k> over the rows h_k of h, with the
-    coupling table (i, j, a) of :func:`_couplings`."""
+    coupling table (i, j, a) of :func:`_couplings`.  Work arrays: sq of
+    shape (2, rows, N), q of shape (rows,), and the complex pairs of
+    shape (2, rows, len(i)) and c of shape (rows,)."""
     i, j, a = table
-    sq, q, (g, gj), c = work.sq, work.q, work.pairs, work.c
+    g, gj = pairs
     np.add(np.square(h.real, out=sq[0]), np.square(h.imag, out=sq[1]), out=sq[0])
     sq[0].sum(axis=1, out=q)
-    np.conjugate(np.take(h, i, axis=1, out=g), out=g)
+    # mode="raise" would copy into a buffer before writing to out
+    np.conjugate(np.take(h, i, axis=1, out=g, mode="clip"), out=g)
     g *= a
-    g *= np.take(h, j, axis=1, out=gj)
+    g *= np.take(h, j, axis=1, out=gj, mode="clip")
     g.sum(axis=1, out=c)
     q += np.multiply(c.real, 2.0, out=c.real)
     q *= ws
@@ -251,18 +241,22 @@ def entropy(state: ModalState, alpha: float, gamma: float = 0.0) -> float:
     ws = _entropy_weights(state, alpha, gamma)
     table = _couplings(state.kmax, alpha, state.N)
     h = np.asarray(state.coeffs, dtype=complex)
-    return _entropy(h, ws, table, _Work(*h.shape, len(table[0])))
+    rows, N = h.shape
+    sq, q, c = np.empty((2, rows, N)), np.empty(rows), np.empty(rows, dtype=complex)
+    return _entropy(h, ws, table, sq, q, np.empty((2, rows, len(table[0])), dtype=complex), c)
 
 
-def _h_norm(h, w, work: _Work) -> float:
-    """sqrt(sum_k w_k ||h_k||^2) over the rows h_k of h."""
-    sq = np.square(np.abs(h, out=work.sq[0]), out=work.sq[0])
-    return math.sqrt(float(w @ sq.sum(axis=1, out=work.q)))
+def _h_norm(h, w, sq, q) -> float:
+    """sqrt(sum_k w_k ||h_k||^2) over the rows h_k of h, with the work
+    arrays sq of the shape of h and q of shape (rows,)."""
+    np.square(np.abs(h, out=sq), out=sq)
+    return math.sqrt(float(w @ sq.sum(axis=1, out=q)))
 
 
 def h_norm(state: ModalState) -> float:
     """Plain coefficient norm sqrt(sum_k w_k ||h_k||^2)."""
-    return _h_norm(state.coeffs, state.weights, _Work(*state.coeffs.shape))
+    h = state.coeffs
+    return _h_norm(h, state.weights, np.empty(h.shape), np.empty(len(h)))
 
 
 @lru_cache(maxsize=4)
@@ -303,29 +297,44 @@ def l1_distance_1d(state: ModalState) -> float:
     |h(v)| + |h(-v)| = |e + o| + |e - o| = 2 max(|e|, |o|).  The grid is
     built once per kmax and truncation and shared by the states of a
     trajectory; its phases are explicit, not from an FFT, so that every
-    kmax is exact.  Blocks of ``_ROWS`` x points keep the (rows, 80)
-    temporaries below glibc's default 128 KB mmap threshold.
+    kmax is exact.  The 256 x points run in blocks of ``_ROWS``: one
+    block per half made ``hypobgk simulate`` at its defaults no faster
+    and raised its peak RSS by about 0.3 MB (2-vCPU Xeon, OpenBLAS).
     """
     grid = _l1_grid(state.kmax, state.N)
-    return _l1(state.coeffs, state.weights, grid, _Work(*state.coeffs.shape))
+    h = state.coeffs
+    return _l1(h, state.weights, grid, np.empty((2, *h.shape)), _l1_work(state.N))
 
 
-def _l1(h, w, grid, work: _Work) -> float:
+def _l1_work(N: int):
+    """Work arrays of :func:`_l1` at truncation N: A and B at the 256
+    points x < 1/2, one block of ``_ROWS`` of their rows, its even- and
+    odd-degree parts at the 80 positive nodes, and the sums over v."""
+    return (
+        np.empty((2, _NX // 2, N)),
+        np.empty((_ROWS, N)),
+        np.empty((2, _ROWS, _NV // 2)),
+        np.empty(_NX // 2),
+    )
+
+
+def _l1(h, w, grid, stack, work) -> float:
     """:func:`l1_distance_1d` of the rows h_k with multiplicities w_k on
-    the grid of :func:`_l1_grid`."""
+    the grid of :func:`_l1_grid`, with a real work array stack of shape
+    (2, rows, N) and the arrays of :func:`_l1_work`."""
     cos_sin, phi_even, phi_odd, weights = grid
-    stack, vals, (E, O), row = work.sq, work.vals, work.eo, work.row
+    ab, vals, (E, O), row = work
     np.multiply(h.real, w[:, None], out=stack[0])
     np.multiply(h.imag, w[:, None], out=stack[1])
-    A, B = np.matmul(cos_sin, stack, out=work.ab)
-    b, total = len(vals), 0.0
+    A, B = np.matmul(cos_sin, stack, out=ab)
+    total = 0.0
     for half in (np.subtract, np.add):
-        for lo in range(0, _NX // 2, b):
-            half(A[lo : lo + b], B[lo : lo + b], out=vals)
+        for lo in range(0, _NX // 2, _ROWS):
+            half(A[lo : lo + _ROWS], B[lo : lo + _ROWS], out=vals)
             np.matmul(vals[:, 0::2], phi_even, out=E)
             np.matmul(vals[:, 1::2], phi_odd, out=O)
             np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=E)
-            np.matmul(E, weights, out=row[lo : lo + b])
+            np.matmul(E, weights, out=row[lo : lo + _ROWS])
         total += row.sum()
     return float(total) / _NX
 
@@ -412,32 +421,37 @@ def run_trajectory(
 
     Returns a dict of aligned arrays with keys ``t``, ``entropy``,
     ``h_norm`` and ``l1``; :func:`decay_envelope` gives the L2 envelope
-    at the times ``t`` from the initial entropy ``entropy[0]``.  Each
-    sample equals, bit for bit, :func:`entropy`, :func:`h_norm` and
-    :func:`l1_distance_1d` of the state that repeated :func:`evolve`
-    reaches: the same kernels run on work arrays allocated once per
-    trajectory, after one check of the inputs and one lookup of the
-    propagators, couplings and L1 grid.  The input state is not modified.
+    at the times ``t`` from the initial entropy ``entropy[0]``.  The
+    first sample and the first step are :func:`entropy`, :func:`h_norm`,
+    :func:`l1_distance_1d` and :func:`evolve` of the input state, so
+    alpha, gamma and L are checked by their own messages.  The other
+    samples run the same kernels on the propagators, couplings and L1
+    grid, looked up once, and on work arrays allocated once per
+    trajectory, so each sample equals, bit for bit, those functions of
+    the state that repeated :func:`evolve` reaches.  The input state is
+    not modified.
     """
     _check_int(n_samples, "n_samples", 2)
     if not (math.isfinite(tmax) and tmax >= 0):
         raise ValueError(f"need n_samples >= 2 and a finite tmax >= 0, got {n_samples} and {tmax}")
-    ws = _entropy_weights(state, alpha, gamma)
-    _check_length(state.L)
     ts = np.linspace(0.0, tmax, n_samples)
     dt = float(ts[1] - ts[0])
+    ent, nrm, l1 = np.empty((3, n_samples))
+    ent[0], nrm[0], l1[0] = entropy(state, alpha, gamma), h_norm(state), l1_distance_1d(state)
+    first = evolve(state, dt)
     rows, N = state.coeffs.shape
     E = _propagators(N, state.L, state.kmax, dt) if dt else None
     table = _couplings(state.kmax, alpha, N)
     grid = _l1_grid(state.kmax, N)
-    w, work = state.weights, _Work(rows, N, len(table[0]))
+    ws, w = _entropy_weights(state, alpha, gamma), state.weights
     h, nxt = np.empty((2, rows, N), dtype=complex)
-    h[...] = state.coeffs
-    ent, nrm, l1 = np.empty((3, n_samples))
-    for n in range(n_samples):
-        ent[n] = _entropy(h, ws, table, work)
-        nrm[n] = _h_norm(h, w, work)
-        l1[n] = _l1(h, w, grid, work)
+    h[...] = first.coeffs
+    sq, q, c = np.empty((2, rows, N)), np.empty(rows), np.empty(rows, dtype=complex)
+    pairs, l1_work = np.empty((2, rows, len(table[0])), dtype=complex), _l1_work(N)
+    for n in range(1, n_samples):
+        ent[n] = _entropy(h, ws, table, sq, q, pairs, c)
+        nrm[n] = _h_norm(h, w, sq[0], q)
+        l1[n] = _l1(h, w, grid, sq, l1_work)
         if E is not None and n < n_samples - 1:
             _step(E, h, nxt)
             h, nxt = nxt, h

@@ -262,14 +262,16 @@ def test_trajectory_is_its_states(coupled, gamma, N, tmax):
 
 
 def test_trajectory_looks_up_its_constants_once():
-    # every sample looked them up again before: 79 hits on the propagators
-    # and 80 on the couplings and on the L1 grid
+    # the per-state functions of the first sample and step miss, and the
+    # other 80 samples share one lookup; every sample looked them up again
+    # before: 79 hits on the propagators and 80 on the couplings and on
+    # the L1 grid
     alpha = certify(1, TWO_PI, n_verify=0).alpha_star
     caches = (sim._propagators, sim._couplings, sim._l1_grid)
     for cache in caches:
         cache.cache_clear()
     run_trajectory(_initial(), 40.0, 81, alpha)
-    assert [cache.cache_info()[:2] for cache in caches] == [(0, 1)] * 3
+    assert [cache.cache_info()[:2] for cache in caches] == [(1, 1)] * 3
 
 
 def test_trajectory_decay_and_envelope():
