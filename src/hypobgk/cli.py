@@ -156,12 +156,9 @@ def _run_index(args):
         if not np.isfinite(C1).all():
             raise OverflowError("C1 = kappa ell L1 leaves the floating-point range")
         rep = hypocoercivity_index(C1, C2, tol=args.tol_rank)
-    except VerificationFailure as exc:
-        raise VerificationFailure(f"torus length {args.L!r}: {exc}") from exc
-    except OverflowError as exc:
-        raise OverflowError(
-            f"mode modulus kappa {args.kappa!r} on torus length {args.L!r}: {exc}"
-        ) from exc
+    except (VerificationFailure, OverflowError) as exc:
+        context = f"mode modulus kappa {args.kappa!r} on torus length {args.L!r}"
+        raise type(exc)(f"{context}: {exc}") from exc
     tau = rep.tau if rep.tau is not None else -1
     cc = rep.coercivity_constant if rep.coercivity_constant is not None else float("nan")
     return _Artifact(
@@ -222,11 +219,12 @@ def _run_minors(args):
         # is an underflow
         usable = all(math.isfinite(v) and (v != 0 or not default_alpha) for v in table.values)
     if not usable:
-        size = "small" if ell > 1.0 else "large"
-        raise ValueError(
-            f"torus length {args.L!r} is too {size}: "
-            "the minors at 2 pi / L leave the floating-point range"
-        )
+        if default_alpha:
+            size = "small" if ell > 1.0 else "large"
+            what = f"torus length {args.L!r} is too {size}: the minors at 2 pi / L"
+        else:
+            what = f"coupling amplitude alpha {args.alpha!r} on torus length {args.L!r}: the minors"
+        raise ValueError(f"{what} leave the floating-point range")
     return _Artifact(
         header=("i", "delta"),
         rows=[(j + 1, v) for j, v in enumerate(table.values)],

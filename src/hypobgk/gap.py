@@ -11,7 +11,9 @@ multi-indices with m_2, ..., m_d fixed, except that the degree-two
 collision projector couples the chains holding (2, 0, 0), (0, 2, 0)
 and (0, 0, 2) into one block.  A block on which L2 is the identity has
 real parts exactly 1, so only the other blocks, at most three, are
-built (:func:`hypobgk.operators.chain_blocks`).
+built (:func:`hypobgk.operators.chain_blocks`), and two of them that
+are one matrix, as the 3D shear chains are when their lengths agree,
+are reduced and solved once (:func:`_split`).
 
 Each block is solved in the eigenbasis of its chains (:func:`_eigenbasis`).
 The Gauss-Hermite rule of a chain's length diagonalizes its Jacobi
@@ -388,18 +390,14 @@ class _Reduced:
     """A chain block in the real form of its chains' eigenbasis, deflated
     (:func:`_reduce`).
 
-    ``pairs`` holds the kept mirror pairs, rows (j, j') of
-    :func:`_eigenbasis` with x_j > 0 and x_j' = -x_j, and
-    ``single`` the kept rows with x_j = 0.  Pair k is row 2k (its even
+    Kept mirror pair k, x_j > 0 and x_j' = -x_j, is row 2k (its even
     vector e) and row 2k + 1 (its odd vector o) of the real form, and
-    the single rows follow.  ``x`` holds x_j for each pair, ``V`` the
-    real factor and ``base`` the part I - V V^T that is the same for
-    every kappa.
+    the kept nodes 0 follow, one row each, len(V) - 2 len(x) of them.
+    ``x`` holds x_j for each pair, ``V`` the real factor and ``base``
+    the part I - V V^T that is the same for every kappa.
     """
 
     block: ChainBlock
-    pairs: np.ndarray
-    single: np.ndarray
     x: np.ndarray
     V: np.ndarray
     base: np.ndarray = field(repr=False)
@@ -483,21 +481,22 @@ def _reduce(block: ChainBlock) -> _Reduced:
     V[: 2 * k : 2] = (U[pairs] + U[mirror[pairs]]) / math.sqrt(2.0)
     V[1 : 2 * k : 2] = (U[pairs] - U[mirror[pairs]]) / math.sqrt(2.0)
     V[2 * k :] = U[single]
-    return _Reduced(
-        block,
-        np.column_stack([pairs, mirror[pairs]]),
-        single,
-        x[pairs],
-        V,
-        np.eye(len(V)) - V @ V.T,
-    )
+    return _Reduced(block, x[pairs], V, np.eye(len(V)) - V @ V.T)
 
 
 def _split(d: int, N: int):
-    """The blocks of the tensor-basis generators on which L2 is not the
-    identity, reduced once for every kappa; no operator of size N is
-    assembled."""
-    return [_reduce(blk) for blk in chain_blocks(d, N)]
+    """The distinct blocks of the tensor-basis generators on which L2 is
+    not the identity, reduced once for every kappa; no operator of size
+    N is assembled.  Blocks whose ``chains``, ``m1``, ``low`` and ``l2``
+    are equal are one matrix, with one spectrum, so only the first of
+    them in the order of :func:`chain_blocks` is kept: in 3D the shear
+    chains with tails e_2 and e_3, whenever their lengths agree."""
+    kept = []
+    for blk in chain_blocks(d, N):
+        key = (blk.chains, blk.m1, blk.low, blk.l2)
+        if not any(all(map(np.array_equal, key, k)) for k, _ in kept):
+            kept.append((key, blk))
+    return [_reduce(blk) for _, blk in kept]
 
 
 def _mode_gap(reduced, kappa: float, L: float):

@@ -435,6 +435,22 @@ def test_underflowing_torus_length_in_minors_exits_one(d, L, capsys):
     assert f"torus length {float(L)!r} is too large" in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d,alpha", [(1, "1e300"), (2, "1e200"), (3, "1e60")])
+def test_overflowing_alpha_in_minors_names_alpha(d, alpha, capsys):
+    # a given alpha whose minors leave the floating-point range is named;
+    # the default torus length is not to blame
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["minors", "--dim", str(d), "--alpha", alpha])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        f"coupling amplitude alpha {float(alpha)!r} on torus length 6.283185307179586: "
+        "the minors leave the floating-point range"
+    ) in captured.err
+
+
 def test_only_verification_failures_exit_two(monkeypatch, capsys):
     def diverging(*args, **kwargs):
         raise ZeroDivisionError("float division by zero")
@@ -461,8 +477,10 @@ def test_only_verification_failures_exit_two(monkeypatch, capsys):
         ("1e200", 1, "error: mode modulus kappa 1e+200 on torus length 6.283185307179586: "),
         # C1 = kappa ell L1 itself overflows, before the index is computed
         ("1e308", 1, "error: mode modulus kappa 1e+308 on torus length 6.283185307179586: C1"),
-        # finite, but the coercivity constant is lost to rounding
-        ("1e20", 2, "verification failure: torus length 6.283185307179586: the coercivity"),
+        # finite, but the coercivity constant is lost to rounding, at
+        # either end of kappa
+        ("1e20", 2, "verification failure: mode modulus kappa 1e+20 on torus length 6.283185307179586: "),
+        ("1e-20", 2, "verification failure: mode modulus kappa 1e-20 on torus length 6.283185307179586: "),
     ],
 )
 def test_index_at_huge_kappa_names_kappa_and_length(kappa, code, message):

@@ -249,9 +249,35 @@ def test_only_nontrivial_blocks_are_solved(monkeypatch):
         return real(B, **kwargs)
 
     monkeypatch.setattr(gap, "eigvals", counting)
-    spectral_gap(3, TWO_PI, [1.0], 220)
-    assert len(chain_blocks(3, 220)) == 3
-    assert len(sizes) == 3 and max(sizes) == 26
+    # the shear chains e_2 and e_3 of 3D are one matrix, solved once, at
+    # N = 220 (9 rows each); at N = 222 they have 10 and 9 rows
+    for N, solves, coupled in [(220, 2, 26), (222, 3, 27)]:
+        sizes.clear()
+        spectral_gap(3, TWO_PI, [1.0], N)
+        assert len(chain_blocks(3, N)) == 3
+        assert len(sizes) == solves and max(sizes) == coupled
+
+
+@pytest.mark.parametrize("L", [0.37, TWO_PI, 25.07])
+def test_equal_blocks_solved_once_give_the_gaps_of_every_block(L):
+    # the gaps and backward errors of the distinct blocks are those of
+    # every block of chain_blocks, to the last bit: at N = 84 and 220 the
+    # shear chains are one matrix and one is dropped, at N = 37 and 222
+    # they differ and all three blocks are solved
+    kappas = [m for m, _ in mode_moduli(3, 5)]
+    Ns = [37, 84, 220, 222]
+    every = {}
+    for N in Ns:
+        reduced = [gap._reduce(blk) for blk in chain_blocks(3, N)]
+        every[N] = [gap._mode_gap(reduced, kappa, L) for kappa in kappas]
+        assert len(gap._split(3, N)) == (3 if N in (37, 222) else 2)
+        rep = spectral_gap(3, L, kappas, N)
+        assert rep.rows() == [(kappa, N, g) for kappa, (g, _) in zip(kappas, every[N])]
+        assert rep.backward_error == max(err for _, err in every[N])
+    for i, kappa in enumerate(kappas):
+        study = convergence_study(3, L, kappa, Ns)
+        assert study.rows() == [(N, every[N][i][0]) for N in Ns]
+        assert study.backward_error == max(every[N][i][1] for N in Ns)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -386,11 +412,14 @@ def test_deflation_drops_at_most_eps_squared():
     (blk,) = chain_blocks(1, 500)
     x, U = gap._eigenbasis(blk)
     reduced = gap._reduce(blk)
-    kept = np.zeros(len(x), dtype=bool)
-    kept[reduced.pairs] = kept[reduced.single] = True
-    assert len(reduced.V) == kept.sum() < 500 / 2
+    # the kept rows, read off the nodes of the kept pairs; a chain of
+    # even length has no node 0
+    kept = np.isin(np.abs(x), reduced.x)
+    assert len(reduced.V) == 2 * len(reduced.x) == kept.sum() < 500 / 2
     assert (U[~kept] ** 2).sum() <= np.finfo(float).eps ** 2
-    assert np.array_equal(reduced.x, x[reduced.pairs[:, 0]]) and (reduced.x > 0).all()
+    assert np.array_equal(reduced.x, x[kept & (x > 0)])
+    # V is U on the kept rows in an orthonormal basis of each pair
+    assert math.isclose((reduced.V**2).sum(), (U[kept] ** 2).sum(), rel_tol=1e-14)
     # mirror pairs go whole, and the smallest go first
     mirror = np.arange(len(x))[::-1]
     assert np.array_equal(kept, kept[mirror])
@@ -442,7 +471,7 @@ def test_real_form_is_similar_to_the_block(d, N):
     nodes_0 = 0
     for blk in chain_blocks(d, N):
         r = gap._reduce(blk)
-        nodes_0 += len(r.single)
+        nodes_0 += len(r.V) - 2 * len(r.x)
         M = r.matrix(s)
         assert M.dtype == float and len(M) == len(blk.index)
         reduced = np.linalg.eigvals(M)

@@ -153,17 +153,22 @@ def test_multi_index_components_are_checked_by_name(m, message):
         (np.array(2, dtype=np.uint8), None),
         (np.array(2.0), "must be an integer, got 2.0"),
         (np.array(True), "must be an integer, got True"),
+        # a 0-d array inside a sequence was refused as "got 1"
+        ((np.array(1), 2), None),
+        ((np.array(1.0), 2), "must be an integer, got 1.0"),
+        ((np.array(True), 2), "must be an integer, got True"),
     ],
 )
 def test_zero_dimensional_multi_index_reads_as_its_scalar(m, message):
+    plain, v = (int(m), 0.5) if np.ndim(m) == 0 else (tuple(map(int, m)), np.full(len(m), 0.5))
     if message is None:
-        assert lex_index(m) == int(m)
-        assert eval_basis(m, 0.5) == eval_basis(int(m), 0.5)
+        assert lex_index(m) == lex_index(plain)
+        assert eval_basis(m, v) == eval_basis(plain, v)
         return
     with pytest.raises(ValueError, match=f"^multi-index component {message}$"):
         lex_index(m)
     with pytest.raises(ValueError, match=f"^multi-index component {message}$"):
-        eval_basis(m, 0.5)
+        eval_basis(m, v)
 
 
 def test_flat_index_validation():
