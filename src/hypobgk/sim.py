@@ -7,7 +7,12 @@ certified transformation matrix, so its decay at the certified rate
 can be checked against the simulated trajectory, along with the L1
 distance of the reconstructed density from equilibrium and its L2
 envelope bound.  :func:`l1_distance_1d` evaluates the L1 distance on
-half its grid, by the symmetries x -> 1 - x and v -> -v.
+half its grid, by the symmetries x -> 1 - x and v -> -v.  A state
+symmetric under (x, v) -> (1 - x, -v), with Re h = 0 at odd and Im h = 0
+at even Hermite degrees, needs only half of that: every state of a
+trajectory from :func:`concentrated_initial_data` is one, since its bump
+is centred at x = 1/2, its Maxwellian is even in v, and the generator
+is real in the phased basis below, so the propagators keep those zeros.
 
 The simulation is one-dimensional and stores the half spectrum: one
 row per wavenumber kappa = 0, 1, ..., kmax, with weight 1 for kappa = 0
@@ -263,16 +268,26 @@ def h_norm(state: ModalState) -> float:
 def _l1_grid(kmax: int, N: int):
     """The grid of :func:`l1_distance_1d` for the wavenumbers 0, 1, ...,
     kmax and truncation N: the stacked cos and sin of 2 pi kappa x at the
-    256 points x < 1/2, shape (2, 256, kmax + 1), the even- and odd-degree
-    rows of phi_m at the 80 positive Gauss nodes, and their weights."""
+    256 points x < 1/2 times the multiplicities 1, 2, 2, ... of the
+    wavenumbers, shape (2, 256, kmax + 1), the even- and odd-degree rows
+    of phi_m at the 80 positive Gauss nodes, their weights, and the flat
+    indices into the real view of a state, shape (2, kmax + 1, N), of its
+    symmetric part [Re h_even, Im h_odd] and of its antisymmetric part
+    [Re h_odd, Im h_even].  Doubling is exact, so the products carry the
+    bits of products with doubled coefficients."""
     cos_sin = np.empty((2, _NX // 2, kmax + 1))
     theta = np.outer((np.arange(_NX // 2) + 0.5) / _NX, np.arange(kmax + 1.0), out=cos_sin[0])
     theta *= 2.0 * math.pi
     np.sin(theta, out=cos_sin[1])
     np.cos(theta, out=theta)
+    cos_sin[..., 1:] *= 2.0
     nodes, wts = gauss_hermite(_NV)
     phi = hermite_phi(N - 1, nodes[_NV // 2 :])
-    grid = cos_sin, phi[0::2], phi[1::2], wts[_NV // 2 :] * (2.0 / SQRT2PI)
+    # Re h_m sits at column 2 m of the real view, Im h_m at 2 m + 1
+    even, odd = np.arange(0, N, 2), np.arange(1, N, 2)
+    cols = np.array([np.r_[2 * even, 2 * odd + 1], np.r_[2 * odd, 2 * even + 1]])
+    parts = cols[:, None, :] + 2 * N * np.arange(kmax + 1)[:, None]
+    grid = cos_sin, phi[0::2], phi[1::2], wts[_NV // 2 :] * (2.0 / SQRT2PI), parts
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -290,26 +305,41 @@ def l1_distance_1d(state: ModalState) -> float:
 
     Half of each grid is evaluated.  x-mirror: x_{511-j} = 1 - x_j and
     exp(2 pi i kappa (1 - x)) = exp(-2 pi i kappa x) for integer kappa,
-    so with A = cos @ Re H and B = sin @ Im H at the 256 points x < 1/2,
-    Re h is A - B at x and A + B at 1 - x.  v-parity: phi_m(-v) =
-    (-1)**m phi_m(v) and the Gauss rule is symmetric to the bit, so with
-    the even- and odd-degree parts e and o at the 80 positive nodes,
-    |h(v)| + |h(-v)| = |e + o| + |e - o| = 2 max(|e|, |o|).  The grid is
-    built once per kmax and truncation and shared by the states of a
-    trajectory; its phases are explicit, not from an FFT, so that every
-    kmax is exact.  The 256 x points run in blocks of ``_ROWS``: one
-    block per half made ``hypobgk simulate`` at its defaults no faster
-    and raised its peak RSS by about 0.3 MB (2-vCPU Xeon, OpenBLAS).
+    so with P = cos @ Re H and Q = sin @ Im H at the 256 points x < 1/2,
+    the coefficients of h are P - Q at x and P + Q at 1 - x.  v-parity:
+    phi_m(-v) = (-1)**m phi_m(v) and the Gauss rule is symmetric to the
+    bit, so with the even- and odd-degree parts e and o at the 80
+    positive nodes, |h(v)| + |h(-v)| = |e + o| + |e - o| = 2 max(|e|,
+    |o|).
+
+    Under (x, v) -> (1 - x, -v) the even-degree columns of P and the
+    odd-degree columns of Q are symmetric, the other two antisymmetric.
+    A state whose antisymmetric coefficients, Re H at odd and Im H at
+    even degrees, are all zero is symmetric: h(1 - x, -v) = h(x, v), so
+    the half x > 1/2 adds what the half x < 1/2 adds.  Its products are
+    taken from the symmetric columns alone, on the half x < 1/2, and the
+    sum is doubled; the zeros skipped would change no bit.  Every state
+    of a trajectory from :func:`concentrated_initial_data`, and so of
+    ``hypobgk simulate``, is symmetric.  Other states take the other two
+    products and both halves.
+
+    The grid is built once per kmax and truncation and shared by the
+    states of a trajectory; its phases are explicit, not from an FFT, so
+    that every kmax is exact.  The 256 x points run in blocks of
+    ``_ROWS``: one block per half made ``hypobgk simulate`` at its
+    defaults no faster and raised its peak RSS by about 0.3 MB (2-vCPU
+    Xeon, OpenBLAS).
     """
     grid = _l1_grid(state.kmax, state.N)
-    h = state.coeffs
-    return _l1(h, state.weights, grid, np.empty((2, *h.shape)), _l1_work(state.N))
+    h = np.ascontiguousarray(state.coeffs, dtype=complex)
+    return _l1(h, grid, np.empty((2, *h.shape)), _l1_work(state.N))
 
 
 def _l1_work(N: int):
-    """Work arrays of :func:`_l1` at truncation N: A and B at the 256
-    points x < 1/2, one block of ``_ROWS`` of their rows, its even- and
-    odd-degree parts at the 80 positive nodes, and the sums over v."""
+    """Work arrays of :func:`_l1` at truncation N: the products with cos
+    and with sin at the 256 points x < 1/2, one block of ``_ROWS`` of
+    the rows of h, its even- and odd-degree parts at the 80 positive
+    nodes, and the sums over v."""
     return (
         np.empty((2, _NX // 2, N)),
         np.empty((_ROWS, N)),
@@ -318,24 +348,43 @@ def _l1_work(N: int):
     )
 
 
-def _l1(h, w, grid, stack, work) -> float:
-    """:func:`l1_distance_1d` of the rows h_k with multiplicities w_k on
-    the grid of :func:`_l1_grid`, with a real work array stack of shape
-    (2, rows, N) and the arrays of :func:`_l1_work`."""
-    cos_sin, phi_even, phi_odd, weights = grid
-    ab, vals, (E, O), row = work
-    np.multiply(h.real, w[:, None], out=stack[0])
-    np.multiply(h.imag, w[:, None], out=stack[1])
-    A, B = np.matmul(cos_sin, stack, out=ab)
+def _l1(h, grid, stack, work, antisymmetric=None) -> float:
+    """:func:`l1_distance_1d` of the C-contiguous complex rows h_k on the
+    grid of :func:`_l1_grid`, with a real work array stack of shape (2,
+    rows, N) and the arrays of :func:`_l1_work`.  The antisymmetric part
+    is evaluated if ``antisymmetric`` is true, and by default if any of
+    its coefficients is nonzero."""
+    cos_sin, phi_even, phi_odd, weights, parts = grid
+    (P, Q), vals, (E, O), row = work
+    ne, no = len(phi_even), len(phi_odd)
+    # mode="raise" would copy into a buffer before writing to out
+    sym, anti = np.take(h.view(float), parts, out=stack, mode="clip")
+    if antisymmetric is None:
+        antisymmetric = anti.any()
+    # P = cos @ Re H and Q = sin @ Im H, each with the even degrees first;
+    # the coefficients of h are P - Q at x and P + Q at 1 - x, and for a
+    # symmetric state P_odd and Q_even are zero
+    np.matmul(cos_sin[0], sym[:, :ne], out=P[:, :ne])
+    np.matmul(cos_sin[1], sym[:, ne:], out=Q[:, ne:])
+    if antisymmetric:
+        np.matmul(cos_sin[0], anti[:, :no], out=P[:, ne:])
+        np.matmul(cos_sin[1], anti[:, no:], out=Q[:, :ne])
     total = 0.0
-    for half in (np.subtract, np.add):
+    for half in (np.subtract, np.add) if antisymmetric else (None,):
         for lo in range(0, _NX // 2, _ROWS):
-            half(A[lo : lo + _ROWS], B[lo : lo + _ROWS], out=vals)
-            np.matmul(vals[:, 0::2], phi_even, out=E)
-            np.matmul(vals[:, 1::2], phi_odd, out=O)
+            rows = slice(lo, lo + _ROWS)
+            if half is None:
+                even, odd = P[rows, :ne], Q[rows, ne:]
+            else:
+                even, odd = half(P[rows], Q[rows], out=vals)[:, :ne], vals[:, ne:]
+            np.matmul(even, phi_even, out=E)
+            np.matmul(odd, phi_odd, out=O)
             np.maximum(np.abs(E, out=E), np.abs(O, out=O), out=E)
-            np.matmul(E, weights, out=row[lo : lo + _ROWS])
+            np.matmul(E, weights, out=row[rows])
         total += row.sum()
+    if not antisymmetric:
+        # the half x > 1/2 mirrors the half x < 1/2
+        total *= 2.0
     return float(total) / _NX
 
 
@@ -383,7 +432,10 @@ def concentrated_initial_data(
     chat = _hann_transform(kappa * epsilon)
     chat[0] = 0.0
     coeffs = np.zeros((kmax + 1, N), dtype=complex)
-    coeffs[:, 0] = chat * np.exp(-1j * math.pi * kappa)
+    # the shift to x = 1/2 is exp(-i pi kappa) = (-1)**kappa, taken exactly
+    # so that the state is symmetric under (x, v) -> (1 - x, -v) to the bit
+    coeffs.real[:, 0] = chat
+    coeffs.real[1::2, 0] *= -1.0
     state = ModalState(L, coeffs)
     state.truncation_tail = exact - math.fsum(state.weights * chat * chat)
     return state
@@ -451,7 +503,7 @@ def run_trajectory(
     for n in range(1, n_samples):
         ent[n] = _entropy(h, ws, table, sq, q, pairs, c)
         nrm[n] = _h_norm(h, w, sq[0], q)
-        l1[n] = _l1(h, w, grid, sq, l1_work)
+        l1[n] = _l1(h, grid, sq, l1_work)
         if E is not None and n < n_samples - 1:
             _step(E, h, nxt)
             h, nxt = nxt, h

@@ -182,6 +182,8 @@ def test_moments_of_initial_bump():
     assert st.coeffs.shape == (len(st.kappa), st.N)
     assert abs(abs(st.coeffs[1, 0]) - 0.9997420530610657) < 1e-9
     assert not st.coeffs[:, 1:].any()
+    # the shift to x = 1/2 is the exact sign (-1)**kappa
+    assert st.coeffs.dtype == complex and not st.coeffs.imag.any()
 
 
 def test_l1_distance_matches_quadrature_oracle():
@@ -208,18 +210,29 @@ def test_l1_distance_matches_quadrature_oracle():
 @pytest.mark.parametrize("kmax", [7, 33, 128])
 def test_l1_grid_matches_full_grid_formula(N, kmax):
     # random complex states have no symmetry under x -> 1 - x or v -> -v,
-    # so the half-grid evaluation must reproduce the full 512 x 160 grid
+    # symmetric states are evaluated on the half x < 1/2 alone, and one
+    # antisymmetric entry must bring back the other half: each must
+    # reproduce the full 512 x 160 grid
     rng = np.random.default_rng(100 * N + kmax)
     st = _initial(kmax=kmax, N=N)
-    st.coeffs = rng.standard_normal(st.coeffs.shape) + 1j * rng.standard_normal(st.coeffs.shape)
     xs = (np.arange(512) + 0.5) / 512
     nodes, w = gauss_hermite(160)
-    H = st.weights[:, None] * st.coeffs
     phi = hermite_phi(N - 1, nodes)
-    full = np.mean(np.abs((np.exp(2j * math.pi * np.outer(xs, st.kappa)) @ H).real @ phi) @ w)
-    full /= math.sqrt(2.0 * math.pi)
-    got = l1_distance_1d(st)
-    assert abs(got - full) < 1e-13 * full
+    general = rng.standard_normal(st.coeffs.shape) + 1j * rng.standard_normal(st.coeffs.shape)
+    # the part symmetric under (x, v) -> (1 - x, -v): Re h at even and
+    # Im h at odd degrees
+    symmetric = general.copy()
+    symmetric.real[:, 1::2] = symmetric.imag[:, 0::2] = 0.0
+    one_entry = symmetric.copy()
+    k, n = rng.integers(kmax + 1), rng.integers(N)
+    one_entry[k, n] += 1.0 if n % 2 else 1j
+    for coeffs in (general, symmetric, one_entry):
+        st.coeffs = coeffs
+        H = st.weights[:, None] * st.coeffs
+        full = np.mean(np.abs((np.exp(2j * math.pi * np.outer(xs, st.kappa)) @ H).real @ phi) @ w)
+        full /= math.sqrt(2.0 * math.pi)
+        got = l1_distance_1d(st)
+        assert abs(got - full) < 1e-13 * full
 
 
 @pytest.mark.parametrize("N", [5, 20, 31])
@@ -259,6 +272,32 @@ def test_trajectory_is_its_states(coupled, gamma, N, tmax):
         cur = evolve(cur, float(traj["t"][1]))
     for key, values in want.items():
         assert list(traj[key]) == values, key
+
+
+@pytest.mark.parametrize("N,kmax,L", [(20, 128, TWO_PI), (31, 33, 0.37)], ids=["defaults", "small"])
+def test_simulated_states_are_symmetric_and_skip_no_bits(N, kmax, L, monkeypatch):
+    # every state a trajectory of the bump reaches has Re h = 0 at odd and
+    # Im h = 0 at even degrees, to the bit, so its L1 distance is taken on
+    # the half x < 1/2; evaluating the other half as well gives the same
+    # bits
+    kernel, states = sim._l1, []
+
+    def spy(h, *args):
+        states.append(h.copy())
+        return kernel(h, *args)
+
+    monkeypatch.setattr(sim, "_l1", spy)
+    st = concentrated_initial_data(0.02, kmax=kmax, N=N, L=L)
+    traj = run_trajectory(st, 40.0, 81, certify(1, L, n_verify=0).alpha_star)
+    monkeypatch.undo()
+    # the flow fills the odd degrees, so both symmetric parts are at work
+    assert len(states) == 81 and states[1].imag[:, 1::2].any()
+    grid, stack = sim._l1_grid(kmax, N), np.empty((2, kmax + 1, N))
+    for h, l1 in zip(states, traj["l1"]):
+        assert not h.real[:, 1::2].any() and not h.imag[:, 0::2].any()
+        state = ModalState(L, h)
+        both_halves = sim._l1(h, grid, stack, sim._l1_work(N), True)
+        assert both_halves == l1_distance_1d(state) == l1
 
 
 def test_trajectory_looks_up_its_constants_once():
